@@ -3,7 +3,9 @@
 A small tape-free engine: every operation returns a :class:`Node` holding the
 forward value, the parent nodes, and a closure that routes the upstream
 gradient to those parents. :func:`backward` runs the closures once each in
-reverse topological order. Only the operations the relatedness model and its
+reverse topological order. A closure receives its node as an argument
+instead of capturing it, so a graph holds no reference cycle and is freed by
+reference counting as soon as it is dropped. Only the operations the relatedness model and its
 losses need are provided, and everything is 64-bit.
 """
 
@@ -30,7 +32,7 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._parents = _parents
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Node], None] | None = None
         self._visits = 0
         self._backward_done = False
 
@@ -94,7 +96,7 @@ def add(a: Node, b: Node) -> Node:
     _require_same_shape("add", a, b)
     out = Node(a.value + b.value, (a, b))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(a, out.grad)
         _accumulate(b, out.grad)
 
@@ -106,7 +108,7 @@ def sub(a: Node, b: Node) -> Node:
     _require_same_shape("sub", a, b)
     out = Node(a.value - b.value, (a, b))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(a, out.grad)
         _accumulate(b, -out.grad)
 
@@ -119,7 +121,7 @@ def mul(a: Node, b: Node) -> Node:
     _require_same_shape("mul", a, b)
     out = Node(a.value * b.value, (a, b))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(a, b.value * out.grad)
         _accumulate(b, a.value * out.grad)
 
@@ -136,7 +138,7 @@ def matmul(a: Node, b: Node) -> Node:
         raise ValueError(f"matmul: inner dimensions disagree {av.shape} @ {bv.shape}")
     out = Node(av @ bv, (a, b))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         g = out.grad
         if av.ndim == 1 and bv.ndim == 1:
             _accumulate(a, g * bv)
@@ -166,7 +168,7 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
     out = Node(joined, tuple(nodes))
     cuts = np.cumsum([v.shape[axis] for v in vals])[:-1]
 
-    def _bw():
+    def _bw(out: Node) -> None:
         for n, piece in zip(nodes, np.split(out.grad, cuts, axis=axis)):
             _accumulate(n, piece)
 
@@ -182,7 +184,7 @@ def stack(nodes: Sequence[Node]) -> Node:
 def reshape(x: Node, shape) -> Node:
     out = Node(x.value.reshape(shape), (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, out.grad.reshape(x.value.shape))
 
     out._backward = _bw
@@ -192,7 +194,7 @@ def reshape(x: Node, shape) -> Node:
 def broadcast_to(x: Node, shape) -> Node:
     out = Node(np.broadcast_to(x.value, shape).copy(), (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         g = out.grad
         extra = g.ndim - x.value.ndim
         if extra:
@@ -213,7 +215,7 @@ def take(x: Node, indices) -> Node:
     idx = np.asarray(indices, dtype=np.intp)
     out = Node(x.value[idx], (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         g = np.zeros_like(x.value)
         np.add.at(g, idx, out.grad)
         _accumulate(x, g)
@@ -228,7 +230,7 @@ def softmax(x: Node, axis: int = -1) -> Node:
     s = e / e.sum(axis=axis, keepdims=True)
     out = Node(s, (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         g = out.grad
         _accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
@@ -241,7 +243,7 @@ def sigmoid(x: Node) -> Node:
     s = 0.5 * (1.0 + np.tanh(0.5 * x.value))
     out = Node(s, (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, out.value * (1.0 - out.value) * out.grad)
 
     out._backward = _bw
@@ -252,7 +254,7 @@ def tanh(x: Node) -> Node:
     t = np.tanh(x.value)
     out = Node(t, (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, (1.0 - out.value**2) * out.grad)
 
     out._backward = _bw
@@ -262,7 +264,7 @@ def tanh(x: Node) -> Node:
 def relu(x: Node) -> Node:
     out = Node(np.maximum(x.value, 0.0), (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, (x.value > 0.0) * out.grad)
 
     out._backward = _bw
@@ -272,7 +274,7 @@ def relu(x: Node) -> Node:
 def log(x: Node) -> Node:
     out = Node(np.log(x.value), (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, out.grad / x.value)
 
     out._backward = _bw
@@ -284,7 +286,7 @@ def clamp(x: Node, lo: float, hi: float) -> Node:
     out = Node(np.clip(x.value, lo, hi), (x,))
     mask = (x.value >= lo) & (x.value <= hi)
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, out.grad * mask)
 
     out._backward = _bw
@@ -296,7 +298,7 @@ def l2_normalize(x: Node, axis: int = -1, eps: float = 1e-12) -> Node:
     norm = np.sqrt((x.value**2).sum(axis=axis, keepdims=True) + eps)
     out = Node(x.value / norm, (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         g = out.grad
         inner = (g * x.value).sum(axis=axis, keepdims=True)
         _accumulate(x, g / norm - x.value * inner / norm**3)
@@ -308,7 +310,7 @@ def l2_normalize(x: Node, axis: int = -1, eps: float = 1e-12) -> Node:
 def mean(x: Node) -> Node:
     out = Node(x.value.mean(), (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, np.full_like(x.value, out.grad / x.value.size))
 
     out._backward = _bw
@@ -318,7 +320,7 @@ def mean(x: Node) -> Node:
 def sum(x: Node) -> Node:
     out = Node(x.value.sum(), (x,))
 
-    def _bw():
+    def _bw(out: Node) -> None:
         _accumulate(x, np.broadcast_to(out.grad, x.value.shape).copy())
 
     out._backward = _bw
@@ -356,7 +358,7 @@ def backward(loss: Node) -> None:
     for node in reversed(topo):
         node._visits += 1
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node)
     loss._backward_done = True
 
 

@@ -23,6 +23,7 @@ from .ingest import (
     DetectionRecord,
     ImageDetections,
     build_vocabulary,
+    encode_tokens,
     group_detections,
     group_regions,
     load_detection_dump,
@@ -34,15 +35,14 @@ from .model import (
     ModelConfig,
     init_parameters,
     relatedness_forward,
-    score_boxes,
 )
 from .nms import (
     NmsConfig,
     ProposalBudget,
+    baseline_pipeline,
     constant_relatedness_proposals,
     fused_keep,
-    per_class_nms,
-    select_proposals,
+    ref_nms_pipeline,
 )
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
@@ -332,26 +332,26 @@ def cmd_apply(args) -> int:
     if args.checkpoint is not None:
         params, _, vocab, _ = load_checkpoint(args.checkpoint)
     lines = []
-    from dataclasses import replace as dc_replace
-
-    from .ingest import encode_tokens
-
+    baseline_keeps: dict[str, list] = {}
     for expr in expressions:
         image = by_image.get(expr.image_id, ImageDetections(expr.image_id, ()))
         if args.baseline:
-            proposals = constant_relatedness_proposals(image, 1.0, args.min_confidence)
-            kept = per_class_nms(proposals, dc_replace(nms_cfg, criterion="confidence"))
-            if budget is not None:
-                kept = select_proposals(kept, budget, "confidence")
-        else:
-            if args.stub_relatedness is not None:
-                proposals = constant_relatedness_proposals(
-                    image, args.stub_relatedness, args.min_confidence
+            # the confidence baseline ignores the expression: NMS once per image
+            if expr.image_id not in baseline_keeps:
+                baseline_keeps[expr.image_id] = baseline_pipeline(
+                    image, args.min_confidence, nms_cfg, budget
                 )
-            else:
-                indices = encode_tokens(expr.tokens, vocab)
-                proposals = score_boxes(image, indices, params, args.min_confidence)
+            kept = baseline_keeps[expr.image_id]
+        elif args.stub_relatedness is not None:
+            proposals = constant_relatedness_proposals(
+                image, args.stub_relatedness, args.min_confidence
+            )
             kept = fused_keep(proposals, nms_cfg, budget)
+        else:
+            kept = ref_nms_pipeline(
+                image, encode_tokens(expr.tokens, vocab), params, args.min_confidence,
+                nms_cfg, budget,
+            )
         for p in kept:
             box = " ".join(repr(float(v)) for v in (p.box.x1, p.box.y1, p.box.x2, p.box.y2))
             lines.append(

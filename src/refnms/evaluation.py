@@ -155,7 +155,8 @@ def recall_curve(
 
     Budgets are integers (top-N selection) or the string "real_case"
     (selection by score threshold `real_case_min_score`). NMS runs once per
-    expression; budgets only re-slice the keep list. Expressions without any
+    expression, or once per image for the expression-agnostic baseline;
+    budgets only re-slice the keep list. Expressions without any
     pseudo region are excluded from the contextual denominator.
     """
     if not examples:
@@ -167,10 +168,16 @@ def recall_curve(
         raise ValueError(f"recall_curve: examples span several splits {sorted(splits)}")
     split = splits.pop()
     criterion = "confidence" if method == "baseline_conf" else "fused"
+    baseline_keeps: dict[ImageDetections, list] = {}
     kept_lists = []
     for ex in examples:
         if method == "baseline_conf":
-            kept = baseline_pipeline(ex.detections, min_confidence, nms_cfg)
+            # the confidence baseline ignores the expression: NMS once per image
+            if ex.detections not in baseline_keeps:
+                baseline_keeps[ex.detections] = baseline_pipeline(
+                    ex.detections, min_confidence, nms_cfg
+                )
+            kept = baseline_keeps[ex.detections]
         else:
             if params is None:
                 raise ValueError("recall_curve: ref_nms needs trained parameters")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,27 @@ def iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def box_array(boxes: Sequence[Box]) -> np.ndarray:
+    """(n, 4) float64 array of (x1, y1, x2, y2) rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(k, m) IoUs between the rows of two `box_array`s.
+
+    Performs `iou`'s float operations in its order, so every value is
+    bit-equal to `iou` on the same pair of boxes.
+    """
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    iw = np.minimum(a[:, 2:3], b[:, 2]) - np.maximum(a[:, 0:1], b[:, 0])
+    ih = np.minimum(a[:, 3:4], b[:, 3]) - np.maximum(a[:, 1:2], b[:, 1])
+    inter = iw * ih
+    union = (area_a[:, None] + area_b) - inter
+    overlapping = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
 
 
 def hits(candidate: Box, target: Box, threshold: float = 0.5) -> bool:

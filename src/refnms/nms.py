@@ -3,7 +3,8 @@
 The baseline pipeline suppresses on detection confidence alone; the
 expression-aware pipeline suppresses on the fused relatedness-times-
 confidence score. Both share the same greedy procedure, per-class by
-default, with deterministic index tie-breaking.
+default, with deterministic index tie-breaking; it runs as one vectorised
+pass per call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .geometry import Box, iou
+import numpy as np
+
+from .geometry import Box, box_array, pairwise_iou
 from .ingest import ImageDetections
 from .model import (
     DEFAULT_MIN_CONFIDENCE,
@@ -66,6 +69,44 @@ def criterion_score(p: ScoredProposal, criterion: str) -> float:
     raise ValueError(f"unknown criterion '{criterion}'")
 
 
+# Rows of boxes whose IoUs one step computes: a (32, n) block stays small at
+# n = 1000 boxes, and still amortises numpy's per-call cost on small images.
+_BLOCK_ROWS = 32
+
+
+def _greedy_keep(
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    categories: np.ndarray | None,
+    iou_threshold: float,
+) -> list[int]:
+    """Indices of the rows of `boxes` kept by one greedy pass, in visit order.
+
+    Rows are visited in descending score with ties broken by ascending row
+    index; each kept row suppresses every later row overlapping it with IoU
+    strictly above `iou_threshold` (and, given `categories`, of its own
+    category). IoUs are computed for a block of rows still alive at a time,
+    against the rows from the block on, so no n x n matrix is ever built.
+    """
+    order = np.argsort(-scores, kind="stable")
+    boxes = boxes[order]
+    if categories is not None:
+        categories = categories[order]
+    n = len(order)
+    position = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = start + np.flatnonzero(alive[start : start + _BLOCK_ROWS])
+        survives = pairwise_iou(boxes[rows], boxes[start:]) <= iou_threshold
+        survives |= position[start:] <= rows[:, None]
+        if categories is not None:
+            survives |= categories[rows, None] != categories[start:]
+        for r, i in enumerate(rows.tolist()):
+            if alive[i]:
+                alive[start:] &= survives[r]
+    return order[alive].tolist()
+
+
 def greedy_nms(items: Sequence[tuple[Box, float]], iou_threshold: float) -> list[int]:
     """Indices kept by greedy suppression, in keep order.
 
@@ -73,32 +114,28 @@ def greedy_nms(items: Sequence[tuple[Box, float]], iou_threshold: float) -> list
     index; each kept box suppresses every remaining box overlapping it with
     IoU strictly above `iou_threshold`.
     """
-    order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
-    kept: list[int] = []
-    while order:
-        best = order[0]
-        kept.append(best)
-        best_box = items[best][0]
-        order = [j for j in order[1:] if iou(best_box, items[j][0]) <= iou_threshold]
-    return kept
+    scores = np.array([score for _, score in items], dtype=np.float64)
+    return _greedy_keep(box_array([box for box, _ in items]), scores, None, iou_threshold)
 
 
 def per_class_nms(proposals: Sequence[ScoredProposal], cfg: NmsConfig) -> list[ScoredProposal]:
     """Run greedy NMS per category (or one pool) on the configured criterion.
 
-    The merged output is ordered by descending criterion score, ties broken
-    by ascending position in the input.
+    One pass serves every category: a box only suppresses boxes of its own
+    category. The output is ordered by descending criterion score, ties
+    broken by ascending position in the input.
     """
-    groups: dict[object, list[int]] = {}
-    for i, p in enumerate(proposals):
-        key = p.category_id if cfg.per_class else None
-        groups.setdefault(key, []).append(i)
-    kept_indices: list[int] = []
-    for indices in groups.values():
-        items = [(proposals[i].box, criterion_score(proposals[i], cfg.criterion)) for i in indices]
-        kept_indices.extend(indices[k] for k in greedy_nms(items, cfg.iou_threshold))
-    kept_indices.sort(key=lambda i: (-criterion_score(proposals[i], cfg.criterion), i))
-    return [proposals[i] for i in kept_indices]
+    scores = np.array([criterion_score(p, cfg.criterion) for p in proposals], dtype=np.float64)
+    categories = None
+    if cfg.per_class:
+        codes: dict[object, int] = {}
+        categories = np.array(
+            [codes.setdefault(p.category_id, len(codes)) for p in proposals], dtype=np.intp
+        )
+    kept = _greedy_keep(
+        box_array([p.box for p in proposals]), scores, categories, cfg.iou_threshold
+    )
+    return [proposals[i] for i in kept]
 
 
 def select_proposals(

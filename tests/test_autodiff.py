@@ -1,6 +1,8 @@
 """Engine tests: forward values, backward rules against finite differences,
 graph bookkeeping, and the GRU cell."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,34 @@ def test_backward_visits_each_node_exactly_once():
     backward(loss)
     for node in (x, y, z, loss):
         assert node._visits == 1
+
+
+def graph_through_every_op():
+    """A scalar loss whose graph passes through every operation of the engine."""
+    rng = np.random.default_rng(8)
+    x = Node(rng.normal(size=(3, 4)))
+    v = Node(rng.normal(size=4))
+    h = ad.matmul(x, v)
+    h = ad.add(ad.sub(ad.mul(h, h), h), ad.tanh(h))
+    h = gru_cell(h, Node(np.zeros(2)), init_gru_params(3, 2, rng))
+    h = ad.l2_normalize(ad.softmax(ad.concat([ad.relu(h), ad.sigmoid(h)])))
+    rows = ad.take(ad.stack([h, h]), [0, 1, 1])
+    s = ad.broadcast_to(ad.reshape(ad.mean(rows), (1,)), (2,))
+    return ad.sum(ad.log(ad.clamp(s, 1e-3, 10.0)))
+
+
+@pytest.mark.parametrize("run_backward", [False, True], ids=["forward_only", "after_backward"])
+def test_dropped_graph_is_freed_without_the_cycle_collector(run_backward):
+    gc.collect()
+    gc.disable()
+    try:
+        loss = graph_through_every_op()
+        if run_backward:
+            backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # finite differences per primitive -------------------------------------------

@@ -145,6 +145,35 @@ def test_recall_matches_brute_force_recomputation():
             assert row.contextual_total == ctx_total
 
 
+def test_baseline_runs_nms_once_per_image(monkeypatch):
+    import refnms.evaluation as evaluation
+
+    rng = np.random.default_rng(85)
+    first = curve_fixture(rng, n_expressions=3)
+    second = [
+        EvalExample(f"{ex.expression_id}b", "val", ex.detections, ex.detections.records[0].box, ())
+        for ex in first
+    ]
+    examples = first + second
+    # the same examples, each with its own copy of its image
+    apart = [
+        EvalExample(ex.expression_id, "val", image_of(ex.detections.records), ex.referent,
+                    ex.pseudo_boxes)
+        for ex in examples
+    ]
+    expected = recall_curve(apart, "baseline_conf", [3, 7]).rows
+    images = []
+    pipeline = evaluation.baseline_pipeline
+
+    def counted(image, *args):
+        images.append(image)
+        return pipeline(image, *args)
+
+    monkeypatch.setattr(evaluation, "baseline_pipeline", counted)
+    assert recall_curve(examples, "baseline_conf", [3, 7]).rows == expected
+    assert images == [ex.detections for ex in first]
+
+
 def test_expressions_without_pseudo_regions_leave_the_denominator():
     rng = np.random.default_rng(84)
     box = random_box(rng)

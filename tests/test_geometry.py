@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refnms.geometry import Box, hits, iou, max_iou_against
+from refnms.geometry import Box, box_array, hits, iou, max_iou_against, pairwise_iou
 
 
 def random_box(rng):
@@ -113,3 +115,28 @@ def test_max_iou_monotone_in_target_set():
         base = max_iou_against(candidate, targets)
         extended = max_iou_against(candidate, targets + [random_box(rng)])
         assert extended >= base
+
+
+@st.composite
+def grid_boxes(draw, max_size=8):
+    """Boxes on a small integer grid, where zero-area boxes, identical boxes
+    and exact rational IoUs are common, mixed with arbitrary float boxes."""
+    def one():
+        if draw(st.booleans()):
+            x1, y1 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+            return Box(x1, y1, x1 + draw(st.integers(0, 4)), y1 + draw(st.integers(0, 4)))
+        coord = st.floats(-1e3, 1e3, allow_nan=False)
+        x1, y1 = draw(coord), draw(coord)
+        size = st.floats(0.0, 1e3, allow_nan=False)
+        return Box(x1, y1, x1 + draw(size), y1 + draw(size))
+
+    return [one() for _ in range(draw(st.integers(0, max_size)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grid_boxes(), grid_boxes())
+def test_pairwise_iou_is_bit_equal_to_iou(a, b):
+    got = pairwise_iou(box_array(a), box_array(b))
+    assert got.shape == (len(a), len(b))
+    expected = np.array([[iou(p, q) for q in b] for p in a], dtype=np.float64).reshape(got.shape)
+    assert got.tobytes() == expected.tobytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refnms.geometry import Box, iou
 from refnms.ingest import DetectionRecord, ImageDetections
@@ -137,6 +139,62 @@ def test_merged_output_sorted_by_criterion():
     ]
     kept = per_class_nms(proposals, NmsConfig(criterion="confidence"))
     assert [p.confidence for p in kept] == [0.9, 0.6, 0.4]
+
+
+def reference_per_class_nms(proposals, cfg):
+    """Slow restatement of `per_class_nms`: `reference_nms` on each category's
+    pool, merged by descending criterion score, ties by input position."""
+    def score(p):
+        return p.confidence if cfg.criterion == "confidence" else p.fused
+
+    groups = {}
+    for i, p in enumerate(proposals):
+        groups.setdefault(p.category_id if cfg.per_class else None, []).append(i)
+    kept = []
+    for indices in groups.values():
+        items = [(proposals[i].box, score(proposals[i])) for i in indices]
+        kept.extend(indices[k] for k in reference_nms(items, cfg.iou_threshold))
+    kept.sort(key=lambda i: (-score(proposals[i]), i))
+    return [proposals[i] for i in kept]
+
+
+# Scores from a few levels and boxes on a 7 x 7 grid with sides 0-4: score
+# ties, zero-area boxes, duplicates and IoUs exactly at the threshold (1/4,
+# 1/3, 1/2 are IoUs of grid boxes) all occur.
+LEVELS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+THRESHOLDS = st.sampled_from([0.2, 0.25, 1 / 3, 0.5, 2 / 3]) | st.floats(0.05, 0.95)
+
+
+@st.composite
+def grid_proposals(draw, max_size=24):
+    proposals = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x1, y1 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        box = Box(x1, y1, x1 + draw(st.integers(0, 4)), y1 + draw(st.integers(0, 4)))
+        confidence, relatedness = draw(LEVELS), draw(LEVELS)
+        proposals.append(
+            ScoredProposal(box, draw(st.integers(0, 2)), confidence, relatedness,
+                           relatedness * confidence)
+        )
+    return proposals
+
+
+HYPOTHESIS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@HYPOTHESIS
+@given(grid_proposals(), THRESHOLDS, st.booleans(), st.sampled_from(["confidence", "fused"]))
+def test_per_class_nms_matches_the_per_class_reference(proposals, threshold, per_class, criterion):
+    cfg = NmsConfig(iou_threshold=threshold, per_class=per_class, criterion=criterion)
+    got = per_class_nms(proposals, cfg)
+    assert [id(p) for p in got] == [id(p) for p in reference_per_class_nms(proposals, cfg)]
+
+
+@HYPOTHESIS
+@given(grid_proposals(), THRESHOLDS)
+def test_greedy_nms_matches_the_reference_on_grid_boxes(proposals, threshold):
+    items = [(p.box, p.fused) for p in proposals]
+    assert greedy_nms(items, threshold) == reference_nms(items, threshold)
 
 
 # budgets ----------------------------------------------------------------------------
