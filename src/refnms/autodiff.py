@@ -157,6 +157,33 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
+def linear(x: Node, w: Node, b: Node | None = None) -> Node:
+    """Row-wise affine map ``x @ w.T + b``: x (n, in), w (out, in), b (out,).
+
+    The weight is used as stored, so the gradient with respect to it is one
+    ``g.T @ x`` product over all rows, with no transposed copy in the graph.
+    """
+    xv, wv = x.value, w.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise ValueError(f"linear: input {xv.shape} does not fit weight {wv.shape}")
+    if b is not None and b.value.shape != (wv.shape[0],):
+        raise ValueError(f"linear: bias {b.value.shape} does not fit weight {wv.shape}")
+    value = xv @ wv.T
+    if b is not None:
+        value += b.value
+    out = Node(value, (x, w) if b is None else (x, w, b))
+
+    def _bw(out: Node) -> None:
+        g = out.grad
+        _accumulate(x, g @ wv)
+        _accumulate(w, g.T @ xv)
+        if b is not None:
+            _accumulate(b, g.sum(axis=0))
+
+    out._backward = _bw
+    return out
+
+
 def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
     if not nodes:
         raise ValueError("concat: need at least one node")

@@ -317,6 +317,17 @@ def _budget_from_flags(args) -> ProposalBudget | None:
     return None
 
 
+def _load_model(checkpoint, feature_dim: int, detections):
+    """Parameters and vocabulary of `checkpoint`, which must score `feature_dim`-d features."""
+    params, _, vocab, _ = load_checkpoint(checkpoint)
+    if params.config.feature_dim != feature_dim:
+        raise DataFormatError(
+            f"{detections}: detection features have dimension {feature_dim}, but checkpoint "
+            f"{checkpoint} expects feature_dim {params.config.feature_dim}"
+        )
+    return params, vocab
+
+
 def cmd_apply(args) -> int:
     modes = sum((args.checkpoint is not None, args.stub_relatedness is not None, args.baseline))
     if modes != 1:
@@ -330,7 +341,7 @@ def cmd_apply(args) -> int:
     budget = _budget_from_flags(args)
     params = vocab = None
     if args.checkpoint is not None:
-        params, _, vocab, _ = load_checkpoint(args.checkpoint)
+        params, vocab = _load_model(args.checkpoint, dump.feature_dim, args.detections)
     lines = []
     baseline_keeps: dict[str, list] = {}
     for expr in expressions:
@@ -388,7 +399,7 @@ def cmd_eval_recall(args) -> int:
     if args.method == "ref_nms":
         if args.checkpoint is None:
             raise ValueError("--method ref_nms requires --checkpoint")
-        params, _, vocab, _ = load_checkpoint(args.checkpoint)
+        params, vocab = _load_model(args.checkpoint, dump.feature_dim, args.detections)
     examples = build_eval_set(
         expressions, group_detections(dump), regions_by_image, table,
         args.similarity_threshold, vocab,

@@ -5,7 +5,8 @@ detection's region feature is projected, attends over the word features to
 build an expression summary, and the fused (element-wise, L2-normalized)
 combination of box and summary is mapped to a relatedness probability. The
 final suppression criterion is the product of relatedness and detection
-confidence.
+confidence. All surviving boxes of an image go through one forward pass, as
+the rows of 2-D arrays, so the graph's size does not grow with their number.
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ class MlpParams:
 
     def nodes(self) -> dict[str, Node]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _mlp(p: MlpParams, x: Node) -> Node:
-    hidden = ad.relu(ad.add(ad.matmul(p.w1, x), p.b1))
-    return ad.add(ad.matmul(p.w2, hidden), p.b2)
 
 
 @dataclass
@@ -160,22 +156,62 @@ def init_parameters(
     )
 
 
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, by name, in `named_parameters` order."""
+    d, e, h, q = config.feature_dim, config.embed_dim, config.hidden_size, config.word_feature_dim
+    gru: dict[str, tuple[int, ...]] = {}
+    for gate in "zrh":
+        gru.update({f"w_{gate}": (h, e), f"u_{gate}": (h, h), f"b_{gate}": (h,)})
+    mlp = {"w1": (q, d), "b1": (q,), "w2": (q, q), "b2": (q,)}
+    return {
+        "embeddings": (config.vocab_size, e),
+        **{f"gru_fwd.{k}": s for k, s in gru.items()},
+        **{f"gru_bwd.{k}": s for k, s in gru.items()},
+        "feature_projection": (d, d),
+        **{f"mlp_a.{k}": s for k, s in mlp.items()},
+        "fc_s.w": (2 * q,),
+        "fc_s.b": (1,),
+        **{f"mlp_b.{k}": s for k, s in mlp.items()},
+        "fc_r.w": (1, q),
+        "fc_r.b": (1,),
+    }
+
+
 def parameters_from_arrays(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> ModelParameters:
-    """Rebuild parameters from named arrays, validating names and shapes."""
-    params = init_parameters(config, seed=0)
-    named = params.named_parameters()
-    if set(arrays) != set(named):
-        missing = sorted(set(named) - set(arrays))
-        extra = sorted(set(arrays) - set(named))
+    """Rebuild parameters from named arrays, validating names and shapes.
+
+    Each parameter node holds its float64 array itself, not a copy.
+    """
+    shapes = parameter_shapes(config)
+    if set(arrays) != set(shapes):
+        missing = sorted(set(shapes) - set(arrays))
+        extra = sorted(set(arrays) - set(shapes))
         raise DataFormatError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
-    for name, node in named.items():
+    nodes: dict[str, Node] = {}
+    for name, shape in shapes.items():
         arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != node.value.shape:
+        if arr.shape != shape:
             raise DataFormatError(
-                f"shape mismatch for '{name}': stored {arr.shape}, expected {node.value.shape}"
+                f"shape mismatch for '{name}': stored {arr.shape}, expected {shape}"
             )
-        node.value = arr.copy()
-    return params
+        nodes[name] = Node(arr)
+
+    def group(cls, prefix: str):
+        return cls(**{f.name: nodes[f"{prefix}.{f.name}"] for f in fields(cls)})
+
+    return ModelParameters(
+        config=config,
+        embeddings=nodes["embeddings"],
+        gru_fwd=group(GruParams, "gru_fwd"),
+        gru_bwd=group(GruParams, "gru_bwd"),
+        feature_projection=nodes["feature_projection"],
+        mlp_a=group(MlpParams, "mlp_a"),
+        fc_s_w=nodes["fc_s.w"],
+        fc_s_b=nodes["fc_s.b"],
+        mlp_b=group(MlpParams, "mlp_b"),
+        fc_r_w=nodes["fc_r.w"],
+        fc_r_b=nodes["fc_r.b"],
+    )
 
 
 @dataclass(frozen=True)
@@ -187,21 +223,6 @@ class ScoredProposal:
     confidence: float
     relatedness: float
     fused: float
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardTrace:
-    """Intermediate values of one box's forward pass, for inspection."""
-
-    word_features: np.ndarray   # (n_words, word_feature_dim)
-    box_key: np.ndarray         # attention-side box embedding
-    logits: np.ndarray          # per-word attention logits
-    weights: np.ndarray         # softmax of the logits, sums to 1
-    attended: np.ndarray        # attention-weighted word feature
-    box_gate: np.ndarray        # fusion-side box embedding
-    joint: np.ndarray           # normalized box_gate * attended, unit norm
-    logit: float
-    relatedness: float
 
 
 def encode_expression(indices: Sequence[int], params: ModelParameters) -> Node:
@@ -231,54 +252,38 @@ def encode_expression(indices: Sequence[int], params: ModelParameters) -> Node:
     return ad.stack([ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)])
 
 
-def _attention_nodes(box_feature: Node, words: Node, params: ModelParameters) -> dict[str, Node]:
+def forward(features: np.ndarray, words: Node, params: ModelParameters) -> dict[str, Node]:
+    """Score the boxes whose region features are the rows of `features`.
+
+    One pass for all n boxes against the (n_words, q) word features. Returns
+    every stage by name, boxes along axis 0: ``projected`` (n, feature_dim);
+    ``key``, ``gate``, ``attended`` and ``joint`` (n, q); ``logits`` and
+    ``weights`` (n, n_words), each row a softmax over the words; ``logit``
+    (n, 1); ``score`` (n,), the relatedness probabilities.
+    """
     q = params.config.word_feature_dim
-    n_words = words.value.shape[0]
-    key = _mlp(params.mlp_a, box_feature)
-    tiled = ad.broadcast_to(ad.reshape(key, (1, q)), (n_words, q))
-    paired = ad.concat([tiled, words], axis=1)
-    logits = ad.add(ad.matmul(paired, params.fc_s_w), ad.broadcast_to(params.fc_s_b, (n_words,)))
-    weights = ad.softmax(logits, axis=0)
-    attended = ad.matmul(weights, words)
-    return {"key": key, "logits": logits, "weights": weights, "attended": attended}
-
-
-def attend(box_feature: Node, words: Node, params: ModelParameters) -> tuple[Node, Node]:
-    """Per-box soft attention over word features -> (weights, attended feature)."""
-    nodes = _attention_nodes(box_feature, words, params)
-    return nodes["weights"], nodes["attended"]
-
-
-def _relatedness_nodes(box_feature: Node, attended: Node, params: ModelParameters) -> dict[str, Node]:
-    gate = _mlp(params.mlp_b, box_feature)
-    joint = ad.l2_normalize(ad.mul(gate, attended))
-    logit = ad.add(ad.matmul(params.fc_r_w, joint), params.fc_r_b)
-    score = ad.sigmoid(logit)
-    return {"gate": gate, "joint": joint, "logit": logit, "score": score}
-
-
-def relate(box_feature: Node, attended: Node, params: ModelParameters) -> tuple[Node, Node]:
-    """Relatedness head -> (logit, probability), each shape (1,)."""
-    nodes = _relatedness_nodes(box_feature, attended, params)
-    return nodes["logit"], nodes["score"]
-
-
-def trace_box(feature: np.ndarray, words: Node, params: ModelParameters) -> ForwardTrace:
-    """Run one box through attention and fusion, snapshotting every stage."""
-    v = ad.matmul(params.feature_projection, ad.constant(feature))
-    att = _attention_nodes(v, words, params)
-    rel = _relatedness_nodes(v, att["attended"], params)
-    return ForwardTrace(
-        word_features=words.value.copy(),
-        box_key=att["key"].value.copy(),
-        logits=att["logits"].value.copy(),
-        weights=att["weights"].value.copy(),
-        attended=att["attended"].value.copy(),
-        box_gate=rel["gate"].value.copy(),
-        joint=rel["joint"].value.copy(),
-        logit=float(rel["logit"].value.item()),
-        relatedness=float(rel["score"].value.item()),
+    n, n_words = features.shape[0], words.value.shape[0]
+    v = ad.linear(ad.constant(features), params.feature_projection)
+    a, b = params.mlp_a, params.mlp_b
+    key = ad.linear(ad.relu(ad.linear(v, a.w1, a.b1)), a.w2, a.b2)
+    gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)
+    # fc_s scores the pair [key_i; word_j] as key_i . w[:q] + word_j . w[q:] + b
+    halves = ad.reshape(params.fc_s_w, (2, q))
+    box_term = ad.linear(key, ad.take(halves, [0]))
+    word_term = ad.linear(words, ad.take(halves, [1]), params.fc_s_b)
+    logits = ad.add(
+        ad.broadcast_to(box_term, (n, n_words)),
+        ad.broadcast_to(ad.reshape(word_term, (1, n_words)), (n, n_words)),
     )
+    weights = ad.softmax(logits, axis=1)
+    attended = ad.matmul(weights, words)
+    joint = ad.l2_normalize(ad.mul(gate, attended), axis=1)
+    logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
+    return {
+        "projected": v, "key": key, "logits": logits, "weights": weights,
+        "attended": attended, "gate": gate, "joint": joint, "logit": logit,
+        "score": ad.sigmoid(ad.reshape(logit, (n,))),
+    }
 
 
 def relatedness_forward(
@@ -296,14 +301,8 @@ def relatedness_forward(
     survivors = [r for r in image.records if r.confidence >= min_confidence]
     if not survivors:
         return [], None
-    words = encode_expression(indices, params)
-    scores = []
-    for rec in survivors:
-        v = ad.matmul(params.feature_projection, ad.constant(rec.feature))
-        _, attended = attend(v, words, params)
-        _, score = relate(v, attended, params)
-        scores.append(score)
-    return survivors, ad.concat(scores)
+    features = np.stack([r.feature for r in survivors])
+    return survivors, forward(features, encode_expression(indices, params), params)["score"]
 
 
 def score_boxes(

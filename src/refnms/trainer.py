@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -283,56 +284,60 @@ def load_checkpoint(
     """Read a checkpoint back; shape validation happens during reconstruction.
 
     With `expected_config`, stored model dimensions must match exactly. A
-    config-hash mismatch against `expected_hash` only warns.
+    config-hash mismatch against `expected_hash` only warns. The payload is
+    read once: every parameter and Adam moment array is a view of it.
     """
-    raw = Path(path).read_bytes()
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
-    newline = raw.find(b"\n", len(CHECKPOINT_MAGIC))
-    if newline < 0:
-        raise DataFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[len(CHECKPOINT_MAGIC) : newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: corrupt header ({exc})") from None
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported checkpoint version {header.get('format_version')}"
+    with Path(path).open("rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
+        header_line = fh.readline()
+        if not header_line.endswith(b"\n"):
+            raise DataFormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(header_line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path}: corrupt header ({exc})") from None
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise DataFormatError(
+                f"{path}: unsupported checkpoint version {header.get('format_version')}"
+            )
+        mc = header["model_config"]
+        config = ModelConfig(
+            vocab_size=mc["vocab_size"],
+            feature_dim=mc["feature_dim"],
+            embed_dim=mc["embed_dim"],
+            hidden_size=mc["hidden_size"],
         )
-    mc = header["model_config"]
-    config = ModelConfig(
-        vocab_size=mc["vocab_size"],
-        feature_dim=mc["feature_dim"],
-        embed_dim=mc["embed_dim"],
-        hidden_size=mc["hidden_size"],
-    )
-    if expected_config is not None and config != expected_config:
-        raise DataFormatError(
-            f"{path}: checkpoint model config {mc} does not match expected {expected_config}"
-        )
-    if expected_hash is not None and header.get("config_hash") != expected_hash:
-        warnings.warn(f"{path}: training-config hash differs from the expected one")
-    payload = raw[newline + 1 :]
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
-            raise DataFormatError(f"{path}: truncated payload at array '{entry['name']}'")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64)
-        offset += nbytes
-    if offset != len(payload):
-        raise DataFormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
+        if expected_config is not None and config != expected_config:
+            raise DataFormatError(
+                f"{path}: checkpoint model config {mc} does not match expected {expected_config}"
+            )
+        if expected_hash is not None and header.get("config_hash") != expected_hash:
+            warnings.warn(f"{path}: training-config hash differs from the expected one")
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        layout = []
+        offset = 0
+        for entry in header["arrays"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            if (offset + count) * 8 > payload_bytes:
+                raise DataFormatError(f"{path}: truncated payload at array '{entry['name']}'")
+            layout.append((entry["name"], shape, offset, count))
+            offset += count
+        if offset * 8 != payload_bytes:
+            raise DataFormatError(f"{path}: {payload_bytes - offset * 8} trailing payload bytes")
+        payload = np.fromfile(fh, dtype="<f8", count=offset)
+    arrays = {
+        name: payload[start : start + count].reshape(shape)
+        for name, shape, start, count in layout
+    }
     param_arrays = {n: a for n, a in arrays.items() if not n.startswith("adam.")}
     params = parameters_from_arrays(config, param_arrays)
     named = params.named_parameters()
     try:
         opt_state = OptimizerState(
-            m={n: arrays[f"adam.m.{n}"].copy() for n in named},
-            v={n: arrays[f"adam.v.{n}"].copy() for n in named},
+            m={n: arrays[f"adam.m.{n}"] for n in named},
+            v={n: arrays[f"adam.v.{n}"] for n in named},
             step=int(header["optimizer_step"]),
         )
     except KeyError as exc:

@@ -71,6 +71,10 @@ def test_shape_mismatch_names_operation_and_shapes():
         ad.add(Node(np.zeros(2)), Node(np.zeros(3)))
     with pytest.raises(ValueError, match="matmul"):
         ad.matmul(Node(np.zeros((2, 3))), Node(np.zeros((4, 2))))
+    with pytest.raises(ValueError, match=r"linear.*\(2, 3\).*\(3, 2\)"):
+        ad.linear(Node(np.zeros((2, 3))), Node(np.zeros((3, 2))))
+    with pytest.raises(ValueError, match=r"linear: bias \(2,\)"):
+        ad.linear(Node(np.zeros((2, 3))), Node(np.zeros((4, 3))), Node(np.zeros(2)))
 
 
 # backward basics ------------------------------------------------------------
@@ -127,7 +131,7 @@ def graph_through_every_op():
     h = ad.add(ad.sub(ad.mul(h, h), h), ad.tanh(h))
     h = gru_cell(h, Node(np.zeros(2)), init_gru_params(3, 2, rng))
     h = ad.l2_normalize(ad.softmax(ad.concat([ad.relu(h), ad.sigmoid(h)])))
-    rows = ad.take(ad.stack([h, h]), [0, 1, 1])
+    rows = ad.linear(ad.take(ad.stack([h, h]), [0, 1, 1]), Node(np.eye(4)), Node(np.ones(4)))
     s = ad.broadcast_to(ad.reshape(ad.mean(rows), (1,)), (2,))
     return ad.sum(ad.log(ad.clamp(s, 1e-3, 10.0)))
 
@@ -160,6 +164,18 @@ def test_fd_matmul_all_rank_combinations():
     assert fd_check(lambda a, b: ad.sum(ad.matmul(a, b)), (3, 4), (4,)) < FD_TOL
     assert fd_check(lambda a, b: ad.sum(ad.matmul(a, b)), (4,), (4, 3)) < FD_TOL
     assert fd_check(lambda a, b: ad.matmul(a, b), (4,), (4,)) < FD_TOL
+
+
+def test_fd_linear_with_and_without_bias():
+    def square(y):
+        return ad.sum(ad.mul(y, y))
+
+    assert fd_check(lambda x, w: square(ad.linear(x, w)), (5, 4), (3, 4)) < FD_TOL
+    assert fd_check(lambda x, w, b: square(ad.linear(x, w, b)), (5, 4), (3, 4), (3,)) < FD_TOL
+    rng = np.random.default_rng(9)
+    x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+    out = ad.linear(Node(x), Node(w), Node(b))
+    np.testing.assert_allclose(out.value, x @ w.T + b, rtol=0.0, atol=1e-15)
 
 
 def test_fd_concat_stack_reshape_broadcast_take():

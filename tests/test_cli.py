@@ -153,6 +153,37 @@ def test_train_then_eval_produces_well_formed_csv(dataset, tmp_path):
         assert line.startswith("val,ref_nms,")
 
 
+def test_feature_dimension_mismatch_exits_with_data_error(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(
+        ["train", *data_args(dataset), "--out", str(ckpt), "--epochs", "1", "--hidden-size", "2"]
+    ) == EXIT_OK
+    # the same dump with each record's features cut to 3 dimensions
+    header, *records = (dataset / "detections.tsv").read_text().splitlines()
+    header, _, dim = header.rpartition("=")
+    assert int(dim) > 3
+    narrow = [f"{header}=3"]
+    for line in records:
+        fields = line.split("\t")
+        fields[-1] = " ".join(fields[-1].split(" ")[:3])
+        narrow.append("\t".join(fields))
+    detections = tmp_path / "narrow.tsv"
+    detections.write_text("\n".join(narrow) + "\n")
+    args = ["--detections", str(detections), "--expressions", str(dataset / "expressions.tsv")]
+    capsys.readouterr()
+    code = main(["apply", *args, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.tsv")])
+    assert code == EXIT_DATA
+    assert "dimension 3" in capsys.readouterr().err
+    code = main(
+        ["eval-recall", *args, "--regions", str(dataset / "regions.tsv"),
+         "--embeddings", str(dataset / "embeddings.txt"), "--split", "val",
+         "--method", "ref_nms", "--checkpoint", str(ckpt), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "dimension 3" in err and f"feature_dim {dim}" in err
+
+
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):
     csv_path = tmp_path / "recall.csv"
     code = main(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refnms import autodiff as ad
 from refnms.autodiff import grad_check
@@ -9,13 +11,12 @@ from refnms.geometry import Box
 from refnms.ingest import DetectionRecord, EmbeddingTable, ImageDetections
 from refnms.model import (
     ModelConfig,
-    attend,
     encode_expression,
+    forward,
     init_parameters,
-    relate,
+    parameter_shapes,
     relatedness_forward,
     score_boxes,
-    trace_box,
 )
 
 
@@ -98,6 +99,12 @@ def test_init_is_deterministic():
         np.testing.assert_array_equal(na.value, nb.value, err_msg=name)
 
 
+def test_parameter_shapes_match_initialized_parameters():
+    cfg = ModelConfig(vocab_size=7, feature_dim=5, embed_dim=4, hidden_size=3)
+    named = init_parameters(cfg, seed=0).named_parameters()
+    assert list(parameter_shapes(cfg).items()) == [(n, p.value.shape) for n, p in named.items()]
+
+
 def test_init_uses_embedding_table_and_zero_pad_row():
     from refnms.ingest import ExpressionRecord, build_vocabulary
 
@@ -122,20 +129,20 @@ def test_init_uses_embedding_table_and_zero_pad_row():
 def test_attend_singleton_word():
     params = init_parameters(tiny_config(), seed=2)
     words = encode_expression([4], params)
-    v = ad.constant(np.array([0.3, -0.2, 0.5]))
-    weights, attended = attend(v, words, params)
-    np.testing.assert_allclose(weights.value, [1.0], atol=1e-15)
-    np.testing.assert_allclose(attended.value, words.value[0], atol=1e-15)
+    stages = forward(np.array([[0.3, -0.2, 0.5]]), words, params)
+    np.testing.assert_allclose(stages["weights"].value, [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(stages["attended"].value, words.value, atol=1e-15)
 
 
 def test_attend_zero_logit_head_is_uniform_mean():
     params = init_parameters(tiny_config(), seed=2)
     zero_out(params.fc_s_w, params.fc_s_b)
     words = encode_expression([1, 2, 3], params)
-    v = ad.constant(np.array([0.3, -0.2, 0.5]))
-    weights, attended = attend(v, words, params)
-    np.testing.assert_allclose(weights.value, 1.0 / 3.0, atol=1e-12)
-    np.testing.assert_allclose(attended.value, words.value.mean(axis=0), atol=1e-12)
+    stages = forward(np.array([[0.3, -0.2, 0.5]]), words, params)
+    np.testing.assert_allclose(stages["weights"].value, 1.0 / 3.0, atol=1e-12)
+    np.testing.assert_allclose(
+        stages["attended"].value[0], words.value.mean(axis=0), atol=1e-12
+    )
 
 
 def test_attend_softmax_arithmetic():
@@ -146,9 +153,9 @@ def test_attend_softmax_arithmetic():
     params.fc_s_w.value = np.array([0.0, 0.0, np.log(3.0), 0.0])
     params.fc_s_b.value = np.zeros(1)
     words = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    weights, attended = attend(ad.constant(np.zeros(2)), words, params)
-    np.testing.assert_allclose(weights.value, [0.75, 0.25], atol=1e-12)
-    np.testing.assert_allclose(attended.value, [0.75, 0.25], atol=1e-12)
+    stages = forward(np.zeros((1, 2)), words, params)
+    np.testing.assert_allclose(stages["weights"].value, [[0.75, 0.25]], atol=1e-12)
+    np.testing.assert_allclose(stages["attended"].value, [[0.75, 0.25]], atol=1e-12)
 
 
 def test_attention_weights_sum_to_one():
@@ -157,7 +164,7 @@ def test_attention_weights_sum_to_one():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         words = encode_expression([int(i) for i in rng.integers(1, 9, size=n)], params)
-        weights, _ = attend(ad.constant(rng.normal(size=3)), words, params)
+        weights = forward(rng.normal(size=(1, 3)), words, params)["weights"]
         assert abs(weights.value.sum() - 1.0) < 1e-9
 
 
@@ -168,11 +175,9 @@ def test_relate_zero_head_gives_half():
     params = init_parameters(tiny_config(), seed=3)
     zero_out(params.fc_r_w, params.fc_r_b)
     words = encode_expression([1, 2], params)
-    v = ad.constant(np.array([0.5, 0.5, 0.5]))
-    _, attended = attend(v, words, params)
-    logit, score = relate(v, attended, params)
-    assert logit.value[0] == 0.0
-    assert score.value[0] == pytest.approx(0.5, abs=1e-15)
+    stages = forward(np.array([[0.5, 0.5, 0.5]]), words, params)
+    assert stages["logit"].value[0, 0] == 0.0
+    assert stages["score"].value[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_relate_hand_computed_instance():
@@ -184,21 +189,21 @@ def test_relate_hand_computed_instance():
     params.mlp_b.b2.value = np.array([3.0, 4.0])
     params.fc_r_w.value = np.array([[1.0, 1.0]])
     params.fc_r_b.value = np.zeros(1)
-    logit, score = relate(ad.constant(np.zeros(2)), ad.constant(np.array([1.0, 1.0])), params)
-    assert logit.value[0] == pytest.approx(1.4, abs=1e-9)
-    assert score.value[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.4)), abs=1e-9)
-    assert score.value[0] == pytest.approx(0.80218, abs=1e-5)
+    # a single word is attended with weight 1, so attended is that word, (1, 1)
+    stages = forward(np.zeros((1, 2)), ad.constant(np.array([[1.0, 1.0]])), params)
+    np.testing.assert_array_equal(stages["attended"].value, [[1.0, 1.0]])
+    assert stages["logit"].value[0, 0] == pytest.approx(1.4, abs=1e-9)
+    score = stages["score"].value[0]
+    assert score == pytest.approx(1.0 / (1.0 + np.exp(-1.4)), abs=1e-9)
+    assert score == pytest.approx(0.80218, abs=1e-5)
 
 
 def test_relatedness_always_strictly_inside_unit_interval():
     rng = np.random.default_rng(42)
     params = init_parameters(tiny_config(), seed=9)
     words = encode_expression([1, 5, 3], params)
-    for _ in range(30):
-        v = ad.constant(rng.normal(scale=3.0, size=3))
-        _, attended = attend(v, words, params)
-        _, score = relate(v, attended, params)
-        assert 0.0 < score.value[0] < 1.0
+    scores = forward(rng.normal(scale=3.0, size=(30, 3)), words, params)["score"].value
+    assert np.all((0.0 < scores) & (scores < 1.0))
 
 
 def test_trace_invariants():
@@ -206,13 +211,14 @@ def test_trace_invariants():
     params = init_parameters(tiny_config(), seed=11)
     params.mlp_b.b2.value += 0.5  # keep the pre-norm vector comfortably nonzero
     words = encode_expression([2, 6, 4, 1], params)
-    for _ in range(10):
-        trace = trace_box(rng.normal(size=3), words, params)
-        assert abs(trace.weights.sum() - 1.0) < 1e-9
-        pre_norm = trace.box_gate * trace.attended
+    stages = forward(rng.normal(size=(10, 3)), words, params)
+    rows = zip(*(stages[k].value for k in ("weights", "gate", "attended", "joint", "score")))
+    for weights, gate, attended, joint, score in rows:
+        assert abs(weights.sum() - 1.0) < 1e-9
+        pre_norm = gate * attended
         if np.linalg.norm(pre_norm) > 0.05:
-            assert abs(np.linalg.norm(trace.joint) - 1.0) < 1e-9
-        assert 0.0 < trace.relatedness < 1.0
+            assert abs(np.linalg.norm(joint) - 1.0) < 1e-9
+        assert 0.0 < score < 1.0
 
 
 # scoring ------------------------------------------------------------------------
@@ -270,3 +276,97 @@ def test_full_model_gradients_match_finite_differences():
 
     inputs = list(params.named_parameters().values())
     assert grad_check(loss, inputs) < 1e-4
+
+
+# batched forward vs. a per-box reference -----------------------------------------
+
+
+def reference_scores(features, words, params):
+    """The per-box forward: one graph per box, vectors instead of row batches."""
+    q = params.config.word_feature_dim
+    n_words = words.value.shape[0]
+
+    def mlp(p, x):
+        return ad.add(ad.matmul(p.w2, ad.relu(ad.add(ad.matmul(p.w1, x), p.b1))), p.b2)
+
+    scores = []
+    for feature in features:
+        v = ad.matmul(params.feature_projection, ad.constant(feature))
+        key = ad.broadcast_to(ad.reshape(mlp(params.mlp_a, v), (1, q)), (n_words, q))
+        paired = ad.concat([key, words], axis=1)
+        logits = ad.add(
+            ad.matmul(paired, params.fc_s_w), ad.broadcast_to(params.fc_s_b, (n_words,))
+        )
+        attended = ad.matmul(ad.softmax(logits, axis=0), words)
+        joint = ad.l2_normalize(ad.mul(mlp(params.mlp_b, v), attended))
+        scores.append(ad.sigmoid(ad.add(ad.matmul(params.fc_r_w, joint), params.fc_r_b)))
+    return ad.concat(scores)
+
+
+# the box term and the bias of the attention logit are the same for every
+# word, so the softmax cancels them: these parameters get a true gradient of zero
+ZERO_GRADIENT = ("mlp_a.w1", "mlp_a.b1", "mlp_a.w2", "mlp_a.b2", "fc_s.b")
+
+
+def gradients(score_fn, features, indices, params, coefficients):
+    params.zero_gradients()
+    scores = score_fn(features, encode_expression(indices, params), params)
+    ad.backward(ad.sum(ad.mul(scores, ad.constant(coefficients))))
+    return scores.value, {n: p.grad for n, p in params.named_parameters().items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_boxes=st.integers(1, 12),
+    n_words=st.integers(1, 5),
+    feature_dim=st.integers(1, 6),
+    hidden_size=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_forward_matches_the_per_box_reference(
+    n_boxes, n_words, feature_dim, hidden_size, seed
+):
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(vocab_size=7, feature_dim=feature_dim, embed_dim=3, hidden_size=hidden_size)
+    params = init_parameters(cfg, seed=seed)
+    for node in params.named_parameters().values():
+        node.value += 0.5 * rng.normal(size=node.value.shape)
+    features = rng.normal(scale=2.0, size=(n_boxes, feature_dim))
+    indices = [int(i) for i in rng.integers(1, 7, size=n_words)]
+    coefficients = rng.normal(size=n_boxes)
+
+    def batched(features, words, params):
+        return forward(features, words, params)["score"]
+
+    scores, grads = gradients(batched, features, indices, params, coefficients)
+    ref_scores, ref_grads = gradients(reference_scores, features, indices, params, coefficients)
+    np.testing.assert_allclose(scores, ref_scores, rtol=0.0, atol=1e-12)
+    for name, ref in ref_grads.items():
+        if name in ZERO_GRADIENT:
+            assert np.abs(grads[name]).max() < 1e-12, name
+            assert np.abs(ref).max() < 1e-12, name
+        else:
+            assert np.linalg.norm(grads[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+
+def graph_size(node):
+    seen = {id(node)}
+    stack = [node]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_graph_size_does_not_grow_with_the_number_of_boxes():
+    rng = np.random.default_rng(49)
+    params = init_parameters(tiny_config(), seed=6)
+    sizes = set()
+    for n_boxes in (1, 2, 40):
+        image = random_image(rng, n_boxes, 3)
+        _, scores = relatedness_forward(image, [1, 4, 2], params, min_confidence=0.0)
+        assert scores.value.shape == (n_boxes,)
+        sizes.add(graph_size(scores))
+    assert len(sizes) == 1

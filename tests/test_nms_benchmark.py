@@ -2,8 +2,8 @@
 
 Times `per_class_nms` alone, on seeded random boxes of 16-64 px spread over a
 640 x 480 image, the make-up of a crowded detector output. Run
-`python -m pytest tests/test_nms_benchmark.py --benchmark-only` for the
-timing table; a plain test run checks the keep list once per size.
+`python -m pytest tests/test_nms_benchmark.py --benchmark-enable --benchmark-only`
+for the timing table; a plain test run checks the keep list once per size.
 """
 
 import numpy as np

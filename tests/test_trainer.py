@@ -301,6 +301,28 @@ def test_checkpoint_detects_corruption(tmp_path):
     (tmp_path / "truncated.ckpt").write_bytes(raw[:-16])
     with pytest.raises(DataFormatError, match="truncated"):
         load_checkpoint(tmp_path / "truncated.ckpt")
+    (tmp_path / "trailing.ckpt").write_bytes(raw + b"\0" * 3)
+    with pytest.raises(DataFormatError, match="3 trailing"):
+        load_checkpoint(tmp_path / "trailing.ckpt")
+
+
+def test_checkpoint_loads_into_one_writable_buffer_and_saves_back_identically(tmp_path):
+    params = tiny_model(seed=13)
+    state = init_optimizer_state(params)
+    for name in state.m:
+        state.m[name] += 0.5
+        state.v[name] += 0.125
+    cfg, vocab = TrainConfig(seed=13), vocab_for(params)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, cfg, vocab)
+    loaded, loaded_state, _, _ = load_checkpoint(path)
+    arrays = [p.value for p in loaded.named_parameters().values()]
+    arrays += list(loaded_state.m.values()) + list(loaded_state.v.values())
+    assert len({id(a.base) for a in arrays}) == 1
+    assert all(a.flags.writeable and a.flags.aligned for a in arrays)
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, loaded, loaded_state, cfg, vocab)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_hash_mismatch_warns(tmp_path):
