@@ -157,13 +157,14 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
-def linear(x: Node, w: Node, b: Node | None = None) -> Node:
+def linear(x: Node | np.ndarray, w: Node, b: Node | None = None) -> Node:
     """Row-wise affine map ``x @ w.T + b``: x (n, in), w (out, in), b (out,).
 
     The weight is used as stored, so the gradient with respect to it is one
     ``g.T @ x`` product over all rows, with no transposed copy in the graph.
+    A plain array `x` is a constant input: no gradient is computed for it.
     """
-    xv, wv = x.value, w.value
+    xv, wv = (x.value if isinstance(x, Node) else x), w.value
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
         raise ValueError(f"linear: input {xv.shape} does not fit weight {wv.shape}")
     if b is not None and b.value.shape != (wv.shape[0],):
@@ -171,11 +172,13 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     value = xv @ wv.T
     if b is not None:
         value += b.value
-    out = Node(value, (x, w) if b is None else (x, w, b))
+    parents = tuple(n for n in (x, w, b) if isinstance(n, Node))
+    out = Node(value, parents)
 
     def _bw(out: Node) -> None:
         g = out.grad
-        _accumulate(x, g @ wv)
+        if isinstance(x, Node):
+            _accumulate(x, g @ wv)
         _accumulate(w, g.T @ xv)
         if b is not None:
             _accumulate(b, g.sum(axis=0))
@@ -265,10 +268,13 @@ def softmax(x: Node, axis: int = -1) -> Node:
     return out
 
 
-def sigmoid(x: Node) -> Node:
+def _sigmoid(a: np.ndarray) -> np.ndarray:
     # tanh form is stable across the whole float64 range
-    s = 0.5 * (1.0 + np.tanh(0.5 * x.value))
-    out = Node(s, (x,))
+    return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+
+def sigmoid(x: Node) -> Node:
+    out = Node(_sigmoid(x.value), (x,))
 
     def _bw(out: Node) -> None:
         _accumulate(x, out.value * (1.0 - out.value) * out.grad)
@@ -429,17 +435,70 @@ def init_gru_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -
     )
 
 
-def gru_cell(x: Node, h_prev: Node, params: GruParams) -> Node:
-    """One GRU step.
+def gru_sequence(xs: Node, params: GruParams) -> Node:
+    """Run one GRU direction over the rows of `xs` (T, input) from a zero state.
 
+    Returns the (T, hidden) states as one node. Step t computes, with h the
+    previous state and x row t:
     z = sigmoid(w_z x + u_z h + b_z), r = sigmoid(w_r x + u_r h + b_r),
-    cand = tanh(w_h x + u_h (r * h) + b_h), h' = (1 - z) * h + z * cand.
+    cand = tanh(w_h x + u_h (r * h) + b_h), h' = (1 - z) * h + z * cand,
+    one matrix-vector product per term, so every state is bit-equal to a
+    chain of per-step primitive ops. Backward is backpropagation through
+    time: only the recurrent gradient runs step by step; the input gradient
+    and every weight gradient are one product over all steps.
     """
-    z = sigmoid(add(add(matmul(params.w_z, x), matmul(params.u_z, h_prev)), params.b_z))
-    r = sigmoid(add(add(matmul(params.w_r, x), matmul(params.u_r, h_prev)), params.b_r))
-    cand = tanh(add(add(matmul(params.w_h, x), matmul(params.u_h, mul(r, h_prev))), params.b_h))
-    keep = sub(constant(np.ones_like(z.value)), z)
-    return add(mul(keep, h_prev), mul(z, cand))
+    p = params
+    xv = xs.value
+    w_z, u_z, b_z = p.w_z.value, p.u_z.value, p.b_z.value
+    w_r, u_r, b_r = p.w_r.value, p.u_r.value, p.b_r.value
+    w_h, u_h, b_h = p.w_h.value, p.u_h.value, p.b_h.value
+    if xv.ndim != 2 or xv.shape[0] == 0 or xv.shape[1] != w_z.shape[1]:
+        raise ValueError(f"gru_sequence: input {xv.shape} does not fit weight {w_z.shape}")
+    steps, hidden = xv.shape[0], u_z.shape[0]
+    # states[t] is the state before step t, states[t + 1] the one after it
+    states = np.zeros((steps + 1, hidden))
+    zs, rs, cands, reset = (np.empty((steps, hidden)) for _ in range(4))
+    h = states[0]
+    for t in range(steps):
+        x = xv[t]
+        z = _sigmoid((w_z @ x + u_z @ h) + b_z)
+        r = _sigmoid((w_r @ x + u_r @ h) + b_r)
+        rh = r * h
+        cand = np.tanh((w_h @ x + u_h @ rh) + b_h)
+        h = (1.0 - z) * h + z * cand
+        zs[t], rs[t], cands[t], reset[t], states[t + 1] = z, r, cand, rh, h
+    prev = states[:-1]
+    out = Node(states[1:], (xs, *p.nodes().values()))
+
+    def _bw(out: Node) -> None:
+        # per-step factors that do not depend on the recurrent gradient
+        dz_pre = (cands - prev) * (zs * (1.0 - zs))
+        dc_pre = zs * (1.0 - cands * cands)
+        dr_pre = prev * (rs * (1.0 - rs))
+        keep = 1.0 - zs
+        da_z, da_r, da_c = (np.empty((steps, hidden)) for _ in range(3))
+        u_zt, u_rt, u_ht = u_z.T, u_r.T, u_h.T
+        dh = np.zeros(hidden)
+        for t in range(steps - 1, -1, -1):
+            dh = dh + out.grad[t]
+            a_c = dh * dc_pre[t]
+            d_rh = u_ht @ a_c
+            a_z = dh * dz_pre[t]
+            a_r = d_rh * dr_pre[t]
+            dh = dh * keep[t] + d_rh * rs[t] + u_zt @ a_z + u_rt @ a_r
+            da_z[t], da_r[t], da_c[t] = a_z, a_r, a_c
+        _accumulate(xs, da_z @ w_z + da_r @ w_r + da_c @ w_h)
+        for (w, u, b), da, h_in in (
+            ((p.w_z, p.u_z, p.b_z), da_z, prev),
+            ((p.w_r, p.u_r, p.b_r), da_r, prev),
+            ((p.w_h, p.u_h, p.b_h), da_c, reset),
+        ):
+            _accumulate(w, da.T @ xv)
+            _accumulate(u, da.T @ h_in)
+            _accumulate(b, da.sum(axis=0))
+
+    out._backward = _bw
+    return out
 
 
 def grad_check(f: Callable[[], Node], inputs: Sequence[Node], step: float = 1e-5) -> float:

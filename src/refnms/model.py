@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GruParams, Node, gru_cell, init_gru_params
+from .autodiff import GruParams, Node, init_gru_params
 from .geometry import Box
 from .ingest import (
     DataFormatError,
@@ -233,23 +233,11 @@ def encode_expression(indices: Sequence[int], params: ModelParameters) -> Node:
     """
     if len(indices) == 0:
         raise ValueError("encode_expression: empty token sequence")
-    cfg = params.config
-    tokens = [
-        ad.reshape(ad.take(params.embeddings, [i]), (cfg.embed_dim,)) for i in indices
-    ]
-    start = ad.constant(np.zeros(cfg.hidden_size))
-    fwd_states = []
-    h = start
-    for x in tokens:
-        h = gru_cell(x, h, params.gru_fwd)
-        fwd_states.append(h)
-    bwd_states: list[Node] = []
-    h = start
-    for x in reversed(tokens):
-        h = gru_cell(x, h, params.gru_bwd)
-        bwd_states.append(h)
-    bwd_states.reverse()
-    return ad.stack([ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)])
+    tokens = ad.take(params.embeddings, indices)
+    backwards = np.arange(len(indices) - 1, -1, -1)
+    fwd_states = ad.gru_sequence(tokens, params.gru_fwd)
+    bwd_states = ad.gru_sequence(ad.take(tokens, backwards), params.gru_bwd)
+    return ad.concat([fwd_states, ad.take(bwd_states, backwards)], axis=1)
 
 
 def forward(features: np.ndarray, words: Node, params: ModelParameters) -> dict[str, Node]:
@@ -263,7 +251,7 @@ def forward(features: np.ndarray, words: Node, params: ModelParameters) -> dict[
     """
     q = params.config.word_feature_dim
     n, n_words = features.shape[0], words.value.shape[0]
-    v = ad.linear(ad.constant(features), params.feature_projection)
+    v = ad.linear(features, params.feature_projection)
     a, b = params.mlp_a, params.mlp_b
     key = ad.linear(ad.relu(ad.linear(v, a.w1, a.b1)), a.w2, a.b2)
     gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)

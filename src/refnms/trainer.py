@@ -88,8 +88,8 @@ class OptimizerState:
 def init_optimizer_state(params: ModelParameters) -> OptimizerState:
     named = params.named_parameters()
     return OptimizerState(
-        m={name: np.zeros_like(node.value) for name, node in named.items()},
-        v={name: np.zeros_like(node.value) for name, node in named.items()},
+        m={name: np.zeros(node.value.shape) for name, node in named.items()},
+        v={name: np.zeros(node.value.shape) for name, node in named.items()},
     )
 
 
@@ -105,23 +105,31 @@ def adam_step(named: Mapping[str, Node], state: OptimizerState, cfg: TrainConfig
     """One bias-corrected Adam update over every named parameter.
 
     Parameters whose gradient was never materialized count as zero gradient.
-    A non-finite gradient aborts with the offending parameter's name.
+    A non-finite gradient aborts with the offending parameter's name. The
+    update works in place, through two scratch buffers shared by all
+    parameters, with the float operations of
+    ``value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
     """
     state.step += 1
     bc1 = 1.0 - cfg.beta1**state.step
     bc2 = 1.0 - cfg.beta2**state.step
+    size = max(node.value.size for node in named.values())
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, node in named.items():
         g = node.grad if node.grad is not None else np.zeros_like(node.value)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
         m = state.m[name]
         v = state.v[name]
+        a = scratch_a[: g.size].reshape(g.shape)
+        b = scratch_b[: g.size].reshape(g.shape)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        lr = _learning_rate(name, cfg)
-        node.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=a), g, out=a)
+        step = np.multiply(_learning_rate(name, cfg), np.divide(m, bc1, out=a), out=a)
+        denominator = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), cfg.eps, out=b)
+        node.value -= np.divide(step, denominator, out=a)
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,8 @@ def save_checkpoint(
 
     Plain magic + JSON header + raw little-endian float64 payload; no
     timestamps or other ambient state, so identical inputs give identical
-    bytes.
+    bytes. The bytes go to a temporary file in the same directory that then
+    replaces `path`, so a failed save leaves any previous checkpoint intact.
     """
     named = params.named_parameters()
     arrays: list[tuple[str, np.ndarray]] = [(n, node.value) for n, node in named.items()]
@@ -268,12 +277,62 @@ def save_checkpoint(
         "epochs_completed": epochs_completed,
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
-    with Path(path).open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    partial = path.with_name(f"{path.name}.partial")
+    try:
+        with partial.open("wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _header_field(path, container: dict, key: str, kind: type, what: str, where: str = ""):
+    """`container[key]`, which must be a `kind`; a bool is not an int here."""
+    if key not in container:
+        raise DataFormatError(f"{path}: checkpoint header has no '{where}{key}'")
+    value = container[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DataFormatError(f"{path}: checkpoint header '{where}{key}' must be {what}")
+    return value
+
+
+def _validate_header(path, header) -> ModelConfig:
+    """Check the structure and types of every header field that loading reads.
+
+    Returns the stored model configuration.
+    """
+    mc = _header_field(path, header, "model_config", dict, "an object")
+    dims = {
+        key: _header_field(path, mc, key, int, "an integer", "model_config.")
+        for key in ("vocab_size", "feature_dim", "embed_dim", "hidden_size")
+    }
+    try:
+        config = ModelConfig(**dims)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: checkpoint header 'model_config': {exc}") from None
+    for i, entry in enumerate(_header_field(path, header, "arrays", list, "a list")):
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{path}: checkpoint header 'arrays[{i}]' must be an object")
+        _header_field(path, entry, "name", str, "a string", f"arrays[{i}].")
+        shape = _header_field(path, entry, "shape", list, "a list", f"arrays[{i}].")
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise DataFormatError(
+                f"{path}: checkpoint header 'arrays[{i}].shape' must hold non-negative integers"
+            )
+    vocab = _header_field(path, header, "vocab", dict, "an object")
+    words = _header_field(path, vocab, "words", list, "a list", "vocab.")
+    if not all(isinstance(w, str) for w in words):
+        raise DataFormatError(f"{path}: checkpoint header 'vocab.words' must hold strings")
+    _header_field(path, vocab, "max_sentence_length", int, "an integer", "vocab.")
+    if _header_field(path, header, "optimizer_step", int, "an integer") < 0:
+        raise DataFormatError(f"{path}: checkpoint header 'optimizer_step' must be >= 0")
+    return config
 
 
 def load_checkpoint(
@@ -297,20 +356,17 @@ def load_checkpoint(
             header = json.loads(header_line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: corrupt header ({exc})") from None
+        if not isinstance(header, dict):
+            raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint version {header.get('format_version')}"
             )
-        mc = header["model_config"]
-        config = ModelConfig(
-            vocab_size=mc["vocab_size"],
-            feature_dim=mc["feature_dim"],
-            embed_dim=mc["embed_dim"],
-            hidden_size=mc["hidden_size"],
-        )
+        config = _validate_header(path, header)
         if expected_config is not None and config != expected_config:
             raise DataFormatError(
-                f"{path}: checkpoint model config {mc} does not match expected {expected_config}"
+                f"{path}: checkpoint model config {header['model_config']} does not match "
+                f"expected {expected_config}"
             )
         if expected_hash is not None and header.get("config_hash") != expected_hash:
             warnings.warn(f"{path}: training-config hash differs from the expected one")
@@ -338,7 +394,7 @@ def load_checkpoint(
         opt_state = OptimizerState(
             m={n: arrays[f"adam.m.{n}"] for n in named},
             v={n: arrays[f"adam.v.{n}"] for n in named},
-            step=int(header["optimizer_step"]),
+            step=header["optimizer_step"],
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing optimizer array {exc}") from None

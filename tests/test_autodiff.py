@@ -1,13 +1,15 @@
 """Engine tests: forward values, backward rules against finite differences,
-graph bookkeeping, and the GRU cell."""
+graph bookkeeping, and the fused GRU sequence op against a per-step reference."""
 
 import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refnms import autodiff as ad
-from refnms.autodiff import GruParams, Node, backward, grad_check, gru_cell, init_gru_params
+from refnms.autodiff import GruParams, Node, backward, grad_check, gru_sequence, init_gru_params
 
 FD_TOL = 1e-4
 
@@ -129,7 +131,7 @@ def graph_through_every_op():
     v = Node(rng.normal(size=4))
     h = ad.matmul(x, v)
     h = ad.add(ad.sub(ad.mul(h, h), h), ad.tanh(h))
-    h = gru_cell(h, Node(np.zeros(2)), init_gru_params(3, 2, rng))
+    h = ad.reshape(gru_sequence(ad.reshape(h, (1, 3)), init_gru_params(3, 2, rng)), (2,))
     h = ad.l2_normalize(ad.softmax(ad.concat([ad.relu(h), ad.sigmoid(h)])))
     rows = ad.linear(ad.take(ad.stack([h, h]), [0, 1, 1]), Node(np.eye(4)), Node(np.ones(4)))
     s = ad.broadcast_to(ad.reshape(ad.mean(rows), (1,)), (2,))
@@ -176,6 +178,16 @@ def test_fd_linear_with_and_without_bias():
     x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
     out = ad.linear(Node(x), Node(w), Node(b))
     np.testing.assert_allclose(out.value, x @ w.T + b, rtol=0.0, atol=1e-15)
+
+
+def test_linear_of_a_plain_array_treats_it_as_a_constant():
+    rng = np.random.default_rng(10)
+    x, w, b = rng.normal(size=(5, 4)), Node(rng.normal(size=(3, 4))), Node(rng.normal(size=3))
+    out = ad.linear(x, w, b)
+    assert out._parents == (w, b)
+    backward(ad.sum(ad.mul(out, out)))
+    np.testing.assert_array_equal(w.grad, (2.0 * out.value).T @ x)
+    np.testing.assert_array_equal(b.grad, (2.0 * out.value).sum(axis=0))
 
 
 def test_fd_concat_stack_reshape_broadcast_take():
@@ -269,7 +281,33 @@ def test_grad_check_l2_normalize_then_sum():
     assert grad_check(f, [x]) < FD_TOL
 
 
-# GRU cell --------------------------------------------------------------------
+# GRU sequence ------------------------------------------------------------------
+
+
+def gru_cell(x, h_prev, params):
+    """Reference GRU step from primitive ops, the oracle for `gru_sequence`.
+
+    z = sigmoid(w_z x + u_z h + b_z), r = sigmoid(w_r x + u_r h + b_r),
+    cand = tanh(w_h x + u_h (r * h) + b_h), h' = (1 - z) * h + z * cand.
+    """
+    p = params
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_z, x), ad.matmul(p.u_z, h_prev)), p.b_z))
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_r, x), ad.matmul(p.u_r, h_prev)), p.b_r))
+    cand = ad.tanh(
+        ad.add(ad.add(ad.matmul(p.w_h, x), ad.matmul(p.u_h, ad.mul(r, h_prev))), p.b_h)
+    )
+    keep = ad.sub(ad.constant(np.ones_like(z.value)), z)
+    return ad.add(ad.mul(keep, h_prev), ad.mul(z, cand))
+
+
+def reference_sequence(xs, params):
+    """One `gru_cell` per row of `xs`, from a zero state, stacked."""
+    h = ad.constant(np.zeros(params.u_z.value.shape[0]))
+    states = []
+    for t in range(xs.value.shape[0]):
+        h = gru_cell(ad.reshape(ad.take(xs, [t]), (xs.value.shape[1],)), h, params)
+        states.append(h)
+    return ad.stack(states)
 
 
 def zero_gru(d_in, d_h):
@@ -282,35 +320,74 @@ def zero_gru(d_in, d_h):
 
 
 def test_gru_zero_params_halves_the_state():
-    # zero weights: z = r = 0.5, candidate = 0, so h' = 0.5 * h
+    # zero weights: z = r = 0.5 and cand = tanh(b_h), so h' = 0.5 * h + 0.5 * tanh(b_h):
+    # the gap to tanh(b_h) halves every step, and h_t = (1 - 0.5**t) * tanh(b_h)
     params = zero_gru(3, 4)
-    h_prev = Node(np.array([1.0, -2.0, 0.5, 4.0]))
-    x = Node(np.ones(3))
-    out = gru_cell(x, h_prev, params)
-    np.testing.assert_allclose(out.value, 0.5 * h_prev.value, atol=1e-15)
+    params.b_h = Node(np.array([1.0, -2.0, 0.5, 4.0]))
+    xs = Node(np.random.default_rng(30).normal(size=(6, 3)))
+    states = gru_sequence(xs, params).value
+    t = np.arange(1, 7)[:, None]
+    np.testing.assert_allclose(states, (1.0 - 0.5**t) * np.tanh(params.b_h.value), atol=1e-15)
 
 
 def test_gru_zero_state_and_zero_candidate_weights():
+    # from the zero state with a zero candidate, every state is a mix of zeros
     rng = np.random.default_rng(31)
     params = init_gru_params(3, 4, rng)
     params.w_h = Node(np.zeros((4, 3)))
     params.u_h = Node(np.zeros((4, 4)))
     params.b_h = Node(np.zeros(4))
-    out = gru_cell(Node(rng.normal(size=3)), Node(np.zeros(4)), params)
-    np.testing.assert_allclose(out.value, 0.0, atol=1e-15)
+    states = gru_sequence(Node(rng.normal(size=(5, 3))), params)
+    np.testing.assert_array_equal(states.value, 0.0)
 
 
 def test_gru_gradients_match_finite_differences():
     rng = np.random.default_rng(32)
     params = init_gru_params(3, 4, rng)
-    x = Node(rng.normal(size=3))
-    h = Node(rng.normal(size=4))
-    inputs = [x, h] + list(params.nodes().values())
+    for node in params.nodes().values():
+        node.value += 0.3 * rng.normal(size=node.value.shape)  # nonzero biases too
+    xs = Node(rng.normal(size=(5, 3)))
+    inputs = [xs] + list(params.nodes().values())
 
     def f():
-        return ad.sum(ad.mul(out := gru_cell(x, h, params), out))
+        return ad.sum(ad.mul(out := gru_sequence(xs, params), out))
 
     assert grad_check(f, inputs) < FD_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    steps=st.integers(1, 10),
+    input_dim=st.integers(1, 6),
+    hidden=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_gru_sequence_matches_the_per_step_reference(steps, input_dim, hidden, seed):
+    # states bit-equal; gradients through another summation order, within 1e-10
+    rng = np.random.default_rng(seed)
+    params = init_gru_params(input_dim, hidden, rng)
+    for node in params.nodes().values():
+        node.value += 0.5 * rng.normal(size=node.value.shape)
+    xs = Node(rng.normal(size=(steps, input_dim)))
+    coefficients = ad.constant(rng.normal(size=(steps, hidden)))
+    inputs = [xs] + list(params.nodes().values())
+    results = []
+    for run in (gru_sequence, reference_sequence):
+        ad.zero_gradients(inputs)
+        states = run(xs, params)
+        backward(ad.sum(ad.mul(states, coefficients)))
+        results.append((states.value, [node.grad for node in inputs]))
+    (states, grads), (ref_states, ref_grads) = results
+    np.testing.assert_array_equal(states, ref_states)
+    for name, grad, ref in zip(["xs", *params.nodes()], grads, ref_grads):
+        assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+
+def test_gru_sequence_rejects_input_that_does_not_fit():
+    params = init_gru_params(3, 2, np.random.default_rng(33))
+    for shape in ((4, 2), (3,), (0, 3)):
+        with pytest.raises(ValueError, match=r"gru_sequence: input"):
+            gru_sequence(Node(np.zeros(shape)), params)
 
 
 def test_gru_init_is_seeded_and_shaped():

@@ -1,5 +1,6 @@
 """CLI: flag documentation, exit codes, determinism, command round trips."""
 
+import json
 import subprocess
 import sys
 
@@ -182,6 +183,35 @@ def test_feature_dimension_mismatch_exits_with_data_error(dataset, tmp_path, cap
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert "dimension 3" in err and f"feature_dim {dim}" in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(dataset, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("cli-model") / "model.ckpt"
+    assert main(
+        ["train", *data_args(dataset), "--out", str(ckpt), "--epochs", "1", "--hidden-size", "2"]
+    ) == EXIT_OK
+    return ckpt.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["model_config", "arrays", "vocab", "optimizer_step"])
+def test_checkpoint_without_a_header_key_exits_with_data_error(
+    dataset, checkpoint_bytes, tmp_path, capsys, key
+):
+    magic, header, payload = checkpoint_bytes.split(b"\n", 2)
+    fields = json.loads(header)
+    del fields[key]
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+    capsys.readouterr()
+    code = main(
+        ["apply", "--detections", str(dataset / "detections.tsv"),
+         "--expressions", str(dataset / "expressions.tsv"),
+         "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.tsv")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"'{key}'" in err
 
 
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):

@@ -370,3 +370,15 @@ def test_graph_size_does_not_grow_with_the_number_of_boxes():
         assert scores.value.shape == (n_boxes,)
         sizes.add(graph_size(scores))
     assert len(sizes) == 1
+
+
+def test_graph_size_does_not_grow_with_the_number_of_tokens():
+    rng = np.random.default_rng(50)
+    params = init_parameters(tiny_config(), seed=6)
+    image = random_image(rng, 4, 3)
+    sizes = set()
+    for n_tokens in (1, 2, 12):
+        indices = [int(i) for i in rng.integers(1, 9, size=n_tokens)]
+        _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
+        sizes.add(graph_size(scores))
+    assert len(sizes) == 1

@@ -1,8 +1,10 @@
-"""Micro-benchmark of the relatedness model: one forward and backward pass.
+"""Micro-benchmarks of the relatedness model: one forward and backward pass.
 
-Times `relatedness_forward` plus `backward` of the summed scores for one
-expression, at the acceptance scale (D=8, hidden 16, 20 boxes) and at paper
-scale (D=2048, 300-d embeddings, hidden 256, 100 boxes). Run
+`test_forward_backward_speed` times `relatedness_forward` plus `backward` of
+the summed scores for one expression, at the acceptance scale (D=8, hidden
+16, 20 boxes) and at paper scale (D=2048, 300-d embeddings, hidden 256, 100
+boxes); `test_encoder_forward_backward_speed` times the expression encoder
+alone on the same 8 tokens. Run
 `python -m pytest tests/test_model_benchmark.py --benchmark-enable --benchmark-only`
 for the timing table; a plain test run makes one pass per scale and checks
 that every parameter received a finite gradient.
@@ -14,7 +16,7 @@ import pytest
 from refnms import autodiff as ad
 from refnms.geometry import Box
 from refnms.ingest import DetectionRecord, ImageDetections
-from refnms.model import ModelConfig, init_parameters, relatedness_forward
+from refnms.model import ModelConfig, encode_expression, init_parameters, relatedness_forward
 
 SCALES = {
     "acceptance": (ModelConfig(vocab_size=40, feature_dim=8, embed_dim=8, hidden_size=16), 20),
@@ -50,4 +52,27 @@ def test_forward_backward_speed(benchmark, scale):
     scores = benchmark(step)
     assert scores.value.shape == (n_boxes,)
     for name, node in params.named_parameters().items():
+        assert node.grad is not None and np.all(np.isfinite(node.grad)), name
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_encoder_forward_backward_speed(benchmark, scale):
+    cfg, _ = SCALES[scale]
+    rng = np.random.default_rng(5)
+    params = init_parameters(cfg, seed=5)
+    indices = [int(i) for i in rng.integers(1, cfg.vocab_size, size=8)]
+    coefficients = ad.constant(rng.normal(size=(8, cfg.word_feature_dim)))
+
+    def step():
+        params.zero_gradients()
+        words = encode_expression(indices, params)
+        ad.backward(ad.sum(ad.mul(words, coefficients)))
+        return words
+
+    words = benchmark(step)
+    assert words.value.shape == (8, cfg.word_feature_dim)
+    encoder = {"embeddings": params.embeddings}
+    for prefix, group in (("gru_fwd", params.gru_fwd), ("gru_bwd", params.gru_bwd)):
+        encoder.update({f"{prefix}.{name}": node for name, node in group.nodes().items()})
+    for name, node in encoder.items():
         assert node.grad is not None and np.all(np.isfinite(node.grad)), name

@@ -1,6 +1,7 @@
 """Adam updates, the training loop's determinism, and checkpoint round trips."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -323,6 +324,85 @@ def test_checkpoint_loads_into_one_writable_buffer_and_saves_back_identically(tm
     again = tmp_path / "again.ckpt"
     save_checkpoint(again, loaded, loaded_state, cfg, vocab)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_failed_save_leaves_the_previous_checkpoint_intact(tmp_path):
+    params = tiny_model(seed=14)
+    state = init_optimizer_state(params)
+    cfg, vocab = TrainConfig(seed=14), vocab_for(params)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, cfg, vocab)
+    before = path.read_bytes()
+    # the parameters are written first; the last Adam array cannot be converted
+    last = list(state.v)[-1]
+    state.v[last] = np.full(state.v[last].shape, "x")
+    params.embeddings.value += 1.0
+    with pytest.raises(ValueError):
+        save_checkpoint(path, params, state, cfg, vocab)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def rewrite_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place with `edit(header)`."""
+    raw = path.read_bytes()
+    magic_end = raw.index(b"\n") + 1
+    header_end = raw.index(b"\n", magic_end) + 1
+    header = edit(json.loads(raw[magic_end:header_end]))
+    path.write_bytes(raw[:magic_end] + json.dumps(header).encode() + b"\n" + raw[header_end:])
+
+
+DROP = object()
+
+
+def edited(*keys, value=DROP):
+    """A header edit that sets the field at `keys` to `value`, or drops it."""
+
+    def edit(header):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        return header
+
+    return edit
+
+
+MALFORMED_HEADERS = [
+    (lambda header: [header], "not a JSON object"),
+    (edited("model_config", value=[1, 2]), "'model_config' must be an object"),
+    (edited("model_config", "hidden_size"), "'model_config.hidden_size'"),
+    (edited("model_config", "embed_dim", value=3.0), "'model_config.embed_dim'"),
+    (edited("model_config", "vocab_size", value=0), "vocab_size must be >= 1"),
+    (edited("model_config", "feature_dim", value=True), "'model_config.feature_dim'"),
+    (edited("arrays", value={}), "'arrays' must be a list"),
+    (edited("arrays", 2, value="w"), "'arrays[2]' must be an object"),
+    (edited("arrays", 1, "name"), "'arrays[1].name'"),
+    (edited("arrays", 0, "shape", value=[8, "3"]), "'arrays[0].shape'"),
+    (edited("arrays", 0, "shape", value=[-8, 3]), "'arrays[0].shape'"),
+    (edited("vocab", "words", value="a b"), "'vocab.words' must be a list"),
+    (edited("vocab", "words", value=["<pad>", 1]), "'vocab.words' must hold"),
+    (edited("vocab", "max_sentence_length"), "'vocab.max_sentence_length'"),
+    (edited("optimizer_step", value="3"), "'optimizer_step' must be an integer"),
+    (edited("optimizer_step", value=-1), "'optimizer_step' must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, names", MALFORMED_HEADERS, ids=[names for _, names in MALFORMED_HEADERS]
+)
+def test_checkpoint_header_structure_is_validated(tmp_path, edit, names):
+    params = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, init_optimizer_state(params), TrainConfig(), vocab_for(params))
+    rewrite_header(path, edit)
+    with pytest.raises(DataFormatError) as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)
+    assert names in str(excinfo.value)
 
 
 def test_checkpoint_hash_mismatch_warns(tmp_path):
