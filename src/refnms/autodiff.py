@@ -83,8 +83,10 @@ def _lift(x, like: Node) -> Node:
 
 def _accumulate(node: Node, g: np.ndarray) -> None:
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        # one pass that gives the bits of adding g to a zero gradient
+        node.grad = np.add(0.0, g, out=np.empty_like(node.value))
+    else:
+        node.grad += g
 
 
 def _require_same_shape(op: str, a: Node, b: Node) -> None:
@@ -241,14 +243,24 @@ def broadcast_to(x: Node, shape) -> Node:
 
 
 def take(x: Node, indices) -> Node:
-    """Select rows of `x` along axis 0; repeated indices accumulate gradient."""
+    """Select rows of `x` along axis 0; repeated indices accumulate gradient.
+
+    Backward sums the gradient rows of each selected row into a compact
+    block, in index order, and adds that block to the selected rows only, so
+    its cost follows the number of indices, not the size of `x`.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     out = Node(x.value[idx], (x,))
 
     def _bw(out: Node) -> None:
-        g = np.zeros_like(x.value)
-        np.add.at(g, idx, out.grad)
-        _accumulate(x, g)
+        # sorted distinct rows; not np.unique, whose first call in a process
+        # takes ~16 ms with numpy 2.4
+        rows = np.array(sorted(set(idx.tolist())), dtype=np.intp)
+        block = np.zeros((rows.size,) + x.value.shape[1:])
+        np.add.at(block, np.searchsorted(rows, idx), out.grad)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        x.grad[rows] += block
 
     out._backward = _bw
     return out

@@ -319,7 +319,7 @@ def _budget_from_flags(args) -> ProposalBudget | None:
 
 def _load_model(checkpoint, feature_dim: int, detections):
     """Parameters and vocabulary of `checkpoint`, which must score `feature_dim`-d features."""
-    params, _, vocab, _ = load_checkpoint(checkpoint)
+    params, _, vocab, _ = load_checkpoint(checkpoint, with_optimizer=False)
     if params.config.feature_dim != feature_dim:
         raise DataFormatError(
             f"{detections}: detection features have dimension {feature_dim}, but checkpoint "

@@ -11,8 +11,9 @@ the rows of 2-D arrays, so the graph's size does not grow with their number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+import math
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +65,15 @@ class MlpParams:
 
 @dataclass
 class ModelParameters:
-    """Every trainable array of the relatedness model."""
+    """Every trainable array of the relatedness model, in one flat store.
+
+    Each parameter's ``value`` is a view of the flat float64 buffer ``values``
+    and its ``grad`` a view of the flat buffer ``grads``, both laid out in
+    `named_parameters` order with the shapes of `parameter_shapes`. Values
+    and gradients must therefore be written in place. ``grads`` comes from
+    ``np.zeros``, whose pages the OS maps only when they are written, so a
+    model that only scores boxes never makes its gradient memory resident.
+    """
 
     config: ModelConfig
     embeddings: Node            # (vocab, embed)
@@ -77,6 +86,14 @@ class ModelParameters:
     mlp_b: MlpParams            # box side of the fusion, feature -> word_feature_dim
     fc_r_w: Node                # relatedness logit head, (1, word_feature_dim)
     fc_r_b: Node                # (1,)
+    values: np.ndarray = field(repr=False, compare=False)
+    grads: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_views: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.grads = np.zeros(self.values.size)
+        self.grad_views = flat_views(self.grads, self.config)
+        self._point_gradients()
 
     def named_parameters(self) -> dict[str, Node]:
         named: dict[str, Node] = {"embeddings": self.embeddings}
@@ -94,22 +111,25 @@ class ModelParameters:
         named["fc_r.b"] = self.fc_r_b
         return named
 
+    def _point_gradients(self) -> None:
+        for node, view in zip(self.named_parameters().values(), self.grad_views.values()):
+            node.grad = view
+
     def zero_gradients(self) -> None:
-        ad.zero_gradients(self.named_parameters().values())
+        """Zero the flat gradient buffer and point every ``grad`` at its view."""
+        self.grads.fill(0.0)
+        self._point_gradients()
 
     def with_swapped_directions(self) -> "ModelParameters":
-        return replace(self, gru_fwd=self.gru_bwd, gru_bwd=self.gru_fwd)
-
-
-def _init_mlp(in_dim: int, out_dim: int, rng: np.random.Generator) -> MlpParams:
-    k1 = 1.0 / np.sqrt(in_dim)
-    k2 = 1.0 / np.sqrt(out_dim)
-    return MlpParams(
-        w1=Node(rng.uniform(-k1, k1, size=(out_dim, in_dim))),
-        b1=Node(np.zeros(out_dim)),
-        w2=Node(rng.uniform(-k2, k2, size=(out_dim, out_dim))),
-        b2=Node(np.zeros(out_dim)),
-    )
+        """A copy, in its own flat store, with the two GRU directions exchanged."""
+        swap = {"gru_fwd": "gru_bwd", "gru_bwd": "gru_fwd"}
+        values = self.values.copy()
+        source = flat_views(self.values, self.config)
+        for name, view in flat_views(values, self.config).items():
+            prefix, _, rest = name.partition(".")
+            if prefix in swap:
+                view[...] = source[f"{swap[prefix]}.{rest}"]
+        return parameters_from_flat(self.config, values)
 
 
 def init_parameters(
@@ -118,42 +138,46 @@ def init_parameters(
     table: EmbeddingTable | None = None,
     vocab: Vocabulary | None = None,
 ) -> ModelParameters:
-    """Seeded parameter initialization.
+    """Seeded parameter initialization, written into a new flat store.
 
     Word embeddings start uniform(-0.1, 0.1) and are overwritten with table
     vectors for vocabulary words found there; the padding row is zero. The
-    feature projection starts as the identity.
+    feature projection starts as the identity. Weights are drawn in
+    `named_parameters` order; biases start at zero.
     """
+    if table is not None and vocab is not None and table.dimension != config.embed_dim:
+        raise DataFormatError(
+            f"embedding table dimension {table.dimension} != model embed_dim {config.embed_dim}"
+        )
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-0.1, 0.1, size=(config.vocab_size, config.embed_dim))
+    values = np.zeros(parameter_count(config))
+    views = flat_views(values, config)
+    emb = views["embeddings"]
+    emb[...] = rng.uniform(-0.1, 0.1, size=emb.shape)
     emb[0] = 0.0
     if table is not None and vocab is not None:
-        if table.dimension != config.embed_dim:
-            raise DataFormatError(
-                f"embedding table dimension {table.dimension} != model embed_dim {config.embed_dim}"
-            )
         for word, idx in vocab.word_to_index.items():
             if word == PAD_TOKEN:
                 continue
             vec = table.get(word)
             if vec is not None:
                 emb[idx] = vec
-    q = config.word_feature_dim
-    ks = 1.0 / np.sqrt(2 * q)
-    kr = 1.0 / np.sqrt(q)
-    return ModelParameters(
-        config=config,
-        embeddings=Node(emb),
-        gru_fwd=init_gru_params(config.embed_dim, config.hidden_size, rng),
-        gru_bwd=init_gru_params(config.embed_dim, config.hidden_size, rng),
-        feature_projection=Node(np.eye(config.feature_dim)),
-        mlp_a=_init_mlp(config.feature_dim, q, rng),
-        fc_s_w=Node(rng.uniform(-ks, ks, size=2 * q)),
-        fc_s_b=Node(np.zeros(1)),
-        mlp_b=_init_mlp(config.feature_dim, q, rng),
-        fc_r_w=Node(rng.uniform(-kr, kr, size=(1, q))),
-        fc_r_b=Node(np.zeros(1)),
-    )
+    for prefix in ("gru_fwd", "gru_bwd"):
+        gru = init_gru_params(config.embed_dim, config.hidden_size, rng)
+        for name, node in gru.nodes().items():
+            views[f"{prefix}.{name}"][...] = node.value
+    np.fill_diagonal(views["feature_projection"], 1.0)
+    d, q = config.feature_dim, config.word_feature_dim
+    mlp_bounds = {"w1": 1.0 / np.sqrt(d), "w2": 1.0 / np.sqrt(q)}
+    bounds = {
+        **{f"mlp_a.{k}": b for k, b in mlp_bounds.items()},
+        "fc_s.w": 1.0 / np.sqrt(2 * q),
+        **{f"mlp_b.{k}": b for k, b in mlp_bounds.items()},
+        "fc_r.w": 1.0 / np.sqrt(q),
+    }
+    for name, bound in bounds.items():
+        views[name][...] = rng.uniform(-bound, bound, size=views[name].shape)
+    return parameters_from_flat(config, values)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -177,24 +201,26 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-def parameters_from_arrays(config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> ModelParameters:
-    """Rebuild parameters from named arrays, validating names and shapes.
+def parameter_count(config: ModelConfig) -> int:
+    """The number of floats in the flat parameter store."""
+    return sum(math.prod(shape) for shape in parameter_shapes(config).values())
 
-    Each parameter node holds its float64 array itself, not a copy.
-    """
-    shapes = parameter_shapes(config)
-    if set(arrays) != set(shapes):
-        missing = sorted(set(shapes) - set(arrays))
-        extra = sorted(set(arrays) - set(shapes))
-        raise DataFormatError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
-    nodes: dict[str, Node] = {}
-    for name, shape in shapes.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise DataFormatError(
-                f"shape mismatch for '{name}': stored {arr.shape}, expected {shape}"
-            )
-        nodes[name] = Node(arr)
+
+def flat_views(buffer: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Every parameter's view of a flat buffer, by name, in `named_parameters` order."""
+    views, start = {}, 0
+    for name, shape in parameter_shapes(config).items():
+        stop = start + math.prod(shape)
+        views[name] = buffer[start:stop].reshape(shape)
+        start = stop
+    if start != buffer.size:
+        raise ValueError(f"flat buffer holds {buffer.size} floats, the parameters {start}")
+    return views
+
+
+def parameters_from_flat(config: ModelConfig, values: np.ndarray) -> ModelParameters:
+    """Parameters whose values are views of `values`, a flat float64 buffer."""
+    nodes = {name: Node(view) for name, view in flat_views(values, config).items()}
 
     def group(cls, prefix: str):
         return cls(**{f.name: nodes[f"{prefix}.{f.name}"] for f in fields(cls)})
@@ -211,6 +237,7 @@ def parameters_from_arrays(config: ModelConfig, arrays: Mapping[str, np.ndarray]
         mlp_b=group(MlpParams, "mlp_b"),
         fc_r_w=nodes["fc_r.w"],
         fc_r_b=nodes["fc_r.b"],
+        values=values,
     )
 
 

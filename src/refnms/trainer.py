@@ -2,9 +2,22 @@
 and self-contained binary checkpoints.
 
 The feature projection (the stand-in for detector-head fine-tuning) gets its
-own learning rate; every other parameter uses the second rate. Shuffling is
-keyed on (seed, epoch) so an interrupted run resumed from a checkpoint
-retraces the uninterrupted one exactly.
+own learning rate; every other parameter uses the second rate, and the word
+embeddings may get a third. Shuffling is keyed on (seed, epoch) so an
+interrupted run resumed from a checkpoint retraces the uninterrupted one
+exactly.
+
+Flat layout: the model's parameters live in one flat float64 buffer (see
+`model.ModelParameters`), in `named_parameters` order with the shapes of
+`model.parameter_shapes`, and so do their gradients and Adam's `m` and `v`.
+In that order the learning rates form at most four contiguous runs
+(embeddings, GRUs, feature projection, the rest), so an Adam step is a few
+vectorised updates over slices instead of one per parameter.
+
+Checkpoint payload: three contiguous blocks of little-endian float64, the
+parameters, then `m`, then `v`, each in the flat layout. The JSON header
+lists every array's name and shape in that order; loading requires exactly
+that order, and `apply` and `eval-recall` read only the first block.
 """
 
 from __future__ import annotations
@@ -21,7 +34,6 @@ import numpy as np
 
 from . import CHECKPOINT_VERSION
 from . import autodiff as ad
-from .autodiff import Node
 from .geometry import Box
 from .ingest import (
     DataFormatError,
@@ -33,7 +45,14 @@ from .ingest import (
     encode_tokens,
     vocabulary_from_words,
 )
-from .model import ModelConfig, ModelParameters, parameters_from_arrays, relatedness_forward
+from .model import (
+    ModelConfig,
+    ModelParameters,
+    parameter_count,
+    parameter_shapes,
+    parameters_from_flat,
+    relatedness_forward,
+)
 from .objectives import RankingConfig, assign_labels, binary_xe, ranking_loss, sample_pairs
 from .pseudo_gt import foreground_boxes, generate_pseudo_gt
 
@@ -41,6 +60,9 @@ LOSS_KINDS = ("binary_xe", "ranking")
 HEAD_PARAMETERS = ("feature_projection",)
 
 CHECKPOINT_MAGIC = b"RNMS1\n"
+
+# floats per Adam update; bounds the scratch memory of a step
+ADAM_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -78,19 +100,16 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moments per parameter, plus the step counter."""
+    """Adam's first and second moments, each one flat buffer in the layout of
+    the parameters' flat store, plus the step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_optimizer_state(params: ModelParameters) -> OptimizerState:
-    named = params.named_parameters()
-    return OptimizerState(
-        m={name: np.zeros(node.value.shape) for name, node in named.items()},
-        v={name: np.zeros(node.value.shape) for name, node in named.items()},
-    )
+    return OptimizerState(m=np.zeros(params.values.size), v=np.zeros(params.values.size))
 
 
 def _learning_rate(name: str, cfg: TrainConfig) -> float:
@@ -101,35 +120,70 @@ def _learning_rate(name: str, cfg: TrainConfig) -> float:
     return cfg.lr_rest
 
 
-def adam_step(named: Mapping[str, Node], state: OptimizerState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update over every named parameter.
+def _learning_rate_segments(
+    params: ModelParameters, cfg: TrainConfig
+) -> list[tuple[int, int, float]]:
+    """Runs of the flat store that share a learning rate, as (start, stop, lr).
 
-    Parameters whose gradient was never materialized count as zero gradient.
-    A non-finite gradient aborts with the offending parameter's name. The
-    update works in place, through two scratch buffers shared by all
-    parameters, with the float operations of
-    ``value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
+    Also checks that every parameter's ``grad`` is its view of the flat
+    gradient buffer.
     """
+    segments: list[tuple[int, int, float]] = []
+    start = 0
+    for name, node in params.named_parameters().items():
+        view = params.grad_views[name]
+        if node.grad is not view:
+            raise ValueError(
+                f"gradient of parameter '{name}' is not its view of the flat gradient "
+                "buffer; zero_gradients() points it there, and gradients must be added in place"
+            )
+        stop = start + view.size
+        lr = _learning_rate(name, cfg)
+        if segments and segments[-1][2] == lr:
+            segments[-1] = (segments[-1][0], stop, lr)
+        else:
+            segments.append((start, stop, lr))
+        start = stop
+    return segments
+
+
+def adam_step(params: ModelParameters, state: OptimizerState, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of the whole flat parameter store.
+
+    The store is updated in chunks of `ADAM_CHUNK` floats through two
+    chunk-sized scratch buffers, with the float operations of
+    ``value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``; each run of
+    parameters that share a learning rate gets one ``lr *`` per chunk it
+    overlaps. A parameter that got no gradient has a zero one. A non-finite
+    gradient aborts with the offending parameter's name, before the chunk
+    that holds it is updated.
+    """
+    segments = _learning_rate_segments(params, cfg)
     state.step += 1
     bc1 = 1.0 - cfg.beta1**state.step
     bc2 = 1.0 - cfg.beta2**state.step
-    size = max(node.value.size for node in named.values())
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
-    for name, node in named.items():
-        g = node.grad if node.grad is not None else np.zeros_like(node.value)
-        if not np.all(np.isfinite(g)):
+    total, chunk = params.values.size, ADAM_CHUNK
+    scratch_a, scratch_b = np.empty(min(chunk, total)), np.empty(min(chunk, total))
+    finite = np.empty(min(chunk, total), dtype=bool)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        g, m, v = params.grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b, ok = scratch_a[: hi - lo], scratch_b[: hi - lo], finite[: hi - lo]
+        if not np.isfinite(g, out=ok).all():
+            # earlier chunks were finite, so the first such parameter holds it
+            name = next(n for n, view in params.grad_views.items() if not np.isfinite(view).all())
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        a = scratch_a[: g.size].reshape(g.shape)
-        b = scratch_b[: g.size].reshape(g.shape)
         m *= cfg.beta1
         m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
         v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=a), g, out=a)
-        step = np.multiply(_learning_rate(name, cfg), np.divide(m, bc1, out=a), out=a)
+        np.divide(m, bc1, out=a)
+        for seg_lo, seg_hi, lr in segments:
+            if seg_lo < hi and lo < seg_hi:
+                piece = a[max(seg_lo, lo) - lo : min(seg_hi, hi) - lo]
+                np.multiply(lr, piece, out=piece)
         denominator = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), cfg.eps, out=b)
-        node.value -= np.divide(step, denominator, out=a)
+        params.values[lo:hi] -= np.divide(a, denominator, out=a)
 
 
 @dataclass(frozen=True)
@@ -189,7 +243,6 @@ def train_epoch(
     in which nothing was usable is an error.
     """
     order = np.random.default_rng([cfg.seed, epoch_index]).permutation(len(dataset))
-    named = params.named_parameters()
     rank_cfg = cfg.ranking_config()
     loss_sum = 0.0
     used = skipped = positives = negatives = 0
@@ -218,7 +271,7 @@ def train_epoch(
         batch_loss = ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
         params.zero_gradients()
         ad.backward(batch_loss)
-        adam_step(named, opt_state, cfg)
+        adam_step(params, opt_state, cfg)
         loss_sum += float(batch_loss.value.item()) * len(losses)
         used += len(losses)
     if used == 0:
@@ -251,15 +304,16 @@ def save_checkpoint(
 ) -> None:
     """Write a self-contained checkpoint.
 
-    Plain magic + JSON header + raw little-endian float64 payload; no
+    Plain magic + JSON header + raw little-endian float64 payload. The
+    payload is three contiguous blocks: the flat parameter store, then
+    Adam's flat `m` and `v`; the header lists every array in that order. No
     timestamps or other ambient state, so identical inputs give identical
     bytes. The bytes go to a temporary file in the same directory that then
     replaces `path`, so a failed save leaves any previous checkpoint intact.
     """
-    named = params.named_parameters()
-    arrays: list[tuple[str, np.ndarray]] = [(n, node.value) for n, node in named.items()]
-    arrays += [(f"adam.m.{n}", opt_state.m[n]) for n in named]
-    arrays += [(f"adam.v.{n}", opt_state.v[n]) for n in named]
+    buffers = (params.values, opt_state.m, opt_state.v)
+    if any(np.shape(buffer) != params.values.shape for buffer in buffers):
+        raise ValueError("save_checkpoint: Adam moments do not match the parameter store")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": cfg.config_hash(),
@@ -275,7 +329,10 @@ def save_checkpoint(
         },
         "optimizer_step": opt_state.step,
         "epochs_completed": epochs_completed,
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
+        "arrays": [
+            {"name": name, "shape": list(shape)}
+            for name, shape in _checkpoint_arrays(params.config)
+        ],
     }
     path = Path(path)
     partial = path.with_name(f"{path.name}.partial")
@@ -284,12 +341,22 @@ def save_checkpoint(
             fh.write(CHECKPOINT_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
-            for _, arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            for buffer in buffers:
+                fh.write(np.ascontiguousarray(buffer, dtype="<f8").data)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def _checkpoint_arrays(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every stored array, in payload order."""
+    shapes = list(parameter_shapes(config).items())
+    return (
+        shapes
+        + [(f"adam.m.{name}", shape) for name, shape in shapes]
+        + [(f"adam.v.{name}", shape) for name, shape in shapes]
+    )
 
 
 def _header_field(path, container: dict, key: str, kind: type, what: str, where: str = ""):
@@ -339,12 +406,18 @@ def load_checkpoint(
     path,
     expected_config: ModelConfig | None = None,
     expected_hash: str | None = None,
-) -> tuple[ModelParameters, OptimizerState, Vocabulary, dict]:
-    """Read a checkpoint back; shape validation happens during reconstruction.
+    with_optimizer: bool = True,
+) -> tuple[ModelParameters, OptimizerState | None, Vocabulary, dict]:
+    """Read a checkpoint back.
 
-    With `expected_config`, stored model dimensions must match exactly. A
-    config-hash mismatch against `expected_hash` only warns. The payload is
-    read once: every parameter and Adam moment array is a view of it.
+    The header must list the arrays in the order `save_checkpoint` writes
+    them, with the shapes of the stored model configuration, and the file
+    must hold exactly their payload. With `expected_config`, stored model
+    dimensions must match exactly. A config-hash mismatch against
+    `expected_hash` only warns. The payload is read once, into one buffer:
+    the parameters' flat store and Adam's `m` and `v` are slices of it.
+    Without `with_optimizer`, only the parameter block is read and the
+    returned optimizer state is ``None``.
     """
     with Path(path).open("rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -370,35 +443,45 @@ def load_checkpoint(
             )
         if expected_hash is not None and header.get("config_hash") != expected_hash:
             warnings.warn(f"{path}: training-config hash differs from the expected one")
+        expected = _checkpoint_arrays(config)
+        stored = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        for i, ((name, shape), (want_name, want_shape)) in enumerate(zip(stored, expected)):
+            if name != want_name:
+                raise DataFormatError(
+                    f"{path}: checkpoint header 'arrays[{i}]' is '{name}', expected "
+                    f"'{want_name}': arrays must be in the order save_checkpoint writes"
+                )
+            if shape != want_shape:
+                raise DataFormatError(
+                    f"{path}: shape mismatch for '{name}': stored {shape}, expected {want_shape}"
+                )
+        if len(stored) != len(expected):
+            raise DataFormatError(
+                f"{path}: checkpoint header lists {len(stored)} arrays, expected {len(expected)}"
+            )
+        count = parameter_count(config)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        layout = []
-        offset = 0
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            if (offset + count) * 8 > payload_bytes:
-                raise DataFormatError(f"{path}: truncated payload at array '{entry['name']}'")
-            layout.append((entry["name"], shape, offset, count))
-            offset += count
-        if offset * 8 != payload_bytes:
-            raise DataFormatError(f"{path}: {payload_bytes - offset * 8} trailing payload bytes")
-        payload = np.fromfile(fh, dtype="<f8", count=offset)
-    arrays = {
-        name: payload[start : start + count].reshape(shape)
-        for name, shape, start, count in layout
-    }
-    param_arrays = {n: a for n, a in arrays.items() if not n.startswith("adam.")}
-    params = parameters_from_arrays(config, param_arrays)
-    named = params.named_parameters()
-    try:
+        if payload_bytes < 3 * count * 8:
+            raise DataFormatError(
+                f"{path}: truncated payload ({payload_bytes} bytes, expected {3 * count * 8})"
+            )
+        if payload_bytes > 3 * count * 8:
+            raise DataFormatError(f"{path}: {payload_bytes - 3 * count * 8} trailing payload bytes")
+        words = header["vocab"]["words"]
+        if len(words) != config.vocab_size:
+            raise DataFormatError(
+                f"{path}: checkpoint word list has {len(words)} words, but "
+                f"'model_config.vocab_size' is {config.vocab_size}"
+            )
+        try:
+            vocab = vocabulary_from_words(words, header["vocab"]["max_sentence_length"])
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: checkpoint word list: {exc}") from None
+        payload = np.fromfile(fh, dtype="<f8", count=3 * count if with_optimizer else count)
+    params = parameters_from_flat(config, payload[:count])
+    opt_state = None
+    if with_optimizer:
         opt_state = OptimizerState(
-            m={n: arrays[f"adam.m.{n}"] for n in named},
-            v={n: arrays[f"adam.v.{n}"] for n in named},
-            step=header["optimizer_step"],
+            m=payload[count : 2 * count], v=payload[2 * count :], step=header["optimizer_step"]
         )
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing optimizer array {exc}") from None
-    vocab = vocabulary_from_words(
-        header["vocab"]["words"], header["vocab"]["max_sentence_length"]
-    )
     return params, opt_state, vocab, header

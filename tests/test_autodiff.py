@@ -205,6 +205,29 @@ def test_fd_concat_stack_reshape_broadcast_take():
     )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    accumulated=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_take_gradient_is_bit_equal_to_a_dense_scatter(rows, cols, picks, accumulated, seed):
+    # the reference is the dense backward: scatter into a zero table, then add it
+    rng = np.random.default_rng(seed)
+    idx = [p % rows for p in picks]
+    x = Node(rng.normal(size=(rows, cols)))
+    prior = rng.normal(size=(rows, cols))
+    x.grad = prior.copy() if accumulated else None
+    upstream = rng.normal(size=(len(idx), cols))
+    backward(ad.sum(ad.mul(ad.take(x, idx), Node(upstream))))
+    dense = np.zeros((rows, cols))
+    np.add.at(dense, np.asarray(idx), upstream)
+    expected = prior + dense if accumulated else dense
+    assert x.grad.tobytes() == expected.tobytes()
+
+
 def test_fd_activations_and_reductions():
     assert fd_check(lambda a: ad.sum(ad.sigmoid(a)), (5,)) < FD_TOL
     assert fd_check(lambda a: ad.sum(ad.tanh(a)), (5,)) < FD_TOL

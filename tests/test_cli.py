@@ -194,24 +194,59 @@ def checkpoint_bytes(dataset, tmp_path_factory):
     return ckpt.read_bytes()
 
 
-@pytest.mark.parametrize("key", ["model_config", "arrays", "vocab", "optimizer_step"])
-def test_checkpoint_without_a_header_key_exits_with_data_error(
-    dataset, checkpoint_bytes, tmp_path, capsys, key
-):
+def apply_with_header_edit(dataset, checkpoint_bytes, tmp_path, edit):
+    """Exit code of `apply` on a checkpoint whose header `edit` changed, and its path."""
     magic, header, payload = checkpoint_bytes.split(b"\n", 2)
     fields = json.loads(header)
-    del fields[key]
+    edit(fields)
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
-    capsys.readouterr()
     code = main(
         ["apply", "--detections", str(dataset / "detections.tsv"),
          "--expressions", str(dataset / "expressions.tsv"),
          "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.tsv")]
     )
+    return code, ckpt
+
+
+@pytest.mark.parametrize("key", ["model_config", "arrays", "vocab", "optimizer_step"])
+def test_checkpoint_without_a_header_key_exits_with_data_error(
+    dataset, checkpoint_bytes, tmp_path, capsys, key
+):
+    capsys.readouterr()
+    code, ckpt = apply_with_header_edit(
+        dataset, checkpoint_bytes, tmp_path, lambda fields: fields.pop(key)
+    )
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert str(ckpt) in err and f"'{key}'" in err
+
+
+def test_reordered_checkpoint_arrays_exit_with_data_error(
+    dataset, checkpoint_bytes, tmp_path, capsys
+):
+    def swap_first_two(fields):
+        arrays = fields["arrays"]
+        arrays[0], arrays[1] = arrays[1], arrays[0]
+
+    capsys.readouterr()
+    code, ckpt = apply_with_header_edit(dataset, checkpoint_bytes, tmp_path, swap_first_two)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "order save_checkpoint writes" in err
+
+
+def test_malformed_checkpoint_word_list_exits_naming_the_file(
+    dataset, checkpoint_bytes, tmp_path, capsys
+):
+    def misspell_unk(fields):
+        fields["vocab"]["words"][1] = "<unk>"
+
+    capsys.readouterr()
+    code, ckpt = apply_with_header_edit(dataset, checkpoint_bytes, tmp_path, misspell_unk)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "word list" in err
 
 
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):

@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refnms import autodiff as ad
+from refnms import trainer
 from refnms.autodiff import Node
 from refnms.geometry import Box
 from refnms.ingest import (
@@ -19,10 +22,9 @@ from refnms.ingest import (
     build_vocabulary,
     encode_tokens,
 )
-from refnms.model import ModelConfig, init_parameters, relatedness_forward
+from refnms.model import ModelConfig, flat_views, init_parameters, relatedness_forward
 from refnms.objectives import assign_labels, binary_xe
 from refnms.trainer import (
-    OptimizerState,
     TrainConfig,
     TrainingExample,
     adam_step,
@@ -79,7 +81,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
     before = {n: node.value.copy() for n, node in named.items()}
     state = init_optimizer_state(params)
     params.zero_gradients()
-    adam_step(named, state, TrainConfig())
+    adam_step(params, state, TrainConfig())
     assert state.step == 1
     for n, node in named.items():
         np.testing.assert_array_equal(node.value, before[n])
@@ -89,15 +91,12 @@ def test_first_step_magnitude_is_the_learning_rate():
     # bias correction makes both moment estimates equal the gradient, so the
     # very first update is lr * g / (|g| + eps)
     params = tiny_model()
-    named = {"embeddings": params.embeddings}
-    state = OptimizerState(
-        m={"embeddings": np.zeros_like(params.embeddings.value)},
-        v={"embeddings": np.zeros_like(params.embeddings.value)},
-    )
+    state = init_optimizer_state(params)
     before = params.embeddings.value.copy()
-    params.embeddings.grad = np.ones_like(before)
+    params.zero_gradients()
+    params.embeddings.grad[...] = 1.0
     cfg = TrainConfig()
-    adam_step(named, state, cfg)
+    adam_step(params, state, cfg)
     delta = before - params.embeddings.value
     np.testing.assert_allclose(delta, cfg.lr_rest, rtol=1e-6)
 
@@ -109,9 +108,9 @@ def test_learning_rate_groups():
     before_head = params.feature_projection.value.copy()
     before_rest = params.fc_r_w.value.copy()
     for node in named.values():
-        node.grad = np.ones_like(node.value)
+        node.grad[...] = 1.0
     cfg = TrainConfig()
-    adam_step(named, state, cfg)
+    adam_step(params, state, cfg)
     head_delta = np.abs(before_head - params.feature_projection.value).mean()
     rest_delta = np.abs(before_rest - params.fc_r_w.value).mean()
     assert head_delta / rest_delta == pytest.approx(cfg.lr_head / cfg.lr_rest, rel=1e-6)
@@ -119,12 +118,11 @@ def test_learning_rate_groups():
 
 def test_non_finite_gradient_aborts_with_parameter_name():
     params = tiny_model()
-    named = params.named_parameters()
     state = init_optimizer_state(params)
     params.zero_gradients()
-    params.fc_r_b.grad = np.array([np.nan])
+    params.fc_r_b.grad[...] = np.nan
     with pytest.raises(FloatingPointError, match="fc_r.b"):
-        adam_step(named, state, TrainConfig())
+        adam_step(params, state, TrainConfig())
 
 
 def test_embedding_lr_override_can_freeze_embeddings():
@@ -133,11 +131,132 @@ def test_embedding_lr_override_can_freeze_embeddings():
     state = init_optimizer_state(params)
     before = params.embeddings.value.copy()
     for node in named.values():
-        node.grad = np.ones_like(node.value)
-    adam_step(named, state, TrainConfig(embedding_lr=0.0))
+        node.grad[...] = 1.0
+    adam_step(params, state, TrainConfig(embedding_lr=0.0))
     np.testing.assert_array_equal(params.embeddings.value, before)
     # everything else moved
     assert not np.array_equal(params.fc_r_w.value, tiny_model().fc_r_w.value)
+
+
+def reference_adam_step(named, m, v, step, cfg):
+    """The per-parameter Adam update that the flat store replaced: the oracle.
+
+    `m` and `v` map each name to its own moment array; a parameter whose
+    ``grad`` is ``None`` counts as zero gradient. Returns the new step count.
+    """
+    step += 1
+    bc1 = 1.0 - cfg.beta1**step
+    bc2 = 1.0 - cfg.beta2**step
+    size = max(node.value.size for node in named.values())
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for name, node in named.items():
+        g = node.grad if node.grad is not None else np.zeros_like(node.value)
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
+        a = scratch_a[: g.size].reshape(g.shape)
+        b = scratch_b[: g.size].reshape(g.shape)
+        m[name] *= cfg.beta1
+        m[name] += np.multiply(1.0 - cfg.beta1, g, out=a)
+        v[name] *= cfg.beta2
+        v[name] += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=a), g, out=a)
+        lr = trainer._learning_rate(name, cfg)
+        update = np.multiply(lr, np.divide(m[name], bc1, out=a), out=a)
+        denominator = np.add(np.sqrt(np.divide(v[name], bc2, out=b), out=b), cfg.eps, out=b)
+        node.value -= np.divide(update, denominator, out=a)
+    return step
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    chunk=st.integers(1, 70),
+    hidden=st.integers(1, 3),
+    steps=st.integers(1, 4),
+    embedding_lr=st.sampled_from([None, 0.0, 2e-2]),
+    silent=st.integers(0, 31),
+    seed=st.integers(0, 2**16),
+)
+def test_flat_adam_is_bit_equal_to_the_per_parameter_reference(
+    chunk, hidden, steps, embedding_lr, silent, seed
+):
+    # chunks of 1 to 70 floats cut every run of a 110-to-330-float store
+    # at many points; parameter `silent` gets no gradient on any step
+    rng = np.random.default_rng(seed)
+    params = tiny_model(seed=seed % 7, hidden=hidden)
+    named = params.named_parameters()
+    silent_name = list(named)[silent]
+    reference = {name: Node(node.value.copy()) for name, node in named.items()}
+    ref_m = {name: np.zeros(node.value.shape) for name, node in named.items()}
+    ref_v = {name: np.zeros(node.value.shape) for name, node in named.items()}
+    ref_step = 0
+    state = init_optimizer_state(params)
+    cfg = TrainConfig(embedding_lr=embedding_lr, lr_rest=1e-2, lr_head=3e-3)
+    for _ in range(steps):
+        params.zero_gradients()
+        for name, node in named.items():
+            if name == silent_name:
+                reference[name].grad = None
+                continue
+            node.grad[...] = rng.normal(scale=10.0 ** rng.integers(-4, 3), size=node.value.shape)
+            reference[name].grad = node.grad.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "ADAM_CHUNK", chunk)
+            adam_step(params, state, cfg)
+        ref_step = reference_adam_step(reference, ref_m, ref_v, ref_step, cfg)
+    assert state.step == ref_step == steps
+    m_views = flat_views(state.m, params.config)
+    v_views = flat_views(state.v, params.config)
+    for name, node in named.items():
+        assert same_bits(node.value, reference[name].value), name
+        assert same_bits(m_views[name], ref_m[name]), name
+        assert same_bits(v_views[name], ref_v[name]), name
+
+
+def test_a_gradient_that_is_not_its_flat_view_is_an_error():
+    params = tiny_model()
+    state = init_optimizer_state(params)
+    params.zero_gradients()
+    params.fc_r_w.grad = np.ones_like(params.fc_r_w.value)
+    with pytest.raises(ValueError, match="fc_r.w"):
+        adam_step(params, state, TrainConfig())
+
+
+def assert_views_of_the_flat_store(params, state):
+    """Every value, grad and Adam moment sits at its offset in its flat buffer."""
+    config = params.config
+    for buffer in (params.values, params.grads, state.m, state.v):
+        assert buffer.shape == params.values.shape and buffer.flags.c_contiguous
+    for (name, node), value, grad in zip(
+        params.named_parameters().items(),
+        flat_views(params.values, config).values(),
+        flat_views(params.grads, config).values(),
+    ):
+        for array, view in ((node.value, value), (node.grad, grad)):
+            assert array.shape == view.shape, name
+            assert array.ctypes.data == view.ctypes.data, name
+            assert np.shares_memory(array, view), name
+
+
+def test_every_array_is_a_view_of_its_flat_buffer(tmp_path):
+    params = tiny_model(seed=15)
+    state = init_optimizer_state(params)
+    assert_views_of_the_flat_store(params, state)
+    params.zero_gradients()
+    assert_views_of_the_flat_store(params, state)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, TrainConfig(), vocab_for(params))
+    loaded, loaded_state, _, _ = load_checkpoint(path)
+    assert_views_of_the_flat_store(loaded, loaded_state)
+    count = loaded.values.size
+    base = loaded.values.base
+    assert loaded_state.m.base is base and loaded_state.v.base is base
+    assert loaded_state.m.ctypes.data == loaded.values.ctypes.data + 8 * count
+    assert loaded_state.v.ctypes.data == loaded.values.ctypes.data + 16 * count
+    loaded.zero_gradients()
+    assert_views_of_the_flat_store(loaded, loaded_state)
 
 
 # training loop -----------------------------------------------------------------------
@@ -254,8 +373,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     params = tiny_model(seed=12)
     state = init_optimizer_state(params)
     state.step = 17
-    for name in state.m:
-        state.m[name] += 0.25
+    state.m += 0.25
     cfg = TrainConfig(seed=12)
     vocab = vocab_for(params)
     path = tmp_path / "model.ckpt"
@@ -266,9 +384,8 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     ):
         np.testing.assert_array_equal(a.value, b.value, err_msg=name)
     assert loaded_state.step == 17
-    for name in state.m:
-        np.testing.assert_array_equal(state.m[name], loaded_state.m[name])
-        np.testing.assert_array_equal(state.v[name], loaded_state.v[name])
+    np.testing.assert_array_equal(state.m, loaded_state.m)
+    np.testing.assert_array_equal(state.v, loaded_state.v)
     assert loaded_vocab.word_to_index == vocab.word_to_index
     assert header["epochs_completed"] == 3
     # identical save -> identical bytes
@@ -310,15 +427,14 @@ def test_checkpoint_detects_corruption(tmp_path):
 def test_checkpoint_loads_into_one_writable_buffer_and_saves_back_identically(tmp_path):
     params = tiny_model(seed=13)
     state = init_optimizer_state(params)
-    for name in state.m:
-        state.m[name] += 0.5
-        state.v[name] += 0.125
+    state.m += 0.5
+    state.v += 0.125
     cfg, vocab = TrainConfig(seed=13), vocab_for(params)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, state, cfg, vocab)
     loaded, loaded_state, _, _ = load_checkpoint(path)
     arrays = [p.value for p in loaded.named_parameters().values()]
-    arrays += list(loaded_state.m.values()) + list(loaded_state.v.values())
+    arrays += [loaded_state.m, loaded_state.v]
     assert len({id(a.base) for a in arrays}) == 1
     assert all(a.flags.writeable and a.flags.aligned for a in arrays)
     again = tmp_path / "again.ckpt"
@@ -333,14 +449,33 @@ def test_failed_save_leaves_the_previous_checkpoint_intact(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, state, cfg, vocab)
     before = path.read_bytes()
-    # the parameters are written first; the last Adam array cannot be converted
-    last = list(state.v)[-1]
-    state.v[last] = np.full(state.v[last].shape, "x")
+    # the parameters are written first; the last Adam block cannot be converted
+    state.v = np.full(state.v.shape, "x")
     params.embeddings.value += 1.0
     with pytest.raises(ValueError):
         save_checkpoint(path, params, state, cfg, vocab)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_parameters_only_load_skips_the_moments_but_checks_the_whole_file(tmp_path):
+    params = tiny_model(seed=16)
+    state = init_optimizer_state(params)
+    state.m += 0.5
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, TrainConfig(), vocab_for(params))
+    loaded, loaded_state, vocab, _ = load_checkpoint(path, with_optimizer=False)
+    assert loaded_state is None
+    assert same_bits(loaded.values, params.values)
+    assert loaded.values.base.size == params.values.size
+    assert vocab.word_to_index == vocab_for(params).word_to_index
+    raw = path.read_bytes()
+    (tmp_path / "truncated.ckpt").write_bytes(raw[:-8])
+    with pytest.raises(DataFormatError, match="truncated payload"):
+        load_checkpoint(tmp_path / "truncated.ckpt", with_optimizer=False)
+    (tmp_path / "trailing.ckpt").write_bytes(raw + b"\0" * 8)
+    with pytest.raises(DataFormatError, match="8 trailing"):
+        load_checkpoint(tmp_path / "trailing.ckpt", with_optimizer=False)
 
 
 def rewrite_header(path, edit):
@@ -388,6 +523,11 @@ MALFORMED_HEADERS = [
     (edited("vocab", "max_sentence_length"), "'vocab.max_sentence_length'"),
     (edited("optimizer_step", value="3"), "'optimizer_step' must be an integer"),
     (edited("optimizer_step", value=-1), "'optimizer_step' must be >= 0"),
+    (lambda header: {**header, "arrays": header["arrays"][::-1]}, "order save_checkpoint writes"),
+    (lambda header: {**header, "arrays": header["arrays"][:-1]}, "lists 95 arrays, expected 96"),
+    (edited("arrays", 0, "shape", value=[8, 4]), "shape mismatch for 'embeddings'"),
+    (edited("vocab", "words", value=["<pad>", "unk"]), "word list has 2 words"),
+    (edited("vocab", "words", 1, value="<unk>"), "word list: vocabulary word list must start"),
 ]
 
 
