@@ -17,10 +17,8 @@ import numpy as np
 from . import CHECKPOINT_VERSION, DETECTION_DUMP_VERSION, __version__
 from . import autodiff as ad
 from .evaluation import build_eval_set, recall_curve, write_report
-from .geometry import Box
 from .ingest import (
     DataFormatError,
-    DetectionRecord,
     ImageDetections,
     build_vocabulary,
     encode_tokens,
@@ -36,14 +34,7 @@ from .model import (
     init_parameters,
     relatedness_forward,
 )
-from .nms import (
-    NmsConfig,
-    ProposalBudget,
-    baseline_pipeline,
-    constant_relatedness_proposals,
-    fused_keep,
-    ref_nms_pipeline,
-)
+from .nms import NmsConfig, ProposalBudget, proposal_pipeline
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
 from .trainer import (
@@ -276,7 +267,7 @@ def _resolve_train_settings(args) -> tuple[TrainConfig, int, int]:
 
 def cmd_train(args) -> int:
     cfg, hidden_size, max_len = _resolve_train_settings(args)
-    dump = load_detection_dump(args.detections)
+    images, feature_dim = load_detection_dump(args.detections)
     expressions = [e for e in load_expressions(args.expressions) if e.split == "train"]
     if not expressions:
         raise ValueError("no training-split expressions found")
@@ -284,12 +275,12 @@ def cmd_train(args) -> int:
     table = load_embeddings(args.embeddings)
     regions_by_image = group_regions(load_regions(args.regions))
     dataset = build_training_set(
-        expressions, group_detections(dump), regions_by_image, table, vocab,
+        expressions, group_detections(images), regions_by_image, table, vocab,
         cfg.similarity_threshold,
     )
     model_cfg = ModelConfig(
         vocab_size=len(vocab),
-        feature_dim=dump.feature_dim,
+        feature_dim=feature_dim,
         embed_dim=table.dimension,
         hidden_size=hidden_size,
     )
@@ -332,8 +323,8 @@ def cmd_apply(args) -> int:
     modes = sum((args.checkpoint is not None, args.stub_relatedness is not None, args.baseline))
     if modes != 1:
         raise ValueError("choose exactly one of --checkpoint, --stub-relatedness, --baseline")
-    dump = load_detection_dump(args.detections)
-    by_image = group_detections(dump)
+    images, feature_dim = load_detection_dump(args.detections)
+    by_image = group_detections(images)
     expressions = load_expressions(args.expressions)
     if args.split:
         expressions = [e for e in expressions if e.split == args.split]
@@ -341,34 +332,34 @@ def cmd_apply(args) -> int:
     budget = _budget_from_flags(args)
     params = vocab = None
     if args.checkpoint is not None:
-        params, vocab = _load_model(args.checkpoint, dump.feature_dim, args.detections)
+        params, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
+    # without a model the keep list does not depend on the expression: NMS once per image
+    constant_relatedness = 1.0 if args.baseline else args.stub_relatedness
+    image_keeps = {}
     lines = []
-    baseline_keeps: dict[str, list] = {}
     for expr in expressions:
-        image = by_image.get(expr.image_id, ImageDetections(expr.image_id, ()))
-        if args.baseline:
-            # the confidence baseline ignores the expression: NMS once per image
-            if expr.image_id not in baseline_keeps:
-                baseline_keeps[expr.image_id] = baseline_pipeline(
-                    image, args.min_confidence, nms_cfg, budget
-                )
-            kept = baseline_keeps[expr.image_id]
-        elif args.stub_relatedness is not None:
-            proposals = constant_relatedness_proposals(
-                image, args.stub_relatedness, args.min_confidence
+        image = by_image.get(expr.image_id)
+        if image is None:
+            image = ImageDetections.empty(expr.image_id, feature_dim)
+        if params is not None:
+            kept = proposal_pipeline(
+                image, args.min_confidence, nms_cfg, budget,
+                params=params, token_indices=encode_tokens(expr.tokens, vocab),
             )
-            kept = fused_keep(proposals, nms_cfg, budget)
         else:
-            kept = ref_nms_pipeline(
-                image, encode_tokens(expr.tokens, vocab), params, args.min_confidence,
-                nms_cfg, budget,
-            )
-        for p in kept:
-            box = " ".join(repr(float(v)) for v in (p.box.x1, p.box.y1, p.box.x2, p.box.y2))
+            if expr.image_id not in image_keeps:
+                image_keeps[expr.image_id] = proposal_pipeline(
+                    image, args.min_confidence, nms_cfg, budget, relatedness=constant_relatedness
+                )
+            kept = image_keeps[expr.image_id]
+        for box, category_id, confidence, relatedness, fused in zip(
+            image.boxes[kept.rows].tolist(), image.category_ids[kept.rows].tolist(),
+            image.confidences[kept.rows].tolist(), kept.relatedness.tolist(),
+            kept.scores.tolist(),
+        ):
             lines.append(
-                f"{expr.expression_id}\t{box}\t{p.category_id}"
-                f"\t{repr(float(p.confidence))}\t{repr(float(p.relatedness))}"
-                f"\t{repr(float(p.fused))}"
+                f"{expr.expression_id}\t{' '.join(repr(float(v)) for v in box)}\t{category_id}"
+                f"\t{repr(float(confidence))}\t{repr(float(relatedness))}\t{repr(float(fused))}"
             )
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {len(lines)} proposals to {args.out}")
@@ -389,7 +380,7 @@ def _parse_budgets(text: str) -> list:
 
 
 def cmd_eval_recall(args) -> int:
-    dump = load_detection_dump(args.detections)
+    images, feature_dim = load_detection_dump(args.detections)
     expressions = [e for e in load_expressions(args.expressions) if e.split == args.split]
     if not expressions:
         raise ValueError(f"no expressions in split '{args.split}'")
@@ -399,9 +390,9 @@ def cmd_eval_recall(args) -> int:
     if args.method == "ref_nms":
         if args.checkpoint is None:
             raise ValueError("--method ref_nms requires --checkpoint")
-        params, vocab = _load_model(args.checkpoint, dump.feature_dim, args.detections)
+        params, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
     examples = build_eval_set(
-        expressions, group_detections(dump), regions_by_image, table,
+        expressions, group_detections(images), regions_by_image, table,
         args.similarity_threshold, vocab,
     )
     report = recall_curve(
@@ -433,26 +424,20 @@ def cmd_grad_check(args) -> int:
         hidden_size=args.hidden_size,
     )
     params = init_parameters(model_cfg, args.seed)
-    records = []
+    boxes, category_ids, confidences, features = [], [], [], []
     for _ in range(args.boxes):
         x1, y1 = rng.uniform(0, 50, size=2)
         w, h = rng.uniform(10, 40, size=2)
-        records.append(
-            DetectionRecord(
-                Box(x1, y1, x1 + w, y1 + h),
-                int(rng.integers(3)),
-                "object",
-                float(rng.uniform(0.1, 1.0)),
-                rng.normal(size=args.feature_dim),
-            )
-        )
-    image = ImageDetections("gradcheck", tuple(records))
+        boxes.append((x1, y1, x1 + w, y1 + h))
+        category_ids.append(int(rng.integers(3)))
+        confidences.append(float(rng.uniform(0.1, 1.0)))
+        features.append(rng.normal(size=args.feature_dim))
+    image = ImageDetections(
+        "gradcheck", boxes, confidences, category_ids, ("object",) * args.boxes, features
+    )
     indices = [int(i) for i in rng.integers(1, args.vocab_size, size=args.tokens)]
     # first box as foreground guarantees mixed labels
-    foreground = [records[0].box]
-    labels = [
-        lb.label for lb in assign_labels([r.box for r in records], foreground)
-    ]
+    labels = [lb.label for lb in assign_labels(image.boxes, image.boxes[:1])]
 
     def loss() -> ad.Node:
         _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)

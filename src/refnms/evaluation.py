@@ -2,8 +2,9 @@
 
 For every expression the retained proposals are checked against the
 annotated referent box (hit above 0.5 IoU) and against the pseudo
-ground-truth regions (region-side many-to-one matching). Results aggregate
-per proposal budget into a CSV-serializable report.
+ground-truth regions (region-side many-to-one matching). Hits come from one
+IoU matrix per expression, kept proposals against targets. Results
+aggregate per proposal budget into a CSV-serializable report.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .geometry import Box, hits
+import numpy as np
+
+from .geometry import Box, box_array, pairwise_iou
 from .ingest import (
     EmbeddingTable,
     ExpressionRecord,
@@ -23,8 +26,11 @@ from .ingest import (
     encode_tokens,
 )
 from .model import ModelParameters
-from .nms import NmsConfig, ProposalBudget, baseline_pipeline, ref_nms_pipeline, select_proposals
+from .nms import KeepList, NmsConfig, ProposalBudget, proposal_pipeline
 from .pseudo_gt import generate_pseudo_gt, pseudo_region_boxes
+
+# a proposal hits a target when their IoU is strictly above this
+HIT_IOU = 0.5
 
 METHODS = ("baseline_conf", "ref_nms")
 
@@ -75,23 +81,27 @@ class RecallReport:
     rows: dict[tuple[str, str, str], RecallRow] = field(default_factory=dict)
 
 
-def referent_hit(proposals: Iterable[Box], referent: Box) -> bool:
-    """True when any proposal overlaps the referent above 0.5 IoU."""
-    return any(hits(p, referent) for p in proposals)
+def first_hits(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each row of `targets`, the position of the first row of `proposals`
+    that hits it (IoU above `HIT_IOU`), or ``len(proposals)`` when none does."""
+    hit = pairwise_iou(proposals, targets) > HIT_IOU
+    # a row of hits after the last proposal stands for "none"
+    return np.vstack([hit, np.ones((1, len(targets)), dtype=bool)]).argmax(axis=0)
 
 
-def contextual_recall(proposals: Iterable[Box], pseudo_regions: Sequence[Box]) -> tuple[int, int]:
-    """(matched, total) over the pseudo regions.
+def referent_hit(proposals: np.ndarray, referent: np.ndarray) -> bool:
+    """True when any row of `proposals` (k, 4) hits the `referent` box (4,)."""
+    return bool(first_hits(proposals, referent.reshape(1, 4))[0] < len(proposals))
+
+
+def contextual_recall(proposals: np.ndarray, pseudo_regions: np.ndarray) -> tuple[int, int]:
+    """(matched, total) over the rows of `pseudo_regions` (m, 4).
 
     Matching is region-side many-to-one: one proposal may satisfy several
     regions, and each region counts at most once.
     """
-    proposals = list(proposals)
-    matched = 0
-    for region in pseudo_regions:
-        if any(hits(p, region) for p in proposals):
-            matched += 1
-    return matched, len(pseudo_regions)
+    first = first_hits(proposals, pseudo_regions.reshape(-1, 4))
+    return int(np.count_nonzero(first < len(proposals))), len(first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +129,9 @@ def build_eval_set(
     for expr in expressions:
         regions = regions_by_image.get(expr.image_id, ())
         pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold)
-        detections = detections_by_image.get(
-            expr.image_id, ImageDetections(expr.image_id, ())
-        )
+        detections = detections_by_image.get(expr.image_id)
+        if detections is None:
+            detections = ImageDetections.empty(expr.image_id)
         indices = tuple(encode_tokens(expr.tokens, vocab)) if vocab is not None else None
         examples.append(
             EvalExample(
@@ -167,14 +177,13 @@ def recall_curve(
     if len(splits) != 1:
         raise ValueError(f"recall_curve: examples span several splits {sorted(splits)}")
     split = splits.pop()
-    criterion = "confidence" if method == "baseline_conf" else "fused"
-    baseline_keeps: dict[ImageDetections, list] = {}
-    kept_lists = []
+    baseline_keeps: dict[ImageDetections, KeepList] = {}
+    found_at = []
     for ex in examples:
         if method == "baseline_conf":
             # the confidence baseline ignores the expression: NMS once per image
             if ex.detections not in baseline_keeps:
-                baseline_keeps[ex.detections] = baseline_pipeline(
+                baseline_keeps[ex.detections] = proposal_pipeline(
                     ex.detections, min_confidence, nms_cfg
                 )
             kept = baseline_keeps[ex.detections]
@@ -185,10 +194,15 @@ def recall_curve(
                 raise ValueError(
                     f"recall_curve: example {ex.expression_id} lacks token indices"
                 )
-            kept = ref_nms_pipeline(
-                ex.detections, ex.token_indices, params, min_confidence, nms_cfg
+            kept = proposal_pipeline(
+                ex.detections, min_confidence, nms_cfg,
+                params=params, token_indices=ex.token_indices,
             )
-        kept_lists.append(kept)
+        # a budget keeps a prefix of the keep list: target j is found within
+        # the first k proposals exactly when first[j] < k
+        targets = box_array((ex.referent, *ex.pseudo_boxes))
+        first = first_hits(ex.detections.boxes[kept.rows], targets).tolist()
+        found_at.append((kept.scores, first[0], first[1:]))
     if report is None:
         report = RecallReport()
     for budget in budgets:
@@ -197,14 +211,11 @@ def recall_curve(
         else:
             selector = ProposalBudget.top_n(int(budget))
         ref_hits = ctx_matched = ctx_total = 0
-        for ex, kept in zip(examples, kept_lists):
-            boxes = [p.box for p in select_proposals(kept, selector, criterion)]
-            if referent_hit(boxes, ex.referent):
-                ref_hits += 1
-            if ex.pseudo_boxes:
-                matched, total = contextual_recall(boxes, ex.pseudo_boxes)
-                ctx_matched += matched
-                ctx_total += total
+        for scores, referent_at, pseudo_at in found_at:
+            k = selector.count(scores)
+            ref_hits += referent_at < k
+            ctx_matched += sum(at < k for at in pseudo_at)
+            ctx_total += len(pseudo_at)
         report.rows[(split, method, budget_label(budget))] = RecallRow(
             ref_hits, len(examples), ctx_matched, ctx_total
         )

@@ -1,9 +1,9 @@
-"""Axis-aligned bounding-box arithmetic: IoU, hit tests, best-overlap lookup."""
+"""Axis-aligned bounding-box arithmetic: IoU of two boxes, and of two box arrays."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,20 +68,3 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = (area_a[:, None] + area_b) - inter
     overlapping = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
-
-
-def hits(candidate: Box, target: Box, threshold: float = 0.5) -> bool:
-    """True when the candidate overlaps the target strictly above `threshold` IoU."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"hit threshold must lie in (0, 1), got {threshold}")
-    return iou(candidate, target) > threshold
-
-
-def max_iou_against(candidate: Box, targets: Iterable[Box]) -> float:
-    """Largest IoU between `candidate` and any box in `targets`; 0.0 when empty."""
-    best = 0.0
-    for t in targets:
-        v = iou(candidate, t)
-        if v > best:
-            best = v
-    return best

@@ -16,12 +16,24 @@ ground-truth regions
 embeddings
     GloVe text format, ``word f1 ... fD`` with a constant dimension.
 
+In memory, a detection dump is one `ImageDetections` per image, held as
+columns: ``boxes`` (n, 4), ``confidences`` (n,), ``category_ids`` (n,),
+``category_names`` and ``features`` (n, D). Row i of every column is the
+image's i-th detection in file order, and the rest of the program refers to
+detections by row index. The dump is read in blocks of about `BLOCK_CHARS`
+characters of whole lines; each numeric column of a block is converted in
+one numpy call, with the values of Python's ``float()``. A block that fails
+any check is parsed again line by line, so an error names its ``file:line``.
+
+Non-finite numbers (nan, inf) are rejected in every file.
+
 Vocabularies keep words seen at least twice in the training expressions,
 reserve index 0 for padding and a dedicated "unk" index for everything else.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from collections import Counter
@@ -38,34 +50,59 @@ SPLITS = frozenset({"train", "val", "testA", "testB", "test"})
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "unk"
 
+# characters of whole lines per block of a detection dump: bounds the text a
+# block holds while amortising numpy's per-call cost (~45 lines at D=2048)
+BLOCK_CHARS = 1 << 20
+
 
 class DataFormatError(ValueError):
     """A file violated its declared on-disk format or schema."""
 
 
 @dataclass(frozen=True, eq=False)
-class DetectionRecord:
-    """One detected box with its classification confidence and region feature."""
-
-    box: Box
-    category_id: int
-    category_name: str
-    confidence: float
-    feature: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
-
-@dataclass(frozen=True, eq=False)
 class ImageDetections:
+    """One image's detections as columns; row i of each column is detection i.
+
+    ``boxes`` is (n, 4) float64 (x1, y1, x2, y2), ``confidences`` (n,)
+    float64 in [0, 1], ``category_ids`` (n,) int64, ``category_names`` n
+    strings and ``features`` (n, D) float64. Array-likes are converted.
+    """
+
     image_id: str
-    records: tuple[DetectionRecord, ...]
+    boxes: np.ndarray
+    confidences: np.ndarray
+    category_ids: np.ndarray
+    category_names: tuple[str, ...]
+    features: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.image_id:
             raise ValueError("image_id must be non-empty")
+        columns = {
+            "boxes": np.asarray(self.boxes, dtype=np.float64),
+            "confidences": np.asarray(self.confidences, dtype=np.float64),
+            "category_ids": np.asarray(self.category_ids, dtype=np.int64),
+            "category_names": tuple(self.category_names),
+            "features": np.asarray(self.features, dtype=np.float64),
+        }
+        n = len(columns["confidences"])
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+            if len(value) != n:
+                raise ValueError(f"image {self.image_id}: {len(value)} {name} for {n} detections")
+        if self.boxes.shape != (n, 4) or self.features.ndim != 2 or self.confidences.ndim != 1:
+            raise ValueError(
+                f"image {self.image_id}: boxes {self.boxes.shape}, features "
+                f"{self.features.shape}, confidences {self.confidences.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.confidences)
+
+    @classmethod
+    def empty(cls, image_id: str, feature_dim: int = 0) -> "ImageDetections":
+        return cls(image_id, np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64), (),
+                   np.zeros((0, feature_dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,100 +156,215 @@ class EmbeddingTable:
         return len(self.entries)
 
 
-class DetectionDump(list):
-    """Sequence of :class:`ImageDetections` that remembers its feature dimension."""
-
-    def __init__(self, images: Iterable[ImageDetections], feature_dim: int):
-        super().__init__(images)
-        self.feature_dim = feature_dim
-
-
 def _parse_box(field: str, path, lineno: int) -> Box:
     parts = field.split()
     if len(parts) != 4:
         raise DataFormatError(f"{path}:{lineno}: expected 4 box coordinates, got {len(parts)}")
     try:
-        x1, y1, x2, y2 = (float(p) for p in parts)
-        return Box(x1, y1, x2, y2)
+        coords = [float(p) for p in parts]
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("non-finite coordinate")
+        return Box(*coords)
     except ValueError as exc:
         raise DataFormatError(f"{path}:{lineno}: bad box '{field}' ({exc})") from None
 
 
-def load_detection_dump(path) -> DetectionDump:
-    """Parse a detection dump, grouping records by image in file order."""
+def _parse_detection_line(line: str, dim: int, path, lineno: int) -> tuple:
+    """(image_id, box, category_id, category_name, confidence, feature) of one dump line."""
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 6:
+        raise DataFormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+    image_id, box_field, cat_id, cat_name, conf_field, feat_field = fields
+    if not image_id:
+        raise DataFormatError(f"{path}:{lineno}: empty image_id")
+    box = _parse_box(box_field, path, lineno)
+    try:
+        category_id = int(cat_id)
+        confidence = float(conf_field)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    if not -(2**63) <= category_id < 2**63:
+        raise DataFormatError(f"{path}:{lineno}: category id {category_id} out of int64 range")
+    if not 0.0 <= confidence <= 1.0:
+        raise DataFormatError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")
+    try:
+        feature = np.array([float(t) for t in feat_field.split()], dtype=np.float64)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: bad feature value ({exc})") from None
+    if feature.shape != (dim,):
+        raise DataFormatError(
+            f"{path}:{lineno}: feature has {feature.size} values, header declares {dim}"
+        )
+    if not np.isfinite(feature).all():
+        raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
+    return image_id, (box.x1, box.y1, box.x2, box.y2), category_id, cat_name, confidence, feature
+
+
+def _parse_lines(lines: Sequence[str], dim: int, path, first_lineno: int) -> tuple:
+    """The columns of a block, one line at a time; raises at the first bad line."""
+    rows = [
+        _parse_detection_line(line, dim, path, lineno)
+        for lineno, line in enumerate(lines, start=first_lineno)
+    ]
+    image_ids, boxes, category_ids, names, confidences, features = zip(*rows)
+    return (
+        list(image_ids),
+        np.array(boxes, dtype=np.float64),
+        np.array(category_ids, dtype=np.int64),
+        list(names),
+        np.array(confidences, dtype=np.float64),
+        np.array(features, dtype=np.float64).reshape(len(rows), dim),
+    )
+
+
+def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
+    """(len(fields), width) float64: each field is `width` numbers separated by
+    single spaces. Raises ValueError on any other layout or a bad number."""
+    if width == 0:
+        if any(map(str.strip, fields)):
+            raise ValueError("values where none are declared")
+        return np.zeros((len(fields), 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fields, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except UserWarning as exc:  # numpy skips empty rows, and warns when none is left
+            raise ValueError(str(exc)) from None
+    if rows.shape != (len(fields), width):
+        raise ValueError(f"{rows.shape} values, expected {(len(fields), width)}")
+    return rows
+
+
+def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tuple:
+    """(image_ids, boxes, category_ids, category_names, confidences, features)
+    of a block of dump lines, with one numpy conversion per numeric column.
+
+    numpy's text reader converts each number of a box or feature with the
+    parser behind Python's ``float()``, so values are bit-identical to
+    `_parse_lines`. That slow path takes any block that breaks the canonical
+    layout (single spaces between numbers, no padding) or fails a check, and
+    raises the error of its first bad line.
+    """
+    fields = [line.rstrip("\n").split("\t") for line in lines]
+    try:
+        if set(map(len, fields)) != {6}:
+            raise ValueError("field count")
+        image_ids, box_fields, cat_fields, names, conf_fields, feat_fields = zip(*fields)
+        boxes = _float_rows(box_fields, 4)
+        category_ids = np.array(list(map(int, cat_fields)), dtype=np.int64)
+        confidences = np.array(conf_fields, dtype=np.float64)  # float() of each field
+        features = _float_rows(feat_fields, dim)
+        valid = (
+            all(image_ids)
+            and np.isfinite(boxes).all()
+            and np.isfinite(features).all()
+            and ((confidences >= 0.0) & (confidences <= 1.0)).all()
+            and (boxes[:, 2] >= boxes[:, 0]).all()
+            and (boxes[:, 3] >= boxes[:, 1]).all()
+        )
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        return _parse_lines(lines, dim, path, first_lineno)
+    return list(image_ids), boxes, category_ids, list(names), confidences, features
+
+
+def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
+    """Parse a detection dump into (images in first-seen order, feature dimension).
+
+    The file is read in blocks of whole lines (`BLOCK_CHARS`), never at once.
+    An image's rows keep their file order, whether or not its lines are
+    contiguous in the file.
+    """
     path = Path(path)
+    # per column, its part from each block
+    parts: tuple[list, ...] = ([], [], [], [], [], [])
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = DUMP_HEADER_RE.match(header)
         if m is None:
             raise DataFormatError(f"{path}:1: bad dump header '{header}'")
         dim = int(m.group(1))
-        grouped: dict[str, list[DetectionRecord]] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise DataFormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-            image_id, box_field, cat_id, cat_name, conf_field, feat_field = fields
-            if not image_id:
-                raise DataFormatError(f"{path}:{lineno}: empty image_id")
-            box = _parse_box(box_field, path, lineno)
-            try:
-                category_id = int(cat_id)
-                confidence = float(conf_field)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if not 0.0 <= confidence <= 1.0:
-                raise DataFormatError(
-                    f"{path}:{lineno}: confidence {confidence} outside [0, 1]"
-                )
-            try:
-                feature = np.array([float(t) for t in feat_field.split()], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad feature value ({exc})") from None
-            if feature.shape != (dim,):
-                raise DataFormatError(
-                    f"{path}:{lineno}: feature has {feature.size} values, header declares {dim}"
-                )
-            feature.setflags(write=False)
-            grouped.setdefault(image_id, []).append(
-                DetectionRecord(box, category_id, cat_name, confidence, feature)
-            )
-    images = [ImageDetections(i, tuple(recs)) for i, recs in grouped.items()]
-    return DetectionDump(images, dim)
+        lineno = 2
+        while lines := fh.readlines(BLOCK_CHARS):
+            for column, part in zip(parts, _parse_block(lines, dim, path, lineno)):
+                column.append(part)
+            lineno += len(lines)
+    if not parts[0]:
+        return [], dim
+    image_ids, names = ([x for part in parts[k] for x in part] for k in (0, 3))
+    boxes, category_ids, confidences, features = (_stacked(parts[k]) for k in (1, 2, 4, 5))
+    codes: dict[str, int] = {}
+    image_of_row = np.array([codes.setdefault(i, len(codes)) for i in image_ids])
+    if (np.diff(image_of_row) < 0).any():
+        # interleaved images: group the rows, in file order within an image
+        order = np.argsort(image_of_row, kind="stable")
+        boxes, category_ids, confidences, features = (
+            column[order] for column in (boxes, category_ids, confidences, features)
+        )
+        names = [names[i] for i in order.tolist()]
+    for column in (boxes, category_ids, confidences, features):
+        column.setflags(write=False)
+    bounds = np.cumsum(np.bincount(image_of_row)).tolist()
+    return [
+        ImageDetections(
+            image_id, boxes[start:stop], confidences[start:stop], category_ids[start:stop],
+            tuple(names[start:stop]), features[start:stop],
+        )
+        for image_id, start, stop in zip(codes, [0, *bounds], bounds)
+    ], dim
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    """The blocks' `parts` of a column as one array. Each part is released once
+    copied, so the column is never held twice."""
+    if len(parts) == 1:
+        return parts.pop()
+    out = np.empty((sum(map(len, parts)), *parts[0].shape[1:]), dtype=parts[0].dtype)
+    start = 0
+    for i, part in enumerate(parts):
+        out[start : start + len(part)] = part
+        start += len(part)
+        parts[i] = None
+    return out
 
 
 def write_detection_dump(path, images: Sequence[ImageDetections], feature_dim: int | None = None) -> None:
-    if feature_dim is None:
-        feature_dim = getattr(images, "feature_dim", None)
+    """Write `images` as a detection dump; every float is written as its ``repr``."""
     if feature_dim is None:
         for img in images:
-            if img.records:
-                feature_dim = img.records[0].feature.size
+            if len(img):
+                feature_dim = img.features.shape[1]
                 break
     if feature_dim is None:
         raise ValueError("write_detection_dump: feature_dim required for an empty dump")
     lines = [f"#refnms-dets v1 feature_dim={feature_dim}"]
     for img in images:
-        for rec in img.records:
-            feats = " ".join(repr(float(v)) for v in rec.feature)
+        for box, category_id, name, confidence, feature in zip(
+            img.boxes.tolist(), img.category_ids.tolist(), img.category_names,
+            img.confidences.tolist(), img.features.tolist(),
+        ):
             lines.append(
                 "\t".join(
                     (
                         img.image_id,
-                        _format_box(rec.box),
-                        str(rec.category_id),
-                        rec.category_name,
-                        repr(float(rec.confidence)),
-                        feats,
+                        _format_floats(box),
+                        str(category_id),
+                        name,
+                        repr(confidence),
+                        _format_floats(feature),
                     )
                 )
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _format_floats(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
+
+
 def _format_box(box: Box) -> str:
-    return " ".join(repr(float(v)) for v in (box.x1, box.y1, box.x2, box.y2))
+    return _format_floats((box.x1, box.y1, box.x2, box.y2))
 
 
 def load_expressions(path) -> list[ExpressionRecord]:
@@ -295,6 +447,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 vec = np.array([float(t) for t in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad embedding value ({exc})") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite embedding value")
             if dim is None:
                 dim = vec.size
                 if dim == 0:

@@ -19,15 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GruParams, Node, init_gru_params
-from .geometry import Box
-from .ingest import (
-    DataFormatError,
-    DetectionRecord,
-    EmbeddingTable,
-    ImageDetections,
-    PAD_TOKEN,
-    Vocabulary,
-)
+from .ingest import DataFormatError, EmbeddingTable, ImageDetections, PAD_TOKEN, Vocabulary
 
 DEFAULT_MIN_CONFIDENCE = 0.05
 
@@ -119,17 +111,6 @@ class ModelParameters:
         """Zero the flat gradient buffer and point every ``grad`` at its view."""
         self.grads.fill(0.0)
         self._point_gradients()
-
-    def with_swapped_directions(self) -> "ModelParameters":
-        """A copy, in its own flat store, with the two GRU directions exchanged."""
-        swap = {"gru_fwd": "gru_bwd", "gru_bwd": "gru_fwd"}
-        values = self.values.copy()
-        source = flat_views(self.values, self.config)
-        for name, view in flat_views(values, self.config).items():
-            prefix, _, rest = name.partition(".")
-            if prefix in swap:
-                view[...] = source[f"{swap[prefix]}.{rest}"]
-        return parameters_from_flat(self.config, values)
 
 
 def init_parameters(
@@ -241,17 +222,6 @@ def parameters_from_flat(config: ModelConfig, values: np.ndarray) -> ModelParame
     )
 
 
-@dataclass(frozen=True)
-class ScoredProposal:
-    """A detection with its relatedness and fused suppression score."""
-
-    box: Box
-    category_id: int
-    confidence: float
-    relatedness: float
-    fused: float
-
-
 def encode_expression(indices: Sequence[int], params: ModelParameters) -> Node:
     """Word features for a token-index sequence, shape (n_words, 2 * hidden).
 
@@ -306,18 +276,18 @@ def relatedness_forward(
     indices: Sequence[int],
     params: ModelParameters,
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> tuple[list[DetectionRecord], Node | None]:
+) -> tuple[np.ndarray, Node | None]:
     """Score every detection with confidence >= `min_confidence`.
 
-    Returns the surviving records (input order) and their relatedness scores
-    as one graph node of shape (n_survivors,), or ``None`` when nothing
-    survives the confidence filter.
+    Returns the surviving rows of the image (ascending) and their relatedness
+    scores as one graph node of shape (n_survivors,), or ``None`` when
+    nothing survives the confidence filter.
     """
-    survivors = [r for r in image.records if r.confidence >= min_confidence]
-    if not survivors:
-        return [], None
-    features = np.stack([r.feature for r in survivors])
-    return survivors, forward(features, encode_expression(indices, params), params)["score"]
+    survivors = np.flatnonzero(image.confidences >= min_confidence)
+    if survivors.size == 0:
+        return survivors, None
+    words = encode_expression(indices, params)
+    return survivors, forward(image.features[survivors], words, params)["score"]
 
 
 def score_boxes(
@@ -325,13 +295,9 @@ def score_boxes(
     indices: Sequence[int],
     params: ModelParameters,
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> list[ScoredProposal]:
-    """Confidence-filter and score an image's detections for one expression."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The surviving rows of an image and their relatedness to one expression."""
     survivors, score_node = relatedness_forward(image, indices, params, min_confidence)
     if score_node is None:
-        return []
-    out = []
-    for rec, r in zip(survivors, score_node.value):
-        r = float(r)
-        out.append(ScoredProposal(rec.box, rec.category_id, rec.confidence, r, r * rec.confidence))
-    return out
+        return survivors, np.zeros(0)
+    return survivors, score_node.value

@@ -1,42 +1,33 @@
-"""Greedy NMS with a pluggable suppression criterion, plus proposal budgets.
+"""Greedy NMS on a fused score, proposal budgets, and the one proposal pipeline.
 
-The baseline pipeline suppresses on detection confidence alone; the
-expression-aware pipeline suppresses on the fused relatedness-times-
-confidence score. Both share the same greedy procedure, per-class by
-default, with deterministic index tie-breaking; it runs as one vectorised
-pass per call.
+Every method suppresses on the fused score, relatedness times detection
+confidence. The expression-aware method takes relatedness from the model;
+the confidence baseline gives every box relatedness 1.0, so its fused score
+is its confidence. NMS is greedy, per-class by default, with deterministic
+index tie-breaking, and runs as one vectorised pass per call. Detections are
+referred to by their row in the image's columns throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, box_array, pairwise_iou
+from .geometry import pairwise_iou
 from .ingest import ImageDetections
-from .model import (
-    DEFAULT_MIN_CONFIDENCE,
-    ModelParameters,
-    ScoredProposal,
-    score_boxes,
-)
-
-CRITERIA = ("confidence", "fused")
+from .model import DEFAULT_MIN_CONFIDENCE, ModelParameters, score_boxes
 
 
 @dataclass(frozen=True)
 class NmsConfig:
     iou_threshold: float = 0.3
     per_class: bool = True
-    criterion: str = "confidence"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError(f"iou_threshold must lie in (0, 1), got {self.iou_threshold}")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got '{self.criterion}'")
 
 
 @dataclass(frozen=True)
@@ -60,13 +51,32 @@ class ProposalBudget:
     def threshold(cls, min_score: float) -> "ProposalBudget":
         return cls(min_score=min_score)
 
+    def count(self, scores: np.ndarray) -> int:
+        """How many leading entries of a keep list with these `scores` the budget keeps.
 
-def criterion_score(p: ScoredProposal, criterion: str) -> float:
-    if criterion == "confidence":
-        return p.confidence
-    if criterion == "fused":
-        return p.fused
-    raise ValueError(f"unknown criterion '{criterion}'")
+        A keep list is ordered by descending score, so both the best `n` and
+        every score at or above the floor are a prefix of it.
+        """
+        if self.n is not None:
+            return min(self.n, len(scores))
+        return int(np.count_nonzero(scores >= self.min_score))
+
+
+@dataclass(frozen=True)
+class KeepList:
+    """The detections kept for one expression, best first.
+
+    ``rows`` index the image's columns; ``scores`` are their fused scores
+    (descending, ties in ascending row order) and ``relatedness`` their
+    relatedness, so ``scores == relatedness * confidences[rows]``.
+    """
+
+    rows: np.ndarray
+    scores: np.ndarray
+    relatedness: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 # Rows of boxes whose IoUs one step computes: a (32, n) block stays small at
@@ -74,135 +84,65 @@ def criterion_score(p: ScoredProposal, criterion: str) -> float:
 _BLOCK_ROWS = 32
 
 
-def _greedy_keep(
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    categories: np.ndarray | None,
-    iou_threshold: float,
-) -> list[int]:
-    """Indices of the rows of `boxes` kept by one greedy pass, in visit order.
+def per_class_nms(
+    boxes: np.ndarray, scores: np.ndarray, category_ids: np.ndarray, cfg: NmsConfig
+) -> np.ndarray:
+    """Rows of `boxes` (n, 4) kept by greedy NMS on `scores`, in visit order.
 
-    Rows are visited in descending score with ties broken by ascending row
-    index; each kept row suppresses every later row overlapping it with IoU
-    strictly above `iou_threshold` (and, given `categories`, of its own
-    category). IoUs are computed for a block of rows still alive at a time,
-    against the rows from the block on, so no n x n matrix is ever built.
+    Rows are visited in descending score with ties broken by ascending row;
+    each kept row suppresses every later row overlapping it with IoU
+    strictly above ``cfg.iou_threshold`` and, with ``cfg.per_class``, of its
+    own `category_ids`. One pass serves every category. IoUs are computed
+    for a block of rows still alive at a time, against the rows from the
+    block on, so no n x n matrix is ever built.
     """
     order = np.argsort(-scores, kind="stable")
     boxes = boxes[order]
-    if categories is not None:
-        categories = categories[order]
+    categories = category_ids[order] if cfg.per_class else None
     n = len(order)
     position = np.arange(n)
     alive = np.ones(n, dtype=bool)
     for start in range(0, n, _BLOCK_ROWS):
         rows = start + np.flatnonzero(alive[start : start + _BLOCK_ROWS])
-        survives = pairwise_iou(boxes[rows], boxes[start:]) <= iou_threshold
+        survives = pairwise_iou(boxes[rows], boxes[start:]) <= cfg.iou_threshold
         survives |= position[start:] <= rows[:, None]
         if categories is not None:
             survives |= categories[rows, None] != categories[start:]
         for r, i in enumerate(rows.tolist()):
             if alive[i]:
                 alive[start:] &= survives[r]
-    return order[alive].tolist()
+    return order[alive]
 
 
-def greedy_nms(items: Sequence[tuple[Box, float]], iou_threshold: float) -> list[int]:
-    """Indices kept by greedy suppression, in keep order.
-
-    Boxes are visited in descending score with ties broken by ascending input
-    index; each kept box suppresses every remaining box overlapping it with
-    IoU strictly above `iou_threshold`.
-    """
-    scores = np.array([score for _, score in items], dtype=np.float64)
-    return _greedy_keep(box_array([box for box, _ in items]), scores, None, iou_threshold)
+def select_proposals(kept: KeepList, budget: ProposalBudget) -> KeepList:
+    """Apply a proposal budget to a keep list: a prefix of it."""
+    k = budget.count(kept.scores)
+    return KeepList(kept.rows[:k], kept.scores[:k], kept.relatedness[:k])
 
 
-def per_class_nms(proposals: Sequence[ScoredProposal], cfg: NmsConfig) -> list[ScoredProposal]:
-    """Run greedy NMS per category (or one pool) on the configured criterion.
-
-    One pass serves every category: a box only suppresses boxes of its own
-    category. The output is ordered by descending criterion score, ties
-    broken by ascending position in the input.
-    """
-    scores = np.array([criterion_score(p, cfg.criterion) for p in proposals], dtype=np.float64)
-    categories = None
-    if cfg.per_class:
-        codes: dict[object, int] = {}
-        categories = np.array(
-            [codes.setdefault(p.category_id, len(codes)) for p in proposals], dtype=np.intp
-        )
-    kept = _greedy_keep(
-        box_array([p.box for p in proposals]), scores, categories, cfg.iou_threshold
-    )
-    return [proposals[i] for i in kept]
-
-
-def select_proposals(
-    kept: Sequence[ScoredProposal],
-    budget: ProposalBudget,
-    criterion: str = "fused",
-) -> list[ScoredProposal]:
-    """Apply a proposal budget to an NMS keep list."""
-    if budget.n is not None:
-        ranked = sorted(
-            range(len(kept)), key=lambda i: (-criterion_score(kept[i], criterion), i)
-        )
-        return [kept[i] for i in ranked[: budget.n]]
-    return [p for p in kept if criterion_score(p, criterion) >= budget.min_score]
-
-
-def constant_relatedness_proposals(
-    image: ImageDetections,
-    relatedness: float,
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> list[ScoredProposal]:
-    """Confidence-filtered proposals with a constant relatedness stub."""
-    return [
-        ScoredProposal(
-            r.box, r.category_id, r.confidence, relatedness, relatedness * r.confidence
-        )
-        for r in image.records
-        if r.confidence >= min_confidence
-    ]
-
-
-def fused_keep(
-    proposals: Sequence[ScoredProposal], nms_cfg: NmsConfig, budget: ProposalBudget | None = None
-) -> list[ScoredProposal]:
-    """NMS on the fused score, then the optional budget."""
-    kept = per_class_nms(proposals, replace(nms_cfg, criterion="fused"))
-    if budget is None:
-        return kept
-    return select_proposals(kept, budget, "fused")
-
-
-def ref_nms_pipeline(
-    image: ImageDetections,
-    indices: Sequence[int],
-    params: ModelParameters,
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-    nms_cfg: NmsConfig = NmsConfig(),
-    budget: ProposalBudget | None = None,
-) -> list[ScoredProposal]:
-    """Expression-aware pipeline: score, suppress on the fused score, budget."""
-    return fused_keep(score_boxes(image, indices, params, min_confidence), nms_cfg, budget)
-
-
-def baseline_pipeline(
+def proposal_pipeline(
     image: ImageDetections,
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
     nms_cfg: NmsConfig = NmsConfig(),
     budget: ProposalBudget | None = None,
-) -> list[ScoredProposal]:
-    """Expression-agnostic pipeline: suppress and budget on confidence alone.
+    *,
+    params: ModelParameters | None = None,
+    token_indices: Sequence[int] = (),
+    relatedness: float = 1.0,
+) -> KeepList:
+    """Confidence filter, relatedness, NMS on the fused score, then the budget.
 
-    Proposals carry relatedness 1.0 so the fused score degenerates to the
-    confidence; the same confidence filter as the expression-aware pipeline
-    keeps the two comparable.
+    With `params`, relatedness comes from the model for the expression's
+    `token_indices`. Without, every box gets the constant `relatedness`; the
+    default 1.0 makes the fused score the confidence, which is the
+    expression-agnostic baseline.
     """
-    proposals = constant_relatedness_proposals(image, 1.0, min_confidence)
-    kept = per_class_nms(proposals, replace(nms_cfg, criterion="confidence"))
-    if budget is None:
-        return kept
-    return select_proposals(kept, budget, "confidence")
+    if params is not None:
+        rows, related = score_boxes(image, token_indices, params, min_confidence)
+    else:
+        rows = np.flatnonzero(image.confidences >= min_confidence)
+        related = np.full(len(rows), float(relatedness))
+    fused = related * image.confidences[rows]
+    kept = per_class_nms(image.boxes[rows], fused, image.category_ids[rows], nms_cfg)
+    keep = KeepList(rows[kept], fused[kept], related[kept])
+    return keep if budget is None else select_proposals(keep, budget)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .geometry import Box, max_iou_against
+from .geometry import pairwise_iou
 
 # Bin edges for overlap quantization: bin k collects overlaps in
 # (0.5 + 0.1*(k-1), 0.5 + 0.1*k], i.e. ceil(max(0, overlap - 0.5) / 0.1).
@@ -61,17 +61,20 @@ class RankingConfig:
             raise ValueError(f"max_negatives must be >= 1, got {self.max_negatives}")
 
 
-def assign_labels(boxes: Sequence[Box], foreground: Sequence[Box]) -> list[LabeledBox]:
-    """Label each box by its best IoU against the foreground set.
+def assign_labels(boxes: np.ndarray, foreground: np.ndarray) -> list[LabeledBox]:
+    """Label each row of `boxes` (n, 4) by its best IoU against the rows of
+    `foreground` (m, 4); the best overlap of a box with no foreground is 0.
 
     label is 1 exactly when the overlap exceeds 0.5 (strictly), which is also
     when the overlap bin is nonzero.
     """
-    out = []
-    for i, box in enumerate(boxes):
-        rho = max_iou_against(box, foreground)
-        out.append(LabeledBox(i, rho, 1 if rho > 0.5 else 0, overlap_bin(rho)))
-    return out
+    overlaps = pairwise_iou(boxes, foreground).max(axis=1, initial=0.0)
+    # `overlap_bin` for every box: the number of edges strictly below it
+    bins = (overlaps[:, None] > np.array(OVERLAP_BIN_EDGES)).sum(axis=1)
+    return [
+        LabeledBox(i, rho, 1 if rho > 0.5 else 0, b)
+        for i, (rho, b) in enumerate(zip(overlaps.tolist(), bins.tolist()))
+    ]
 
 
 def binary_xe(scores: Node, labels) -> Node:
@@ -109,13 +112,19 @@ def sample_pairs(
         raise ValueError(
             f"sample_pairs: {predicted.shape} scores for {len(labeled)} labeled boxes"
         )
+    index = np.array([lb.index for lb in labeled], dtype=np.intp)
+    bins = np.array([lb.bin for lb in labeled], dtype=np.intp)
+    # every box once, by descending score, ties by ascending index, then by position
+    ranked = np.lexsort((index, -predicted[index]))
+    ranked_index, ranked_bin = index[ranked], bins[ranked]
+    pools: dict[int, list[int]] = {}
     pairs: list[tuple[int, int]] = []
     for pos in labeled:
         if pos.label != 1:
             continue
-        pool = [lb.index for lb in labeled if lb.bin < pos.bin]
-        pool.sort(key=lambda i: (-predicted[i], i))
-        pairs.extend((i, pos.index) for i in pool[: cfg.max_negatives])
+        if pos.bin not in pools:
+            pools[pos.bin] = ranked_index[ranked_bin < pos.bin][: cfg.max_negatives].tolist()
+        pairs.extend((i, pos.index) for i in pools[pos.bin])
     return pairs
 
 

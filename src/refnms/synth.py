@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box, iou
+from .geometry import Box, box_array, iou
 from .ingest import (
-    DetectionRecord,
     ExpressionRecord,
     GroundTruthRegion,
     ImageDetections,
@@ -135,37 +134,34 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> SynthPaths:
             object_boxes.append(box)
             regions.append(GroundTruthRegion(f"{image_id}_r{k}", image_id, box, names[cats[k]]))
 
-        records: list[DetectionRecord] = []
+        # (box, category, confidence, feature) per detection, drawn in this order
+        detections: list[tuple[Box, int, float, np.ndarray]] = []
         for k, box in enumerate(object_boxes):
             accurate = _jitter(box, rng, 0.04, canvas)
-            records.append(
-                DetectionRecord(
-                    accurate, int(cats[k]), names[cats[k]],
-                    float(rng.uniform(0.3, 0.7)), _feature(rng, cats[k], cfg),
-                )
+            detections.append(
+                (accurate, int(cats[k]), float(rng.uniform(0.3, 0.7)), _feature(rng, cats[k], cfg))
             )
         for k, box in enumerate(object_boxes):
-            if len(records) >= cfg.boxes_per_image:
+            if len(detections) >= cfg.boxes_per_image:
                 break
             duplicate = _jitter(box, rng, 0.17, canvas)
-            records.append(
-                DetectionRecord(
-                    duplicate, int(cats[k]), names[cats[k]],
-                    float(rng.uniform(0.05, 0.25)), _feature(rng, cats[k], cfg),
-                )
+            detections.append(
+                (duplicate, int(cats[k]), float(rng.uniform(0.05, 0.25)),
+                 _feature(rng, cats[k], cfg))
             )
         absent = [c for c in range(cfg.n_categories) if c not in set(cats.tolist())]
-        while len(records) < cfg.boxes_per_image:
+        while len(detections) < cfg.boxes_per_image:
             cat = int(absent[rng.integers(len(absent))])
             box = _sample_clear_box(rng, canvas, object_boxes, max_overlap=0.25)
-            records.append(
-                DetectionRecord(
-                    box, cat, names[cat],
-                    float(rng.uniform(0.55, 0.98)), _feature(rng, cat, cfg),
-                )
+            detections.append((box, cat, float(rng.uniform(0.55, 0.98)), _feature(rng, cat, cfg)))
+        shuffled = [detections[j] for j in rng.permutation(len(detections))]
+        boxes, categories, confidences, features = zip(*shuffled)
+        images.append(
+            ImageDetections(
+                image_id, box_array(boxes), confidences, categories,
+                tuple(names[c] for c in categories), np.array(features),
             )
-        order = rng.permutation(len(records))
-        images.append(ImageDetections(image_id, tuple(records[j] for j in order)))
+        )
 
         for e in range(cfg.expressions_per_image):
             referent = int(rng.integers(n_objects))

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import CHECKPOINT_VERSION
 from . import autodiff as ad
-from .geometry import Box
+from .geometry import Box, box_array
 from .ingest import (
     DataFormatError,
     EmbeddingTable,
@@ -207,9 +207,9 @@ def build_training_set(
     for expr in expressions:
         regions = regions_by_image.get(expr.image_id, ())
         pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold)
-        detections = detections_by_image.get(
-            expr.image_id, ImageDetections(expr.image_id, ())
-        )
+        detections = detections_by_image.get(expr.image_id)
+        if detections is None:
+            detections = ImageDetections.empty(expr.image_id)
         examples.append(
             TrainingExample(
                 expression_id=expr.expression_id,
@@ -256,7 +256,7 @@ def train_epoch(
             if scores is None:
                 skipped += 1
                 continue
-            labeled = assign_labels([r.box for r in survivors], ex.foreground)
+            labeled = assign_labels(ex.detections.boxes[survivors], box_array(ex.foreground))
             labels = [lb.label for lb in labeled]
             if cfg.loss_kind == "binary_xe":
                 loss = binary_xe(scores, labels)

@@ -1,0 +1,161 @@
+"""Slow reference implementations the tests pin the program's fast paths to.
+
+Each is a plain restatement of an earlier, per-box form of the program: one
+`geometry.iou` call per pair of boxes, one Python object or line at a time.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from refnms.geometry import Box, box_array, iou
+from refnms.ingest import DUMP_HEADER_RE, DataFormatError, ImageDetections
+from refnms.model import ModelParameters, flat_views, parameters_from_flat
+from refnms.nms import NmsConfig, per_class_nms
+
+
+def image_of_rows(image_id, rows, feature_dim=0):
+    """`ImageDetections` from (box, category_id, category_name, confidence, feature) rows."""
+    if not rows:
+        return ImageDetections.empty(image_id, feature_dim)
+    boxes, category_ids, names, confidences, features = zip(*rows)
+    return ImageDetections(
+        image_id, box_array(boxes), confidences, category_ids, names, np.array(features)
+    )
+
+
+def boxes_of(image):
+    """The image's boxes as `Box` objects, in row order."""
+    return [Box(*row) for row in image.boxes.tolist()]
+
+
+# geometry -------------------------------------------------------------------------
+
+
+def hits(candidate: Box, target: Box, threshold: float = 0.5) -> bool:
+    """True when the candidate overlaps the target strictly above `threshold` IoU."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"hit threshold must lie in (0, 1), got {threshold}")
+    return iou(candidate, target) > threshold
+
+
+def max_iou_against(candidate: Box, targets) -> float:
+    """Largest IoU between `candidate` and any box in `targets`; 0.0 when empty."""
+    best = 0.0
+    for t in targets:
+        v = iou(candidate, t)
+        if v > best:
+            best = v
+    return best
+
+
+# NMS and the model ------------------------------------------------------------------
+
+
+def greedy_nms(items, iou_threshold):
+    """Indices of (Box, score) items kept by greedy suppression in one pool, in keep order.
+
+    Boxes are visited in descending score with ties broken by ascending input
+    index; each kept box suppresses every remaining box overlapping it with
+    IoU strictly above `iou_threshold`. Runs the program's NMS.
+    """
+    boxes = box_array([box for box, _ in items])
+    scores = np.array([score for _, score in items], dtype=np.float64)
+    cfg = NmsConfig(iou_threshold=iou_threshold, per_class=False)
+    return per_class_nms(boxes, scores, np.zeros(len(items), dtype=np.int64), cfg).tolist()
+
+
+def with_swapped_directions(params: ModelParameters) -> ModelParameters:
+    """A copy, in its own flat store, with the two GRU directions exchanged."""
+    swap = {"gru_fwd": "gru_bwd", "gru_bwd": "gru_fwd"}
+    values = params.values.copy()
+    source = flat_views(params.values, params.config)
+    for name, view in flat_views(values, params.config).items():
+        prefix, _, rest = name.partition(".")
+        if prefix in swap:
+            view[...] = source[f"{swap[prefix]}.{rest}"]
+    return parameters_from_flat(params.config, values)
+
+
+# objectives -------------------------------------------------------------------------
+
+
+def sample_pairs(labeled, predicted, cfg):
+    """Hard-negative pairs, one pool rebuilt and sorted per positive."""
+    pairs = []
+    for pos in labeled:
+        if pos.label != 1:
+            continue
+        pool = [lb.index for lb in labeled if lb.bin < pos.bin]
+        pool.sort(key=lambda i: (-predicted[i], i))
+        pairs.extend((i, pos.index) for i in pool[: cfg.max_negatives])
+    return pairs
+
+
+# ingest -----------------------------------------------------------------------------
+
+
+def _line_box(field, path, lineno):
+    parts = field.split()
+    if len(parts) != 4:
+        raise DataFormatError(f"{path}:{lineno}: expected 4 box coordinates, got {len(parts)}")
+    try:
+        coords = [float(p) for p in parts]
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("non-finite coordinate")
+        return Box(*coords)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: bad box '{field}' ({exc})") from None
+
+
+def load_dump_by_line(path):
+    """Parse a detection dump one line at a time into (image_id, records) pairs in
+    first-seen image order, records as (box, category_id, name, confidence, feature).
+
+    This is the per-record parser the dump loader replaced, plus the rules
+    added with it: non-finite numbers and category ids outside int64 are errors.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        m = DUMP_HEADER_RE.match(header)
+        if m is None:
+            raise DataFormatError(f"{path}:1: bad dump header '{header}'")
+        dim = int(m.group(1))
+        grouped = {}
+        for lineno, raw in enumerate(fh, start=2):
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) != 6:
+                raise DataFormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+            image_id, box_field, cat_id, cat_name, conf_field, feat_field = fields
+            if not image_id:
+                raise DataFormatError(f"{path}:{lineno}: empty image_id")
+            box = _line_box(box_field, path, lineno)
+            try:
+                category_id = int(cat_id)
+                confidence = float(conf_field)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if not -(2**63) <= category_id < 2**63:
+                raise DataFormatError(
+                    f"{path}:{lineno}: category id {category_id} out of int64 range"
+                )
+            if not 0.0 <= confidence <= 1.0:
+                raise DataFormatError(
+                    f"{path}:{lineno}: confidence {confidence} outside [0, 1]"
+                )
+            try:
+                feature = np.array([float(t) for t in feat_field.split()], dtype=np.float64)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad feature value ({exc})") from None
+            if feature.shape != (dim,):
+                raise DataFormatError(
+                    f"{path}:{lineno}: feature has {feature.size} values, header declares {dim}"
+                )
+            if not np.isfinite(feature).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
+            grouped.setdefault(image_id, []).append(
+                (box, category_id, cat_name, confidence, feature)
+            )
+    return list(grouped.items()), dim

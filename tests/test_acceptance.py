@@ -15,29 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import greedy_nms, hits, image_of_rows
 from refnms import autodiff as ad
 from refnms.autodiff import Node
 from refnms.cli import EXIT_OK, main
 from refnms.evaluation import recall_curve
-from refnms.geometry import Box, hits, iou
-from refnms.ingest import (
-    DetectionRecord,
-    ImageDetections,
-    group_regions,
-    load_embeddings,
-    load_expressions,
-    load_regions,
-)
+from refnms.geometry import Box, box_array, iou
+from refnms.ingest import group_regions, load_embeddings, load_expressions, load_regions
 from refnms.model import ModelConfig, init_parameters, relatedness_forward
-from refnms.nms import (
-    NmsConfig,
-    ProposalBudget,
-    baseline_pipeline,
-    constant_relatedness_proposals,
-    fused_keep,
-    greedy_nms,
-    select_proposals,
-)
+from refnms.nms import NmsConfig, ProposalBudget, proposal_pipeline
 from refnms.objectives import (
     LabeledBox,
     RankingConfig,
@@ -80,14 +66,14 @@ def test_criterion_1_gradient_correctness():
         for _ in range(3):
             box = random_box(rng)
             records.append(
-                DetectionRecord(box, int(rng.integers(3)), "obj",
-                                float(rng.uniform(0.1, 1.0)), rng.normal(size=5))
+                (box, int(rng.integers(3)), "obj", float(rng.uniform(0.1, 1.0)),
+                 rng.normal(size=5))
             )
-        image = ImageDetections("img", tuple(records))
+        image = image_of_rows("img", records)
         indices = [int(i) for i in rng.integers(1, 9, size=4)]
         # foreground on the first box gives a mix of positive and negative labels
-        foreground = [records[0].box]
-        labels = [lb.label for lb in assign_labels([r.box for r in records], foreground)]
+        foreground = box_array([records[0][0]])
+        labels = [lb.label for lb in assign_labels(image.boxes, foreground)]
 
         def loss():
             _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
@@ -192,18 +178,18 @@ def test_criterion_5_fusion_identity():
         for seed in range(50):
             rng = np.random.default_rng(2000 + seed)
             n = int(rng.integers(1, 25))
-            records = tuple(
-                DetectionRecord(random_box(rng), int(rng.integers(4)), "obj",
-                                float(rng.uniform(0, 1)), np.zeros(2))
+            records = [
+                (random_box(rng), int(rng.integers(4)), "obj", float(rng.uniform(0, 1)),
+                 np.zeros(2))
                 for _ in range(n)
-            )
-            image = ImageDetections("img", records)
+            ]
+            image = image_of_rows("img", records)
             k = float(rng.uniform(0.05, 1.0))
             nms_cfg = NmsConfig(iou_threshold=float(rng.uniform(0.2, 0.7)))
-            fused = fused_keep(constant_relatedness_proposals(image, k), nms_cfg)
-            base = baseline_pipeline(image, nms_cfg=nms_cfg)
-            assert [(p.box, p.category_id) for p in fused] == [
-                (p.box, p.category_id) for p in base
+            fused = proposal_pipeline(image, nms_cfg=nms_cfg, relatedness=k)
+            base = proposal_pipeline(image, nms_cfg=nms_cfg)
+            assert [(records[i][0], records[i][1]) for i in fused.rows] == [
+                (records[i][0], records[i][1]) for i in base.rows
             ], seed
 
 
@@ -324,15 +310,15 @@ def test_criterion_9_recall_harness_oracle():
             rng = np.random.default_rng(3000 + trial)
             examples = []
             for e in range(int(rng.integers(2, 7))):
-                records = tuple(
-                    DetectionRecord(random_box(rng), int(rng.integers(3)), "obj",
-                                    float(rng.uniform(0.05, 1.0)), np.zeros(2))
+                records = [
+                    (random_box(rng), int(rng.integers(3)), "obj",
+                     float(rng.uniform(0.05, 1.0)), np.zeros(2))
                     for _ in range(int(rng.integers(3, 16)))
-                )
-                referent = records[int(rng.integers(len(records)))].box
-                pseudo = tuple(r.box for r in records if rng.random() < 0.3)
+                ]
+                referent = records[int(rng.integers(len(records)))][0]
+                pseudo = tuple(r[0] for r in records if rng.random() < 0.3)
                 examples.append(
-                    EvalExample(f"e{e}", "val", ImageDetections(f"i{e}", records),
+                    EvalExample(f"e{e}", "val", image_of_rows(f"i{e}", records),
                                 referent, pseudo)
                 )
             report = recall_curve(examples, "baseline_conf", budgets)
@@ -342,12 +328,10 @@ def test_criterion_9_recall_harness_oracle():
                 expected_hits = 0
                 expected_ctx = [0, 0]
                 for ex in examples:
-                    kept = baseline_pipeline(ex.detections, 0.05, NmsConfig())
-                    boxes = [
-                        p.box for p in select_proposals(
-                            kept, ProposalBudget.top_n(budget), "confidence"
-                        )
-                    ]
+                    kept = proposal_pipeline(
+                        ex.detections, 0.05, NmsConfig(), ProposalBudget.top_n(budget)
+                    )
+                    boxes = [Box(*box) for box in ex.detections.boxes[kept.rows].tolist()]
                     expected_hits += any(hits(b, ex.referent) for b in boxes)
                     if ex.pseudo_boxes:
                         for region in ex.pseudo_boxes:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from refnms import geometry
 from refnms.cli import EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
 
 
@@ -310,3 +311,67 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "refnms" in proc.stdout
+
+
+def test_non_finite_dump_values_exit_with_data_error_naming_the_line(tmp_path, capsys):
+    detections = tmp_path / "dets.tsv"
+    detections.write_text(
+        "#refnms-dets v1 feature_dim=2\n"
+        "img0\t0 0 10 10\t0\tcat\t0.8\t0.5 0.5\n"
+        "img0\tnan 0 10 10\t0\tcat\t0.9\t0.5 nan\n"
+    )
+    expressions = tmp_path / "expr.tsv"
+    expressions.write_text("e0\timg0\tval\t0 0 10 10\tthe cat\n")
+    capsys.readouterr()
+    code = main(["apply", "--detections", str(detections), "--expressions", str(expressions),
+                 "--baseline", "--out", str(tmp_path / "o.tsv")])
+    assert code == EXIT_DATA
+    assert f"{detections}:3:" in capsys.readouterr().err
+
+
+def test_non_finite_embedding_exits_with_data_error_naming_the_line(dataset, tmp_path, capsys):
+    embeddings = tmp_path / "emb.txt"
+    lines = (dataset / "embeddings.txt").read_text().splitlines()
+    word, *values = lines[1].split(" ")
+    lines[1] = " ".join([word, "inf", *values[1:]])
+    embeddings.write_text("\n".join(lines) + "\n")
+    args = [*data_args(dataset)[:6], "--embeddings", str(embeddings)]
+    capsys.readouterr()
+    code = main(["eval-recall", *args, "--split", "val", "--method", "baseline_conf",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_DATA
+    assert f"{embeddings}:2:" in capsys.readouterr().err
+
+
+def test_apply_and_eval_recall_make_no_scalar_iou_call(
+    dataset, checkpoint_bytes, tmp_path, monkeypatch
+):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(checkpoint_bytes)
+    calls = []
+    original = geometry.iou
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    # every refnms module that bound `iou` by name
+    for name, module in list(sys.modules.items()):
+        if name == "refnms" or name.startswith("refnms."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    apply = ["apply", *data_args(dataset)[:4], "--top-n", "3"]
+    evaluate = ["eval-recall", *data_args(dataset), "--split", "val", "--budgets", "1,5,real"]
+    for argv in (
+        [*apply, "--checkpoint", str(ckpt), "--out", str(tmp_path / "a.tsv")],
+        [*apply, "--baseline", "--cross-class", "--out", str(tmp_path / "b.tsv")],
+        [*apply, "--stub-relatedness", "0.5", "--out", str(tmp_path / "c.tsv")],
+        [*evaluate, "--method", "baseline_conf", "--out", str(tmp_path / "d.csv")],
+        [*evaluate, "--method", "ref_nms", "--checkpoint", str(ckpt),
+         "--out", str(tmp_path / "e.csv")],
+    ):
+        assert main(argv) == EXIT_OK, argv
+    assert calls == []
+    geometry.iou(geometry.Box(0, 0, 1, 1), geometry.Box(0, 0, 1, 1))
+    assert len(calls) == 1  # the counter is live

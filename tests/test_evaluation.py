@@ -1,10 +1,14 @@
 """Recall harness: hit tests, aggregation against brute force, CSV emission."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import hits, image_of_rows
 from refnms.evaluation import (
     EvalExample,
     RecallReport,
@@ -15,15 +19,10 @@ from refnms.evaluation import (
     referent_hit,
     write_report,
 )
-from refnms.geometry import Box, hits
-from refnms.ingest import (
-    DetectionRecord,
-    EmbeddingTable,
-    ExpressionRecord,
-    GroundTruthRegion,
-    ImageDetections,
-)
-from refnms.nms import NmsConfig
+from refnms.geometry import Box, box_array
+from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
+from refnms.model import ModelConfig, init_parameters
+from refnms.nms import NmsConfig, proposal_pipeline
 
 
 def random_box(rng, span=100.0):
@@ -33,11 +32,11 @@ def random_box(rng, span=100.0):
 
 
 def image_of(records, image_id="img"):
-    return ImageDetections(image_id, tuple(records))
+    return image_of_rows(image_id, list(records), feature_dim=2)
 
 
 def record(box, conf, category=0):
-    return DetectionRecord(box, category, "obj", conf, np.zeros(2))
+    return (box, category, "obj", conf, np.zeros(2))
 
 
 # hit tests ---------------------------------------------------------------------
@@ -45,27 +44,27 @@ def record(box, conf, category=0):
 
 def test_referent_hit_exact_box():
     b = Box(0, 0, 10, 10)
-    assert referent_hit([Box(50, 50, 60, 60), b], b) is True
+    assert referent_hit(box_array([Box(50, 50, 60, 60), b]), box_array([b])[0]) is True
 
 
 def test_referent_hit_empty_proposals():
-    assert referent_hit([], Box(0, 0, 10, 10)) is False
+    assert referent_hit(box_array([]), box_array([Box(0, 0, 10, 10)])[0]) is False
 
 
 def test_referent_hit_requires_more_than_half_iou():
     referent = Box(0, 0, 10, 10)
     # nested proposal: inter 40, union 100 -> IoU 0.4
     proposal = Box(0, 0, 10, 4)
-    assert referent_hit([proposal], referent) is False
+    assert referent_hit(box_array([proposal]), box_array([referent])[0]) is False
 
 
 def test_contextual_recall_empty_region_set():
-    assert contextual_recall([Box(0, 0, 5, 5)], []) == (0, 0)
+    assert contextual_recall(box_array([Box(0, 0, 5, 5)]), box_array([])) == (0, 0)
 
 
 def test_contextual_recall_perfect_match():
     regions = [Box(0, 0, 10, 10), Box(20, 20, 30, 30)]
-    assert contextual_recall(list(regions), regions) == (2, 2)
+    assert contextual_recall(box_array(regions), box_array(regions)) == (2, 2)
 
 
 def test_contextual_recall_one_proposal_may_match_many_regions():
@@ -73,7 +72,7 @@ def test_contextual_recall_one_proposal_may_match_many_regions():
     regions = [Box(0, 0, 10, 10), Box(0.5, 0, 10.5, 10)]
     proposal = Box(0, 0, 10, 10)
     assert hits(proposal, regions[1])
-    assert contextual_recall([proposal], regions) == (2, 2)
+    assert contextual_recall(box_array([proposal]), box_array(regions)) == (2, 2)
 
 
 # aggregation -------------------------------------------------------------------
@@ -83,8 +82,8 @@ def curve_fixture(rng, n_expressions=5, boxes=12):
     examples = []
     for e in range(n_expressions):
         records = [record(random_box(rng), float(rng.uniform(0.05, 1.0))) for _ in range(boxes)]
-        referent = records[int(rng.integers(boxes))].box
-        pseudo = tuple(r.box for r in records if rng.random() < 0.3)
+        referent = records[int(rng.integers(boxes))][0]
+        pseudo = tuple(r[0] for r in records if rng.random() < 0.3)
         examples.append(
             EvalExample(f"e{e}", "val", image_of(records, f"img{e}"), referent, pseudo)
         )
@@ -116,7 +115,7 @@ def test_recall_monotone_over_nested_budgets():
 
 
 def test_recall_matches_brute_force_recomputation():
-    from refnms.nms import ProposalBudget, baseline_pipeline, select_proposals
+    from refnms.nms import ProposalBudget, proposal_pipeline
 
     rng = np.random.default_rng(83)
     for trial in range(20):
@@ -127,11 +126,10 @@ def test_recall_matches_brute_force_recomputation():
             hits_count = 0
             ctx_matched = ctx_total = 0
             for ex in examples:
-                kept = baseline_pipeline(ex.detections, 0.05, NmsConfig())
-                boxes = [
-                    p.box
-                    for p in select_proposals(kept, ProposalBudget.top_n(budget), "confidence")
-                ]
+                kept = proposal_pipeline(
+                    ex.detections, 0.05, NmsConfig(), ProposalBudget.top_n(budget)
+                )
+                boxes = [Box(*box) for box in ex.detections.boxes[kept.rows].tolist()]
                 if any(hits(b, ex.referent) for b in boxes):
                     hits_count += 1
                 if ex.pseudo_boxes:
@@ -145,31 +143,95 @@ def test_recall_matches_brute_force_recomputation():
             assert row.contextual_total == ctx_total
 
 
+GRID_LEVELS = st.sampled_from([0.05, 0.3, 0.5, 0.5, 0.7, 0.9])
+
+
+@st.composite
+def grid_box(draw):
+    x1, y1 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return Box(x1, y1, x1 + draw(st.integers(0, 5)), y1 + draw(st.integers(0, 5)))
+
+
+@st.composite
+def eval_sets(draw):
+    """Examples on grid boxes, some sharing an image; IoUs of exactly 0.5 and
+    tied confidences are common, and some confidences fall below the filter."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    images = []
+    for i in range(draw(st.integers(1, 3))):
+        rows = [
+            (draw(grid_box()), draw(st.integers(0, 2)), "obj",
+             draw(GRID_LEVELS | st.just(0.01)), rng.normal(size=2))
+            for _ in range(draw(st.integers(0, 12)))
+        ]
+        images.append(image_of_rows(f"img{i}", rows, feature_dim=2))
+    return [
+        EvalExample(f"e{e}", "val", draw(st.sampled_from(images)), draw(grid_box()),
+                    tuple(draw(st.lists(grid_box(), max_size=3))), (1, 2))
+        for e in range(draw(st.integers(1, 5)))
+    ]
+
+
+def brute_force_recall(examples, method, budget, params, nms_cfg):
+    """(referent hits, contextual matched, contextual total): the budget applied
+    to each keep list by a sort, then one `geometry.iou` per proposal and target."""
+    ref_hits = ctx_matched = ctx_total = 0
+    for ex in examples:
+        model = dict(params=params, token_indices=ex.token_indices) if method == "ref_nms" else {}
+        kept = proposal_pipeline(ex.detections, 0.05, nms_cfg, **model)
+        scores = kept.scores.tolist()
+        if budget == "real_case":
+            chosen = [i for i, score in enumerate(scores) if score >= 0.65]
+        else:
+            chosen = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:budget]
+        boxes = [Box(*ex.detections.boxes[kept.rows[i]].tolist()) for i in chosen]
+        ref_hits += any(hits(b, ex.referent) for b in boxes)
+        ctx_matched += sum(any(hits(b, region) for b in boxes) for region in ex.pseudo_boxes)
+        ctx_total += len(ex.pseudo_boxes)
+    return ref_hits, ctx_matched, ctx_total
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(eval_sets(), st.sampled_from(["baseline_conf", "ref_nms"]), st.booleans())
+def test_recall_curve_matches_a_brute_force_iou_oracle(examples, method, cross_class):
+    config = ModelConfig(vocab_size=4, feature_dim=2, embed_dim=2, hidden_size=2)
+    params = init_parameters(config, 3)
+    nms_cfg = NmsConfig(per_class=not cross_class)
+    budgets = [0, 1, 3, 20, "real_case"]
+    report = recall_curve(examples, method, budgets, nms_cfg=nms_cfg, params=params)
+    for budget in budgets:
+        row = report.rows[("val", method, str(budget))]
+        assert (row.referent_hits, row.contextual_matched, row.contextual_total) == (
+            brute_force_recall(examples, method, budget, params, nms_cfg)
+        ), budget
+
+
 def test_baseline_runs_nms_once_per_image(monkeypatch):
     import refnms.evaluation as evaluation
 
     rng = np.random.default_rng(85)
     first = curve_fixture(rng, n_expressions=3)
     second = [
-        EvalExample(f"{ex.expression_id}b", "val", ex.detections, ex.detections.records[0].box, ())
+        EvalExample(f"{ex.expression_id}b", "val", ex.detections,
+                    Box(*ex.detections.boxes[0].tolist()), ())
         for ex in first
     ]
     examples = first + second
     # the same examples, each with its own copy of its image
     apart = [
-        EvalExample(ex.expression_id, "val", image_of(ex.detections.records), ex.referent,
-                    ex.pseudo_boxes)
+        EvalExample(ex.expression_id, "val", replace(ex.detections, image_id="img"),
+                    ex.referent, ex.pseudo_boxes)
         for ex in examples
     ]
     expected = recall_curve(apart, "baseline_conf", [3, 7]).rows
     images = []
-    pipeline = evaluation.baseline_pipeline
+    pipeline = evaluation.proposal_pipeline
 
-    def counted(image, *args):
+    def counted(image, *args, **kwargs):
         images.append(image)
-        return pipeline(image, *args)
+        return pipeline(image, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "baseline_pipeline", counted)
+    monkeypatch.setattr(evaluation, "proposal_pipeline", counted)
     assert recall_curve(examples, "baseline_conf", [3, 7]).rows == expected
     assert images == [ex.detections for ex in first]
 

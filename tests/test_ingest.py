@@ -1,12 +1,18 @@
 """File format loaders/writers, vocabulary construction, token encoding."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refnms.geometry import Box
+from oracles import boxes_of, image_of_rows, load_dump_by_line
+from refnms import ingest
+from refnms.geometry import Box, box_array
 from refnms.ingest import (
     DataFormatError,
-    DetectionRecord,
     ExpressionRecord,
     GroundTruthRegion,
     ImageDetections,
@@ -42,33 +48,33 @@ def expr(tokens, split="train", image_id="img1", eid="e1", tags=None, box=None):
 def test_empty_dump_body(tmp_path):
     path = tmp_path / "dets.tsv"
     path.write_text(HEADER)
-    dump = load_detection_dump(path)
+    dump, feature_dim = load_detection_dump(path)
     assert list(dump) == []
-    assert dump.feature_dim == 3
+    assert feature_dim == 3
 
 
 def test_dump_with_one_image_two_records(tmp_path):
     path = tmp_path / "dets.tsv"
     path.write_text(HEADER + det_line() + "\n" + det_line(conf="0.5") + "\n")
-    dump = load_detection_dump(path)
+    dump, _ = load_detection_dump(path)
     assert len(dump) == 1
     assert dump[0].image_id == "img1"
-    assert len(dump[0].records) == 2
-    rec = dump[0].records[0]
-    assert rec.box == Box(0, 0, 10, 10)
-    assert rec.category_id == 2
-    assert rec.category_name == "dog"
-    assert rec.confidence == 0.9
-    np.testing.assert_array_equal(rec.feature, [1.0, 2.0, 3.0])
+    assert len(dump[0]) == 2
+    image = dump[0]
+    assert boxes_of(image)[0] == Box(0, 0, 10, 10)
+    assert image.category_ids[0] == 2
+    assert image.category_names[0] == "dog"
+    assert image.confidences[0] == 0.9
+    np.testing.assert_array_equal(image.features[0], [1.0, 2.0, 3.0])
 
 
 def test_dump_groups_interleaved_images_in_first_seen_order(tmp_path):
     path = tmp_path / "dets.tsv"
     lines = [det_line(image="a"), det_line(image="b"), det_line(image="a", conf="0.1")]
     path.write_text(HEADER + "\n".join(lines) + "\n")
-    dump = load_detection_dump(path)
+    dump, _ = load_detection_dump(path)
     assert [img.image_id for img in dump] == ["a", "b"]
-    assert [len(img.records) for img in dump] == [2, 1]
+    assert [len(img) for img in dump] == [2, 1]
 
 
 def test_dump_rejects_out_of_range_confidence(tmp_path):
@@ -103,11 +109,11 @@ def test_detection_dump_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     images = []
     for i in range(3):
-        records = []
+        rows = []
         for _ in range(rng.integers(1, 4)):
             x1, y1 = rng.uniform(0, 100, size=2)
-            records.append(
-                DetectionRecord(
+            rows.append(
+                (
                     Box(x1, y1, x1 + rng.uniform(1, 50), y1 + rng.uniform(1, 50)),
                     int(rng.integers(0, 10)),
                     "traffic light" if rng.random() < 0.3 else "dog",
@@ -115,22 +121,196 @@ def test_detection_dump_round_trip(tmp_path):
                     rng.normal(size=4),
                 )
             )
-        images.append(ImageDetections(f"img{i}", tuple(records)))
+        images.append(image_of_rows(f"img{i}", rows))
     path = tmp_path / "dets.tsv"
     write_detection_dump(path, images, feature_dim=4)
-    loaded = load_detection_dump(path)
+    loaded, _ = load_detection_dump(path)
     assert [img.image_id for img in loaded] == [img.image_id for img in images]
     for orig, back in zip(images, loaded):
-        for a, b in zip(orig.records, back.records):
-            assert a.box == b.box
-            assert a.category_id == b.category_id
-            assert a.category_name == b.category_name
-            assert a.confidence == b.confidence
-            np.testing.assert_array_equal(a.feature, b.feature)
+        for a, b in zip(boxes_of(orig), boxes_of(back)):
+            assert a == b
+        assert orig.category_ids.tolist() == back.category_ids.tolist()
+        assert orig.category_names == back.category_names
+        assert orig.confidences.tolist() == back.confidences.tolist()
+        np.testing.assert_array_equal(orig.features, back.features)
     # second write is byte-identical
     path2 = tmp_path / "dets2.tsv"
     write_detection_dump(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_dump_rejects_non_finite_values_with_their_line(tmp_path):
+    path = tmp_path / "dets.tsv"
+    good = det_line()
+    for bad in (det_line(box="nan 0 10 10"), det_line(box="0 0 inf 10"),
+                det_line(feats="1.0 nan 3.0"), det_line(feats="1.0 2.0 -inf")):
+        path.write_text(HEADER + good + "\n" + bad + "\n" + good + "\n")
+        with pytest.raises(DataFormatError, match=r"dets\.tsv:3: .*non-finite"):
+            load_detection_dump(path)
+
+
+def test_dump_rejects_inverted_boxes_with_their_line(tmp_path):
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line() + "\n" + det_line(box="5 0 4 10") + "\n")
+    with pytest.raises(DataFormatError, match=r":3: bad box .*inverted"):
+        load_detection_dump(path)
+
+
+def test_dump_columns_are_read_only_views_of_one_array_per_column(tmp_path):
+    path = tmp_path / "dets.tsv"
+    lines = [det_line(image="a"), det_line(image="a", conf="0.2"), det_line(image="b")]
+    path.write_text(HEADER + "\n".join(lines) + "\n")
+    (a, b), _ = load_detection_dump(path)
+    assert a.features.base is b.features.base is not None
+    with pytest.raises(ValueError):
+        a.features[0, 0] = 0.0
+
+
+# The column parser against the line parser. Lines are drawn from valid
+# parts in three spellings; a third of the dumps also pad some separators
+# (valid, but off the fast path). Most dumps hold a spoilt line, with one bad
+# part. Blocks of many sizes make the fast path and the fallback meet.
+
+SPELLINGS = st.sampled_from([repr, lambda v: f"{v:.8g}", lambda v: f"{v:.3f}"])
+SEPARATORS = st.sampled_from([" "] * 8 + ["  ", " \x0c", "\xa0"])
+SPOILT_NUMBERS = st.sampled_from(
+    ["nan", "inf", "-inf", "NaN", "abc", "", "1_0", "\u0663", "0x1p3", "1.5e", "+2", "-0"]
+)
+SPOILS = ("box number", "box count", "infinite box", "feature number", "feature count",
+          "inverted", "category", "confidence", "image id", "missing field", "extra field")
+
+
+@st.composite
+def numbers(draw, values, padded, spoil_number=False, spoil_count=False):
+    spell = draw(SPELLINGS)
+    tokens = [spell(v) for v in values]
+    if spoil_number and tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(SPOILT_NUMBERS)
+    if spoil_count:
+        tokens = tokens[:-1] if tokens and draw(st.booleans()) else tokens + ["1.0"]
+    if not padded:
+        return " ".join(tokens)
+    field = draw(SEPARATORS).join(tokens)
+    return " " + field if draw(st.integers(0, 9)) == 0 else field
+
+
+@st.composite
+def dump_lines(draw, dim, padded, spoil=None):
+    coord = st.floats(-1e4, 1e4, allow_nan=False)
+    x1, y1 = draw(coord), draw(coord)
+    w, h = draw(st.floats(0, 500)), draw(st.floats(0, 500))
+    if spoil == "inverted":
+        if draw(st.booleans()):
+            w = -draw(st.floats(1e-3, 500))
+        else:
+            h = -draw(st.floats(1e-3, 500))
+    box = draw(
+        numbers([x1, y1, x1 + w, y1 + h], padded, spoil == "box number", spoil == "box count")
+    )
+    if spoil == "infinite box":  # not inverted, so only the finite check stops it
+        box = draw(st.sampled_from(["-inf 0 1 1", "0 -inf 1 1", "0 0 inf 1", "0 0 1 inf"]))
+    category = draw(st.sampled_from(["0", "3", "17", "-2", " 4", str(2**63 - 1)]))
+    if spoil == "category":
+        category = draw(st.sampled_from(["x", "1.0", str(2**63), ""]))
+    confidence = draw(st.floats(0, 1).map(repr) | st.sampled_from(["1", "0"]))
+    if padded and draw(st.integers(0, 9)) == 0:
+        confidence = draw(st.sampled_from([" 0.5", "0.25 "]))
+    if spoil == "confidence":
+        confidence = draw(st.sampled_from(["1.5", "-0.1", "nan", "inf", "abc", "1e400"]))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim))
+    feature = draw(numbers(values, padded, spoil == "feature number", spoil == "feature count"))
+    image_id = "" if spoil == "image id" else draw(st.sampled_from(["a", "b", "c", "img 1"]))
+    fields = [image_id, box, category, draw(st.sampled_from(["dog", "traffic light"])),
+              confidence, feature]
+    if spoil == "missing field":
+        del fields[draw(st.integers(0, 5))]
+    if spoil == "extra field":
+        fields.insert(draw(st.integers(0, 6)), "1.0")
+    return "\t".join(fields)
+
+
+@st.composite
+def dumps(draw):
+    dim, padded = draw(st.sampled_from([0, 1, 3])), draw(st.integers(0, 2)) == 0
+    lines = draw(st.lists(dump_lines(dim, padded), max_size=8))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        spoilt = draw(dump_lines(dim, padded, draw(st.sampled_from(SPOILS))))
+        lines.insert(draw(st.integers(0, len(lines))), spoilt)
+    return f"#refnms-dets v1 feature_dim={dim}\n" + "".join(line + "\n" for line in lines)
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dumps(), st.sampled_from([1, 60, 400, ingest.BLOCK_CHARS]))
+def test_column_parser_matches_the_line_parser(text, block_chars):
+    saved = ingest.BLOCK_CHARS
+    try:
+        ingest.BLOCK_CHARS = block_chars
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dets.tsv"
+            path.write_text(text, encoding="utf-8")
+            expected, got = outcome(load_dump_by_line, path), outcome(load_detection_dump, path)
+    finally:
+        ingest.BLOCK_CHARS = saved
+    if isinstance(expected, str):
+        assert got == expected  # the same message, so the same file:line
+        return
+    (groups, dim), (images, got_dim) = expected, got
+    assert got_dim == dim
+    assert [img.image_id for img in images] == [image_id for image_id, _ in groups]
+    for image, (_, records) in zip(images, groups):
+        boxes, category_ids, names, confidences, features = zip(*records)
+        assert image.boxes.tobytes() == box_array(boxes).tobytes()
+        assert image.category_ids.tolist() == list(category_ids)
+        assert image.category_names == names
+        assert image.confidences.tobytes() == np.array(confidences).tobytes()
+        assert image.features.tobytes() == np.array(features).reshape(len(records), dim).tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def detection_images(draw):
+    images = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        boxes = []
+        for _ in range(n):
+            x1, y1 = draw(FINITE), draw(FINITE)
+            x2 = draw(st.floats(min_value=x1, allow_infinity=False))
+            y2 = draw(st.floats(min_value=y1, allow_infinity=False))
+            boxes.append((x1, y1, x2, y2))
+        images.append(
+            ImageDetections(
+                f"img{i}", boxes, draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)),
+                draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
+                ["traffic light"] * n,
+                np.array(draw(st.lists(FINITE, min_size=2 * n, max_size=2 * n))).reshape(n, 2),
+            )
+        )
+    return images
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(detection_images())
+def test_dump_write_then_load_is_bit_exact(images):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dets.tsv"
+        write_detection_dump(path, images)
+        loaded, dim = load_detection_dump(path)
+    assert dim == 2
+    assert [img.image_id for img in loaded] == [img.image_id for img in images]
+    for orig, back in zip(images, loaded):
+        for column in ("boxes", "confidences", "category_ids", "features"):
+            assert getattr(orig, column).tobytes() == getattr(back, column).tobytes(), column
+        assert orig.category_names == back.category_names
 
 
 # expressions and regions --------------------------------------------------------
@@ -180,6 +360,17 @@ def test_regions_round_trip_with_multiword_category(tmp_path):
     assert loaded[0].box == Box(1, 2, 3, 4)
 
 
+def test_expression_and_region_boxes_must_be_finite(tmp_path):
+    path = tmp_path / "e.tsv"
+    path.write_text("e1\timg1\ttrain\t0 0 5 5\tthe cat\ne2\timg1\ttrain\t0 nan 5 5\tthe cat\n")
+    with pytest.raises(DataFormatError, match=r"e\.tsv:2: .*non-finite"):
+        load_expressions(path)
+    path = tmp_path / "r.tsv"
+    path.write_text("r1\timg1\t0 0 inf 5\tcat\n")
+    with pytest.raises(DataFormatError, match=r"r\.tsv:1: .*non-finite"):
+        load_regions(path)
+
+
 # embeddings ---------------------------------------------------------------------
 
 
@@ -206,6 +397,13 @@ def test_embeddings_reject_inconsistent_dimension(tmp_path):
     lines.append("bad " + " ".join(["0.1"] * 299))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="299"):
+        load_embeddings(path)
+
+
+def test_embeddings_reject_non_finite_values(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 0.0\ndog 0.0 nan\n")
+    with pytest.raises(DataFormatError, match=r"emb\.txt:2: non-finite"):
         load_embeddings(path)
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import image_of_rows, with_swapped_directions
 from refnms import autodiff as ad
 from refnms.autodiff import grad_check
 from refnms.geometry import Box
-from refnms.ingest import DetectionRecord, EmbeddingTable, ImageDetections
+from refnms.ingest import EmbeddingTable, ImageDetections
 from refnms.model import (
     ModelConfig,
     encode_expression,
@@ -18,6 +19,7 @@ from refnms.model import (
     relatedness_forward,
     score_boxes,
 )
+from refnms.nms import proposal_pipeline
 
 
 def tiny_config(**overrides):
@@ -33,7 +35,7 @@ def random_image(rng, n_boxes, feature_dim, confidences=None):
         w, h = rng.uniform(10, 40, size=2)
         conf = confidences[k] if confidences is not None else float(rng.uniform(0.1, 1.0))
         records.append(
-            DetectionRecord(
+            (
                 Box(x1, y1, x1 + w, y1 + h),
                 int(rng.integers(0, 3)),
                 "obj",
@@ -41,7 +43,7 @@ def random_image(rng, n_boxes, feature_dim, confidences=None):
                 rng.normal(size=feature_dim),
             )
         )
-    return ImageDetections("img", tuple(records))
+    return image_of_rows("img", records, feature_dim)
 
 
 def zero_out(*nodes):
@@ -81,7 +83,7 @@ def test_reversed_tokens_with_swapped_directions_mirror_features():
     indices = [1, 4, 2, 7]
     h = params.config.hidden_size
     original = encode_expression(indices, params).value
-    mirrored = encode_expression(list(reversed(indices)), params.with_swapped_directions()).value
+    mirrored = encode_expression(list(reversed(indices)), with_swapped_directions(params)).value
     expected = np.concatenate([original[::-1, h:], original[::-1, :h]], axis=1)
     np.testing.assert_allclose(mirrored, expected, atol=1e-12)
 
@@ -228,24 +230,28 @@ def test_score_boxes_empty_when_all_below_confidence_floor():
     rng = np.random.default_rng(44)
     params = init_parameters(tiny_config(), seed=0)
     image = random_image(rng, 3, 3, confidences=[0.01, 0.02, 0.04])
-    assert score_boxes(image, [1, 2], params, min_confidence=0.05) == []
+    rows, relatedness = score_boxes(image, [1, 2], params, min_confidence=0.05)
+    assert rows.tolist() == [] and relatedness.tolist() == []
 
 
 def test_score_boxes_confidence_floor_is_inclusive():
     rng = np.random.default_rng(45)
     params = init_parameters(tiny_config(), seed=0)
     image = random_image(rng, 3, 3, confidences=[0.04, 0.05, 0.9])
-    kept = score_boxes(image, [1, 2], params, min_confidence=0.05)
-    assert [p.confidence for p in kept] == [0.05, 0.9]
+    rows, _ = score_boxes(image, [1, 2], params, min_confidence=0.05)
+    assert image.confidences[rows].tolist() == [0.05, 0.9]
 
 
 def test_score_is_exactly_relatedness_times_confidence():
     rng = np.random.default_rng(46)
     params = init_parameters(tiny_config(), seed=1)
     image = random_image(rng, 5, 3)
-    for p in score_boxes(image, [1, 4, 2], params):
-        assert p.fused == p.relatedness * p.confidence
-        assert p.fused <= min(p.relatedness, p.confidence)
+    kept = proposal_pipeline(image, params=params, token_indices=[1, 4, 2])
+    for fused, r, confidence in zip(
+        kept.scores.tolist(), kept.relatedness.tolist(), image.confidences[kept.rows].tolist()
+    ):
+        assert fused == r * confidence
+        assert fused <= min(r, confidence)
 
 
 def test_scores_preserve_input_order_and_permute_with_it():
@@ -253,13 +259,16 @@ def test_scores_preserve_input_order_and_permute_with_it():
     params = init_parameters(tiny_config(), seed=2)
     image = random_image(rng, 6, 3)
     indices = [1, 3]
-    scored = score_boxes(image, indices, params)
-    assert [p.box for p in scored] == [r.box for r in image.records]
+    rows, scored = score_boxes(image, indices, params)
+    assert rows.tolist() == list(range(len(image)))
     perm = rng.permutation(6)
-    shuffled = ImageDetections("img", tuple(image.records[i] for i in perm))
-    scored_shuffled = score_boxes(shuffled, indices, params)
+    shuffled = ImageDetections(
+        "img", image.boxes[perm], image.confidences[perm], image.category_ids[perm],
+        [image.category_names[i] for i in perm], image.features[perm],
+    )
+    _, scored_shuffled = score_boxes(shuffled, indices, params)
     for j, i in enumerate(perm):
-        assert scored_shuffled[j].relatedness == scored[i].relatedness
+        assert scored_shuffled[j] == scored[i]
 
 
 def test_full_model_gradients_match_finite_differences():

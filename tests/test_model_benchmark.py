@@ -13,9 +13,9 @@ that every parameter received a finite gradient.
 import numpy as np
 import pytest
 
+from oracles import image_of_rows
 from refnms import autodiff as ad
 from refnms.geometry import Box
-from refnms.ingest import DetectionRecord, ImageDetections
 from refnms.model import ModelConfig, encode_expression, init_parameters, relatedness_forward
 
 SCALES = {
@@ -29,10 +29,10 @@ def image_of(n_boxes, feature_dim, rng):
     for _ in range(n_boxes):
         x1, y1 = rng.uniform(0, 500, size=2)
         records.append(
-            DetectionRecord(Box(x1, y1, x1 + 40.0, y1 + 60.0), int(rng.integers(8)), "obj",
-                            float(rng.uniform(0.1, 1.0)), rng.normal(size=feature_dim))
+            (Box(x1, y1, x1 + 40.0, y1 + 60.0), int(rng.integers(8)), "obj",
+             float(rng.uniform(0.1, 1.0)), rng.normal(size=feature_dim))
         )
-    return ImageDetections("img", tuple(records))
+    return image_of_rows("img", records)
 
 
 @pytest.mark.parametrize("scale", sorted(SCALES))

@@ -1,22 +1,22 @@
-"""Greedy NMS against an exhaustive reference, budgets, and the pipelines."""
+"""Greedy NMS against an exhaustive reference, budgets, and the pipeline."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refnms.geometry import Box, iou
-from refnms.ingest import DetectionRecord, ImageDetections
-from refnms.model import ModelConfig, ScoredProposal, init_parameters
+from oracles import greedy_nms, image_of_rows
+from refnms.geometry import Box, box_array, iou
+from refnms.ingest import ImageDetections
+from refnms.model import ModelConfig, init_parameters
 from refnms.nms import (
+    KeepList,
     NmsConfig,
     ProposalBudget,
-    baseline_pipeline,
-    constant_relatedness_proposals,
-    fused_keep,
-    greedy_nms,
     per_class_nms,
-    ref_nms_pipeline,
+    proposal_pipeline,
     select_proposals,
 )
 
@@ -47,8 +47,38 @@ def random_items(rng, n, coord_range=60.0):
     return items
 
 
+class Proposal(NamedTuple):
+    box: Box
+    category_id: int
+    confidence: float
+    relatedness: float
+    fused: float
+
+
 def proposal(box, category=0, confidence=0.5, relatedness=1.0):
-    return ScoredProposal(box, category, confidence, relatedness, relatedness * confidence)
+    return Proposal(box, category, confidence, relatedness, relatedness * confidence)
+
+
+def nms(proposals, cfg, criterion="fused"):
+    """`per_class_nms` on the proposals' boxes and criterion scores; the kept proposals."""
+    scores = [p.confidence if criterion == "confidence" else p.fused for p in proposals]
+    kept = per_class_nms(
+        box_array([p.box for p in proposals]),
+        np.array(scores, dtype=np.float64),
+        np.array([p.category_id for p in proposals], dtype=np.int64),
+        cfg,
+    )
+    return [proposals[i] for i in kept.tolist()]
+
+
+def keep_list_of(pool):
+    """A keep list of every proposal of `pool`, best confidence first, as NMS leaves it."""
+    order = sorted(range(len(pool)), key=lambda i: (-pool[i].confidence, i))
+    return KeepList(
+        np.array(order, dtype=np.intp),
+        np.array([pool[i].confidence for i in order], dtype=np.float64),
+        np.ones(len(order)),
+    )
 
 
 # greedy procedure ----------------------------------------------------------------
@@ -115,20 +145,21 @@ def test_kept_boxes_never_overlap_above_threshold():
 def test_no_cross_class_suppression():
     b = Box(0, 0, 10, 10)
     proposals = [proposal(b, category=0, confidence=0.9), proposal(b, category=1, confidence=0.8)]
-    kept = per_class_nms(proposals, NmsConfig(criterion="confidence"))
+    kept = nms(proposals, NmsConfig(), "confidence")
     assert len(kept) == 2
 
 
 def test_single_pool_suppresses_across_classes():
     b = Box(0, 0, 10, 10)
     proposals = [proposal(b, category=0, confidence=0.9), proposal(b, category=1, confidence=0.8)]
-    kept = per_class_nms(proposals, NmsConfig(per_class=False, criterion="confidence"))
+    kept = nms(proposals, NmsConfig(per_class=False), "confidence")
     assert len(kept) == 1
     assert kept[0].confidence == 0.9
 
 
 def test_empty_input_gives_empty_output():
-    assert per_class_nms([], NmsConfig()) == []
+    assert nms([], NmsConfig()) == []
+    assert per_class_nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0), NmsConfig()).tolist() == []
 
 
 def test_merged_output_sorted_by_criterion():
@@ -137,15 +168,15 @@ def test_merged_output_sorted_by_criterion():
         proposal(Box(20, 20, 30, 30), category=1, confidence=0.9),
         proposal(Box(40, 40, 50, 50), category=0, confidence=0.6),
     ]
-    kept = per_class_nms(proposals, NmsConfig(criterion="confidence"))
+    kept = nms(proposals, NmsConfig(), "confidence")
     assert [p.confidence for p in kept] == [0.9, 0.6, 0.4]
 
 
-def reference_per_class_nms(proposals, cfg):
+def reference_per_class_nms(proposals, cfg, criterion):
     """Slow restatement of `per_class_nms`: `reference_nms` on each category's
     pool, merged by descending criterion score, ties by input position."""
     def score(p):
-        return p.confidence if cfg.criterion == "confidence" else p.fused
+        return p.confidence if criterion == "confidence" else p.fused
 
     groups = {}
     for i, p in enumerate(proposals):
@@ -173,8 +204,8 @@ def grid_proposals(draw, max_size=24):
         box = Box(x1, y1, x1 + draw(st.integers(0, 4)), y1 + draw(st.integers(0, 4)))
         confidence, relatedness = draw(LEVELS), draw(LEVELS)
         proposals.append(
-            ScoredProposal(box, draw(st.integers(0, 2)), confidence, relatedness,
-                           relatedness * confidence)
+            Proposal(box, draw(st.integers(0, 2)), confidence, relatedness,
+                     relatedness * confidence)
         )
     return proposals
 
@@ -185,9 +216,10 @@ HYPOTHESIS = settings(max_examples=300, deadline=None, derandomize=True, databas
 @HYPOTHESIS
 @given(grid_proposals(), THRESHOLDS, st.booleans(), st.sampled_from(["confidence", "fused"]))
 def test_per_class_nms_matches_the_per_class_reference(proposals, threshold, per_class, criterion):
-    cfg = NmsConfig(iou_threshold=threshold, per_class=per_class, criterion=criterion)
-    got = per_class_nms(proposals, cfg)
-    assert [id(p) for p in got] == [id(p) for p in reference_per_class_nms(proposals, cfg)]
+    cfg = NmsConfig(iou_threshold=threshold, per_class=per_class)
+    got = nms(proposals, cfg, criterion)
+    expected = reference_per_class_nms(proposals, cfg, criterion)
+    assert [id(p) for p in got] == [id(p) for p in expected]
 
 
 @HYPOTHESIS
@@ -202,7 +234,7 @@ def test_greedy_nms_matches_the_reference_on_grid_boxes(proposals, threshold):
 
 def test_top_n_larger_than_pool_keeps_everything():
     pool = [proposal(Box(i * 20, 0, i * 20 + 10, 10), confidence=0.5) for i in range(3)]
-    assert len(select_proposals(pool, ProposalBudget.top_n(10), "confidence")) == 3
+    assert len(select_proposals(keep_list_of(pool), ProposalBudget.top_n(10))) == 3
 
 
 def test_top_n_output_size():
@@ -212,7 +244,7 @@ def test_top_n_output_size():
         for i in range(7)
     ]
     for n in range(0, 10):
-        assert len(select_proposals(pool, ProposalBudget.top_n(n), "confidence")) == min(n, 7)
+        assert len(select_proposals(keep_list_of(pool), ProposalBudget.top_n(n))) == min(n, 7)
 
 
 def test_threshold_budget_boundary_is_inclusive():
@@ -221,9 +253,9 @@ def test_threshold_budget_boundary_is_inclusive():
         proposal(Box(20, 0, 30, 10), confidence=0.66),
         proposal(Box(40, 0, 50, 10), confidence=0.6),
     ]
-    kept = select_proposals(pool, ProposalBudget.threshold(0.65), "confidence")
-    assert [p.confidence for p in kept] == [0.7, 0.66]
-    at_edge = select_proposals(pool, ProposalBudget.threshold(0.6), "confidence")
+    kept = select_proposals(keep_list_of(pool), ProposalBudget.threshold(0.65))
+    assert kept.scores.tolist() == [0.7, 0.66]
+    at_edge = select_proposals(keep_list_of(pool), ProposalBudget.threshold(0.6))
     assert len(at_edge) == 3
 
 
@@ -234,16 +266,16 @@ def test_budget_requires_exactly_one_mode():
         ProposalBudget(n=5, min_score=0.5)
 
 
-# pipelines ---------------------------------------------------------------------------
+# pipeline ----------------------------------------------------------------------------
 
 
 def random_image(rng, n_boxes, feature_dim=4, n_classes=3):
-    records = []
+    rows = []
     for _ in range(n_boxes):
         x1, y1 = rng.uniform(0, 60, size=2)
         w, h = rng.uniform(5, 40, size=2)
-        records.append(
-            DetectionRecord(
+        rows.append(
+            (
                 Box(x1, y1, x1 + w, y1 + h),
                 int(rng.integers(n_classes)),
                 "obj",
@@ -251,11 +283,11 @@ def random_image(rng, n_boxes, feature_dim=4, n_classes=3):
                 rng.normal(size=feature_dim),
             )
         )
-    return ImageDetections("img", tuple(records))
+    return image_of_rows("img", rows, feature_dim)
 
 
-def keep_signature(proposals):
-    return [(p.box, p.category_id) for p in proposals]
+def keep_signature(image, kept):
+    return list(zip(map(tuple, image.boxes[kept.rows].tolist()), image.category_ids[kept.rows]))
 
 
 def test_constant_relatedness_equals_confidence_baseline():
@@ -264,42 +296,46 @@ def test_constant_relatedness_equals_confidence_baseline():
         image = random_image(rng, int(rng.integers(1, 24)))
         k = float(rng.uniform(0.05, 1.0))
         nms_cfg = NmsConfig(iou_threshold=float(rng.uniform(0.2, 0.7)))
-        stub = constant_relatedness_proposals(image, k)
-        fused = fused_keep(stub, nms_cfg)
-        base = baseline_pipeline(image, nms_cfg=nms_cfg)
-        assert keep_signature(fused) == keep_signature(base)
+        fused = proposal_pipeline(image, nms_cfg=nms_cfg, relatedness=k)
+        base = proposal_pipeline(image, nms_cfg=nms_cfg)
+        assert keep_signature(image, fused) == keep_signature(image, base)
         # and under a top-N budget
-        fused_b = fused_keep(stub, nms_cfg, ProposalBudget.top_n(5))
-        base_b = baseline_pipeline(image, nms_cfg=nms_cfg, budget=ProposalBudget.top_n(5))
-        assert keep_signature(fused_b) == keep_signature(base_b)
+        fused_b = proposal_pipeline(
+            image, nms_cfg=nms_cfg, budget=ProposalBudget.top_n(5), relatedness=k
+        )
+        base_b = proposal_pipeline(image, nms_cfg=nms_cfg, budget=ProposalBudget.top_n(5))
+        assert keep_signature(image, fused_b) == keep_signature(image, base_b)
 
 
 def test_zero_relatedness_loses_nms_to_related_duplicate():
     # same box twice: confidence favors the first, fused favors the second
     b = Box(0, 0, 10, 10)
-    irrelevant = ScoredProposal(b, 0, 0.9, 0.0, 0.0)
-    relevant = ScoredProposal(b, 0, 0.8, 1.0, 0.8)
-    kept = per_class_nms([irrelevant, relevant], NmsConfig(criterion="fused"))
+    irrelevant = Proposal(b, 0, 0.9, 0.0, 0.0)
+    relevant = Proposal(b, 0, 0.8, 1.0, 0.8)
+    kept = nms([irrelevant, relevant], NmsConfig(), "fused")
     assert kept == [relevant]
-    kept_conf = per_class_nms([irrelevant, relevant], NmsConfig(criterion="confidence"))
+    kept_conf = nms([irrelevant, relevant], NmsConfig(), "confidence")
     assert kept_conf == [irrelevant]
 
 
 def test_ref_nms_pipeline_empty_image():
     params = init_parameters(ModelConfig(vocab_size=5, feature_dim=4, embed_dim=3, hidden_size=2), 0)
-    out = ref_nms_pipeline(ImageDetections("img", ()), [1, 2], params)
-    assert out == []
+    out = proposal_pipeline(ImageDetections.empty("img", 4), params=params, token_indices=[1, 2])
+    assert out.rows.tolist() == []
 
 
 def test_ref_nms_pipeline_runs_end_to_end():
     rng = np.random.default_rng(64)
     params = init_parameters(ModelConfig(vocab_size=6, feature_dim=4, embed_dim=3, hidden_size=2), 1)
     image = random_image(rng, 12)
-    kept = ref_nms_pipeline(
-        image, [1, 3], params, nms_cfg=NmsConfig(), budget=ProposalBudget.top_n(5)
+    kept = proposal_pipeline(
+        image, nms_cfg=NmsConfig(), budget=ProposalBudget.top_n(5),
+        params=params, token_indices=[1, 3],
     )
     assert len(kept) <= 5
-    for p in kept:
-        assert p.fused == p.relatedness * p.confidence
-    fused_order = [p.fused for p in kept]
+    for fused, relatedness, confidence in zip(
+        kept.scores.tolist(), kept.relatedness.tolist(), image.confidences[kept.rows].tolist()
+    ):
+        assert fused == relatedness * confidence
+    fused_order = kept.scores.tolist()
     assert fused_order == sorted(fused_order, reverse=True)

@@ -9,31 +9,29 @@ for the timing table; a plain test run checks the keep list once per size.
 import numpy as np
 import pytest
 
-from refnms.geometry import Box, box_array, pairwise_iou
-from refnms.model import ScoredProposal
+from refnms.geometry import pairwise_iou
 from refnms.nms import NmsConfig, per_class_nms
 
 
-def detector_like_proposals(n, seed):
+def detector_like_pool(n, seed):
+    """(boxes, confidences, category_ids) of `n` detector-like boxes."""
     rng = np.random.default_rng(seed)
-    proposals = []
+    boxes, confidences, categories = [], [], []
     for _ in range(n):
         x1, y1 = rng.uniform(0, 576), rng.uniform(0, 416)
         w, h = rng.uniform(16, 64, size=2)
-        confidence = float(rng.uniform(0.05, 0.95))
-        proposals.append(
-            ScoredProposal(Box(x1, y1, x1 + w, y1 + h), int(rng.integers(16)), confidence, 1.0,
-                           confidence)
-        )
-    return proposals
+        confidences.append(float(rng.uniform(0.05, 0.95)))
+        categories.append(int(rng.integers(16)))
+        boxes.append((x1, y1, x1 + w, y1 + h))
+    return np.array(boxes), np.array(confidences), np.array(categories)
 
 
 @pytest.mark.parametrize("n", [300, 1000])
 def test_cross_class_nms_speed(benchmark, n):
     cfg = NmsConfig(per_class=False)
-    kept = benchmark(per_class_nms, detector_like_proposals(n, seed=n), cfg)
+    boxes, confidences, categories = detector_like_pool(n, seed=n)
+    kept = benchmark(per_class_nms, boxes, confidences, categories, cfg)
     assert 0 < len(kept) < n
-    boxes = box_array([p.box for p in kept])
-    overlaps = pairwise_iou(boxes, boxes)
+    overlaps = pairwise_iou(boxes[kept], boxes[kept])
     np.fill_diagonal(overlaps, 0.0)
     assert overlaps.max() <= cfg.iou_threshold

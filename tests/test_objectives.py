@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from refnms import autodiff as ad
 from refnms.autodiff import Node, backward
-from refnms.geometry import Box
+from refnms.geometry import Box, box_array
 from refnms.objectives import (
     LabeledBox,
     RankingConfig,
@@ -54,7 +57,7 @@ def test_overlap_bin_is_monotone():
 
 def test_identical_box_is_a_full_overlap_positive():
     fg = Box(0, 0, 10, 10)
-    (lb,) = assign_labels([fg], [fg, Box(50, 50, 60, 60)])
+    (lb,) = assign_labels(box_array([fg]), box_array([fg, Box(50, 50, 60, 60)]))
     assert lb.max_overlap == 1.0
     assert lb.label == 1
     assert lb.bin == 5
@@ -62,7 +65,7 @@ def test_identical_box_is_a_full_overlap_positive():
 
 def test_low_overlap_is_negative_bin_zero():
     # inter = 40, union = 160 -> IoU 0.25
-    (lb,) = assign_labels([Box(0, 0, 10, 10)], [Box(6, 0, 16, 10)])
+    (lb,) = assign_labels(box_array([Box(0, 0, 10, 10)]), box_array([Box(6, 0, 16, 10)]))
     assert lb.max_overlap == pytest.approx(0.25, abs=1e-12)
     assert lb.label == 0
     assert lb.bin == 0
@@ -71,10 +74,39 @@ def test_low_overlap_is_negative_bin_zero():
 def test_overlap_just_above_half_is_bin_one():
     # IoU = 55/145 would miss; construct IoU ~ 0.55 via nested boxes:
     # inner 10x5.5 against 10x10 -> inter 55, union 100 -> 0.55
-    (lb,) = assign_labels([Box(0, 0, 10, 5.5)], [Box(0, 0, 10, 10)])
+    (lb,) = assign_labels(box_array([Box(0, 0, 10, 5.5)]), box_array([Box(0, 0, 10, 10)]))
     assert lb.max_overlap == pytest.approx(0.55)
     assert lb.label == 1
     assert lb.bin == 1
+
+
+HYPOTHESIS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def boxes(draw, max_size=10):
+    """Grid boxes (zero areas, duplicates and overlaps exactly at the bin edges
+    are common) mixed with arbitrary float boxes."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        if draw(st.booleans()):
+            x1, y1 = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+            out.append(Box(x1, y1, x1 + draw(st.integers(0, 10)), y1 + draw(st.integers(0, 10))))
+        else:
+            x1, y1 = draw(st.floats(-50, 50)), draw(st.floats(-50, 50))
+            out.append(Box(x1, y1, x1 + draw(st.floats(0, 60)), y1 + draw(st.floats(0, 60))))
+    return out
+
+
+@HYPOTHESIS
+@given(boxes(), boxes(max_size=4))
+def test_assign_labels_is_bit_equal_to_the_per_box_reference(candidates, foreground):
+    got = assign_labels(box_array(candidates), box_array(foreground))
+    assert len(got) == len(candidates)
+    for i, (lb, box) in enumerate(zip(got, candidates)):
+        rho = oracles.max_iou_against(box, foreground)
+        assert (lb.index, lb.label, lb.bin) == (i, 1 if rho > 0.5 else 0, overlap_bin(rho))
+        assert lb.max_overlap.hex() == rho.hex()
 
 
 def test_label_consistency_with_bins():
@@ -141,6 +173,21 @@ def test_binary_xe_gradient_matches_finite_differences():
 def test_no_positives_means_no_pairs():
     boxes = labeled(0.1, 0.4, 0.5)
     assert sample_pairs(boxes, np.array([0.9, 0.8, 0.7])) == []
+
+
+@HYPOTHESIS
+@given(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.3, 0.55, 0.62, 0.75, 0.85, 0.95, 1.0]),
+                       st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])), max_size=24),
+    st.integers(1, 6),
+)
+def test_sample_pairs_matches_the_per_positive_reference(boxes_and_scores, max_negatives):
+    # few score levels, so most pools hold ties
+    overlaps = [rho for rho, _ in boxes_and_scores]
+    scores = np.array([score for _, score in boxes_and_scores])
+    cfg = RankingConfig(max_negatives=max_negatives)
+    expected = oracles.sample_pairs(labeled(*overlaps), scores, cfg)
+    assert sample_pairs(labeled(*overlaps), scores, cfg) == expected
 
 
 def test_top_h_truncation_keeps_highest_scoring_negatives():

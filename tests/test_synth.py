@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import boxes_of
 from refnms.geometry import iou
 from refnms.ingest import (
     group_regions,
@@ -44,20 +45,20 @@ def test_different_seed_changes_the_data(tmp_path):
 
 def test_zero_noise_features_are_exact_one_hots(tmp_path):
     paths = generate_dataset(small_config(noise=0.0), tmp_path / "d")
-    dump = load_detection_dump(paths.detections)
+    dump, _ = load_detection_dump(paths.detections)
     for image in dump:
-        for rec in image.records:
+        for category_id, feature in zip(image.category_ids, image.features):
             expected = np.zeros(5)
-            expected[rec.category_id] = 1.0
-            np.testing.assert_array_equal(rec.feature, expected)
+            expected[category_id] = 1.0
+            np.testing.assert_array_equal(feature, expected)
 
 
 def test_counts_and_splits(tmp_path):
     cfg = small_config(n_images=10, expressions_per_image=2, val_fraction=0.2)
     paths = generate_dataset(cfg, tmp_path / "d")
-    dump = load_detection_dump(paths.detections)
+    dump, _ = load_detection_dump(paths.detections)
     assert len(dump) == 10
-    assert all(len(img.records) == cfg.boxes_per_image for img in dump)
+    assert all(len(img) == cfg.boxes_per_image for img in dump)
     expressions = load_expressions(paths.expressions)
     assert len(expressions) == 20
     assert sum(e.split == "train" for e in expressions) == 16
@@ -66,11 +67,11 @@ def test_counts_and_splits(tmp_path):
 
 def test_every_referent_has_an_accurate_same_category_detection(tmp_path):
     paths = generate_dataset(small_config(n_images=20), tmp_path / "d")
-    dump = {img.image_id: img for img in load_detection_dump(paths.detections)}
+    dump = {img.image_id: img for img in load_detection_dump(paths.detections)[0]}
     regions = group_regions(load_regions(paths.regions))
     for expr in load_expressions(paths.expressions):
         candidates = [
-            rec for rec in dump[expr.image_id].records if iou(rec.box, expr.referent_box) > 0.5
+            box for box in boxes_of(dump[expr.image_id]) if iou(box, expr.referent_box) > 0.5
         ]
         assert candidates, expr.expression_id
         # the referent's box is one of the annotated regions
@@ -101,15 +102,15 @@ def test_orthogonal_embeddings_make_pseudo_gt_exact(tmp_path):
 
 def test_distractor_categories_are_absent_from_the_image(tmp_path):
     paths = generate_dataset(small_config(n_images=15, noise=0.0), tmp_path / "d")
-    dump = {img.image_id: img for img in load_detection_dump(paths.detections)}
+    dump = {img.image_id: img for img in load_detection_dump(paths.detections)[0]}
     regions = group_regions(load_regions(paths.regions))
     for image_id, image in dump.items():
         present = {r.category_name for r in regions[image_id]}
         object_boxes = [r.box for r in regions[image_id]]
-        for rec in image.records:
-            overlaps_object = any(iou(rec.box, b) > 0.5 for b in object_boxes)
-            if not overlaps_object and max(iou(rec.box, b) for b in object_boxes) <= 0.25:
-                assert rec.category_name not in present
+        for box, category_name in zip(boxes_of(image), image.category_names):
+            overlaps_object = any(iou(box, b) > 0.5 for b in object_boxes)
+            if not overlaps_object and max(iou(box, b) for b in object_boxes) <= 0.25:
+                assert category_name not in present
 
 
 def test_config_validation():

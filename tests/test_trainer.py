@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import image_of_rows
 from refnms import autodiff as ad
 from refnms import trainer
 from refnms.autodiff import Node
-from refnms.geometry import Box
+from refnms.geometry import Box, box_array
 from refnms.ingest import (
     DataFormatError,
-    DetectionRecord,
     EmbeddingTable,
     ExpressionRecord,
     GroundTruthRegion,
@@ -58,14 +58,14 @@ def toy_dataset(rng, n_expressions=6, boxes_per_image=5):
             feature = np.zeros(FEATURE_DIM)
             feature[cat] = 1.0
             feature += rng.normal(0, 0.05, size=FEATURE_DIM)
-            records.append(DetectionRecord(box, cat, f"c{cat}", float(rng.uniform(0.2, 0.9)), feature))
+            records.append((box, cat, f"c{cat}", float(rng.uniform(0.2, 0.9)), feature))
             if cat == category and target is None:
                 target = box
         examples.append(
             TrainingExample(
                 expression_id=f"e{e}",
                 token_indices=(2 + category,),
-                detections=ImageDetections(f"img{e}", tuple(records)),
+                detections=image_of_rows(f"img{e}", records),
                 foreground=(target,),
             )
         )
@@ -271,7 +271,7 @@ def test_empty_dataset_is_an_error():
 def test_all_skipped_is_an_error():
     params = tiny_model()
     example = TrainingExample(
-        "e0", (1,), ImageDetections("img", ()), (Box(0, 0, 10, 10),)
+        "e0", (1,), ImageDetections.empty("img", FEATURE_DIM), (Box(0, 0, 10, 10),)
     )
     with pytest.raises(ValueError, match="usable"):
         train_epoch([example], params, init_optimizer_state(params), TrainConfig(), 0)
@@ -281,7 +281,9 @@ def test_skipped_expressions_are_counted():
     rng = np.random.default_rng(70)
     dataset = toy_dataset(rng, n_expressions=4)
     dataset.append(
-        TrainingExample("empty", (1,), ImageDetections("none", ()), (Box(0, 0, 1, 1),))
+        TrainingExample(
+            "empty", (1,), ImageDetections.empty("none", FEATURE_DIM), (Box(0, 0, 1, 1),)
+        )
     )
     params = tiny_model()
     metrics = train_epoch(dataset, params, init_optimizer_state(params), TrainConfig(), 0)
@@ -348,7 +350,8 @@ def test_pipeline_gradients_on_a_two_expression_batch():
         losses = []
         for ex in dataset:
             survivors, scores = relatedness_forward(ex.detections, ex.token_indices, params, 0.0)
-            labels = [lb.label for lb in assign_labels([r.box for r in survivors], ex.foreground)]
+            boxes = ex.detections.boxes[survivors]
+            labels = [lb.label for lb in assign_labels(boxes, box_array(ex.foreground))]
             losses.append(binary_xe(scores, labels))
         return ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
 
@@ -591,8 +594,8 @@ def test_build_training_set_precomputes_foreground():
             GroundTruthRegion("r2", "img1", Box(40, 40, 50, 50), "dog"),
         ]
     }
-    record = DetectionRecord(Box(0, 0, 10, 10), 0, "cat", 0.9, np.zeros(2))
-    detections = {"img1": ImageDetections("img1", (record,))}
+    record = (Box(0, 0, 10, 10), 0, "cat", 0.9, np.zeros(2))
+    detections = {"img1": image_of_rows("img1", [record])}
     vocab = build_vocabulary([expr, expr], max_len=10)
     (example,) = build_training_set([expr], detections, regions, table, vocab, 0.4)
     assert example.foreground == (Box(0, 0, 10, 10), Box(20, 20, 30, 30))
