@@ -214,8 +214,9 @@ def cmd_pseudo_gt(args) -> int:
     return EXIT_OK
 
 
-def _parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_file(path) -> dict[str, tuple[int, str]]:
+    """Each `key = value` line of a config file, as key -> (line number, value)."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -223,7 +224,7 @@ def _parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected `key = value`, got '{raw}'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (lineno, value.strip())
     return values
 
 
@@ -233,7 +234,7 @@ _TRAIN_KEYS = {
     "min_confidence": float, "similarity_threshold": float, "margin": float,
     "max_negatives": int, "embedding_lr": float,
 }
-_EXTRA_KEYS = {"hidden_size": int, "max_sentence_length": int}
+_EXTRA_KEYS = {"hidden_size": _positive_int, "max_sentence_length": _positive_int}
 
 
 def _resolve_train_settings(args) -> tuple[TrainConfig, int, int]:
@@ -241,13 +242,19 @@ def _resolve_train_settings(args) -> tuple[TrainConfig, int, int]:
     settings: dict = {}
     extras = {"hidden_size": 256, "max_sentence_length": 10}
     if args.config:
-        for key, raw in _parse_config_file(args.config).items():
-            if key in _TRAIN_KEYS:
-                settings[key] = _TRAIN_KEYS[key](raw)
-            elif key in _EXTRA_KEYS:
-                extras[key] = _EXTRA_KEYS[key](raw)
-            else:
-                raise DataFormatError(f"{args.config}: unknown config key '{key}'")
+        for key, (lineno, raw) in _parse_config_file(args.config).items():
+            convert = _TRAIN_KEYS.get(key) or _EXTRA_KEYS.get(key)
+            if convert is None:
+                raise DataFormatError(f"{args.config}:{lineno}: unknown config key '{key}'")
+            try:
+                value = convert(raw)
+                if key in _TRAIN_KEYS:
+                    TrainConfig(**{key: value})  # the checks of the config it will join
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise DataFormatError(
+                    f"{args.config}:{lineno}: {key}: bad value '{raw}' ({exc})"
+                ) from None
+            (settings if key in _TRAIN_KEYS else extras)[key] = value
     if args.loss is not None:
         settings["loss_kind"] = {"xe": "binary_xe", "rank": "ranking"}[args.loss]
     for flag, key in (
@@ -437,11 +444,11 @@ def cmd_grad_check(args) -> int:
     )
     indices = [int(i) for i in rng.integers(1, args.vocab_size, size=args.tokens)]
     # first box as foreground guarantees mixed labels
-    labels = [lb.label for lb in assign_labels(image.boxes, image.boxes[:1])]
+    _, bins = assign_labels(image.boxes, image.boxes[:1])
 
     def loss() -> ad.Node:
         _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
-        return binary_xe(scores, labels)
+        return binary_xe(scores, bins > 0)
 
     worst = ad.grad_check(loss, list(params.named_parameters().values()), step=args.step)
     print(f"max relative error: {worst:.3e}")

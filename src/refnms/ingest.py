@@ -368,15 +368,20 @@ def _format_box(box: Box) -> str:
 
 
 def load_expressions(path) -> list[ExpressionRecord]:
-    """Parse an expressions file; tokens are lowercased on load."""
+    """Parse an expressions file with unique expression ids; tokens are lowercased."""
     path = Path(path)
     out: list[ExpressionRecord] = []
+    first_line: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.rstrip("\n").split("\t")
             if len(fields) not in (5, 6):
                 raise DataFormatError(f"{path}:{lineno}: expected 5 or 6 fields, got {len(fields)}")
             expr_id, image_id, split, box_field, tok_field = fields[:5]
+            if (first := first_line.setdefault(expr_id, lineno)) != lineno:
+                raise DataFormatError(
+                    f"{path}:{lineno}: duplicate expression_id '{expr_id}' (first on line {first})"
+                )
             if split not in SPLITS:
                 raise DataFormatError(f"{path}:{lineno}: unknown split '{split}'")
             tokens = tuple(t.lower() for t in tok_field.split())

@@ -1,12 +1,15 @@
 """The relatedness model.
 
-A bi-directional GRU encodes the expression into one feature per word. Each
-detection's region feature is projected, attends over the word features to
-build an expression summary, and the fused (element-wise, L2-normalized)
-combination of box and summary is mapped to a relatedness probability. The
-final suppression criterion is the product of relatedness and detection
-confidence. All surviving boxes of an image go through one forward pass, as
-the rows of 2-D arrays, so the graph's size does not grow with their number.
+A bi-directional GRU encodes the expression into one feature per word. One
+attention over the words per expression sums them into a summary; the
+paper's box-conditioned attention is not modelled (a box term added to
+logits that the softmax normalizes over words would cancel). Each
+detection's region feature is projected and gated, and the fused
+(element-wise, L2-normalized) combination of gate and summary is mapped to a
+relatedness probability. The final suppression criterion is the product of
+relatedness and detection confidence. All surviving boxes of an image go
+through one forward pass, as the rows of 2-D arrays, so the graph's size
+does not grow with their number.
 """
 
 from __future__ import annotations
@@ -72,9 +75,7 @@ class ModelParameters:
     gru_fwd: GruParams
     gru_bwd: GruParams
     feature_projection: Node    # (feature, feature); stands in for detector-head fine-tuning
-    mlp_a: MlpParams            # box side of the attention, feature -> word_feature_dim
-    fc_s_w: Node                # attention logit head, (2 * word_feature_dim,)
-    fc_s_b: Node                # (1,)
+    fc_s_w: Node                # attention logit head over words, (1, word_feature_dim)
     mlp_b: MlpParams            # box side of the fusion, feature -> word_feature_dim
     fc_r_w: Node                # relatedness logit head, (1, word_feature_dim)
     fc_r_b: Node                # (1,)
@@ -93,10 +94,7 @@ class ModelParameters:
             for name, node in group.nodes().items():
                 named[f"{prefix}.{name}"] = node
         named["feature_projection"] = self.feature_projection
-        for name, node in self.mlp_a.nodes().items():
-            named[f"mlp_a.{name}"] = node
         named["fc_s.w"] = self.fc_s_w
-        named["fc_s.b"] = self.fc_s_b
         for name, node in self.mlp_b.nodes().items():
             named[f"mlp_b.{name}"] = node
         named["fc_r.w"] = self.fc_r_w
@@ -149,11 +147,13 @@ def init_parameters(
             views[f"{prefix}.{name}"][...] = node.value
     np.fill_diagonal(views["feature_projection"], 1.0)
     d, q = config.feature_dim, config.word_feature_dim
-    mlp_bounds = {"w1": 1.0 / np.sqrt(d), "w2": 1.0 / np.sqrt(q)}
+    # skip the draws of the removed box side of the attention (mlp_a, key half of fc_s.w) and keep
+    # fc_s.w's bound: kept weights get their checkpoint-v1 values, so outputs stay comparable
+    rng.bit_generator.advance(q * d + q * q + q)
     bounds = {
-        **{f"mlp_a.{k}": b for k, b in mlp_bounds.items()},
         "fc_s.w": 1.0 / np.sqrt(2 * q),
-        **{f"mlp_b.{k}": b for k, b in mlp_bounds.items()},
+        "mlp_b.w1": 1.0 / np.sqrt(d),
+        "mlp_b.w2": 1.0 / np.sqrt(q),
         "fc_r.w": 1.0 / np.sqrt(q),
     }
     for name, bound in bounds.items():
@@ -173,9 +173,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         **{f"gru_fwd.{k}": s for k, s in gru.items()},
         **{f"gru_bwd.{k}": s for k, s in gru.items()},
         "feature_projection": (d, d),
-        **{f"mlp_a.{k}": s for k, s in mlp.items()},
-        "fc_s.w": (2 * q,),
-        "fc_s.b": (1,),
+        "fc_s.w": (1, q),
         **{f"mlp_b.{k}": s for k, s in mlp.items()},
         "fc_r.w": (1, q),
         "fc_r.b": (1,),
@@ -212,9 +210,7 @@ def parameters_from_flat(config: ModelConfig, values: np.ndarray) -> ModelParame
         gru_fwd=group(GruParams, "gru_fwd"),
         gru_bwd=group(GruParams, "gru_bwd"),
         feature_projection=nodes["feature_projection"],
-        mlp_a=group(MlpParams, "mlp_a"),
         fc_s_w=nodes["fc_s.w"],
-        fc_s_b=nodes["fc_s.b"],
         mlp_b=group(MlpParams, "mlp_b"),
         fc_r_w=nodes["fc_r.w"],
         fc_r_b=nodes["fc_r.b"],
@@ -240,33 +236,24 @@ def encode_expression(indices: Sequence[int], params: ModelParameters) -> Node:
 def forward(features: np.ndarray, words: Node, params: ModelParameters) -> dict[str, Node]:
     """Score the boxes whose region features are the rows of `features`.
 
-    One pass for all n boxes against the (n_words, q) word features. Returns
-    every stage by name, boxes along axis 0: ``projected`` (n, feature_dim);
-    ``key``, ``gate``, ``attended`` and ``joint`` (n, q); ``logits`` and
-    ``weights`` (n, n_words), each row a softmax over the words; ``logit``
-    (n, 1); ``score`` (n,), the relatedness probabilities.
+    One pass for all n boxes against the (n_words, q) word features, with one
+    attention row per expression, not conditioned on the box as in the paper.
+    Returns every stage by name: ``projected`` (n, feature_dim); ``logits`` and
+    ``weights`` (1, n_words); ``attended`` (1, q); ``gate`` and ``joint``
+    (n, q); ``logit`` (n, 1); ``score`` (n,), the relatedness probabilities.
     """
-    q = params.config.word_feature_dim
-    n, n_words = features.shape[0], words.value.shape[0]
+    n, q = features.shape[0], params.config.word_feature_dim
     v = ad.linear(features, params.feature_projection)
-    a, b = params.mlp_a, params.mlp_b
-    key = ad.linear(ad.relu(ad.linear(v, a.w1, a.b1)), a.w2, a.b2)
+    b = params.mlp_b
     gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)
-    # fc_s scores the pair [key_i; word_j] as key_i . w[:q] + word_j . w[q:] + b
-    halves = ad.reshape(params.fc_s_w, (2, q))
-    box_term = ad.linear(key, ad.take(halves, [0]))
-    word_term = ad.linear(words, ad.take(halves, [1]), params.fc_s_b)
-    logits = ad.add(
-        ad.broadcast_to(box_term, (n, n_words)),
-        ad.broadcast_to(ad.reshape(word_term, (1, n_words)), (n, n_words)),
-    )
+    logits = ad.reshape(ad.linear(words, params.fc_s_w), (1, words.value.shape[0]))
     weights = ad.softmax(logits, axis=1)
     attended = ad.matmul(weights, words)
-    joint = ad.l2_normalize(ad.mul(gate, attended), axis=1)
+    joint = ad.l2_normalize(ad.mul(gate, ad.broadcast_to(attended, (n, q))), axis=1)
     logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
     return {
-        "projected": v, "key": key, "logits": logits, "weights": weights,
-        "attended": attended, "gate": gate, "joint": joint, "logit": logit,
+        "projected": v, "logits": logits, "weights": weights, "attended": attended,
+        "gate": gate, "joint": joint, "logit": logit,
         "score": ad.sigmoid(ad.reshape(logit, (n,))),
     }
 

@@ -40,16 +40,6 @@ def overlap_bin(max_overlap: float) -> int:
 
 
 @dataclass(frozen=True)
-class LabeledBox:
-    """A survivor box's index, best foreground overlap, label, and overlap bin."""
-
-    index: int
-    max_overlap: float
-    label: int
-    bin: int
-
-
-@dataclass(frozen=True)
 class RankingConfig:
     margin: float = 0.1
     max_negatives: int = 100
@@ -61,20 +51,16 @@ class RankingConfig:
             raise ValueError(f"max_negatives must be >= 1, got {self.max_negatives}")
 
 
-def assign_labels(boxes: np.ndarray, foreground: np.ndarray) -> list[LabeledBox]:
-    """Label each row of `boxes` (n, 4) by its best IoU against the rows of
-    `foreground` (m, 4); the best overlap of a box with no foreground is 0.
-
-    label is 1 exactly when the overlap exceeds 0.5 (strictly), which is also
-    when the overlap bin is nonzero.
+def assign_labels(boxes: np.ndarray, foreground: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best IoU of each row of `boxes` (n, 4) against the rows of
+    `foreground` (m, 4), 0 without foreground, and its overlap bin, as two
+    (n,) arrays. A box is positive exactly when its overlap exceeds 0.5
+    (strictly), that is when its bin is nonzero.
     """
     overlaps = pairwise_iou(boxes, foreground).max(axis=1, initial=0.0)
     # `overlap_bin` for every box: the number of edges strictly below it
     bins = (overlaps[:, None] > np.array(OVERLAP_BIN_EDGES)).sum(axis=1)
-    return [
-        LabeledBox(i, rho, 1 if rho > 0.5 else 0, b)
-        for i, (rho, b) in enumerate(zip(overlaps.tolist(), bins.tolist()))
-    ]
+    return overlaps, bins
 
 
 def binary_xe(scores: Node, labels) -> Node:
@@ -95,36 +81,32 @@ def binary_xe(scores: Node, labels) -> Node:
 
 
 def sample_pairs(
-    labeled: Sequence[LabeledBox],
+    bins: np.ndarray,
     predicted: np.ndarray,
     cfg: RankingConfig = RankingConfig(),
 ) -> list[tuple[int, int]]:
-    """Hard-negative pairs (negative_index, positive_index).
+    """Hard-negative pairs (negative_index, positive_index) from each box's
+    overlap bin and predicted score.
 
-    Positives are all boxes with overlap > 0.5. For each positive, candidate
-    negatives come from the union of strictly lower overlap bins, ranked by
-    descending predicted score (ties broken by ascending index) and truncated
-    to ``cfg.max_negatives``. Strict bin ordering guarantees that every pair
-    satisfies overlap(negative) < overlap(positive).
+    Positives are all boxes with a nonzero bin (overlap > 0.5), in index
+    order. For each positive, candidate negatives come from the union of
+    strictly lower bins, ranked by descending predicted score (ties broken by
+    ascending index) and truncated to ``cfg.max_negatives``. Strict bin order
+    guarantees overlap(negative) < overlap(positive) for every pair.
     """
+    bins = np.asarray(bins, dtype=np.intp)
     predicted = np.asarray(predicted, dtype=np.float64)
-    if predicted.shape != (len(labeled),):
-        raise ValueError(
-            f"sample_pairs: {predicted.shape} scores for {len(labeled)} labeled boxes"
-        )
-    index = np.array([lb.index for lb in labeled], dtype=np.intp)
-    bins = np.array([lb.bin for lb in labeled], dtype=np.intp)
-    # every box once, by descending score, ties by ascending index, then by position
-    ranked = np.lexsort((index, -predicted[index]))
-    ranked_index, ranked_bin = index[ranked], bins[ranked]
+    if bins.ndim != 1 or predicted.shape != bins.shape:
+        raise ValueError(f"sample_pairs: {predicted.shape} scores for {bins.shape} bins")
+    # every box once, by descending score, ties by ascending index
+    ranked = np.argsort(-predicted, kind="stable")
     pools: dict[int, list[int]] = {}
     pairs: list[tuple[int, int]] = []
-    for pos in labeled:
-        if pos.label != 1:
-            continue
-        if pos.bin not in pools:
-            pools[pos.bin] = ranked_index[ranked_bin < pos.bin][: cfg.max_negatives].tolist()
-        pairs.extend((i, pos.index) for i in pools[pos.bin])
+    for pos in np.flatnonzero(bins).tolist():
+        b = int(bins[pos])
+        if b not in pools:
+            pools[b] = ranked[bins[ranked] < b][: cfg.max_negatives].tolist()
+        pairs.extend((i, pos) for i in pools[b])
     return pairs
 
 

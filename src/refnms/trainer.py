@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
@@ -61,7 +62,7 @@ HEAD_PARAMETERS = ("feature_projection",)
 
 CHECKPOINT_MAGIC = b"RNMS1\n"
 
-# floats per Adam update; bounds the scratch memory of a step
+# floats per Adam update or finite check of a loaded payload; bounds their scratch memory
 ADAM_CHUNK = 32768
 
 
@@ -83,12 +84,17 @@ class TrainConfig:
     embedding_lr: float | None = None  # None -> lr_rest; 0.0 freezes embeddings
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got '{self.loss_kind}'")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr_head <= 0.0 or self.lr_rest <= 0.0:
             raise ValueError("learning rates must be > 0")
+        self.ranking_config()  # checks margin and max_negatives
 
     def ranking_config(self) -> RankingConfig:
         return RankingConfig(margin=self.margin, max_negatives=self.max_negatives)
@@ -256,16 +262,15 @@ def train_epoch(
             if scores is None:
                 skipped += 1
                 continue
-            labeled = assign_labels(ex.detections.boxes[survivors], box_array(ex.foreground))
-            labels = [lb.label for lb in labeled]
+            _, bins = assign_labels(ex.detections.boxes[survivors], box_array(ex.foreground))
             if cfg.loss_kind == "binary_xe":
-                loss = binary_xe(scores, labels)
+                loss = binary_xe(scores, bins > 0)
             else:
-                pairs = sample_pairs(labeled, scores.value, rank_cfg)
+                pairs = sample_pairs(bins, scores.value, rank_cfg)
                 loss = ranking_loss(pairs, scores, rank_cfg)
             losses.append(loss)
-            positives += int(np.sum(labels))
-            negatives += len(labels) - int(np.sum(labels))
+            positives += int(np.count_nonzero(bins))
+            negatives += int(np.count_nonzero(bins == 0))
         if not losses:
             continue
         batch_loss = ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
@@ -402,6 +407,17 @@ def _validate_header(path, header) -> ModelConfig:
     return config
 
 
+def _require_finite(path, payload: np.ndarray, arrays) -> None:
+    """Name the first of `arrays` (name, shape), laid out in order in `payload`,
+    that holds a non-finite value; checks `ADAM_CHUNK` floats at a time."""
+    ends = np.cumsum([math.prod(shape) for _, shape in arrays])
+    for lo in range(0, payload.size, ADAM_CHUNK):
+        finite = np.isfinite(payload[lo : lo + ADAM_CHUNK])
+        if not finite.all():
+            name, _ = arrays[int(np.searchsorted(ends, lo + np.argmin(finite), side="right"))]
+            raise DataFormatError(f"{path}: non-finite value in checkpoint array '{name}'")
+
+
 def load_checkpoint(
     path,
     expected_config: ModelConfig | None = None,
@@ -417,7 +433,7 @@ def load_checkpoint(
     `expected_hash` only warns. The payload is read once, into one buffer:
     the parameters' flat store and Adam's `m` and `v` are slices of it.
     Without `with_optimizer`, only the parameter block is read and the
-    returned optimizer state is ``None``.
+    returned optimizer state is ``None``. Every value read must be finite.
     """
     with Path(path).open("rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -433,7 +449,8 @@ def load_checkpoint(
             raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
-                f"{path}: unsupported checkpoint version {header.get('format_version')}"
+                f"{path}: unsupported checkpoint version {header.get('format_version')} "
+                f"(this build reads v{CHECKPOINT_VERSION}); retrain the model"
             )
         config = _validate_header(path, header)
         if expected_config is not None and config != expected_config:
@@ -478,6 +495,7 @@ def load_checkpoint(
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: checkpoint word list: {exc}") from None
         payload = np.fromfile(fh, dtype="<f8", count=3 * count if with_optimizer else count)
+    _require_finite(path, payload, expected)
     params = parameters_from_flat(config, payload[:count])
     opt_state = None
     if with_optimizer:

@@ -6,6 +6,7 @@ Each is a plain restatement of an earlier, per-box form of the program: one
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,17 @@ def with_swapped_directions(params: ModelParameters) -> ModelParameters:
 # objectives -------------------------------------------------------------------------
 
 
+class LabeledBox(NamedTuple):
+    """A survivor box's index, best foreground overlap, label, and overlap bin."""
+
+    index: int
+    max_overlap: float
+    label: int
+    bin: int
+
+
 def sample_pairs(labeled, predicted, cfg):
-    """Hard-negative pairs, one pool rebuilt and sorted per positive."""
+    """Hard-negative pairs from `LabeledBox`es, one pool rebuilt and sorted per positive."""
     pairs = []
     for pos in labeled:
         if pos.label != 1:

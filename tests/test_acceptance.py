@@ -25,7 +25,6 @@ from refnms.ingest import group_regions, load_embeddings, load_expressions, load
 from refnms.model import ModelConfig, init_parameters, relatedness_forward
 from refnms.nms import NmsConfig, ProposalBudget, proposal_pipeline
 from refnms.objectives import (
-    LabeledBox,
     RankingConfig,
     assign_labels,
     binary_xe,
@@ -73,11 +72,11 @@ def test_criterion_1_gradient_correctness():
         indices = [int(i) for i in rng.integers(1, 9, size=4)]
         # foreground on the first box gives a mix of positive and negative labels
         foreground = box_array([records[0][0]])
-        labels = [lb.label for lb in assign_labels(image.boxes, foreground)]
+        _, bins = assign_labels(image.boxes, foreground)
 
         def loss():
             _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
-            return binary_xe(scores, labels)
+            return binary_xe(scores, bins > 0)
 
         inputs = list(params.named_parameters().values())
         worst = ad.grad_check(loss, inputs, step=1e-5)
@@ -143,14 +142,11 @@ def test_criterion_4_loss_oracles():
 
         # constructed fixture spanning every overlap bin
         overlaps = (0.0, 0.2, 0.45, 0.5, 0.52, 0.58, 0.61, 0.69, 0.75, 0.85, 0.95, 1.0)
-        labeled = [
-            LabeledBox(i, r, 1 if r > 0.5 else 0, overlap_bin(r))
-            for i, r in enumerate(overlaps)
-        ]
+        bins = [overlap_bin(r) for r in overlaps]
         rng = np.random.default_rng(4)
         scores = rng.uniform(0, 1, size=len(overlaps))
         cfg = RankingConfig(margin=0.1, max_negatives=3)
-        pairs = sample_pairs(labeled, scores, cfg)
+        pairs = sample_pairs(np.array(bins), scores, cfg)
         assert pairs, "fixture must generate pairs"
         per_positive: dict[int, list[int]] = {}
         for neg, pos in pairs:
@@ -159,7 +155,7 @@ def test_criterion_4_loss_oracles():
         for pos, negatives in per_positive.items():
             assert len(negatives) <= cfg.max_negatives
             # exhaustively: these are exactly the top-scoring strictly-lower-bin boxes
-            eligible = [lb.index for lb in labeled if lb.bin < labeled[pos].bin]
+            eligible = [i for i, b in enumerate(bins) if b < bins[pos]]
             eligible.sort(key=lambda i: (-scores[i], i))
             assert negatives == eligible[: cfg.max_negatives]
 

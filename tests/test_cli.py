@@ -1,9 +1,11 @@
 """CLI: flag documentation, exit codes, determinism, command round trips."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from refnms import geometry
@@ -52,7 +54,7 @@ def test_version_prints_artifact_and_format_versions(capsys):
     out = capsys.readouterr().out
     assert "refnms 0.1.0" in out
     assert "dump v1" in out
-    assert "checkpoint v1" in out
+    assert "checkpoint v2" in out
 
 
 def test_unknown_flag_exits_with_usage_error():
@@ -250,6 +252,60 @@ def test_malformed_checkpoint_word_list_exits_naming_the_file(
     assert str(ckpt) in err and "word list" in err
 
 
+def test_version_1_checkpoint_exits_with_data_error_asking_to_retrain(
+    dataset, checkpoint_bytes, tmp_path, capsys
+):
+    capsys.readouterr()
+    code, ckpt = apply_with_header_edit(
+        dataset, checkpoint_bytes, tmp_path, lambda fields: fields.update(format_version=1)
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "version 1" in err and "retrain" in err
+
+
+def test_non_finite_checkpoint_value_exits_with_data_error_naming_the_array(
+    dataset, checkpoint_bytes, tmp_path, capsys
+):
+    magic, header, payload = checkpoint_bytes.split(b"\n", 2)
+    offset = 0
+    for entry in json.loads(header)["arrays"]:
+        if entry["name"] == "mlp_b.b2":
+            break
+        offset += math.prod(entry["shape"])
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[offset + 1] = np.nan
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(b"\n".join([magic, header, values.tobytes()]))
+    capsys.readouterr()
+    code = main(
+        ["apply", "--detections", str(dataset / "detections.tsv"),
+         "--expressions", str(dataset / "expressions.tsv"),
+         "--checkpoint", str(ckpt), "--out", str(tmp_path / "o.tsv")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "non-finite" in err and "'mlp_b.b2'" in err
+
+
+def test_duplicate_expression_id_exits_with_data_error_naming_both_lines(tmp_path, capsys):
+    detections = tmp_path / "dets.tsv"
+    detections.write_text("#refnms-dets v1 feature_dim=1\nimg0\t0 0 10 10\t0\tcat\t0.8\t0.5\n")
+    expressions = tmp_path / "expr.tsv"
+    expressions.write_text(
+        "e0\timg0\tval\t0 0 10 10\tthe cat\n"
+        "e1\timg0\tval\t0 0 10 10\ta cat\n"
+        "e0\timg0\tval\t0 0 10 10\tthat cat\n"
+    )
+    capsys.readouterr()
+    code = main(["apply", "--detections", str(detections), "--expressions", str(expressions),
+                 "--baseline", "--out", str(tmp_path / "o.tsv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{expressions}:3:" in err and "'e0'" in err and "line 1" in err
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):
     csv_path = tmp_path / "recall.csv"
     code = main(
@@ -290,6 +346,30 @@ def test_train_rejects_unknown_config_key(dataset, tmp_path):
          "--config", str(config)]
     )
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("batch_size = abc", "batch_size: bad value 'abc'"),
+        ("lr_head = nan", "lr_head: bad value 'nan' (lr_head must be finite"),
+        ("batch_size = 0", "batch_size: bad value '0' (batch_size must be >= 1"),
+    ],
+    ids=["conversion", "non-finite", "rejected-by-train-config"],
+)
+def test_bad_config_file_value_exits_with_data_error_naming_the_line(
+    dataset, tmp_path, capsys, line, message
+):
+    config = tmp_path / "train.cfg"
+    config.write_text(f"# comment line\nepochs = 1\n{line}\n")
+    capsys.readouterr()
+    code = main(
+        ["train", *data_args(dataset), "--out", str(tmp_path / "m.ckpt"),
+         "--config", str(config)]
+    )
+    assert code == EXIT_DATA
+    assert f"{config}:3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_grad_check_command_passes_and_prints_error(capsys):

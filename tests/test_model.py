@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import image_of_rows, with_swapped_directions
 from refnms import autodiff as ad
-from refnms.autodiff import grad_check
+from refnms.autodiff import grad_check, init_gru_params
 from refnms.geometry import Box
 from refnms.ingest import EmbeddingTable, ImageDetections
 from refnms.model import (
+    MlpParams,
     ModelConfig,
     encode_expression,
     forward,
@@ -107,6 +108,28 @@ def test_parameter_shapes_match_initialized_parameters():
     assert list(parameter_shapes(cfg).items()) == [(n, p.value.shape) for n, p in named.items()]
 
 
+def test_init_keeps_the_draws_of_the_model_with_box_conditioned_attention():
+    # the draw order of checkpoint-v1 models, whose attention also had mlp_a
+    # and a (2q,) fc_s.w: every weight kept since gets the same values
+    cfg = ModelConfig(vocab_size=7, feature_dim=5, embed_dim=4, hidden_size=3)
+    d, q = cfg.feature_dim, cfg.word_feature_dim
+    rng = np.random.default_rng(12)
+    rng.uniform(-0.1, 0.1, size=(cfg.vocab_size, cfg.embed_dim))
+    for _ in range(2):
+        init_gru_params(cfg.embed_dim, cfg.hidden_size, rng)
+    draws = {
+        name: rng.uniform(-1.0 / np.sqrt(fan), 1.0 / np.sqrt(fan), size=shape)
+        for name, shape, fan in [
+            ("mlp_a.w1", (q, d), d), ("mlp_a.w2", (q, q), q), ("fc_s.w", (2 * q,), 2 * q),
+            ("mlp_b.w1", (q, d), d), ("mlp_b.w2", (q, q), q), ("fc_r.w", (1, q), q),
+        ]
+    }
+    draws["fc_s.w"] = draws["fc_s.w"][q:].reshape(1, q)
+    named = init_parameters(cfg, seed=12).named_parameters()
+    for name in ("fc_s.w", "mlp_b.w1", "mlp_b.w2", "fc_r.w"):
+        np.testing.assert_array_equal(named[name].value, draws[name], err_msg=name)
+
+
 def test_init_uses_embedding_table_and_zero_pad_row():
     from refnms.ingest import ExpressionRecord, build_vocabulary
 
@@ -138,7 +161,7 @@ def test_attend_singleton_word():
 
 def test_attend_zero_logit_head_is_uniform_mean():
     params = init_parameters(tiny_config(), seed=2)
-    zero_out(params.fc_s_w, params.fc_s_b)
+    zero_out(params.fc_s_w)
     words = encode_expression([1, 2, 3], params)
     stages = forward(np.array([[0.3, -0.2, 0.5]]), words, params)
     np.testing.assert_allclose(stages["weights"].value, 1.0 / 3.0, atol=1e-12)
@@ -151,9 +174,7 @@ def test_attend_softmax_arithmetic():
     # logits (ln 3, 0) -> weights (0.75, 0.25)
     cfg = ModelConfig(vocab_size=4, feature_dim=2, embed_dim=2, hidden_size=1)
     params = init_parameters(cfg, seed=0)
-    zero_out(*params.mlp_a.nodes().values())
-    params.fc_s_w.value = np.array([0.0, 0.0, np.log(3.0), 0.0])
-    params.fc_s_b.value = np.zeros(1)
+    params.fc_s_w.value = np.array([[np.log(3.0), 0.0]])
     words = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
     stages = forward(np.zeros((1, 2)), words, params)
     np.testing.assert_allclose(stages["weights"].value, [[0.75, 0.25]], atol=1e-12)
@@ -214,9 +235,13 @@ def test_trace_invariants():
     params.mlp_b.b2.value += 0.5  # keep the pre-norm vector comfortably nonzero
     words = encode_expression([2, 6, 4, 1], params)
     stages = forward(rng.normal(size=(10, 3)), words, params)
-    rows = zip(*(stages[k].value for k in ("weights", "gate", "attended", "joint", "score")))
-    for weights, gate, attended, joint, score in rows:
-        assert abs(weights.sum() - 1.0) < 1e-9
+    # one attention row and one summary for the expression, shared by every box
+    (weights,) = stages["weights"].value
+    (attended,) = stages["attended"].value
+    assert abs(weights.sum() - 1.0) < 1e-9
+    rows = list(zip(*(stages[k].value for k in ("gate", "joint", "score"))))
+    assert len(rows) == 10
+    for gate, joint, score in rows:
         pre_norm = gate * attended
         if np.linalg.norm(pre_norm) > 0.05:
             assert abs(np.linalg.norm(joint) - 1.0) < 1e-9
@@ -290,10 +315,25 @@ def test_full_model_gradients_match_finite_differences():
 # batched forward vs. a per-box reference -----------------------------------------
 
 
-def reference_scores(features, words, params):
-    """The per-box forward: one graph per box, vectors instead of row batches."""
+def removed_parameters(config, rng):
+    """Random values for the box side of the attention that the model no longer
+    has: `mlp_a`, the key half of `fc_s.w` and the bias `fc_s.b`."""
+    d, q = config.feature_dim, config.word_feature_dim
+    shapes = {
+        "mlp_a.w1": (q, d), "mlp_a.b1": (q,), "mlp_a.w2": (q, q), "mlp_a.b2": (q,),
+        "fc_s.w[:q]": (q,), "fc_s.b": (1,),
+    }
+    return {name: ad.Node(0.5 * rng.normal(size=shape)) for name, shape in shapes.items()}
+
+
+def reference_scores(features, words, params, removed):
+    """The per-box forward with box-conditioned attention logits, as the model
+    had them: one graph per box, vectors instead of row batches. `removed`
+    holds the parameters of the box side of the attention."""
     q = params.config.word_feature_dim
     n_words = words.value.shape[0]
+    mlp_a = MlpParams(*(removed[f"mlp_a.{k}"] for k in ("w1", "b1", "w2", "b2")))
+    fc_s_w = ad.concat([removed["fc_s.w[:q]"], ad.reshape(params.fc_s_w, (q,))])
 
     def mlp(p, x):
         return ad.add(ad.matmul(p.w2, ad.relu(ad.add(ad.matmul(p.w1, x), p.b1))), p.b2)
@@ -301,10 +341,10 @@ def reference_scores(features, words, params):
     scores = []
     for feature in features:
         v = ad.matmul(params.feature_projection, ad.constant(feature))
-        key = ad.broadcast_to(ad.reshape(mlp(params.mlp_a, v), (1, q)), (n_words, q))
+        key = ad.broadcast_to(ad.reshape(mlp(mlp_a, v), (1, q)), (n_words, q))
         paired = ad.concat([key, words], axis=1)
         logits = ad.add(
-            ad.matmul(paired, params.fc_s_w), ad.broadcast_to(params.fc_s_b, (n_words,))
+            ad.matmul(paired, fc_s_w), ad.broadcast_to(removed["fc_s.b"], (n_words,))
         )
         attended = ad.matmul(ad.softmax(logits, axis=0), words)
         joint = ad.l2_normalize(ad.mul(mlp(params.mlp_b, v), attended))
@@ -312,9 +352,9 @@ def reference_scores(features, words, params):
     return ad.concat(scores)
 
 
-# the box term and the bias of the attention logit are the same for every
-# word, so the softmax cancels them: these parameters get a true gradient of zero
-ZERO_GRADIENT = ("mlp_a.w1", "mlp_a.b1", "mlp_a.w2", "mlp_a.b2", "fc_s.b")
+# the box term and the bias of the reference's attention logit are the same
+# for every word, so the softmax cancels them: they get a true gradient of zero
+ZERO_GRADIENT = ("mlp_a.w1", "mlp_a.b1", "mlp_a.w2", "mlp_a.b2", "fc_s.w[:q]", "fc_s.b")
 
 
 def gradients(score_fn, features, indices, params, coefficients):
@@ -335,11 +375,14 @@ def gradients(score_fn, features, indices, params, coefficients):
 def test_batched_forward_matches_the_per_box_reference(
     n_boxes, n_words, feature_dim, hidden_size, seed
 ):
+    # the reference is the model with box-conditioned attention logits: with any
+    # values for that branch, it scores and trains exactly like the model without it
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(vocab_size=7, feature_dim=feature_dim, embed_dim=3, hidden_size=hidden_size)
     params = init_parameters(cfg, seed=seed)
     for node in params.named_parameters().values():
         node.value += 0.5 * rng.normal(size=node.value.shape)
+    removed = removed_parameters(cfg, rng)
     features = rng.normal(scale=2.0, size=(n_boxes, feature_dim))
     indices = [int(i) for i in rng.integers(1, 7, size=n_words)]
     coefficients = rng.normal(size=n_boxes)
@@ -347,15 +390,16 @@ def test_batched_forward_matches_the_per_box_reference(
     def batched(features, words, params):
         return forward(features, words, params)["score"]
 
+    def reference(features, words, params):
+        return reference_scores(features, words, params, removed)
+
     scores, grads = gradients(batched, features, indices, params, coefficients)
-    ref_scores, ref_grads = gradients(reference_scores, features, indices, params, coefficients)
+    ref_scores, ref_grads = gradients(reference, features, indices, params, coefficients)
     np.testing.assert_allclose(scores, ref_scores, rtol=0.0, atol=1e-12)
     for name, ref in ref_grads.items():
-        if name in ZERO_GRADIENT:
-            assert np.abs(grads[name]).max() < 1e-12, name
-            assert np.abs(ref).max() < 1e-12, name
-        else:
-            assert np.linalg.norm(grads[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
+        assert np.linalg.norm(grads[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
+    for name in ZERO_GRADIENT:
+        assert np.abs(removed[name].grad).max() < 1e-12, name
 
 
 def graph_size(node):

@@ -12,8 +12,8 @@ import oracles
 from refnms import autodiff as ad
 from refnms.autodiff import Node, backward
 from refnms.geometry import Box, box_array
+from oracles import LabeledBox
 from refnms.objectives import (
-    LabeledBox,
     RankingConfig,
     assign_labels,
     binary_xe,
@@ -31,6 +31,10 @@ def exact_bin(hundredths: int) -> int:
 
 def labeled(*overlaps):
     return [LabeledBox(i, rho, 1 if rho > 0.5 else 0, overlap_bin(rho)) for i, rho in enumerate(overlaps)]
+
+
+def bins_of(*overlaps):
+    return np.array([overlap_bin(rho) for rho in overlaps], dtype=np.intp)
 
 
 # quantization -------------------------------------------------------------------
@@ -57,27 +61,24 @@ def test_overlap_bin_is_monotone():
 
 def test_identical_box_is_a_full_overlap_positive():
     fg = Box(0, 0, 10, 10)
-    (lb,) = assign_labels(box_array([fg]), box_array([fg, Box(50, 50, 60, 60)]))
-    assert lb.max_overlap == 1.0
-    assert lb.label == 1
-    assert lb.bin == 5
+    overlaps, bins = assign_labels(box_array([fg]), box_array([fg, Box(50, 50, 60, 60)]))
+    assert overlaps.tolist() == [1.0]
+    assert bins.tolist() == [5]
 
 
 def test_low_overlap_is_negative_bin_zero():
     # inter = 40, union = 160 -> IoU 0.25
-    (lb,) = assign_labels(box_array([Box(0, 0, 10, 10)]), box_array([Box(6, 0, 16, 10)]))
-    assert lb.max_overlap == pytest.approx(0.25, abs=1e-12)
-    assert lb.label == 0
-    assert lb.bin == 0
+    overlaps, bins = assign_labels(box_array([Box(0, 0, 10, 10)]), box_array([Box(6, 0, 16, 10)]))
+    assert overlaps[0] == pytest.approx(0.25, abs=1e-12)
+    assert bins.tolist() == [0]
 
 
 def test_overlap_just_above_half_is_bin_one():
     # IoU = 55/145 would miss; construct IoU ~ 0.55 via nested boxes:
     # inner 10x5.5 against 10x10 -> inter 55, union 100 -> 0.55
-    (lb,) = assign_labels(box_array([Box(0, 0, 10, 5.5)]), box_array([Box(0, 0, 10, 10)]))
-    assert lb.max_overlap == pytest.approx(0.55)
-    assert lb.label == 1
-    assert lb.bin == 1
+    overlaps, bins = assign_labels(box_array([Box(0, 0, 10, 5.5)]), box_array([Box(0, 0, 10, 10)]))
+    assert overlaps[0] == pytest.approx(0.55)
+    assert bins.tolist() == [1]
 
 
 HYPOTHESIS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -101,12 +102,12 @@ def boxes(draw, max_size=10):
 @HYPOTHESIS
 @given(boxes(), boxes(max_size=4))
 def test_assign_labels_is_bit_equal_to_the_per_box_reference(candidates, foreground):
-    got = assign_labels(box_array(candidates), box_array(foreground))
-    assert len(got) == len(candidates)
-    for i, (lb, box) in enumerate(zip(got, candidates)):
+    overlaps, bins = assign_labels(box_array(candidates), box_array(foreground))
+    assert overlaps.shape == bins.shape == (len(candidates),)
+    for overlap, b, box in zip(overlaps.tolist(), bins.tolist(), candidates):
         rho = oracles.max_iou_against(box, foreground)
-        assert (lb.index, lb.label, lb.bin) == (i, 1 if rho > 0.5 else 0, overlap_bin(rho))
-        assert lb.max_overlap.hex() == rho.hex()
+        assert (b > 0, b) == (rho > 0.5, overlap_bin(rho))
+        assert overlap.hex() == rho.hex()
 
 
 def test_label_consistency_with_bins():
@@ -171,8 +172,8 @@ def test_binary_xe_gradient_matches_finite_differences():
 
 
 def test_no_positives_means_no_pairs():
-    boxes = labeled(0.1, 0.4, 0.5)
-    assert sample_pairs(boxes, np.array([0.9, 0.8, 0.7])) == []
+    bins = bins_of(0.1, 0.4, 0.5)
+    assert sample_pairs(bins, np.array([0.9, 0.8, 0.7])) == []
 
 
 @HYPOTHESIS
@@ -187,26 +188,26 @@ def test_sample_pairs_matches_the_per_positive_reference(boxes_and_scores, max_n
     scores = np.array([score for _, score in boxes_and_scores])
     cfg = RankingConfig(max_negatives=max_negatives)
     expected = oracles.sample_pairs(labeled(*overlaps), scores, cfg)
-    assert sample_pairs(labeled(*overlaps), scores, cfg) == expected
+    assert sample_pairs(bins_of(*overlaps), scores, cfg) == expected
 
 
 def test_top_h_truncation_keeps_highest_scoring_negatives():
-    boxes = labeled(1.0, 0.2, 0.3, 0.1)  # one positive (bin 5), three bin-0 negatives
+    bins = bins_of(1.0, 0.2, 0.3, 0.1)  # one positive (bin 5), three bin-0 negatives
     cfg = RankingConfig(margin=0.1, max_negatives=2)
-    pairs = sample_pairs(boxes, np.array([0.95, 0.9, 0.2, 0.5]), cfg)
+    pairs = sample_pairs(bins, np.array([0.95, 0.9, 0.2, 0.5]), cfg)
     assert pairs == [(1, 0), (3, 0)]  # scores 0.9 and 0.5 beat 0.2
 
 
 def test_equal_bins_are_not_eligible_negatives():
     # both boxes land in bin 1; neither may serve as the other's negative
-    boxes = labeled(0.55, 0.52)
-    assert sample_pairs(boxes, np.array([0.5, 0.5])) == []
+    bins = bins_of(0.55, 0.52)
+    assert sample_pairs(bins, np.array([0.5, 0.5])) == []
 
 
 def test_ties_break_by_ascending_index():
-    boxes = labeled(0.9, 0.2, 0.2, 0.2)
+    bins = bins_of(0.9, 0.2, 0.2, 0.2)
     cfg = RankingConfig(margin=0.1, max_negatives=2)
-    pairs = sample_pairs(boxes, np.array([0.9, 0.4, 0.4, 0.4]), cfg)
+    pairs = sample_pairs(bins, np.array([0.9, 0.4, 0.4, 0.4]), cfg)
     assert pairs == [(1, 0), (2, 0)]
 
 
@@ -214,19 +215,19 @@ def test_every_pair_orders_overlaps_strictly():
     rng = np.random.default_rng(53)
     for _ in range(50):
         overlaps = rng.uniform(0, 1, size=12)
-        boxes = labeled(*overlaps)
+        bins = bins_of(*overlaps)
         scores = rng.uniform(0, 1, size=12)
-        for neg, pos in sample_pairs(boxes, scores, RankingConfig(0.1, 4)):
+        for neg, pos in sample_pairs(bins, scores, RankingConfig(0.1, 4)):
             assert overlaps[neg] < overlaps[pos]
 
 
 def test_never_more_than_max_negatives_per_positive():
     rng = np.random.default_rng(54)
     overlaps = np.concatenate([rng.uniform(0, 0.5, size=30), [0.95]])
-    boxes = labeled(*overlaps)
+    bins = bins_of(*overlaps)
     scores = rng.uniform(0, 1, size=31)
     cfg = RankingConfig(margin=0.1, max_negatives=7)
-    pairs = sample_pairs(boxes, scores, cfg)
+    pairs = sample_pairs(bins, scores, cfg)
     per_positive: dict[int, int] = {}
     for _, pos in pairs:
         per_positive[pos] = per_positive.get(pos, 0) + 1
@@ -269,9 +270,9 @@ def test_ranking_loss_equals_brute_force_recomputation():
         n = int(rng.integers(2, 15))
         overlaps = rng.uniform(0, 1, size=n)
         predictions = rng.uniform(0, 1, size=n)
-        boxes = labeled(*overlaps)
+        bins = bins_of(*overlaps)
         cfg = RankingConfig(margin=0.1, max_negatives=5)
-        pairs = sample_pairs(boxes, predictions, cfg)
+        pairs = sample_pairs(bins, predictions, cfg)
         loss = ranking_loss(pairs, Node(predictions), cfg)
         if not pairs:
             assert loss.value.item() == 0.0
@@ -284,8 +285,8 @@ def test_ranking_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(56)
     scores = Node(rng.uniform(0.05, 0.95, size=8))
     overlaps = rng.uniform(0, 1, size=8)
-    boxes = labeled(*overlaps)
-    pairs = sample_pairs(boxes, scores.value, RankingConfig(margin=0.37, max_negatives=4))
+    bins = bins_of(*overlaps)
+    pairs = sample_pairs(bins, scores.value, RankingConfig(margin=0.37, max_negatives=4))
     if not pairs:
         pytest.skip("draw produced no pairs")
 

@@ -170,19 +170,26 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("key", ["lr_head", "eps", "margin", "embedding_lr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite_floats(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        TrainConfig(**{key: value})
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     chunk=st.integers(1, 70),
     hidden=st.integers(1, 3),
     steps=st.integers(1, 4),
     embedding_lr=st.sampled_from([None, 0.0, 2e-2]),
-    silent=st.integers(0, 31),
+    silent=st.integers(0, 26),
     seed=st.integers(0, 2**16),
 )
 def test_flat_adam_is_bit_equal_to_the_per_parameter_reference(
     chunk, hidden, steps, embedding_lr, silent, seed
 ):
-    # chunks of 1 to 70 floats cut every run of a 110-to-330-float store
+    # chunks of 1 to 70 floats cut every run of a 91-to-251-float store
     # at many points; parameter `silent` gets no gradient on any step
     rng = np.random.default_rng(seed)
     params = tiny_model(seed=seed % 7, hidden=hidden)
@@ -351,7 +358,7 @@ def test_pipeline_gradients_on_a_two_expression_batch():
         for ex in dataset:
             survivors, scores = relatedness_forward(ex.detections, ex.token_indices, params, 0.0)
             boxes = ex.detections.boxes[survivors]
-            labels = [lb.label for lb in assign_labels(boxes, box_array(ex.foreground))]
+            labels = assign_labels(boxes, box_array(ex.foreground))[1] > 0
             losses.append(binary_xe(scores, labels))
         return ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
 
@@ -527,7 +534,7 @@ MALFORMED_HEADERS = [
     (edited("optimizer_step", value="3"), "'optimizer_step' must be an integer"),
     (edited("optimizer_step", value=-1), "'optimizer_step' must be >= 0"),
     (lambda header: {**header, "arrays": header["arrays"][::-1]}, "order save_checkpoint writes"),
-    (lambda header: {**header, "arrays": header["arrays"][:-1]}, "lists 95 arrays, expected 96"),
+    (lambda header: {**header, "arrays": header["arrays"][:-1]}, "lists 80 arrays, expected 81"),
     (edited("arrays", 0, "shape", value=[8, 4]), "shape mismatch for 'embeddings'"),
     (edited("vocab", "words", value=["<pad>", "unk"]), "word list has 2 words"),
     (edited("vocab", "words", 1, value="<unk>"), "word list: vocabulary word list must start"),
