@@ -159,19 +159,58 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
+# BLAS picks a kernel by the shape of a product, and its kernels round
+# differently. OpenBLAS 0.3.31 (Haswell kernels, one thread) sends a one-row
+# product to GEMV, a one-column product to GEMV with rows in blocks, and, for
+# an inner dimension of 32 or more, a product of up to ~1,200 output floats to
+# a small-matrix kernel. `_product` keeps every product on one kernel.
+_SMALL_KERNEL_MIN_INNER = 32
+_MIN_PRODUCT_FLOATS = 2048
+
+
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` for x (m, k) and w (n, k), each row computed the same way
+    whatever the rows beside it.
+
+    A one-output product is a multiply and a row sum. Otherwise x is padded
+    with zero rows up to the shape of the main GEMM kernel, so that a row of
+    a batch is bit-equal to the same row scored alone.
+    """
+    m, k = x.shape
+    n = w.shape[0]
+    if n == 1:
+        return np.multiply(x, w).sum(axis=1, keepdims=True)
+    rows = max(2, -(-_MIN_PRODUCT_FLOATS // n)) if k >= _SMALL_KERNEL_MIN_INNER else 2
+    if m >= rows:
+        return x @ w.T
+    padded = np.zeros((rows, k))
+    padded[:m] = x
+    return (padded @ w.T)[:m]
+
+
+def _rowwise_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` as one matrix-vector product per row of x, so each row's
+    value is what it would be alone. For the few rows of a GRU state this
+    costs less than `_product`'s padding: one (1, 256) row is one GEMV, not
+    an (8, 256) GEMM."""
+    return np.matmul(x[:, None, :], w.T)[:, 0, :]
+
+
 def linear(x: Node | np.ndarray, w: Node, b: Node | None = None) -> Node:
     """Row-wise affine map ``x @ w.T + b``: x (n, in), w (out, in), b (out,).
 
     The weight is used as stored, so the gradient with respect to it is one
     ``g.T @ x`` product over all rows, with no transposed copy in the graph.
     A plain array `x` is a constant input: no gradient is computed for it.
+    Each output row is computed as `_product` computes it, whatever the
+    number of rows.
     """
     xv, wv = (x.value if isinstance(x, Node) else x), w.value
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
         raise ValueError(f"linear: input {xv.shape} does not fit weight {wv.shape}")
     if b is not None and b.value.shape != (wv.shape[0],):
         raise ValueError(f"linear: bias {b.value.shape} does not fit weight {wv.shape}")
-    value = xv @ wv.T
+    value = _product(xv, wv)
     if b is not None:
         value += b.value
     parents = tuple(n for n in (x, w, b) if isinstance(n, Node))
@@ -245,6 +284,7 @@ def broadcast_to(x: Node, shape) -> Node:
 def take(x: Node, indices) -> Node:
     """Select rows of `x` along axis 0; repeated indices accumulate gradient.
 
+    The result has the shape of `indices` followed by the shape of a row.
     Backward sums the gradient rows of each selected row into a compact
     block, in index order, and adds that block to the selected rows only, so
     its cost follows the number of indices, not the size of `x`.
@@ -255,7 +295,7 @@ def take(x: Node, indices) -> Node:
     def _bw(out: Node) -> None:
         # sorted distinct rows; not np.unique, whose first call in a process
         # takes ~16 ms with numpy 2.4
-        rows = np.array(sorted(set(idx.tolist())), dtype=np.intp)
+        rows = np.array(sorted(set(idx.ravel().tolist())), dtype=np.intp)
         block = np.zeros((rows.size,) + x.value.shape[1:])
         np.add.at(block, np.searchsorted(rows, idx), out.grad)
         if x.grad is None:
@@ -280,9 +320,62 @@ def softmax(x: Node, axis: int = -1) -> Node:
     return out
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # tanh form is stable across the whole float64 range
-    return 0.5 * (1.0 + np.tanh(0.5 * a))
+def _sum_over_steps(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)``, added one step at a time in order: a column's sum
+    is the same whatever the number of steps or columns, since every padded
+    step adds an exact zero."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def masked_softmax(x: Node, lengths) -> Node:
+    """Softmax down each column b of x (T, B) over its first ``lengths[b]``
+    entries; the entries after them get weight exactly 0 and no gradient."""
+    xv = x.value
+    lengths = np.asarray(lengths)
+    if xv.ndim != 2 or lengths.shape != (xv.shape[1],):
+        raise ValueError(f"masked_softmax: {lengths.shape} lengths for logits {xv.shape}")
+    if lengths.size and not (1 <= lengths.min() and lengths.max() <= xv.shape[0]):
+        raise ValueError(f"masked_softmax: lengths must lie in [1, {xv.shape[0]}]")
+    valid = np.arange(xv.shape[0])[:, None] < lengths
+    top = np.where(valid, xv, -np.inf).max(axis=0, initial=-np.inf)
+    e = np.exp(np.where(valid, xv - top, -np.inf))
+    s = e / _sum_over_steps(e)
+    out = Node(s, (x,))
+
+    def _bw(out: Node) -> None:
+        g = out.grad
+        _accumulate(x, s * (g - _sum_over_steps(g * s)))
+
+    out._backward = _bw
+    return out
+
+
+def weighted_sum(weights: Node, values: Node) -> Node:
+    """``sum_t weights[t, b] * values[t, b]`` for each b: weights (T, B) and
+    values (T, B, k) give (B, k), added one step at a time in order."""
+    wv, vv = weights.value, values.value
+    if wv.ndim != 2 or vv.ndim != 3 or vv.shape[:2] != wv.shape:
+        raise ValueError(f"weighted_sum: weights {wv.shape} do not fit values {vv.shape}")
+    out = Node(_sum_over_steps(wv[:, :, None] * vv), (weights, values))
+
+    def _bw(out: Node) -> None:
+        g = out.grad
+        _accumulate(weights, (vv * g).sum(axis=2))
+        _accumulate(values, wv[:, :, None] * g)
+
+    out._backward = _bw
+    return out
+
+
+def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # tanh form is stable across the whole float64 range: 0.5 * (1 + tanh(0.5 * a))
+    out = np.multiply(0.5, a, out=out)
+    np.tanh(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def sigmoid(x: Node) -> Node:
@@ -448,65 +541,75 @@ def init_gru_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -
 
 
 def gru_sequence(xs: Node, params: GruParams) -> Node:
-    """Run one GRU direction over the rows of `xs` (T, input) from a zero state.
+    """Run one GRU direction from a zero state over the steps of `xs`.
 
-    Returns the (T, hidden) states as one node. Step t computes, with h the
-    previous state and x row t:
-    z = sigmoid(w_z x + u_z h + b_z), r = sigmoid(w_r x + u_r h + b_r),
-    cand = tanh(w_h x + u_h (r * h) + b_h), h' = (1 - z) * h + z * cand,
-    one matrix-vector product per term, so every state is bit-equal to a
-    chain of per-step primitive ops. Backward is backpropagation through
-    time: only the recurrent gradient runs step by step; the input gradient
-    and every weight gradient are one product over all steps.
+    `xs` is (T, input) for one sequence or (T, B, input) for B sequences side
+    by side; the states come back with the same leading axes, (T, hidden) or
+    (T, B, hidden). Step t computes, with h the previous state and x the
+    step's input: z = sigmoid((w_z x + b_z) + u_z h), r = sigmoid((w_r x +
+    b_r) + u_r h), cand = tanh((w_h x + b_h) + u_h (r * h)), h' = (1 - z) * h
+    + z * cand. The input terms of all steps are one `_product` per gate, the
+    state terms one `_rowwise_product` per gate and step, so a sequence's
+    states do not depend on the sequences beside it. Sequences of different lengths share a call by padding each at its
+    end: padded steps come after its real ones and change none of its
+    states. Backward is backpropagation through time: only the recurrent
+    gradient runs step by step; the input gradient and every weight
+    gradient are one product over all steps.
     """
     p = params
     xv = xs.value
     w_z, u_z, b_z = p.w_z.value, p.u_z.value, p.b_z.value
     w_r, u_r, b_r = p.w_r.value, p.u_r.value, p.b_r.value
     w_h, u_h, b_h = p.w_h.value, p.u_h.value, p.b_h.value
-    if xv.ndim != 2 or xv.shape[0] == 0 or xv.shape[1] != w_z.shape[1]:
+    if xv.ndim not in (2, 3) or 0 in xv.shape[:-1] or xv.shape[-1] != w_z.shape[1]:
         raise ValueError(f"gru_sequence: input {xv.shape} does not fit weight {w_z.shape}")
     steps, hidden = xv.shape[0], u_z.shape[0]
+    flat_x = xv.reshape(-1, xv.shape[-1])
+    batch = flat_x.shape[0] // steps
+    x_z, x_r, x_h = (
+        np.add(_product(flat_x, w), b).reshape(steps, batch, hidden)
+        for w, b in ((w_z, b_z), (w_r, b_r), (w_h, b_h))
+    )
     # states[t] is the state before step t, states[t + 1] the one after it
-    states = np.zeros((steps + 1, hidden))
-    zs, rs, cands, reset = (np.empty((steps, hidden)) for _ in range(4))
-    h = states[0]
+    states = np.zeros((steps + 1, batch, hidden))
+    zs, rs, cands, reset = (np.empty((steps, batch, hidden)) for _ in range(4))
     for t in range(steps):
-        x = xv[t]
-        z = _sigmoid((w_z @ x + u_z @ h) + b_z)
-        r = _sigmoid((w_r @ x + u_r @ h) + b_r)
-        rh = r * h
-        cand = np.tanh((w_h @ x + u_h @ rh) + b_h)
-        h = (1.0 - z) * h + z * cand
-        zs[t], rs[t], cands[t], reset[t], states[t + 1] = z, r, cand, rh, h
+        h, z, r, rh, cand, h_next = states[t], zs[t], rs[t], reset[t], cands[t], states[t + 1]
+        _sigmoid(np.add(x_z[t], _rowwise_product(h, u_z), out=z), out=z)
+        _sigmoid(np.add(x_r[t], _rowwise_product(h, u_r), out=r), out=r)
+        np.multiply(r, h, out=rh)
+        np.tanh(np.add(x_h[t], _rowwise_product(rh, u_h), out=cand), out=cand)
+        np.multiply(np.subtract(1.0, z, out=h_next), h, out=h_next)
+        h_next += z * cand
     prev = states[:-1]
-    out = Node(states[1:], (xs, *p.nodes().values()))
+    out = Node(states[1:].reshape(xv.shape[:-1] + (hidden,)), (xs, *p.nodes().values()))
 
     def _bw(out: Node) -> None:
+        grad = out.grad.reshape(steps, batch, hidden)
         # per-step factors that do not depend on the recurrent gradient
         dz_pre = (cands - prev) * (zs * (1.0 - zs))
         dc_pre = zs * (1.0 - cands * cands)
         dr_pre = prev * (rs * (1.0 - rs))
         keep = 1.0 - zs
-        da_z, da_r, da_c = (np.empty((steps, hidden)) for _ in range(3))
-        u_zt, u_rt, u_ht = u_z.T, u_r.T, u_h.T
-        dh = np.zeros(hidden)
+        da_z, da_r, da_c = (np.empty((steps, batch, hidden)) for _ in range(3))
+        dh = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
-            dh = dh + out.grad[t]
+            dh = dh + grad[t]
             a_c = dh * dc_pre[t]
-            d_rh = u_ht @ a_c
+            d_rh = a_c @ u_h
             a_z = dh * dz_pre[t]
             a_r = d_rh * dr_pre[t]
-            dh = dh * keep[t] + d_rh * rs[t] + u_zt @ a_z + u_rt @ a_r
+            dh = dh * keep[t] + d_rh * rs[t] + a_z @ u_z + a_r @ u_r
             da_z[t], da_r[t], da_c[t] = a_z, a_r, a_c
-        _accumulate(xs, da_z @ w_z + da_r @ w_r + da_c @ w_h)
+        da_z, da_r, da_c = (a.reshape(-1, hidden) for a in (da_z, da_r, da_c))
+        _accumulate(xs, (da_z @ w_z + da_r @ w_r + da_c @ w_h).reshape(xv.shape))
         for (w, u, b), da, h_in in (
             ((p.w_z, p.u_z, p.b_z), da_z, prev),
             ((p.w_r, p.u_r, p.b_r), da_r, prev),
             ((p.w_h, p.u_h, p.b_h), da_c, reset),
         ):
-            _accumulate(w, da.T @ xv)
-            _accumulate(u, da.T @ h_in)
+            _accumulate(w, da.T @ flat_x)
+            _accumulate(u, da.T @ h_in.reshape(-1, hidden))
             _accumulate(b, da.sum(axis=0))
 
     out._backward = _bw

@@ -29,11 +29,7 @@ from .ingest import (
     load_expressions,
     load_regions,
 )
-from .model import (
-    ModelConfig,
-    init_parameters,
-    relatedness_forward,
-)
+from .model import ModelConfig, init_parameters, make_batch, relatedness_forward, score_expressions
 from .nms import NmsConfig, ProposalBudget, proposal_pipeline
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
@@ -68,6 +64,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_in(lo: float, hi: float, *, open_interval: bool = False):
+    """An argparse type: a float in [lo, hi], or in (lo, hi) with `open_interval`."""
+    bounds = f"({lo:g}, {hi:g})" if open_interval else f"[{lo:g}, {hi:g}]"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got '{text}'") from None
+        # NaN fails both comparisons
+        if not (lo < value < hi if open_interval else lo <= value <= hi):
+            raise argparse.ArgumentTypeError(f"expected a finite value in {bounds}, got {text}")
+        return value
+
+    return parse
+
+
+_unit = _finite_in(0.0, 1.0)
+_open_unit = _finite_in(0.0, 1.0, open_interval=True)
+_cosine = _finite_in(-1.0, 1.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refnms",
@@ -100,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expressions", required=True)
     p.add_argument("--regions", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--similarity-threshold", type=float, default=0.4)
+    p.add_argument("--similarity-threshold", type=_cosine, default=0.4)
     p.add_argument("--split", default=None, help="restrict to one split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo_gt)
@@ -118,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--hidden-size", type=_positive_int, default=None)
     p.add_argument("--max-sentence-length", type=_positive_int, default=None)
-    p.add_argument("--min-confidence", type=float, default=None)
-    p.add_argument("--similarity-threshold", type=float, default=None)
+    p.add_argument("--min-confidence", type=_unit, default=None)
+    p.add_argument("--similarity-threshold", type=_cosine, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("apply", help="dump kept proposals per expression", epilog=EPILOG)
@@ -139,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence-criterion baseline (no model)",
     )
     p.add_argument("--split", default=None)
-    p.add_argument("--min-confidence", type=float, default=0.05)
-    p.add_argument("--nms-iou", type=float, default=0.3)
+    p.add_argument("--min-confidence", type=_unit, default=0.05)
+    p.add_argument("--nms-iou", type=_open_unit, default=0.3)
     p.add_argument("--cross-class", action="store_true", help="suppress across categories")
     p.add_argument("--top-n", type=int, default=None)
-    p.add_argument("--min-score", type=float, default=None)
+    p.add_argument("--min-score", type=_unit, default=None)
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("eval-recall", help="recall vs. proposal budget", epilog=EPILOG)
@@ -157,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of top-N sizes and/or 'real_case'")
     p.add_argument("--checkpoint", default=None, help="required for ref_nms")
     p.add_argument("--out", required=True, help="CSV report path")
-    p.add_argument("--similarity-threshold", type=float, default=0.4)
-    p.add_argument("--min-confidence", type=float, default=0.05)
-    p.add_argument("--nms-iou", type=float, default=0.3)
+    p.add_argument("--similarity-threshold", type=_cosine, default=0.4)
+    p.add_argument("--min-confidence", type=_unit, default=0.05)
+    p.add_argument("--nms-iou", type=_open_unit, default=0.3)
     p.add_argument("--cross-class", action="store_true")
-    p.add_argument("--real-case-min-score", type=float, default=0.65)
+    p.add_argument("--real-case-min-score", type=_unit, default=0.65)
     p.set_defaults(func=cmd_eval_recall)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the model", epilog=EPILOG)
@@ -196,17 +214,19 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_pseudo_gt(args) -> int:
-    from .pseudo_gt import generate_pseudo_gt
+    from .pseudo_gt import generate_pseudo_gt, memoized_similarity
 
     expressions = load_expressions(args.expressions)
     if args.split:
         expressions = [e for e in expressions if e.split == args.split]
     regions_by_image = group_regions(load_regions(args.regions))
     table = load_embeddings(args.embeddings)
+    similarity = memoized_similarity(table)
     lines = []
     for expr in expressions:
         pseudo = generate_pseudo_gt(
-            expr, regions_by_image.get(expr.image_id, ()), table, args.similarity_threshold
+            expr, regions_by_image.get(expr.image_id, ()), table, args.similarity_threshold,
+            similarity,
         )
         lines.append(f"{expr.expression_id}\t{','.join(sorted(pseudo.region_ids))}")
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
@@ -340,18 +360,22 @@ def cmd_apply(args) -> int:
     params = vocab = None
     if args.checkpoint is not None:
         params, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
+    images = [by_image.get(expr.image_id) for expr in expressions]
+    images = [
+        ImageDetections.empty(expr.image_id, feature_dim) if image is None else image
+        for expr, image in zip(expressions, images)
+    ]
+    if params is not None:
+        tokens = (encode_tokens(expr.tokens, vocab) for expr in expressions)
+        scores = score_expressions(zip(images, tokens), params, args.min_confidence)
     # without a model the keep list does not depend on the expression: NMS once per image
     constant_relatedness = 1.0 if args.baseline else args.stub_relatedness
     image_keeps = {}
     lines = []
-    for expr in expressions:
-        image = by_image.get(expr.image_id)
-        if image is None:
-            image = ImageDetections.empty(expr.image_id, feature_dim)
+    for expr, image in zip(expressions, images):
         if params is not None:
             kept = proposal_pipeline(
-                image, args.min_confidence, nms_cfg, budget,
-                params=params, token_indices=encode_tokens(expr.tokens, vocab),
+                image, args.min_confidence, nms_cfg, budget, relatedness=next(scores)
             )
         else:
             if expr.image_id not in image_keeps:
@@ -443,12 +467,12 @@ def cmd_grad_check(args) -> int:
         "gradcheck", boxes, confidences, category_ids, ("object",) * args.boxes, features
     )
     indices = [int(i) for i in rng.integers(1, args.vocab_size, size=args.tokens)]
+    batch = make_batch([indices], [image.features])
     # first box as foreground guarantees mixed labels
     _, bins = assign_labels(image.boxes, image.boxes[:1])
 
     def loss() -> ad.Node:
-        _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
-        return binary_xe(scores, bins > 0)
+        return binary_xe(relatedness_forward(batch, params), bins > 0)
 
     worst = ad.grad_check(loss, list(params.named_parameters().values()), step=args.step)
     print(f"max relative error: {worst:.3e}")

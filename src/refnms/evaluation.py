@@ -25,9 +25,9 @@ from .ingest import (
     Vocabulary,
     encode_tokens,
 )
-from .model import ModelParameters
+from .model import ModelParameters, score_expressions
 from .nms import KeepList, NmsConfig, ProposalBudget, proposal_pipeline
-from .pseudo_gt import generate_pseudo_gt, pseudo_region_boxes
+from .pseudo_gt import generate_pseudo_gt, memoized_similarity, pseudo_region_boxes
 
 # a proposal hits a target when their IoU is strictly above this
 HIT_IOU = 0.5
@@ -126,9 +126,10 @@ def build_eval_set(
 ) -> list[EvalExample]:
     """Assemble evaluation examples; token indices only when a vocab is given."""
     examples = []
+    similarity = memoized_similarity(table)
     for expr in expressions:
         regions = regions_by_image.get(expr.image_id, ())
-        pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold)
+        pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold, similarity)
         detections = detections_by_image.get(expr.image_id)
         if detections is None:
             detections = ImageDetections.empty(expr.image_id)
@@ -164,9 +165,10 @@ def recall_curve(
     """Aggregate referent and contextual recall per proposal budget.
 
     Budgets are integers (top-N selection) or the string "real_case"
-    (selection by score threshold `real_case_min_score`). NMS runs once per
-    expression, or once per image for the expression-agnostic baseline;
-    budgets only re-slice the keep list. Expressions without any
+    (selection by score threshold `real_case_min_score`). For ref_nms the
+    model scores the expressions in passes (`model.score_expressions`). NMS
+    runs once per expression, or once per image for the expression-agnostic
+    baseline; budgets only re-slice the keep list. Expressions without any
     pseudo region are excluded from the contextual denominator.
     """
     if not examples:
@@ -177,6 +179,15 @@ def recall_curve(
     if len(splits) != 1:
         raise ValueError(f"recall_curve: examples span several splits {sorted(splits)}")
     split = splits.pop()
+    if method == "ref_nms":
+        if params is None:
+            raise ValueError("recall_curve: ref_nms needs trained parameters")
+        for ex in examples:
+            if ex.token_indices is None:
+                raise ValueError(f"recall_curve: example {ex.expression_id} lacks token indices")
+        relatedness = score_expressions(
+            ((ex.detections, ex.token_indices) for ex in examples), params, min_confidence
+        )
     baseline_keeps: dict[ImageDetections, KeepList] = {}
     found_at = []
     for ex in examples:
@@ -188,15 +199,8 @@ def recall_curve(
                 )
             kept = baseline_keeps[ex.detections]
         else:
-            if params is None:
-                raise ValueError("recall_curve: ref_nms needs trained parameters")
-            if ex.token_indices is None:
-                raise ValueError(
-                    f"recall_curve: example {ex.expression_id} lacks token indices"
-                )
             kept = proposal_pipeline(
-                ex.detections, min_confidence, nms_cfg,
-                params=params, token_indices=ex.token_indices,
+                ex.detections, min_confidence, nms_cfg, relatedness=next(relatedness)
             )
         # a budget keeps a prefix of the keep list: target j is found within
         # the first k proposals exactly when first[j] < k

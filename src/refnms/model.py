@@ -7,16 +7,26 @@ logits that the softmax normalizes over words would cancel). Each
 detection's region feature is projected and gated, and the fused
 (element-wise, L2-normalized) combination of gate and summary is mapped to a
 relatedness probability. The final suppression criterion is the product of
-relatedness and detection confidence. All surviving boxes of an image go
-through one forward pass, as the rows of 2-D arrays, so the graph's size
-does not grow with their number.
+relatedness and detection confidence.
+
+One forward serves training, scoring and tracing, over a batch of B
+expressions (`ExpressionBatch`): tokens padded to (T, B) at the end of each
+expression, one GRU call per direction (the backward one on tokens reversed
+within each expression's length), a masked softmax down (T, B), and the
+surviving boxes of all B images as the rows of one (sum N, D) matrix, each
+taking its expression's summary by segment index. The graph's size does not
+grow with B, the number of tokens or the number of boxes. An expression's
+scores are bit-equal whatever other expressions share its batch: every
+product computes a row the same way whatever the rows beside it, and sums
+over words add padded steps as exact zeros. `score_expressions` scores a
+sequence of expressions in passes of at most `PASS_FLOATS` box floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +35,11 @@ from .autodiff import GruParams, Node, init_gru_params
 from .ingest import DataFormatError, EmbeddingTable, ImageDetections, PAD_TOKEN, Vocabulary
 
 DEFAULT_MIN_CONFIDENCE = 0.05
+
+# floats in the widest intermediate of one scoring pass, its boxes times
+# max(feature_dim, word_feature_dim); bounds a pass's scratch memory. An
+# expression wider than this gets a pass of its own.
+PASS_FLOATS = 8192
 
 
 @dataclass(frozen=True)
@@ -218,73 +233,157 @@ def parameters_from_flat(config: ModelConfig, values: np.ndarray) -> ModelParame
     )
 
 
-def encode_expression(indices: Sequence[int], params: ModelParameters) -> Node:
-    """Word features for a token-index sequence, shape (n_words, 2 * hidden).
+@dataclass(frozen=True, eq=False)
+class ExpressionBatch:
+    """B expressions and the boxes each one scores, as padded arrays.
 
-    Row j concatenates the forward GRU state after tokens [0..j] and the
-    backward GRU state after tokens [n-1..j].
+    ``tokens`` (T, B) holds expression b's token indices in
+    ``tokens[:lengths[b], b]`` and the padding index after them;
+    ``reversed_tokens`` holds them in reverse order within the same length.
+    ``features`` (sum N, D) stacks the region features of every expression's
+    boxes, expression by expression: expression b owns rows
+    ``offsets[b]:offsets[b + 1]``, and ``segments`` names each row's
+    expression.
     """
-    if len(indices) == 0:
-        raise ValueError("encode_expression: empty token sequence")
-    tokens = ad.take(params.embeddings, indices)
-    backwards = np.arange(len(indices) - 1, -1, -1)
-    fwd_states = ad.gru_sequence(tokens, params.gru_fwd)
-    bwd_states = ad.gru_sequence(ad.take(tokens, backwards), params.gru_bwd)
-    return ad.concat([fwd_states, ad.take(bwd_states, backwards)], axis=1)
+
+    tokens: np.ndarray
+    reversed_tokens: np.ndarray
+    lengths: np.ndarray
+    features: np.ndarray
+    offsets: np.ndarray
+    segments: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
 
 
-def forward(features: np.ndarray, words: Node, params: ModelParameters) -> dict[str, Node]:
-    """Score the boxes whose region features are the rows of `features`.
+def make_batch(
+    token_lists: Sequence[Sequence[int]], features: Sequence[np.ndarray]
+) -> ExpressionBatch:
+    """Batch expressions given as token-index sequences and (n_b, D) box features."""
+    if not token_lists or len(token_lists) != len(features):
+        raise ValueError(
+            f"make_batch: {len(token_lists)} expressions for {len(features)} feature blocks"
+        )
+    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.intp)
+    if lengths.min() == 0:
+        raise ValueError("make_batch: empty token sequence")
+    tokens = np.zeros((lengths.max(), len(lengths)), dtype=np.intp)  # index 0 is PAD_TOKEN
+    reversed_tokens = np.zeros_like(tokens)
+    for b, indices in enumerate(token_lists):
+        tokens[: lengths[b], b] = indices
+        reversed_tokens[: lengths[b], b] = tokens[lengths[b] - 1 :: -1, b]
+    counts = np.array([len(block) for block in features], dtype=np.intp)
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return ExpressionBatch(
+        tokens=tokens,
+        reversed_tokens=reversed_tokens,
+        lengths=lengths,
+        # one block is used as given: a pass of one wide expression holds one copy
+        features=features[0] if len(features) == 1 else np.concatenate(features),
+        offsets=offsets,
+        segments=np.repeat(np.arange(len(counts)), counts),
+    )
 
-    One pass for all n boxes against the (n_words, q) word features, with one
-    attention row per expression, not conditioned on the box as in the paper.
-    Returns every stage by name: ``projected`` (n, feature_dim); ``logits`` and
-    ``weights`` (1, n_words); ``attended`` (1, q); ``gate`` and ``joint``
-    (n, q); ``logit`` (n, 1); ``score`` (n,), the relatedness probabilities.
+
+def encode_expressions(batch: ExpressionBatch, params: ModelParameters) -> Node:
+    """Word features of every token position, (T * B, 2 * hidden), time-major.
+
+    Row t * B + b concatenates the forward GRU state of expression b after
+    its tokens [0..t] and the backward state after its tokens [n_b-1..t].
+    Rows past an expression's length hold padding states.
     """
-    n, q = features.shape[0], params.config.word_feature_dim
-    v = ad.linear(features, params.feature_projection)
+    steps, size = batch.tokens.shape
+    fwd = ad.gru_sequence(ad.take(params.embeddings, batch.tokens), params.gru_fwd)
+    bwd = ad.gru_sequence(ad.take(params.embeddings, batch.reversed_tokens), params.gru_bwd)
+    # the backward state of position t of expression b is step n_b - 1 - t of its run
+    position = np.arange(steps)[:, None]
+    back = np.where(position < batch.lengths, batch.lengths - 1 - position, position)
+    rows = (steps * size, params.config.hidden_size)
+    bwd_rows = (back * size + np.arange(size)).ravel()
+    return ad.concat([ad.reshape(fwd, rows), ad.take(ad.reshape(bwd, rows), bwd_rows)], axis=1)
+
+
+def forward(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
+    """Score every box of a batch of expressions.
+
+    Returns every stage by name: ``words`` (T * B, q); ``logits`` and
+    ``weights`` (T, B), one attention column per expression, zero past its
+    length; ``attended`` (B, q); ``projected`` (sum N, feature_dim); ``gate``
+    and ``joint`` (sum N, q); ``logit`` (sum N, 1); ``score`` (sum N,), the
+    relatedness probabilities.
+    """
+    steps, size = batch.tokens.shape
+    n, q = batch.features.shape[0], params.config.word_feature_dim
+    words = encode_expressions(batch, params)
+    logits = ad.reshape(ad.linear(words, params.fc_s_w), (steps, size))
+    weights = ad.masked_softmax(logits, batch.lengths)
+    attended = ad.weighted_sum(weights, ad.reshape(words, (steps, size, q)))
+    v = ad.linear(batch.features, params.feature_projection)
     b = params.mlp_b
     gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)
-    logits = ad.reshape(ad.linear(words, params.fc_s_w), (1, words.value.shape[0]))
-    weights = ad.softmax(logits, axis=1)
-    attended = ad.matmul(weights, words)
-    joint = ad.l2_normalize(ad.mul(gate, ad.broadcast_to(attended, (n, q))), axis=1)
+    joint = ad.l2_normalize(ad.mul(gate, ad.take(attended, batch.segments)), axis=1)
     logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
     return {
-        "projected": v, "logits": logits, "weights": weights, "attended": attended,
-        "gate": gate, "joint": joint, "logit": logit,
+        "words": words, "logits": logits, "weights": weights, "attended": attended,
+        "projected": v, "gate": gate, "joint": joint, "logit": logit,
         "score": ad.sigmoid(ad.reshape(logit, (n,))),
     }
 
 
-def relatedness_forward(
-    image: ImageDetections,
-    indices: Sequence[int],
-    params: ModelParameters,
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> tuple[np.ndarray, Node | None]:
-    """Score every detection with confidence >= `min_confidence`.
+def relatedness_forward(batch: ExpressionBatch, params: ModelParameters) -> Node:
+    """The training forward: relatedness of every box of the batch, (sum N,),
+    as one graph node."""
+    return forward(batch, params)["score"]
 
-    Returns the surviving rows of the image (ascending) and their relatedness
-    scores as one graph node of shape (n_survivors,), or ``None`` when
-    nothing survives the confidence filter.
+
+def score_boxes(batch: ExpressionBatch, params: ModelParameters) -> np.ndarray:
+    """One scoring pass: the relatedness of every box of the batch, (sum N,).
+
+    Only values come back, so the pass's graph is freed on return.
     """
-    survivors = np.flatnonzero(image.confidences >= min_confidence)
-    if survivors.size == 0:
-        return survivors, None
-    words = encode_expression(indices, params)
-    return survivors, forward(image.features[survivors], words, params)["score"]
+    return relatedness_forward(batch, params).value
 
 
-def score_boxes(
-    image: ImageDetections,
-    indices: Sequence[int],
+def survivors(image: ImageDetections, min_confidence: float) -> np.ndarray:
+    """The rows of an image with confidence >= `min_confidence`, ascending."""
+    return np.flatnonzero(image.confidences >= min_confidence)
+
+
+def score_expressions(
+    expressions: Iterable[tuple[ImageDetections, Sequence[int]]],
     params: ModelParameters,
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The surviving rows of an image and their relatedness to one expression."""
-    survivors, score_node = relatedness_forward(image, indices, params, min_confidence)
-    if score_node is None:
-        return survivors, np.zeros(0)
-    return survivors, score_node.value
+) -> Iterator[np.ndarray]:
+    """The relatedness of each (image, token indices) expression's
+    `survivors`, in the order given.
+
+    Consecutive expressions share a `score_boxes` pass while their survivors
+    times max(feature_dim, word_feature_dim) stay within `PASS_FLOATS`. An
+    expression without survivors gets an empty array and no model work.
+    """
+    width = max(params.config.feature_dim, params.config.word_feature_dim)
+    group: list[tuple[ImageDetections, np.ndarray, Sequence[int]]] = []
+    floats = 0
+    for image, indices in expressions:
+        rows = survivors(image, min_confidence)
+        if group and floats + rows.size * width > PASS_FLOATS:
+            yield from _score_pass(group, params)
+            group, floats = [], 0
+        group.append((image, rows, indices))
+        floats += rows.size * width
+    if group:
+        yield from _score_pass(group, params)
+
+
+def _score_pass(group, params: ModelParameters) -> Iterator[np.ndarray]:
+    """Score the (image, survivors, token indices) of `group` in one batch."""
+    scored = [(image.features[rows], indices) for image, rows, indices in group if rows.size]
+    pieces = []
+    if scored:
+        batch = make_batch([indices for _, indices in scored], [block for block, _ in scored])
+        pieces = np.split(score_boxes(batch, params), batch.offsets[1:-1])
+    pieces = iter(pieces)
+    for _, rows, _ in group:
+        yield next(pieces) if rows.size else np.zeros(0)

@@ -1,9 +1,9 @@
 """Greedy NMS on a fused score, proposal budgets, and the one proposal pipeline.
 
 Every method suppresses on the fused score, relatedness times detection
-confidence. The expression-aware method takes relatedness from the model;
-the confidence baseline gives every box relatedness 1.0, so its fused score
-is its confidence. NMS is greedy, per-class by default, with deterministic
+confidence. The expression-aware method takes relatedness from the model
+(`model.score_expressions`); the confidence baseline gives every box
+relatedness 1.0, so its fused score is its confidence. NMS is greedy, per-class by default, with deterministic
 index tie-breaking, and runs as one vectorised pass per call. Detections are
 referred to by their row in the image's columns throughout.
 """
@@ -11,13 +11,11 @@ referred to by their row in the image's columns throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .geometry import pairwise_iou
 from .ingest import ImageDetections
-from .model import DEFAULT_MIN_CONFIDENCE, ModelParameters, score_boxes
+from .model import DEFAULT_MIN_CONFIDENCE, survivors
 
 
 @dataclass(frozen=True)
@@ -126,22 +124,21 @@ def proposal_pipeline(
     nms_cfg: NmsConfig = NmsConfig(),
     budget: ProposalBudget | None = None,
     *,
-    params: ModelParameters | None = None,
-    token_indices: Sequence[int] = (),
-    relatedness: float = 1.0,
+    relatedness: float | np.ndarray = 1.0,
 ) -> KeepList:
     """Confidence filter, relatedness, NMS on the fused score, then the budget.
 
-    With `params`, relatedness comes from the model for the expression's
-    `token_indices`. Without, every box gets the constant `relatedness`; the
+    `relatedness` is one value per surviving row (`model.survivors`), such as
+    the model's scores for an expression, or one constant for every box; the
     default 1.0 makes the fused score the confidence, which is the
     expression-agnostic baseline.
     """
-    if params is not None:
-        rows, related = score_boxes(image, token_indices, params, min_confidence)
-    else:
-        rows = np.flatnonzero(image.confidences >= min_confidence)
-        related = np.full(len(rows), float(relatedness))
+    rows = survivors(image, min_confidence)
+    related = np.asarray(relatedness, dtype=np.float64)
+    if related.ndim == 0:
+        related = np.full(len(rows), float(related))
+    elif related.shape != rows.shape:
+        raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {len(rows)} boxes")
     fused = related * image.confidences[rows]
     kept = per_class_nms(image.boxes[rows], fused, image.category_ids[rows], nms_cfg)
     keep = KeepList(rows[kept], fused[kept], related[kept])

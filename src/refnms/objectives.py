@@ -63,10 +63,12 @@ def assign_labels(boxes: np.ndarray, foreground: np.ndarray) -> tuple[np.ndarray
     return overlaps, bins
 
 
-def binary_xe(scores: Node, labels) -> Node:
+def binary_xe(scores: Node, labels, weights=None) -> Node:
     """Mean binary cross-entropy of predicted scores against 0/1 labels.
 
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.
+    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs. With
+    `weights`, one per score, the loss is the weighted sum of the per-score
+    terms instead of their mean.
     """
     target = np.asarray(labels, dtype=np.float64)
     if scores.value.ndim != 1 or scores.value.size == 0:
@@ -77,7 +79,25 @@ def binary_xe(scores: Node, labels) -> Node:
     ones = ad.constant(np.ones_like(target))
     pos_term = ad.mul(ad.constant(target), ad.log(p))
     neg_term = ad.mul(ad.constant(1.0 - target), ad.log(ad.sub(ones, p)))
-    return ad.mul(ad.mean(ad.add(pos_term, neg_term)), ad.constant(-1.0))
+    return ad.mul(_reduce(ad.add(pos_term, neg_term), weights), ad.constant(-1.0))
+
+
+def _reduce(terms: Node, weights) -> Node:
+    """The mean of `terms`, or their sum weighted by `weights`."""
+    if weights is None:
+        return ad.mean(terms)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != terms.value.shape:
+        raise ValueError(f"{weights.shape} weights for {terms.value.shape} loss terms")
+    return ad.sum(ad.mul(terms, ad.constant(weights)))
+
+
+def segment_weights(offsets: np.ndarray) -> np.ndarray:
+    """Per-item weights that make a weighted sum the mean over segments of
+    each segment's mean; segment b holds items ``offsets[b]:offsets[b + 1]``
+    and must not be empty."""
+    counts = np.diff(offsets)
+    return np.repeat(1.0 / (len(counts) * counts), counts)
 
 
 def sample_pairs(
@@ -114,8 +134,10 @@ def ranking_loss(
     pairs: Sequence[tuple[int, int]],
     scores: Node,
     cfg: RankingConfig = RankingConfig(),
+    weights=None,
 ) -> Node:
-    """Mean hinge max(0, score_neg - score_pos + margin) over sampled pairs.
+    """Mean hinge max(0, score_neg - score_pos + margin) over sampled pairs;
+    with `weights`, one per pair, their weighted sum.
 
     An empty pair list yields a constant zero node that is disconnected from
     the graph, so no gradient flows; callers can detect the case by checking
@@ -126,4 +148,4 @@ def ranking_loss(
     neg = ad.take(scores, [i for i, _ in pairs])
     pos = ad.take(scores, [j for _, j in pairs])
     margin = ad.constant(np.full(len(pairs), cfg.margin))
-    return ad.mean(ad.relu(ad.add(ad.sub(neg, pos), margin)))
+    return _reduce(ad.relu(ad.add(ad.sub(neg, pos), margin)), weights)

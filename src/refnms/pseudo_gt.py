@@ -9,9 +9,10 @@ is always part of the foreground regardless of matching.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -104,18 +105,29 @@ def category_similarity(noun: str, category_name: str, table: EmbeddingTable) ->
     return float(noun_vec @ cat_vec / (nn * cn))
 
 
+def memoized_similarity(table: EmbeddingTable) -> Callable[[str, str], float]:
+    """`category_similarity` against `table` as a function of (noun, category
+    name), computed once per distinct pair."""
+    return functools.cache(functools.partial(category_similarity, table=table))
+
+
 def generate_pseudo_gt(
     expr: ExpressionRecord,
     regions: Sequence[GroundTruthRegion],
     table: EmbeddingTable,
     similarity_threshold: float = 0.4,
+    similarity: Callable[[str, str], float] | None = None,
 ) -> PseudoGtSet:
     """Match the expression's nouns against region categories.
 
     A region is included when the best cosine similarity over extracted nouns
     reaches `similarity_threshold` (inclusive at the boundary). The referent
     is always foreground, so `referent_included` is always True here.
+    `similarity`, such as a `memoized_similarity` shared by many expressions,
+    stands in for `category_similarity` against `table`.
     """
+    if similarity is None:
+        similarity = functools.partial(category_similarity, table=table)
     for region in regions:
         if region.image_id != expr.image_id:
             raise ValueError(
@@ -126,7 +138,7 @@ def generate_pseudo_gt(
     matched = set()
     for region in regions:
         best = max(
-            (category_similarity(n, region.category_name, table) for n in nouns),
+            (similarity(n, region.category_name) for n in nouns),
             default=-1.0,
         )
         if best >= similarity_threshold:

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import CHECKPOINT_VERSION
 from . import autodiff as ad
+from .autodiff import Node
 from .geometry import Box, box_array
 from .ingest import (
     DataFormatError,
@@ -49,13 +50,22 @@ from .ingest import (
 from .model import (
     ModelConfig,
     ModelParameters,
+    make_batch,
     parameter_count,
     parameter_shapes,
     parameters_from_flat,
     relatedness_forward,
+    survivors,
 )
-from .objectives import RankingConfig, assign_labels, binary_xe, ranking_loss, sample_pairs
-from .pseudo_gt import foreground_boxes, generate_pseudo_gt
+from .objectives import (
+    RankingConfig,
+    assign_labels,
+    binary_xe,
+    ranking_loss,
+    sample_pairs,
+    segment_weights,
+)
+from .pseudo_gt import foreground_boxes, generate_pseudo_gt, memoized_similarity
 
 LOSS_KINDS = ("binary_xe", "ranking")
 HEAD_PARAMETERS = ("feature_projection",)
@@ -94,6 +104,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr_head <= 0.0 or self.lr_rest <= 0.0:
             raise ValueError("learning rates must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 <= self.min_confidence <= 1.0:
+            raise ValueError(f"min_confidence must lie in [0, 1], got {self.min_confidence}")
+        if not -1.0 <= self.similarity_threshold <= 1.0:
+            raise ValueError(
+                f"similarity_threshold must lie in [-1, 1], got {self.similarity_threshold}"
+            )
+        if self.embedding_lr is not None and self.embedding_lr < 0.0:
+            raise ValueError(f"embedding_lr must be >= 0 (0 freezes), got {self.embedding_lr}")
         self.ranking_config()  # checks margin and max_negatives
 
     def ranking_config(self) -> RankingConfig:
@@ -210,9 +233,10 @@ def build_training_set(
 ) -> list[TrainingExample]:
     """Assemble training examples: token indices plus precomputed foreground."""
     examples = []
+    similarity = memoized_similarity(table)
     for expr in expressions:
         regions = regions_by_image.get(expr.image_id, ())
-        pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold)
+        pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold, similarity)
         detections = detections_by_image.get(expr.image_id)
         if detections is None:
             detections = ImageDetections.empty(expr.image_id)
@@ -236,6 +260,60 @@ class EpochMetrics:
     negatives: int
 
 
+@dataclass
+class MinibatchLoss:
+    """One minibatch's loss graph and its counts; ``loss`` is ``None`` when
+    no expression of the minibatch has a survivor."""
+
+    loss: Node | None
+    used: int
+    skipped: int
+    positives: int
+    negatives: int
+
+
+def minibatch_loss(
+    examples: Sequence[TrainingExample], params: ModelParameters, cfg: TrainConfig
+) -> MinibatchLoss:
+    """The mean of the per-expression losses of a minibatch, as one graph.
+
+    The expressions with survivors run as one batch through one forward;
+    the others are skipped. Each expression's loss is the mean over its
+    boxes (binary cross-entropy) or over its sampled pairs (ranking, a
+    constant 0 without pairs).
+    """
+    used, rows = [], []
+    for ex in examples:
+        kept = survivors(ex.detections, cfg.min_confidence)
+        if kept.size:
+            used.append(ex)
+            rows.append(kept)
+    skipped = len(examples) - len(used)
+    if not used:
+        return MinibatchLoss(None, 0, skipped, 0, 0)
+    batch = make_batch(
+        [ex.token_indices for ex in used],
+        [ex.detections.features[kept] for ex, kept in zip(used, rows)],
+    )
+    scores = relatedness_forward(batch, params)
+    bins = np.concatenate([
+        assign_labels(ex.detections.boxes[kept], box_array(ex.foreground))[1]
+        for ex, kept in zip(used, rows)
+    ])
+    if cfg.loss_kind == "binary_xe":
+        loss = binary_xe(scores, bins > 0, segment_weights(batch.offsets))
+    else:
+        rank_cfg = cfg.ranking_config()
+        pairs, weights = [], []
+        for lo, hi in zip(batch.offsets[:-1].tolist(), batch.offsets[1:].tolist()):
+            own = sample_pairs(bins[lo:hi], scores.value[lo:hi], rank_cfg)
+            pairs.extend((i + lo, j + lo) for i, j in own)
+            weights.extend([1.0 / (len(used) * len(own))] * len(own) if own else [])
+        loss = ranking_loss(pairs, scores, rank_cfg, weights)
+    positives = int(np.count_nonzero(bins))
+    return MinibatchLoss(loss, len(used), skipped, positives, len(bins) - positives)
+
+
 def train_epoch(
     dataset: Sequence[TrainingExample],
     params: ModelParameters,
@@ -249,36 +327,21 @@ def train_epoch(
     in which nothing was usable is an error.
     """
     order = np.random.default_rng([cfg.seed, epoch_index]).permutation(len(dataset))
-    rank_cfg = cfg.ranking_config()
     loss_sum = 0.0
     used = skipped = positives = negatives = 0
     for start in range(0, len(order), cfg.batch_size):
-        losses = []
-        for di in order[start : start + cfg.batch_size]:
-            ex = dataset[di]
-            survivors, scores = relatedness_forward(
-                ex.detections, ex.token_indices, params, cfg.min_confidence
-            )
-            if scores is None:
-                skipped += 1
-                continue
-            _, bins = assign_labels(ex.detections.boxes[survivors], box_array(ex.foreground))
-            if cfg.loss_kind == "binary_xe":
-                loss = binary_xe(scores, bins > 0)
-            else:
-                pairs = sample_pairs(bins, scores.value, rank_cfg)
-                loss = ranking_loss(pairs, scores, rank_cfg)
-            losses.append(loss)
-            positives += int(np.count_nonzero(bins))
-            negatives += int(np.count_nonzero(bins == 0))
-        if not losses:
+        step = minibatch_loss([dataset[i] for i in order[start : start + cfg.batch_size]],
+                              params, cfg)
+        skipped += step.skipped
+        if step.loss is None:
             continue
-        batch_loss = ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
         params.zero_gradients()
-        ad.backward(batch_loss)
+        ad.backward(step.loss)
         adam_step(params, opt_state, cfg)
-        loss_sum += float(batch_loss.value.item()) * len(losses)
-        used += len(losses)
+        loss_sum += float(step.loss.value.item()) * step.used
+        used += step.used
+        positives += step.positives
+        negatives += step.negatives
     if used == 0:
         raise ValueError("train_epoch: no usable expressions (all survivor sets empty)")
     return EpochMetrics(loss_sum / used, used, skipped, positives, negatives)

@@ -1,18 +1,20 @@
 """Slow reference implementations the tests pin the program's fast paths to.
 
 Each is a plain restatement of an earlier, per-box form of the program: one
-`geometry.iou` call per pair of boxes, one Python object or line at a time.
+`geometry.iou` call per pair of boxes, one Python object or line at a time,
+one expression per model graph.
 """
 
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from refnms import autodiff as ad
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import DUMP_HEADER_RE, DataFormatError, ImageDetections
-from refnms.model import ModelParameters, flat_views, parameters_from_flat
+from refnms.model import DEFAULT_MIN_CONFIDENCE, ModelParameters, flat_views, parameters_from_flat
 from refnms.nms import NmsConfig, per_class_nms
 
 
@@ -77,6 +79,60 @@ def with_swapped_directions(params: ModelParameters) -> ModelParameters:
         if prefix in swap:
             view[...] = source[f"{swap[prefix]}.{rest}"]
     return parameters_from_flat(params.config, values)
+
+
+def encode_expression(indices: Sequence[int], params: ModelParameters) -> ad.Node:
+    """Word features for one token-index sequence, shape (n_words, 2 * hidden).
+
+    Row j concatenates the forward GRU state after tokens [0..j] and the
+    backward GRU state after tokens [n-1..j].
+    """
+    if len(indices) == 0:
+        raise ValueError("encode_expression: empty token sequence")
+    tokens = ad.take(params.embeddings, indices)
+    backwards = np.arange(len(indices) - 1, -1, -1)
+    fwd_states = ad.gru_sequence(tokens, params.gru_fwd)
+    bwd_states = ad.gru_sequence(ad.take(tokens, backwards), params.gru_bwd)
+    return ad.concat([fwd_states, ad.take(bwd_states, backwards)], axis=1)
+
+
+def forward(features: np.ndarray, words: ad.Node, params: ModelParameters) -> dict:
+    """Score the boxes whose region features are the rows of `features` against
+    one expression's (n_words, q) word features: one attention row, (1, n_words),
+    broadcast to the n boxes. Returns every stage by name, as `model.forward`."""
+    n, q = features.shape[0], params.config.word_feature_dim
+    v = ad.linear(features, params.feature_projection)
+    b = params.mlp_b
+    gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)
+    logits = ad.reshape(ad.linear(words, params.fc_s_w), (1, words.value.shape[0]))
+    weights = ad.softmax(logits, axis=1)
+    attended = ad.matmul(weights, words)
+    joint = ad.l2_normalize(ad.mul(gate, ad.broadcast_to(attended, (n, q))), axis=1)
+    logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
+    return {
+        "projected": v, "logits": logits, "weights": weights, "attended": attended,
+        "gate": gate, "joint": joint, "logit": logit,
+        "score": ad.sigmoid(ad.reshape(logit, (n,))),
+    }
+
+
+def relatedness_forward(image, indices, params, min_confidence=DEFAULT_MIN_CONFIDENCE):
+    """The surviving rows of an image (confidence >= `min_confidence`, ascending)
+    and their relatedness to one expression as a graph node, or ``None`` when
+    nothing survives."""
+    survivors = np.flatnonzero(image.confidences >= min_confidence)
+    if survivors.size == 0:
+        return survivors, None
+    words = encode_expression(indices, params)
+    return survivors, forward(image.features[survivors], words, params)["score"]
+
+
+def score_boxes(image, indices, params, min_confidence=DEFAULT_MIN_CONFIDENCE):
+    """The surviving rows of an image and their relatedness to one expression."""
+    survivors, score_node = relatedness_forward(image, indices, params, min_confidence)
+    if score_node is None:
+        return survivors, np.zeros(0)
+    return survivors, score_node.value
 
 
 # objectives -------------------------------------------------------------------------

@@ -310,25 +310,32 @@ def test_grad_check_l2_normalize_then_sum():
 def gru_cell(x, h_prev, params):
     """Reference GRU step from primitive ops, the oracle for `gru_sequence`.
 
-    z = sigmoid(w_z x + u_z h + b_z), r = sigmoid(w_r x + u_r h + b_r),
-    cand = tanh(w_h x + u_h (r * h) + b_h), h' = (1 - z) * h + z * cand.
+    z = sigmoid((w_z x + b_z) + u_z h), r = sigmoid((w_r x + b_r) + u_r h),
+    cand = tanh((w_h x + b_h) + u_h (r * h)), h' = (1 - z) * h + z * cand,
+    for the rows of x (B, input) and h_prev (B, hidden) at once: the input
+    terms as row products, the state terms one matrix-vector product per row.
     """
     p = params
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_z, x), ad.matmul(p.u_z, h_prev)), p.b_z))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_r, x), ad.matmul(p.u_r, h_prev)), p.b_r))
-    cand = ad.tanh(
-        ad.add(ad.add(ad.matmul(p.w_h, x), ad.matmul(p.u_h, ad.mul(r, h_prev))), p.b_h)
-    )
+
+    def gate(w, x, u, h, b):
+        rows, width = h.value.shape
+        state = ad.stack([ad.matmul(u, ad.reshape(ad.take(h, [i]), (width,))) for i in range(rows)])
+        return ad.add(ad.linear(x, w, b), state)
+
+    z = ad.sigmoid(gate(p.w_z, x, p.u_z, h_prev, p.b_z))
+    r = ad.sigmoid(gate(p.w_r, x, p.u_r, h_prev, p.b_r))
+    cand = ad.tanh(gate(p.w_h, x, p.u_h, ad.mul(r, h_prev), p.b_h))
     keep = ad.sub(ad.constant(np.ones_like(z.value)), z)
     return ad.add(ad.mul(keep, h_prev), ad.mul(z, cand))
 
 
 def reference_sequence(xs, params):
-    """One `gru_cell` per row of `xs`, from a zero state, stacked."""
-    h = ad.constant(np.zeros(params.u_z.value.shape[0]))
+    """One `gru_cell` per step of `xs` (T, B, input), from a zero state, stacked."""
+    steps, batch, width = xs.value.shape
+    h = ad.constant(np.zeros((batch, params.u_z.value.shape[0])))
     states = []
-    for t in range(xs.value.shape[0]):
-        h = gru_cell(ad.reshape(ad.take(xs, [t]), (xs.value.shape[1],)), h, params)
+    for t in range(steps):
+        h = gru_cell(ad.reshape(ad.take(xs, [t]), (batch, width)), h, params)
         states.append(h)
     return ad.stack(states)
 
@@ -381,18 +388,21 @@ def test_gru_gradients_match_finite_differences():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     steps=st.integers(1, 10),
-    input_dim=st.integers(1, 6),
-    hidden=st.integers(1, 6),
+    batch=st.integers(1, 4),
+    input_dim=st.one_of(st.integers(1, 6), st.just(40)),
+    hidden=st.one_of(st.integers(1, 6), st.just(33)),
     seed=st.integers(0, 2**16),
 )
-def test_gru_sequence_matches_the_per_step_reference(steps, input_dim, hidden, seed):
-    # states bit-equal; gradients through another summation order, within 1e-10
+def test_gru_sequence_matches_the_per_step_reference(steps, batch, input_dim, hidden, seed):
+    # states bit-equal, though the input products of all steps are one product
+    # and the reference makes one per step; gradients through another
+    # summation order, within 1e-10
     rng = np.random.default_rng(seed)
     params = init_gru_params(input_dim, hidden, rng)
     for node in params.nodes().values():
         node.value += 0.5 * rng.normal(size=node.value.shape)
-    xs = Node(rng.normal(size=(steps, input_dim)))
-    coefficients = ad.constant(rng.normal(size=(steps, hidden)))
+    xs = Node(rng.normal(size=(steps, batch, input_dim)))
+    coefficients = ad.constant(rng.normal(size=(steps, batch, hidden)))
     inputs = [xs] + list(params.nodes().values())
     results = []
     for run in (gru_sequence, reference_sequence):
@@ -404,6 +414,17 @@ def test_gru_sequence_matches_the_per_step_reference(steps, input_dim, hidden, s
     np.testing.assert_array_equal(states, ref_states)
     for name, grad, ref in zip(["xs", *params.nodes()], grads, ref_grads):
         assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+
+def test_gru_sequences_side_by_side_match_each_run_alone():
+    # a sequence's states are bit-equal whatever sequences share its call
+    rng = np.random.default_rng(34)
+    params = init_gru_params(40, 33, rng)
+    xs = rng.normal(size=(6, 5, 40))
+    together = gru_sequence(Node(xs), params).value
+    for b in range(5):
+        alone = gru_sequence(Node(xs[:, b]), params).value
+        np.testing.assert_array_equal(together[:, b], alone)
 
 
 def test_gru_sequence_rejects_input_that_does_not_fit():

@@ -354,8 +354,16 @@ def test_train_rejects_unknown_config_key(dataset, tmp_path):
         ("batch_size = abc", "batch_size: bad value 'abc'"),
         ("lr_head = nan", "lr_head: bad value 'nan' (lr_head must be finite"),
         ("batch_size = 0", "batch_size: bad value '0' (batch_size must be >= 1"),
+        ("beta1 = 1.0", "beta1: bad value '1.0' (beta1 must lie in [0, 1)"),
+        ("beta2 = -0.1", "beta2: bad value '-0.1' (beta2 must lie in [0, 1)"),
+        ("eps = 0", "eps: bad value '0' (eps must be > 0"),
+        ("min_confidence = 1.5", "min_confidence: bad value '1.5' (min_confidence must lie in"),
+        ("similarity_threshold = -1.5",
+         "similarity_threshold: bad value '-1.5' (similarity_threshold must lie in"),
+        ("embedding_lr = -0.1", "embedding_lr: bad value '-0.1' (embedding_lr must be >= 0"),
     ],
-    ids=["conversion", "non-finite", "rejected-by-train-config"],
+    ids=["conversion", "non-finite", "rejected-by-train-config", "beta1", "beta2", "eps",
+         "min_confidence", "similarity_threshold", "embedding_lr"],
 )
 def test_bad_config_file_value_exits_with_data_error_naming_the_line(
     dataset, tmp_path, capsys, line, message
@@ -370,6 +378,37 @@ def test_bad_config_file_value_exits_with_data_error_naming_the_line(
     assert code == EXIT_DATA
     assert f"{config}:3: {message}" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+FLOAT_FLAGS = [
+    ("apply", "--min-confidence"), ("apply", "--nms-iou"), ("apply", "--min-score"),
+    ("eval-recall", "--min-confidence"), ("eval-recall", "--nms-iou"),
+    ("eval-recall", "--similarity-threshold"), ("eval-recall", "--real-case-min-score"),
+    ("pseudo-gt", "--similarity-threshold"),
+    ("train", "--min-confidence"), ("train", "--similarity-threshold"),
+]
+REQUIRED = {
+    "apply": ["--detections", "d", "--expressions", "e", "--out", "o", "--baseline"],
+    "eval-recall": ["--detections", "d", "--expressions", "e", "--regions", "r",
+                    "--embeddings", "m", "--split", "val", "--method", "baseline_conf",
+                    "--out", "o"],
+    "pseudo-gt": ["--expressions", "e", "--regions", "r", "--embeddings", "m", "--out", "o"],
+    "train": ["--detections", "d", "--expressions", "e", "--regions", "r", "--embeddings", "m",
+              "--out", "o"],
+}
+# just outside each flag's range: [0, 1], except (0, 1) for --nms-iou and
+# [-1, 1] for --similarity-threshold
+OUTSIDE = {"--nms-iou": "1.0", "--similarity-threshold": "-1.01"}
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "outside"])
+def test_float_flag_rejects_non_finite_and_out_of_range_values(command, flag, value, capsys):
+    value = OUTSIDE.get(flag, "1.01") if value == "outside" else value
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *REQUIRED[command], flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: expected a finite value in" in capsys.readouterr().err
 
 
 def test_grad_check_command_passes_and_prints_error(capsys):

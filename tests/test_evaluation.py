@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import hits, image_of_rows
 from refnms.evaluation import (
     EvalExample,
@@ -177,8 +178,10 @@ def brute_force_recall(examples, method, budget, params, nms_cfg):
     to each keep list by a sort, then one `geometry.iou` per proposal and target."""
     ref_hits = ctx_matched = ctx_total = 0
     for ex in examples:
-        model = dict(params=params, token_indices=ex.token_indices) if method == "ref_nms" else {}
-        kept = proposal_pipeline(ex.detections, 0.05, nms_cfg, **model)
+        relatedness = 1.0
+        if method == "ref_nms":
+            relatedness = oracles.score_boxes(ex.detections, ex.token_indices, params, 0.05)[1]
+        kept = proposal_pipeline(ex.detections, 0.05, nms_cfg, relatedness=relatedness)
         scores = kept.scores.tolist()
         if budget == "real_case":
             chosen = [i for i, score in enumerate(scores) if score >= 0.65]

@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import image_of_rows, with_swapped_directions
+import oracles
+from oracles import (
+    encode_expression,
+    forward,
+    image_of_rows,
+    relatedness_forward,
+    score_boxes,
+    with_swapped_directions,
+)
 from refnms import autodiff as ad
+from refnms import model
 from refnms.autodiff import grad_check, init_gru_params
 from refnms.geometry import Box
 from refnms.ingest import EmbeddingTable, ImageDetections
 from refnms.model import (
+    PASS_FLOATS,
     MlpParams,
     ModelConfig,
-    encode_expression,
-    forward,
     init_parameters,
+    make_batch,
     parameter_shapes,
-    relatedness_forward,
-    score_boxes,
+    score_expressions,
 )
 from refnms.nms import proposal_pipeline
 
@@ -271,7 +279,8 @@ def test_score_is_exactly_relatedness_times_confidence():
     rng = np.random.default_rng(46)
     params = init_parameters(tiny_config(), seed=1)
     image = random_image(rng, 5, 3)
-    kept = proposal_pipeline(image, params=params, token_indices=[1, 4, 2])
+    (relatedness,) = score_expressions([(image, [1, 4, 2])], params)
+    kept = proposal_pipeline(image, relatedness=relatedness)
     for fused, r, confidence in zip(
         kept.scores.tolist(), kept.relatedness.tolist(), image.confidences[kept.rows].tolist()
     ):
@@ -418,20 +427,169 @@ def test_graph_size_does_not_grow_with_the_number_of_boxes():
     params = init_parameters(tiny_config(), seed=6)
     sizes = set()
     for n_boxes in (1, 2, 40):
-        image = random_image(rng, n_boxes, 3)
-        _, scores = relatedness_forward(image, [1, 4, 2], params, min_confidence=0.0)
-        assert scores.value.shape == (n_boxes,)
+        batch = make_batch([[1, 4, 2], [3]], [rng.normal(size=(n_boxes, 3))] * 2)
+        scores = model.relatedness_forward(batch, params)
+        assert scores.value.shape == (2 * n_boxes,)
         sizes.add(graph_size(scores))
     assert len(sizes) == 1
 
 
 def test_graph_size_does_not_grow_with_the_number_of_tokens():
     rng = np.random.default_rng(50)
+    features = rng.normal(size=(4, 3))
     params = init_parameters(tiny_config(), seed=6)
-    image = random_image(rng, 4, 3)
     sizes = set()
     for n_tokens in (1, 2, 12):
         indices = [int(i) for i in rng.integers(1, 9, size=n_tokens)]
-        _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
+        scores = model.relatedness_forward(make_batch([indices], [features]), params)
         sizes.add(graph_size(scores))
     assert len(sizes) == 1
+
+
+def test_graph_size_does_not_grow_with_the_number_of_expressions():
+    rng = np.random.default_rng(51)
+    params = init_parameters(tiny_config(), seed=6)
+    sizes = set()
+    for size in (1, 2, 9):
+        batch = make_batch([[1, 2]] * size, [rng.normal(size=(3, 3))] * size)
+        sizes.add(graph_size(model.relatedness_forward(batch, params)))
+    assert len(sizes) == 1
+
+
+# one batch of expressions vs. the per-expression oracle ---------------------------
+
+
+def random_expressions(rng, cfg, lengths, box_counts):
+    """(token indices, (n, feature_dim) features) for each length and box count."""
+    return [
+        ([int(i) for i in rng.integers(1, cfg.vocab_size, size=length)],
+         rng.normal(scale=2.0, size=(boxes, cfg.feature_dim)))
+        for length, boxes in zip(lengths, box_counts)
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.integers(1, 4).flatmap(
+        lambda size: st.tuples(
+            st.lists(st.integers(1, 6), min_size=size, max_size=size),
+            st.lists(st.integers(0, 6), min_size=size, max_size=size),
+        )
+    ),
+    feature_dim=st.integers(1, 5),
+    hidden_size=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_batch_matches_the_per_expression_oracle(shape, feature_dim, hidden_size, seed):
+    # B expressions of any lengths (1 and all-equal included) and box counts
+    # (0 included) in one forward: scores within 1e-12 and gradients within
+    # 1e-10 relative of one oracle graph per expression
+    lengths, box_counts = shape
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(vocab_size=7, feature_dim=feature_dim, embed_dim=3, hidden_size=hidden_size)
+    params = init_parameters(cfg, seed=seed)
+    for node in params.named_parameters().values():
+        node.value += 0.5 * rng.normal(size=node.value.shape)
+    expressions = random_expressions(rng, cfg, lengths, box_counts)
+    coefficients = rng.normal(size=sum(box_counts))
+
+    params.zero_gradients()
+    batch = make_batch(*zip(*expressions))
+    scores = model.relatedness_forward(batch, params)
+    ad.backward(ad.sum(ad.mul(scores, ad.constant(coefficients))))
+    grads = {n: p.grad.copy() for n, p in params.named_parameters().items()}
+
+    params.zero_gradients()
+    reference = [
+        oracles.forward(features, encode_expression(indices, params), params)["score"]
+        for indices, features in expressions if len(features)
+    ]
+    if reference:
+        ad.backward(ad.sum(ad.mul(ad.concat(reference), ad.constant(coefficients))))
+        np.testing.assert_allclose(
+            scores.value, np.concatenate([r.value for r in reference]), rtol=0.0, atol=1e-12
+        )
+    for name, node in params.named_parameters().items():
+        ref = node.grad
+        assert np.linalg.norm(grads[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+
+def test_batched_gradients_match_finite_differences():
+    rng = np.random.default_rng(52)
+    cfg = ModelConfig(vocab_size=7, feature_dim=4, embed_dim=3, hidden_size=2)
+    params = init_parameters(cfg, seed=4)
+    params.mlp_b.b2.value += 0.5  # keep the pre-norm vectors comfortably nonzero
+    batch = make_batch(*zip(*random_expressions(rng, cfg, (4, 1, 2), (3, 2, 1))))
+
+    def loss():
+        return ad.sum(model.relatedness_forward(batch, params))
+
+    inputs = list(params.named_parameters().values())
+    assert grad_check(loss, inputs) < 1e-4
+
+
+COMPOSITION_CONFIGS = {
+    "tiny": ModelConfig(vocab_size=9, feature_dim=3, embed_dim=4, hidden_size=3),
+    "acceptance": ModelConfig(vocab_size=40, feature_dim=8, embed_dim=8, hidden_size=16),
+    # 16-wide word features, where BLAS's one-output kernel rounds rows by position
+    "narrow": ModelConfig(vocab_size=20, feature_dim=5, embed_dim=6, hidden_size=8),
+    # inner dimensions of 32 and more, where BLAS has a small-matrix kernel
+    "wide": ModelConfig(vocab_size=40, feature_dim=40, embed_dim=33, hidden_size=20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CONFIGS))
+def test_scores_do_not_depend_on_the_other_expressions_of_a_pass(name):
+    # bit-equal alone (B = 1, one box included) and in any company, so that
+    # `apply` and `eval-recall` agree though they batch different expressions
+    cfg = COMPOSITION_CONFIGS[name]
+    rng = np.random.default_rng(53)
+    params = init_parameters(cfg, seed=1)
+    expressions = random_expressions(
+        rng, cfg, rng.integers(1, 11, size=24), [1, 2] + list(rng.integers(1, 30, size=22))
+    )
+    alone = [model.score_boxes(make_batch([t], [f]), params) for t, f in expressions]
+    for _ in range(20):
+        pick = rng.choice(len(expressions), size=int(rng.integers(2, 13)), replace=False)
+        batch = make_batch([expressions[i][0] for i in pick], [expressions[i][1] for i in pick])
+        together = np.split(model.score_boxes(batch, params), batch.offsets[1:-1])
+        for i, scores in zip(pick.tolist(), together):
+            np.testing.assert_array_equal(scores, alone[i])
+
+
+def test_make_batch_pads_at_the_end_and_reverses_within_each_length():
+    batch = make_batch([[3, 1, 4], [5], [2, 6]], [np.zeros((2, 1)), np.zeros((0, 1)), np.ones((1, 1))])
+    assert batch.tokens.T.tolist() == [[3, 1, 4], [5, 0, 0], [2, 6, 0]]
+    assert batch.reversed_tokens.T.tolist() == [[4, 1, 3], [5, 0, 0], [6, 2, 0]]
+    assert batch.lengths.tolist() == [3, 1, 2]
+    assert batch.offsets.tolist() == [0, 2, 2, 3]
+    assert batch.segments.tolist() == [0, 0, 2]
+    with pytest.raises(ValueError, match="empty token sequence"):
+        make_batch([[1], []], [np.zeros((1, 1))] * 2)
+
+
+def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
+    rng = np.random.default_rng(54)
+    params = init_parameters(tiny_config(), seed=3)
+    width = max(params.config.feature_dim, params.config.word_feature_dim)
+    images = [
+        random_image(rng, n, 3, confidences=list(rng.uniform(0.0, 0.1, size=n)))
+        for n in [0, 3000] + list(rng.integers(0, 800, size=24))
+    ]
+    expressions = [(image, [int(i) for i in rng.integers(1, 9, size=3)]) for image in images]
+    passes = []
+    original = model.score_boxes
+
+    def recording(batch, params):
+        passes.append((len(batch), batch.features.shape[0]))
+        return original(batch, params)
+
+    monkeypatch.setattr(model, "score_boxes", recording)
+    scored = list(score_expressions(expressions, params, min_confidence=0.05))
+    assert len(passes) > 1 and max(rows for _, rows in passes) * width > PASS_FLOATS
+    assert all(rows * width <= PASS_FLOATS or size == 1 for size, rows in passes)
+    assert sum(rows for _, rows in passes) == sum(len(s) for s in scored)
+    for (image, indices), relatedness in zip(expressions, scored):
+        # the confidence floor is inclusive; an image without survivors scores nothing
+        rows, reference = score_boxes(image, indices, params, min_confidence=0.05)
+        np.testing.assert_allclose(relatedness, reference, rtol=0.0, atol=1e-12)

@@ -1,10 +1,12 @@
-"""Micro-benchmarks of the relatedness model: one forward and backward pass.
+"""Micro-benchmarks of the relatedness model.
 
 `test_forward_backward_speed` times `relatedness_forward` plus `backward` of
 the summed scores for one expression, at the acceptance scale (D=8, hidden
 16, 20 boxes) and at paper scale (D=2048, 300-d embeddings, hidden 256, 100
 boxes); `test_encoder_forward_backward_speed` times the expression encoder
-alone on the same 8 tokens. Run
+alone on the same 8 tokens. `test_scoring_speed` scores 500 expressions of
+the acceptance scale (synth_small's `apply`) in passes with
+`score_expressions`, and one by one through the per-expression oracle. Run
 `python -m pytest tests/test_model_benchmark.py --benchmark-enable --benchmark-only`
 for the timing table; a plain test run makes one pass per scale and checks
 that every parameter received a finite gradient.
@@ -13,10 +15,18 @@ that every parameter received a finite gradient.
 import numpy as np
 import pytest
 
+import oracles
 from oracles import image_of_rows
 from refnms import autodiff as ad
 from refnms.geometry import Box
-from refnms.model import ModelConfig, encode_expression, init_parameters, relatedness_forward
+from refnms.model import (
+    ModelConfig,
+    encode_expressions,
+    init_parameters,
+    make_batch,
+    relatedness_forward,
+    score_expressions,
+)
 
 SCALES = {
     "acceptance": (ModelConfig(vocab_size=40, feature_dim=8, embed_dim=8, hidden_size=16), 20),
@@ -42,10 +52,11 @@ def test_forward_backward_speed(benchmark, scale):
     params = init_parameters(cfg, seed=5)
     image = image_of(n_boxes, cfg.feature_dim, rng)
     indices = [int(i) for i in rng.integers(1, cfg.vocab_size, size=8)]
+    batch = make_batch([indices], [image.features])
 
     def step():
         params.zero_gradients()
-        _, scores = relatedness_forward(image, indices, params, min_confidence=0.0)
+        scores = relatedness_forward(batch, params)
         ad.backward(ad.sum(scores))
         return scores
 
@@ -60,12 +71,12 @@ def test_encoder_forward_backward_speed(benchmark, scale):
     cfg, _ = SCALES[scale]
     rng = np.random.default_rng(5)
     params = init_parameters(cfg, seed=5)
-    indices = [int(i) for i in rng.integers(1, cfg.vocab_size, size=8)]
+    batch = make_batch([rng.integers(1, cfg.vocab_size, size=8).tolist()], [np.zeros((0, 1))])
     coefficients = ad.constant(rng.normal(size=(8, cfg.word_feature_dim)))
 
     def step():
         params.zero_gradients()
-        words = encode_expression(indices, params)
+        words = encode_expressions(batch, params)
         ad.backward(ad.sum(ad.mul(words, coefficients)))
         return words
 
@@ -76,3 +87,23 @@ def test_encoder_forward_backward_speed(benchmark, scale):
         encoder.update({f"{prefix}.{name}": node for name, node in group.nodes().items()})
     for name, node in encoder.items():
         assert node.grad is not None and np.all(np.isfinite(node.grad)), name
+
+
+@pytest.mark.parametrize("mode", ["passes", "oracle"])
+def test_scoring_speed(benchmark, mode):
+    cfg, n_boxes = SCALES["acceptance"]
+    rng = np.random.default_rng(6)
+    params = init_parameters(cfg, seed=6)
+    images = [image_of(n_boxes, cfg.feature_dim, rng) for _ in range(250)]
+    expressions = [
+        (image, rng.integers(1, cfg.vocab_size, size=int(rng.integers(2, 9))).tolist())
+        for image in images for _ in range(2)
+    ]
+
+    def score():
+        if mode == "passes":
+            return list(score_expressions(expressions, params))
+        return [oracles.score_boxes(image, indices, params)[1] for image, indices in expressions]
+
+    scores = benchmark(score)
+    assert [len(s) for s in scores] == [n_boxes] * len(expressions)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import greedy_nms, image_of_rows
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import ImageDetections
-from refnms.model import ModelConfig, init_parameters
+from refnms.model import ModelConfig, init_parameters, score_expressions
 from refnms.nms import (
     KeepList,
     NmsConfig,
@@ -320,7 +320,9 @@ def test_zero_relatedness_loses_nms_to_related_duplicate():
 
 def test_ref_nms_pipeline_empty_image():
     params = init_parameters(ModelConfig(vocab_size=5, feature_dim=4, embed_dim=3, hidden_size=2), 0)
-    out = proposal_pipeline(ImageDetections.empty("img", 4), params=params, token_indices=[1, 2])
+    image = ImageDetections.empty("img", 4)
+    (relatedness,) = score_expressions([(image, [1, 2])], params)
+    out = proposal_pipeline(image, relatedness=relatedness)
     assert out.rows.tolist() == []
 
 
@@ -328,9 +330,9 @@ def test_ref_nms_pipeline_runs_end_to_end():
     rng = np.random.default_rng(64)
     params = init_parameters(ModelConfig(vocab_size=6, feature_dim=4, embed_dim=3, hidden_size=2), 1)
     image = random_image(rng, 12)
+    (relatedness,) = score_expressions([(image, [1, 3])], params)
     kept = proposal_pipeline(
-        image, nms_cfg=NmsConfig(), budget=ProposalBudget.top_n(5),
-        params=params, token_indices=[1, 3],
+        image, nms_cfg=NmsConfig(), budget=ProposalBudget.top_n(5), relatedness=relatedness
     )
     assert len(kept) <= 5
     for fused, relatedness, confidence in zip(

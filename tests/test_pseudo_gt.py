@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from refnms.evaluation import build_eval_set
 from refnms.geometry import Box
-from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
+from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion, build_vocabulary
 from refnms.pseudo_gt import (
     HEURISTIC_STOPLIST,
     category_similarity,
     extract_nouns,
     foreground_boxes,
     generate_pseudo_gt,
+    memoized_similarity,
+    pseudo_region_boxes,
 )
+from refnms.trainer import build_training_set
 
 
 def table_of(**vectors):
@@ -200,3 +206,62 @@ def test_foreground_boxes_prepends_referent():
     boxes = foreground_boxes(expr, pseudo, regions)
     assert boxes[0] == expr.referent_box
     assert boxes[1] == regions[0].box
+
+
+# memoized similarity --------------------------------------------------------------
+
+WORDS = ("cat", "dog", "mat", "red", "zebra", "traffic", "light", "the")
+
+
+@st.composite
+def pseudo_gt_inputs(draw):
+    """An embedding table over some of `WORDS` (zero vectors included) and
+    expressions and regions over all of them."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.sampled_from([-1.0, -0.5, 0.0, 0.3, 1.0, 2.0])
+    known = draw(st.lists(st.sampled_from(WORDS), unique=True))
+    table = EmbeddingTable(
+        dim, {w: np.array(draw(st.lists(coordinate, min_size=dim, max_size=dim))) for w in known}
+    )
+    word = st.sampled_from(WORDS)
+    regions = [
+        GroundTruthRegion(f"r{k}", f"img{k % 2}", Box(k, 0, k + 5, 5),
+                          " ".join(draw(st.lists(word, min_size=1, max_size=2))))
+        for k in range(draw(st.integers(0, 6)))
+    ]
+    expressions = [
+        ExpressionRecord(f"e{k}", f"img{k % 2}", tuple(draw(st.lists(word, min_size=1, max_size=4))),
+                         None, Box(0, 0, 10, 10), "val")
+        for k in range(draw(st.integers(1, 6)))
+    ]
+    return table, regions, expressions, draw(st.sampled_from([-1.0, 0.0, 0.4, 0.99]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pseudo_gt_inputs())
+def test_memoized_similarity_is_bit_equal_to_the_direct_one(inputs):
+    table, regions, expressions, threshold = inputs
+    memo = memoized_similarity(table)
+    for noun in WORDS:
+        for name in {r.category_name for r in regions}:
+            direct = category_similarity(noun, name, table)
+            assert memo(noun, name) == direct and memo(noun, name) == direct  # second call cached
+    by_image = {}
+    for r in regions:
+        by_image.setdefault(r.image_id, []).append(r)
+    direct = {
+        e.expression_id: generate_pseudo_gt(e, by_image.get(e.image_id, ()), table, threshold)
+        for e in expressions
+    }
+    for e in expressions:
+        shared = generate_pseudo_gt(e, by_image.get(e.image_id, ()), table, threshold, memo)
+        assert shared == direct[e.expression_id]
+    training = build_training_set(
+        expressions, {}, by_image, table, build_vocabulary(expressions, 10), threshold
+    )
+    evaluation = build_eval_set(expressions, {}, by_image, table, threshold)
+    for e, train_ex, eval_ex in zip(expressions, training, evaluation):
+        regions_of = by_image.get(e.image_id, ())
+        expected = pseudo_region_boxes(direct[e.expression_id], regions_of)
+        assert list(train_ex.foreground) == [e.referent_box, *expected]
+        assert list(eval_ex.pseudo_boxes) == expected

@@ -1,6 +1,7 @@
 """Adam updates, the training loop's determinism, and checkpoint round trips."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import image_of_rows
 from refnms import autodiff as ad
 from refnms import trainer
@@ -22,8 +24,8 @@ from refnms.ingest import (
     build_vocabulary,
     encode_tokens,
 )
-from refnms.model import ModelConfig, flat_views, init_parameters, relatedness_forward
-from refnms.objectives import assign_labels, binary_xe
+from refnms.model import ModelConfig, flat_views, init_parameters
+from refnms.objectives import assign_labels, binary_xe, ranking_loss, sample_pairs
 from refnms.trainer import (
     TrainConfig,
     TrainingExample,
@@ -175,6 +177,29 @@ def same_bits(a, b):
 def test_train_config_rejects_non_finite_floats(key, value):
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("beta1", 1.0, r"beta1 must lie in \[0, 1\)"),
+        ("beta1", -0.1, r"beta1 must lie in \[0, 1\)"),
+        ("beta2", 1.0, r"beta2 must lie in \[0, 1\)"),
+        ("eps", 0.0, "eps must be > 0"),
+        ("min_confidence", 1.5, r"min_confidence must lie in \[0, 1\]"),
+        ("similarity_threshold", -1.5, r"similarity_threshold must lie in \[-1, 1\]"),
+        ("embedding_lr", -1e-3, "embedding_lr must be >= 0"),
+    ],
+)
+def test_train_config_rejects_out_of_range_values(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_accepts_the_ends_of_its_ranges():
+    # a zero embedding rate still freezes the embeddings
+    TrainConfig(beta1=0.0, beta2=0.0, min_confidence=1.0, similarity_threshold=-1.0,
+                embedding_lr=0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -352,18 +377,74 @@ def test_pipeline_gradients_on_a_two_expression_batch():
     rng = np.random.default_rng(75)
     dataset = toy_dataset(rng, n_expressions=2, boxes_per_image=3)
     params = tiny_model(seed=8)
+    cfg = TrainConfig(min_confidence=0.0)
 
     def loss():
-        losses = []
-        for ex in dataset:
-            survivors, scores = relatedness_forward(ex.detections, ex.token_indices, params, 0.0)
-            boxes = ex.detections.boxes[survivors]
-            labels = assign_labels(boxes, box_array(ex.foreground))[1] > 0
-            losses.append(binary_xe(scores, labels))
-        return ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
+        return trainer.minibatch_loss(dataset, params, cfg).loss
 
     inputs = list(params.named_parameters().values())
     assert ad.grad_check(loss, inputs) < 1e-4
+
+
+def oracle_minibatch_loss(examples, params, cfg):
+    """The mean of per-expression losses, one oracle graph per expression."""
+    losses = []
+    for ex in examples:
+        survivors, scores = oracles.relatedness_forward(
+            ex.detections, ex.token_indices, params, cfg.min_confidence
+        )
+        if scores is None:
+            continue
+        bins = assign_labels(ex.detections.boxes[survivors], box_array(ex.foreground))[1]
+        if cfg.loss_kind == "binary_xe":
+            losses.append(binary_xe(scores, bins > 0))
+        else:
+            rank_cfg = cfg.ranking_config()
+            pairs = sample_pairs(bins, scores.value, rank_cfg)
+            losses.append(ranking_loss(pairs, scores, rank_cfg))
+    return ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses])) if losses else None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_expressions=st.integers(1, 5),
+    boxes_per_image=st.integers(2, 6),
+    lengths=st.lists(st.integers(1, 5), min_size=5, max_size=5),
+    loss_kind=st.sampled_from(["binary_xe", "ranking"]),
+    min_confidence=st.sampled_from([0.0, 0.5, 0.95]),
+    seed=st.integers(0, 2**16),
+)
+def test_minibatch_loss_matches_the_per_expression_oracle(
+    n_expressions, boxes_per_image, lengths, loss_kind, min_confidence, seed
+):
+    # one batched graph vs. one oracle graph per expression, both losses,
+    # expressions without survivors or without ranking pairs included
+    rng = np.random.default_rng(seed)
+    dataset = [
+        dataclasses.replace(ex, token_indices=tuple(rng.integers(1, 8, size=length).tolist()))
+        for ex, length in zip(
+            toy_dataset(rng, n_expressions=n_expressions, boxes_per_image=boxes_per_image), lengths
+        )
+    ]
+    params = tiny_model(seed=seed)
+    for node in params.named_parameters().values():
+        node.value += 0.3 * rng.normal(size=node.value.shape)
+    cfg = TrainConfig(loss_kind=loss_kind, min_confidence=min_confidence, margin=0.5)
+    params.zero_gradients()
+    step = trainer.minibatch_loss(dataset, params, cfg)
+    reference = oracle_minibatch_loss(dataset, params, cfg)
+    if reference is None:
+        assert step.loss is None and step.skipped == n_expressions
+        return
+    ad.backward(step.loss)
+    grads = params.grads.copy()
+    params.zero_gradients()
+    ad.backward(reference)
+    assert abs(step.loss.value.item() - reference.value.item()) <= 1e-12
+    views = dict(zip(params.named_parameters(), flat_views(grads, params.config).values()))
+    for name, node in params.named_parameters().items():
+        ref = node.grad
+        assert np.linalg.norm(views[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
 
 
 # checkpoints --------------------------------------------------------------------------
