@@ -9,4 +9,4 @@ measures how often the referent and its contextual objects survive.
 __version__ = "0.1.0"
 
 DETECTION_DUMP_VERSION = 1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3

@@ -62,9 +62,6 @@ class Node:
     def __neg__(self):
         return mul(self, _lift(-1.0, self))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         tag = "set" if self.grad is not None else "unset"
         return f"Node(shape={self.value.shape}, grad={tag})"
@@ -126,34 +123,6 @@ def mul(a: Node, b: Node) -> Node:
     def _bw(out: Node) -> None:
         _accumulate(a, b.value * out.grad)
         _accumulate(b, a.value * out.grad)
-
-    out._backward = _bw
-    return out
-
-
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix/vector product for 1-D and 2-D operands."""
-    av, bv = a.value, b.value
-    if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
-        raise ValueError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree {av.shape} @ {bv.shape}")
-    out = Node(av @ bv, (a, b))
-
-    def _bw(out: Node) -> None:
-        g = out.grad
-        if av.ndim == 1 and bv.ndim == 1:
-            _accumulate(a, g * bv)
-            _accumulate(b, g * av)
-        elif av.ndim == 2 and bv.ndim == 1:
-            _accumulate(a, np.outer(g, bv))
-            _accumulate(b, av.T @ g)
-        elif av.ndim == 1 and bv.ndim == 2:
-            _accumulate(a, bv @ g)
-            _accumulate(b, np.outer(av, g))
-        else:
-            _accumulate(a, g @ bv.T)
-            _accumulate(b, av.T @ g)
 
     out._backward = _bw
     return out
@@ -247,35 +216,11 @@ def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
     return out
 
 
-def stack(nodes: Sequence[Node]) -> Node:
-    """Stack equally shaped nodes along a new leading axis."""
-    return concat([reshape(n, (1,) + n.value.shape) for n in nodes], axis=0)
-
-
 def reshape(x: Node, shape) -> Node:
     out = Node(x.value.reshape(shape), (x,))
 
     def _bw(out: Node) -> None:
         _accumulate(x, out.grad.reshape(x.value.shape))
-
-    out._backward = _bw
-    return out
-
-
-def broadcast_to(x: Node, shape) -> Node:
-    out = Node(np.broadcast_to(x.value, shape).copy(), (x,))
-
-    def _bw(out: Node) -> None:
-        g = out.grad
-        extra = g.ndim - x.value.ndim
-        if extra:
-            g = g.sum(axis=tuple(range(extra)))
-        squeezed = tuple(
-            i for i, (gs, xs) in enumerate(zip(g.shape, x.value.shape)) if xs == 1 and gs != 1
-        )
-        if squeezed:
-            g = g.sum(axis=squeezed, keepdims=True)
-        _accumulate(x, g)
 
     out._backward = _bw
     return out
@@ -301,20 +246,6 @@ def take(x: Node, indices) -> Node:
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
         x.grad[rows] += block
-
-    out._backward = _bw
-    return out
-
-
-def softmax(x: Node, axis: int = -1) -> Node:
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Node(s, (x,))
-
-    def _bw(out: Node) -> None:
-        g = out.grad
-        _accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
     out._backward = _bw
     return out
@@ -383,17 +314,6 @@ def sigmoid(x: Node) -> Node:
 
     def _bw(out: Node) -> None:
         _accumulate(x, out.value * (1.0 - out.value) * out.grad)
-
-    out._backward = _bw
-    return out
-
-
-def tanh(x: Node) -> Node:
-    t = np.tanh(x.value)
-    out = Node(t, (x,))
-
-    def _bw(out: Node) -> None:
-        _accumulate(x, (1.0 - out.value**2) * out.grad)
 
     out._backward = _bw
     return out
@@ -616,12 +536,23 @@ def gru_sequence(xs: Node, params: GruParams) -> Node:
     return out
 
 
+_EPS = float(np.finfo(np.float64).eps)
+# the largest relative error that finite-difference rounding alone may read as
+_ROUNDING_SHARE = 1e-5
+
+
 def grad_check(f: Callable[[], Node], inputs: Sequence[Node], step: float = 1e-5) -> float:
     """Compare analytic gradients of ``f()`` against central finite differences.
 
     ``f`` must rebuild its graph on every call and read the given input nodes;
     their values are perturbed in place. Returns the worst relative error
-    |a - n| / max(|a|, |n|, 1e-8) over every component of every input.
+    |a - n| / max(|a|, |n|, floor) over every component of every input.
+
+    Rounding f(x +- step) costs the central difference an absolute error of
+    about eps * |f| / step, whatever the size of the gradient. The floor is
+    that noise over `_ROUNDING_SHARE`, so a component too small for the
+    difference to resolve is judged by its absolute error, and rounding alone
+    reads as at most ~`_ROUNDING_SHARE`.
     """
     for node in inputs:
         node.grad = None
@@ -638,6 +569,8 @@ def grad_check(f: Callable[[], Node], inputs: Sequence[Node], step: float = 1e-5
             f_minus = f().value.item()
             node.value.flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
-            err = abs(flat_a[i] - numeric) / max(abs(flat_a[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            noise = _EPS * max(abs(f_plus), abs(f_minus)) / step
+            scale = max(abs(flat_a[i]), abs(numeric), noise / _ROUNDING_SHARE)
+            if scale > 0.0:
+                worst = max(worst, abs(flat_a[i] - numeric) / scale)
     return worst

@@ -9,6 +9,7 @@ are idempotent.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -57,33 +58,47 @@ EPILOG = """exit codes:
 """
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= `lo`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _finite_in(lo: float, hi: float, *, open_interval: bool = False):
-    """An argparse type: a float in [lo, hi], or in (lo, hi) with `open_interval`."""
-    bounds = f"({lo:g}, {hi:g})" if open_interval else f"[{lo:g}, {hi:g}]"
+    """An argparse type: a finite float in [lo, hi], or in (lo, hi) with `open_interval`."""
+    bounds = f"{'(' if open_interval else '['}{lo:g}, {hi:g}"
+    bounds += ")" if open_interval or math.isinf(hi) else "]"
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected a number, got '{text}'") from None
-        # NaN fails both comparisons
-        if not (lo < value < hi if open_interval else lo <= value <= hi):
+        if not math.isfinite(value) or not (
+            lo < value < hi if open_interval else lo <= value <= hi
+        ):
             raise argparse.ArgumentTypeError(f"expected a finite value in {bounds}, got {text}")
         return value
 
     return parse
 
 
+_positive_int = _int_at_least(1)
+_count = _int_at_least(0)
 _unit = _finite_in(0.0, 1.0)
 _open_unit = _finite_in(0.0, 1.0, open_interval=True)
 _cosine = _finite_in(-1.0, 1.0)
+_non_negative = _finite_in(0.0, math.inf)
+_positive = _finite_in(0.0, math.inf, open_interval=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,10 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", type=_positive_int, default=250)
     p.add_argument("--categories", type=_positive_int, default=8)
     p.add_argument("--boxes-per-image", type=_positive_int, default=20)
-    p.add_argument("--noise", type=float, default=0.1, help="feature noise sigma")
+    p.add_argument("--noise", type=_non_negative, default=0.1, help="feature noise sigma")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--expressions-per-image", type=_positive_int, default=2)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=_open_unit, default=0.2)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("pseudo-gt", help="emit pseudo ground-truths per expression", epilog=EPILOG)
@@ -147,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="trained model (fused criterion)")
     p.add_argument(
         "--stub-relatedness",
-        type=float,
+        type=_unit,
         default=None,
         help="bypass the model with a constant relatedness (fused criterion)",
     )
@@ -160,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-confidence", type=_unit, default=0.05)
     p.add_argument("--nms-iou", type=_open_unit, default=0.3)
     p.add_argument("--cross-class", action="store_true", help="suppress across categories")
-    p.add_argument("--top-n", type=int, default=None)
+    p.add_argument("--top-n", type=_count, default=None)
     p.add_argument("--min-score", type=_unit, default=None)
     p.set_defaults(func=cmd_apply)
 
@@ -190,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", type=_positive_int, default=6)
     p.add_argument("--hidden-size", type=_positive_int, default=4)
     p.add_argument("--vocab-size", type=_positive_int, default=9)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--step", type=_open_unit, default=1e-5)
+    p.add_argument("--tolerance", type=_positive, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
     return parser
@@ -249,7 +264,7 @@ def _parse_config_file(path) -> dict[str, tuple[int, str]]:
 
 
 _TRAIN_KEYS = {
-    "loss_kind": str, "batch_size": int, "lr_head": float, "lr_rest": float,
+    "loss_kind": str, "batch_size": int, "lr_rest": float,
     "beta1": float, "beta2": float, "eps": float, "epochs": int, "seed": int,
     "min_confidence": float, "similarity_threshold": float, "margin": float,
     "max_negatives": int, "embedding_lr": float,

@@ -89,11 +89,6 @@ def first_hits(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.vstack([hit, np.ones((1, len(targets)), dtype=bool)]).argmax(axis=0)
 
 
-def referent_hit(proposals: np.ndarray, referent: np.ndarray) -> bool:
-    """True when any row of `proposals` (k, 4) hits the `referent` box (4,)."""
-    return bool(first_hits(proposals, referent.reshape(1, 4))[0] < len(proposals))
-
-
 def contextual_recall(proposals: np.ndarray, pseudo_regions: np.ndarray) -> tuple[int, int]:
     """(matched, total) over the rows of `pseudo_regions` (m, 4).
 

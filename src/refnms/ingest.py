@@ -219,7 +219,13 @@ def _parse_lines(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
 
 def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
     """(len(fields), width) float64: each field is `width` numbers separated by
-    single spaces. Raises ValueError on any other layout or a bad number."""
+    whitespace, as ``str.split`` cuts them. Raises ValueError on any other
+    layout or a bad number.
+
+    Fields with single spaces between numbers are read first, split on the
+    space alone; numpy's whitespace mode, which skips the characters
+    ``str.split`` skips, reads the others, a few percent slower.
+    """
     if width == 0:
         if any(map(str.strip, fields)):
             raise ValueError("values where none are declared")
@@ -227,7 +233,10 @@ def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(fields, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+            try:
+                rows = np.loadtxt(fields, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+            except ValueError:
+                rows = np.loadtxt(fields, dtype=np.float64, delimiter=None, comments=None, ndmin=2)
         except UserWarning as exc:  # numpy skips empty rows, and warns when none is left
             raise ValueError(str(exc)) from None
     if rows.shape != (len(fields), width):
@@ -241,9 +250,10 @@ def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
 
     numpy's text reader converts each number of a box or feature with the
     parser behind Python's ``float()``, so values are bit-identical to
-    `_parse_lines`. That slow path takes any block that breaks the canonical
-    layout (single spaces between numbers, no padding) or fails a check, and
-    raises the error of its first bad line.
+    `_parse_lines`; runs of whitespace and padding around the numbers are
+    read as ``str.split`` reads them. That slow path takes any block that
+    numpy cannot read (an embedded carriage return, a digit separator) or that
+    fails a check, and raises the error of its first bad line.
     """
     fields = [line.rstrip("\n").split("\t") for line in lines]
     try:

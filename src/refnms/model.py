@@ -4,7 +4,7 @@ A bi-directional GRU encodes the expression into one feature per word. One
 attention over the words per expression sums them into a summary; the
 paper's box-conditioned attention is not modelled (a box term added to
 logits that the softmax normalizes over words would cancel). Each
-detection's region feature is projected and gated, and the fused
+detection's region feature is gated by a two-layer perceptron, and the fused
 (element-wise, L2-normalized) combination of gate and summary is mapped to a
 relatedness probability. The final suppression criterion is the product of
 relatedness and detection confidence.
@@ -89,7 +89,6 @@ class ModelParameters:
     embeddings: Node            # (vocab, embed)
     gru_fwd: GruParams
     gru_bwd: GruParams
-    feature_projection: Node    # (feature, feature); stands in for detector-head fine-tuning
     fc_s_w: Node                # attention logit head over words, (1, word_feature_dim)
     mlp_b: MlpParams            # box side of the fusion, feature -> word_feature_dim
     fc_r_w: Node                # relatedness logit head, (1, word_feature_dim)
@@ -108,7 +107,6 @@ class ModelParameters:
         for prefix, group in (("gru_fwd", self.gru_fwd), ("gru_bwd", self.gru_bwd)):
             for name, node in group.nodes().items():
                 named[f"{prefix}.{name}"] = node
-        named["feature_projection"] = self.feature_projection
         named["fc_s.w"] = self.fc_s_w
         for name, node in self.mlp_b.nodes().items():
             named[f"mlp_b.{name}"] = node
@@ -135,9 +133,8 @@ def init_parameters(
     """Seeded parameter initialization, written into a new flat store.
 
     Word embeddings start uniform(-0.1, 0.1) and are overwritten with table
-    vectors for vocabulary words found there; the padding row is zero. The
-    feature projection starts as the identity. Weights are drawn in
-    `named_parameters` order; biases start at zero.
+    vectors for vocabulary words found there; the padding row is zero.
+    Weights are drawn in `named_parameters` order; biases start at zero.
     """
     if table is not None and vocab is not None and table.dimension != config.embed_dim:
         raise DataFormatError(
@@ -160,7 +157,6 @@ def init_parameters(
         gru = init_gru_params(config.embed_dim, config.hidden_size, rng)
         for name, node in gru.nodes().items():
             views[f"{prefix}.{name}"][...] = node.value
-    np.fill_diagonal(views["feature_projection"], 1.0)
     d, q = config.feature_dim, config.word_feature_dim
     # skip the draws of the removed box side of the attention (mlp_a, key half of fc_s.w) and keep
     # fc_s.w's bound: kept weights get their checkpoint-v1 values, so outputs stay comparable
@@ -187,7 +183,6 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "embeddings": (config.vocab_size, e),
         **{f"gru_fwd.{k}": s for k, s in gru.items()},
         **{f"gru_bwd.{k}": s for k, s in gru.items()},
-        "feature_projection": (d, d),
         "fc_s.w": (1, q),
         **{f"mlp_b.{k}": s for k, s in mlp.items()},
         "fc_r.w": (1, q),
@@ -224,7 +219,6 @@ def parameters_from_flat(config: ModelConfig, values: np.ndarray) -> ModelParame
         embeddings=nodes["embeddings"],
         gru_fwd=group(GruParams, "gru_fwd"),
         gru_bwd=group(GruParams, "gru_bwd"),
-        feature_projection=nodes["feature_projection"],
         fc_s_w=nodes["fc_s.w"],
         mlp_b=group(MlpParams, "mlp_b"),
         fc_r_w=nodes["fc_r.w"],
@@ -310,9 +304,8 @@ def forward(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
 
     Returns every stage by name: ``words`` (T * B, q); ``logits`` and
     ``weights`` (T, B), one attention column per expression, zero past its
-    length; ``attended`` (B, q); ``projected`` (sum N, feature_dim); ``gate``
-    and ``joint`` (sum N, q); ``logit`` (sum N, 1); ``score`` (sum N,), the
-    relatedness probabilities.
+    length; ``attended`` (B, q); ``gate`` and ``joint`` (sum N, q); ``logit``
+    (sum N, 1); ``score`` (sum N,), the relatedness probabilities.
     """
     steps, size = batch.tokens.shape
     n, q = batch.features.shape[0], params.config.word_feature_dim
@@ -320,14 +313,13 @@ def forward(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
     logits = ad.reshape(ad.linear(words, params.fc_s_w), (steps, size))
     weights = ad.masked_softmax(logits, batch.lengths)
     attended = ad.weighted_sum(weights, ad.reshape(words, (steps, size, q)))
-    v = ad.linear(batch.features, params.feature_projection)
     b = params.mlp_b
-    gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)
+    gate = ad.linear(ad.relu(ad.linear(batch.features, b.w1, b.b1)), b.w2, b.b2)
     joint = ad.l2_normalize(ad.mul(gate, ad.take(attended, batch.segments)), axis=1)
     logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
     return {
         "words": words, "logits": logits, "weights": weights, "attended": attended,
-        "projected": v, "gate": gate, "joint": joint, "logit": logit,
+        "gate": gate, "joint": joint, "logit": logit,
         "score": ad.sigmoid(ad.reshape(logit, (n,))),
     }
 

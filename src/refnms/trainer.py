@@ -1,17 +1,14 @@
-"""Training loop: Adam with two learning-rate groups, epoch scheduling,
-and self-contained binary checkpoints.
+"""Training loop: Adam with one learning rate (the word embeddings may get
+their own), epoch scheduling, and self-contained binary checkpoints.
 
-The feature projection (the stand-in for detector-head fine-tuning) gets its
-own learning rate; every other parameter uses the second rate, and the word
-embeddings may get a third. Shuffling is keyed on (seed, epoch) so an
-interrupted run resumed from a checkpoint retraces the uninterrupted one
-exactly.
+Shuffling is keyed on (seed, epoch) so an interrupted run resumed from a
+checkpoint retraces the uninterrupted one exactly.
 
 Flat layout: the model's parameters live in one flat float64 buffer (see
 `model.ModelParameters`), in `named_parameters` order with the shapes of
 `model.parameter_shapes`, and so do their gradients and Adam's `m` and `v`.
-In that order the learning rates form at most four contiguous runs
-(embeddings, GRUs, feature projection, the rest), so an Adam step is a few
+The embeddings come first in that order, so the learning rates form at most
+two contiguous runs (embeddings, the rest), and an Adam step is a few
 vectorised updates over slices instead of one per parameter.
 
 Checkpoint payload: three contiguous blocks of little-endian float64, the
@@ -68,7 +65,6 @@ from .objectives import (
 from .pseudo_gt import foreground_boxes, generate_pseudo_gt, memoized_similarity
 
 LOSS_KINDS = ("binary_xe", "ranking")
-HEAD_PARAMETERS = ("feature_projection",)
 
 CHECKPOINT_MAGIC = b"RNMS1\n"
 
@@ -80,8 +76,7 @@ ADAM_CHUNK = 32768
 class TrainConfig:
     loss_kind: str = "binary_xe"
     batch_size: int = 8
-    lr_head: float = 4e-4           # feature-projection group
-    lr_rest: float = 5e-3           # everything else
+    lr_rest: float = 5e-3           # every parameter (see embedding_lr)
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -102,8 +97,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr_head <= 0.0 or self.lr_rest <= 0.0:
-            raise ValueError("learning rates must be > 0")
+        if self.lr_rest <= 0.0:
+            raise ValueError(f"lr_rest must be > 0, got {self.lr_rest}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
@@ -142,8 +137,6 @@ def init_optimizer_state(params: ModelParameters) -> OptimizerState:
 
 
 def _learning_rate(name: str, cfg: TrainConfig) -> float:
-    if name in HEAD_PARAMETERS:
-        return cfg.lr_head
     if name == "embeddings" and cfg.embedding_lr is not None:
         return cfg.embedding_lr
     return cfg.lr_rest

@@ -2,7 +2,8 @@
 
 Each is a plain restatement of an earlier, per-box form of the program: one
 `geometry.iou` call per pair of boxes, one Python object or line at a time,
-one expression per model graph.
+one expression per model graph. The autodiff ops that only these oracles
+and the engine's own tests use live here too.
 """
 
 import math
@@ -53,6 +54,85 @@ def max_iou_against(candidate: Box, targets) -> float:
     return best
 
 
+# autodiff ops the program does not use -----------------------------------------------
+
+
+def matmul(a: ad.Node, b: ad.Node) -> ad.Node:
+    """Matrix/vector product for 1-D and 2-D operands."""
+    av, bv = a.value, b.value
+    if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
+        raise ValueError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[0]:
+        raise ValueError(f"matmul: inner dimensions disagree {av.shape} @ {bv.shape}")
+    out = ad.Node(av @ bv, (a, b))
+
+    def _bw(out: ad.Node) -> None:
+        g = out.grad
+        if av.ndim == 1 and bv.ndim == 1:
+            ad._accumulate(a, g * bv)
+            ad._accumulate(b, g * av)
+        elif av.ndim == 2 and bv.ndim == 1:
+            ad._accumulate(a, np.outer(g, bv))
+            ad._accumulate(b, av.T @ g)
+        elif av.ndim == 1 and bv.ndim == 2:
+            ad._accumulate(a, bv @ g)
+            ad._accumulate(b, np.outer(av, g))
+        else:
+            ad._accumulate(a, g @ bv.T)
+            ad._accumulate(b, av.T @ g)
+
+    out._backward = _bw
+    return out
+
+
+def stack(nodes: Sequence[ad.Node]) -> ad.Node:
+    """Stack equally shaped nodes along a new leading axis."""
+    return ad.concat([ad.reshape(n, (1,) + n.value.shape) for n in nodes], axis=0)
+
+
+def broadcast_to(x: ad.Node, shape) -> ad.Node:
+    out = ad.Node(np.broadcast_to(x.value, shape).copy(), (x,))
+
+    def _bw(out: ad.Node) -> None:
+        g = out.grad
+        extra = g.ndim - x.value.ndim
+        if extra:
+            g = g.sum(axis=tuple(range(extra)))
+        squeezed = tuple(
+            i for i, (gs, xs) in enumerate(zip(g.shape, x.value.shape)) if xs == 1 and gs != 1
+        )
+        if squeezed:
+            g = g.sum(axis=squeezed, keepdims=True)
+        ad._accumulate(x, g)
+
+    out._backward = _bw
+    return out
+
+
+def softmax(x: ad.Node, axis: int = -1) -> ad.Node:
+    shifted = x.value - x.value.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+    out = ad.Node(s, (x,))
+
+    def _bw(out: ad.Node) -> None:
+        g = out.grad
+        ad._accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+
+    out._backward = _bw
+    return out
+
+
+def tanh(x: ad.Node) -> ad.Node:
+    out = ad.Node(np.tanh(x.value), (x,))
+
+    def _bw(out: ad.Node) -> None:
+        ad._accumulate(x, (1.0 - out.value**2) * out.grad)
+
+    out._backward = _bw
+    return out
+
+
 # NMS and the model ------------------------------------------------------------------
 
 
@@ -101,16 +181,15 @@ def forward(features: np.ndarray, words: ad.Node, params: ModelParameters) -> di
     one expression's (n_words, q) word features: one attention row, (1, n_words),
     broadcast to the n boxes. Returns every stage by name, as `model.forward`."""
     n, q = features.shape[0], params.config.word_feature_dim
-    v = ad.linear(features, params.feature_projection)
     b = params.mlp_b
-    gate = ad.linear(ad.relu(ad.linear(v, b.w1, b.b1)), b.w2, b.b2)
+    gate = ad.linear(ad.relu(ad.linear(features, b.w1, b.b1)), b.w2, b.b2)
     logits = ad.reshape(ad.linear(words, params.fc_s_w), (1, words.value.shape[0]))
-    weights = ad.softmax(logits, axis=1)
-    attended = ad.matmul(weights, words)
-    joint = ad.l2_normalize(ad.mul(gate, ad.broadcast_to(attended, (n, q))), axis=1)
+    weights = softmax(logits, axis=1)
+    attended = matmul(weights, words)
+    joint = ad.l2_normalize(ad.mul(gate, broadcast_to(attended, (n, q))), axis=1)
     logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
     return {
-        "projected": v, "logits": logits, "weights": weights, "attended": attended,
+        "logits": logits, "weights": weights, "attended": attended,
         "gate": gate, "joint": joint, "logit": logit,
         "score": ad.sigmoid(ad.reshape(logit, (n,))),
     }

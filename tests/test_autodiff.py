@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from refnms import autodiff as ad
 from refnms.autodiff import GruParams, Node, backward, grad_check, gru_sequence, init_gru_params
 
@@ -36,14 +37,14 @@ def test_sigmoid_at_zero():
 
 
 def test_softmax_of_equal_logits_is_uniform():
-    out = ad.softmax(Node(np.full(4, 1.7)), axis=0)
+    out = oracles.softmax(Node(np.full(4, 1.7)), axis=0)
     np.testing.assert_allclose(out.value, 0.25, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     x = Node(rng.normal(size=(5, 7)) * 10)
-    out = ad.softmax(x, axis=1)
+    out = oracles.softmax(x, axis=1)
     np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out.value >= 0.0)
 
@@ -72,7 +73,7 @@ def test_shape_mismatch_names_operation_and_shapes():
     with pytest.raises(ValueError, match=r"add.*\(2,\).*\(3,\)"):
         ad.add(Node(np.zeros(2)), Node(np.zeros(3)))
     with pytest.raises(ValueError, match="matmul"):
-        ad.matmul(Node(np.zeros((2, 3))), Node(np.zeros((4, 2))))
+        oracles.matmul(Node(np.zeros((2, 3))), Node(np.zeros((4, 2))))
     with pytest.raises(ValueError, match=r"linear.*\(2, 3\).*\(3, 2\)"):
         ad.linear(Node(np.zeros((2, 3))), Node(np.zeros((3, 2))))
     with pytest.raises(ValueError, match=r"linear: bias \(2,\)"):
@@ -128,13 +129,14 @@ def graph_through_every_op():
     """A scalar loss whose graph passes through every operation of the engine."""
     rng = np.random.default_rng(8)
     x = Node(rng.normal(size=(3, 4)))
-    v = Node(rng.normal(size=4))
-    h = ad.matmul(x, v)
-    h = ad.add(ad.sub(ad.mul(h, h), h), ad.tanh(h))
-    h = ad.reshape(gru_sequence(ad.reshape(h, (1, 3)), init_gru_params(3, 2, rng)), (2,))
-    h = ad.l2_normalize(ad.softmax(ad.concat([ad.relu(h), ad.sigmoid(h)])))
-    rows = ad.linear(ad.take(ad.stack([h, h]), [0, 1, 1]), Node(np.eye(4)), Node(np.ones(4)))
-    s = ad.broadcast_to(ad.reshape(ad.mean(rows), (1,)), (2,))
+    h = ad.linear(x, Node(rng.normal(size=(2, 4))), Node(rng.normal(size=2)))
+    h = ad.add(ad.sub(ad.mul(h, h), h), ad.relu(h))
+    states = gru_sequence(h, init_gru_params(2, 2, rng))
+    # the (3, 2) states as the logits of two columns, of lengths 3 and 2
+    weights = ad.masked_softmax(states, [3, 2])
+    values = ad.reshape(ad.concat([states, states], axis=1), (3, 2, 2))
+    h = ad.l2_normalize(ad.sigmoid(ad.weighted_sum(weights, values)), axis=1)
+    s = ad.reshape(ad.mean(ad.take(h, [0, 1, 1])), (1,))
     return ad.sum(ad.log(ad.clamp(s, 1e-3, 10.0)))
 
 
@@ -162,10 +164,10 @@ def test_fd_add_sub_mul():
 
 
 def test_fd_matmul_all_rank_combinations():
-    assert fd_check(lambda a, b: ad.sum(ad.matmul(a, b)), (3, 4), (4, 2)) < FD_TOL
-    assert fd_check(lambda a, b: ad.sum(ad.matmul(a, b)), (3, 4), (4,)) < FD_TOL
-    assert fd_check(lambda a, b: ad.sum(ad.matmul(a, b)), (4,), (4, 3)) < FD_TOL
-    assert fd_check(lambda a, b: ad.matmul(a, b), (4,), (4,)) < FD_TOL
+    assert fd_check(lambda a, b: ad.sum(oracles.matmul(a, b)), (3, 4), (4, 2)) < FD_TOL
+    assert fd_check(lambda a, b: ad.sum(oracles.matmul(a, b)), (3, 4), (4,)) < FD_TOL
+    assert fd_check(lambda a, b: ad.sum(oracles.matmul(a, b)), (4,), (4, 3)) < FD_TOL
+    assert fd_check(lambda a, b: oracles.matmul(a, b), (4,), (4,)) < FD_TOL
 
 
 def test_fd_linear_with_and_without_bias():
@@ -193,13 +195,17 @@ def test_linear_of_a_plain_array_treats_it_as_a_constant():
 def test_fd_concat_stack_reshape_broadcast_take():
     assert fd_check(lambda a, b: ad.sum(ad.mul(c := ad.concat([a, b]), c)), (3,), (2,)) < FD_TOL
     assert (
-        fd_check(lambda a, b: ad.sum(ad.mul(s := ad.stack([a, b]), s)), (3,), (3,)) < FD_TOL
+        fd_check(lambda a, b: ad.sum(ad.mul(s := oracles.stack([a, b]), s)), (3,), (3,))
+        < FD_TOL
     )
     assert fd_check(lambda a: ad.sum(ad.mul(r := ad.reshape(a, (6,)), r)), (2, 3)) < FD_TOL
     assert (
-        fd_check(lambda a: ad.sum(ad.mul(b := ad.broadcast_to(a, (4, 3)), b)), (1, 3)) < FD_TOL
+        fd_check(lambda a: ad.sum(ad.mul(b := oracles.broadcast_to(a, (4, 3)), b)), (1, 3))
+        < FD_TOL
     )
-    assert fd_check(lambda a: ad.sum(ad.mul(b := ad.broadcast_to(a, (5,)), b)), (1,)) < FD_TOL
+    assert (
+        fd_check(lambda a: ad.sum(ad.mul(b := oracles.broadcast_to(a, (5,)), b)), (1,)) < FD_TOL
+    )
     assert (
         fd_check(lambda a: ad.sum(ad.mul(t := ad.take(a, [0, 2, 2, 1]), t)), (4, 3)) < FD_TOL
     )
@@ -230,14 +236,14 @@ def test_take_gradient_is_bit_equal_to_a_dense_scatter(rows, cols, picks, accumu
 
 def test_fd_activations_and_reductions():
     assert fd_check(lambda a: ad.sum(ad.sigmoid(a)), (5,)) < FD_TOL
-    assert fd_check(lambda a: ad.sum(ad.tanh(a)), (5,)) < FD_TOL
+    assert fd_check(lambda a: ad.sum(oracles.tanh(a)), (5,)) < FD_TOL
     assert fd_check(lambda a: ad.sum(ad.mul(r := ad.relu(a), r)), (5,), scale=2.0) < FD_TOL
     assert fd_check(lambda a: ad.mean(ad.mul(a, a)), (5,)) < FD_TOL
     # plain sum of a softmax is constant; weight the entries to get a real gradient
     w5 = ad.constant(np.arange(1.0, 6.0))
-    assert fd_check(lambda a: ad.sum(ad.mul(w5, ad.softmax(a, axis=0))), (5,)) < FD_TOL
+    assert fd_check(lambda a: ad.sum(ad.mul(w5, oracles.softmax(a, axis=0))), (5,)) < FD_TOL
     assert (
-        fd_check(lambda a: ad.sum(ad.mul(s := ad.softmax(a, axis=1), s)), (3, 4)) < FD_TOL
+        fd_check(lambda a: ad.sum(ad.mul(s := oracles.softmax(a, axis=1), s)), (3, 4)) < FD_TOL
     )
 
 
@@ -278,7 +284,7 @@ def test_grad_check_linear_function_is_exact():
     x = Node(rng.normal(size=5))
 
     def f():
-        return ad.matmul(ad.constant(w), x)
+        return oracles.matmul(ad.constant(w), x)
 
     assert grad_check(f, [x]) < 1e-9
 
@@ -289,7 +295,7 @@ def test_grad_check_sigmoid_matmul_chain():
     x = Node(rng.normal(size=5))
 
     def f():
-        return ad.sum(ad.sigmoid(ad.matmul(w, x)))
+        return ad.sum(ad.sigmoid(oracles.matmul(w, x)))
 
     assert grad_check(f, [w, x]) < FD_TOL
 
@@ -302,6 +308,31 @@ def test_grad_check_l2_normalize_then_sum():
         return ad.sum(ad.l2_normalize(x))
 
     assert grad_check(f, [x]) < FD_TOL
+
+
+def scaled_identity(x, factor):
+    """The identity, whose backward multiplies the gradient by `factor`."""
+    out = Node(x.value.copy(), (x,))
+
+    def _bw(out):
+        ad._accumulate(x, factor * out.grad)
+
+    out._backward = _bw
+    return out
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-7])
+def test_grad_check_flags_a_planted_wrong_gradient_however_small(size):
+    # f = 1 + size * sum(x^2): the gradient is ~size while f's rounding noise
+    # stays at ~eps; a gradient 1% off fails even at components of 1e-7
+    x = Node(np.random.default_rng(24).uniform(0.5, 1.5, size=4))
+
+    def f(factor):
+        y = scaled_identity(x, factor)
+        return ad.add(Node(np.array(1.0)), ad.sum(ad.mul(ad.mul(y, y), Node(np.full(4, size)))))
+
+    assert grad_check(lambda: f(1.0), [x]) < FD_TOL
+    assert grad_check(lambda: f(1.01), [x]) > FD_TOL
 
 
 # GRU sequence ------------------------------------------------------------------
@@ -319,12 +350,14 @@ def gru_cell(x, h_prev, params):
 
     def gate(w, x, u, h, b):
         rows, width = h.value.shape
-        state = ad.stack([ad.matmul(u, ad.reshape(ad.take(h, [i]), (width,))) for i in range(rows)])
+        state = oracles.stack(
+            [oracles.matmul(u, ad.reshape(ad.take(h, [i]), (width,))) for i in range(rows)]
+        )
         return ad.add(ad.linear(x, w, b), state)
 
     z = ad.sigmoid(gate(p.w_z, x, p.u_z, h_prev, p.b_z))
     r = ad.sigmoid(gate(p.w_r, x, p.u_r, h_prev, p.b_r))
-    cand = ad.tanh(gate(p.w_h, x, p.u_h, ad.mul(r, h_prev), p.b_h))
+    cand = oracles.tanh(gate(p.w_h, x, p.u_h, ad.mul(r, h_prev), p.b_h))
     keep = ad.sub(ad.constant(np.ones_like(z.value)), z)
     return ad.add(ad.mul(keep, h_prev), ad.mul(z, cand))
 
@@ -337,7 +370,7 @@ def reference_sequence(xs, params):
     for t in range(steps):
         h = gru_cell(ad.reshape(ad.take(xs, [t]), (batch, width)), h, params)
         states.append(h)
-    return ad.stack(states)
+    return oracles.stack(states)
 
 
 def zero_gru(d_in, d_h):

@@ -54,7 +54,7 @@ def test_version_prints_artifact_and_format_versions(capsys):
     out = capsys.readouterr().out
     assert "refnms 0.1.0" in out
     assert "dump v1" in out
-    assert "checkpoint v2" in out
+    assert "checkpoint v3" in out
 
 
 def test_unknown_flag_exits_with_usage_error():
@@ -264,6 +264,47 @@ def test_version_1_checkpoint_exits_with_data_error_asking_to_retrain(
     assert str(ckpt) in err and "version 1" in err and "retrain" in err
 
 
+def as_version_2(checkpoint_bytes):
+    """A checkpoint v3 rewritten in the layout of v2: each of the three blocks
+    gains a (D, D) `feature_projection` after `gru_bwd.b_h`, the identity among
+    the parameters and zeros among Adam's moments."""
+    magic, header, payload = checkpoint_bytes.split(b"\n", 2)
+    fields = json.loads(header)
+    dim = fields["model_config"]["feature_dim"]
+    values = np.frombuffer(payload, dtype="<f8")
+    arrays, pieces, start = [], [], 0
+    for entry in fields["arrays"]:
+        size = math.prod(entry["shape"])
+        arrays.append(entry)
+        pieces.append(values[start : start + size])
+        start += size
+        if entry["name"].endswith("gru_bwd.b_h"):
+            prefix = entry["name"][: -len("gru_bwd.b_h")]
+            arrays.append({"name": f"{prefix}feature_projection", "shape": [dim, dim]})
+            pieces.append((np.zeros((dim, dim)) if prefix else np.eye(dim)).ravel())
+    fields.update(format_version=2, arrays=arrays)
+    return b"\n".join([magic, json.dumps(fields).encode(), np.concatenate(pieces).tobytes()])
+
+
+@pytest.mark.parametrize("command", ["apply", "eval-recall"])
+def test_version_2_checkpoint_with_a_feature_projection_exits_asking_to_retrain(
+    dataset, checkpoint_bytes, tmp_path, capsys, command
+):
+    ckpt = tmp_path / "v2.ckpt"
+    ckpt.write_bytes(as_version_2(checkpoint_bytes))
+    argv = {
+        "apply": ["apply", *data_args(dataset)[:4], "--checkpoint", str(ckpt),
+                  "--out", str(tmp_path / "o.tsv")],
+        "eval-recall": ["eval-recall", *data_args(dataset), "--split", "val",
+                        "--method", "ref_nms", "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "r.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "version 2" in err and "v3" in err and "retrain" in err
+
+
 def test_non_finite_checkpoint_value_exits_with_data_error_naming_the_array(
     dataset, checkpoint_bytes, tmp_path, capsys
 ):
@@ -352,7 +393,8 @@ def test_train_rejects_unknown_config_key(dataset, tmp_path):
     "line, message",
     [
         ("batch_size = abc", "batch_size: bad value 'abc'"),
-        ("lr_head = nan", "lr_head: bad value 'nan' (lr_head must be finite"),
+        ("lr_rest = nan", "lr_rest: bad value 'nan' (lr_rest must be finite"),
+        ("lr_head = 4e-4", "unknown config key 'lr_head'"),
         ("batch_size = 0", "batch_size: bad value '0' (batch_size must be >= 1"),
         ("beta1 = 1.0", "beta1: bad value '1.0' (beta1 must lie in [0, 1)"),
         ("beta2 = -0.1", "beta2: bad value '-0.1' (beta2 must lie in [0, 1)"),
@@ -362,8 +404,8 @@ def test_train_rejects_unknown_config_key(dataset, tmp_path):
          "similarity_threshold: bad value '-1.5' (similarity_threshold must lie in"),
         ("embedding_lr = -0.1", "embedding_lr: bad value '-0.1' (embedding_lr must be >= 0"),
     ],
-    ids=["conversion", "non-finite", "rejected-by-train-config", "beta1", "beta2", "eps",
-         "min_confidence", "similarity_threshold", "embedding_lr"],
+    ids=["conversion", "non-finite", "removed-lr_head", "rejected-by-train-config", "beta1",
+         "beta2", "eps", "min_confidence", "similarity_threshold", "embedding_lr"],
 )
 def test_bad_config_file_value_exits_with_data_error_naming_the_line(
     dataset, tmp_path, capsys, line, message
@@ -382,6 +424,8 @@ def test_bad_config_file_value_exits_with_data_error_naming_the_line(
 
 FLOAT_FLAGS = [
     ("apply", "--min-confidence"), ("apply", "--nms-iou"), ("apply", "--min-score"),
+    ("apply", "--stub-relatedness"), ("grad-check", "--step"), ("grad-check", "--tolerance"),
+    ("synth-data", "--noise"), ("synth-data", "--val-fraction"),
     ("eval-recall", "--min-confidence"), ("eval-recall", "--nms-iou"),
     ("eval-recall", "--similarity-threshold"), ("eval-recall", "--real-case-min-score"),
     ("pseudo-gt", "--similarity-threshold"),
@@ -389,6 +433,8 @@ FLOAT_FLAGS = [
 ]
 REQUIRED = {
     "apply": ["--detections", "d", "--expressions", "e", "--out", "o", "--baseline"],
+    "grad-check": [],
+    "synth-data": ["--out-dir", "o"],
     "eval-recall": ["--detections", "d", "--expressions", "e", "--regions", "r",
                     "--embeddings", "m", "--split", "val", "--method", "baseline_conf",
                     "--out", "o"],
@@ -396,9 +442,11 @@ REQUIRED = {
     "train": ["--detections", "d", "--expressions", "e", "--regions", "r", "--embeddings", "m",
               "--out", "o"],
 }
-# just outside each flag's range: [0, 1], except (0, 1) for --nms-iou and
-# [-1, 1] for --similarity-threshold
-OUTSIDE = {"--nms-iou": "1.0", "--similarity-threshold": "-1.01"}
+# just outside each flag's range: [0, 1], except (0, 1) for --nms-iou, --step and
+# --val-fraction, [-1, 1] for --similarity-threshold, (0, inf) for --tolerance and
+# [0, inf) for --noise
+OUTSIDE = {"--nms-iou": "1.0", "--step": "1.0", "--val-fraction": "1.0",
+           "--similarity-threshold": "-1.01", "--tolerance": "0", "--noise": "-0.01"}
 
 
 @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
@@ -409,6 +457,19 @@ def test_float_flag_rejects_non_finite_and_out_of_range_values(command, flag, va
         main([command, *REQUIRED[command], flag, value])
     assert excinfo.value.code == 2
     assert f"argument {flag}: expected a finite value in" in capsys.readouterr().err
+
+
+def test_negative_top_n_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["apply", *REQUIRED["apply"], "--top-n", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --top-n: expected an integer >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_grad_check_command_passes_on_many_seeds(seed, capsys):
+    # gradient components near 1e-9 sit at the finite differences' rounding noise
+    assert main(["grad-check", "--seed", str(seed)]) == EXIT_OK
 
 
 def test_grad_check_command_passes_and_prints_error(capsys):

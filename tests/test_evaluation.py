@@ -16,8 +16,8 @@ from refnms.evaluation import (
     RecallRow,
     build_eval_set,
     contextual_recall,
+    first_hits,
     recall_curve,
-    referent_hit,
     write_report,
 )
 from refnms.geometry import Box, box_array
@@ -41,6 +41,11 @@ def record(box, conf, category=0):
 
 
 # hit tests ---------------------------------------------------------------------
+
+
+def referent_hit(proposals, referent):
+    """True when any row of `proposals` (k, 4) hits the `referent` box (4,)."""
+    return bool(first_hits(proposals, referent.reshape(1, 4))[0] < len(proposals))
 
 
 def test_referent_hit_exact_box():

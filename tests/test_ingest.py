@@ -167,9 +167,10 @@ def test_dump_columns_are_read_only_views_of_one_array_per_column(tmp_path):
 
 
 # The column parser against the line parser. Lines are drawn from valid
-# parts in three spellings; a third of the dumps also pad some separators
-# (valid, but off the fast path). Most dumps hold a spoilt line, with one bad
-# part. Blocks of many sizes make the fast path and the fallback meet.
+# parts in three spellings; a third of the dumps also pad or double some
+# separators (valid, read in numpy's whitespace mode). Most dumps hold a
+# spoilt line, with one bad part. Blocks of many sizes make the fast path
+# and the fallback meet.
 
 SPELLINGS = st.sampled_from([repr, lambda v: f"{v:.8g}", lambda v: f"{v:.3f}"])
 SEPARATORS = st.sampled_from([" "] * 8 + ["  ", " \x0c", "\xa0"])
@@ -239,6 +240,19 @@ def dumps(draw):
     return f"#refnms-dets v1 feature_dim={dim}\n" + "".join(line + "\n" for line in lines)
 
 
+def assert_same_columns(images, got_dim, groups, dim):
+    """The loader's images hold, bit for bit, the line parser's (image_id, records)."""
+    assert got_dim == dim
+    assert [img.image_id for img in images] == [image_id for image_id, _ in groups]
+    for image, (_, records) in zip(images, groups):
+        boxes, category_ids, names, confidences, features = zip(*records)
+        assert image.boxes.tobytes() == box_array(boxes).tobytes()
+        assert image.category_ids.tolist() == list(category_ids)
+        assert image.category_names == names
+        assert image.confidences.tobytes() == np.array(confidences).tobytes()
+        assert image.features.tobytes() == np.array(features).reshape(len(records), dim).tobytes()
+
+
 def outcome(load, path):
     try:
         return load(path)
@@ -262,15 +276,31 @@ def test_column_parser_matches_the_line_parser(text, block_chars):
         assert got == expected  # the same message, so the same file:line
         return
     (groups, dim), (images, got_dim) = expected, got
-    assert got_dim == dim
-    assert [img.image_id for img in images] == [image_id for image_id, _ in groups]
-    for image, (_, records) in zip(images, groups):
-        boxes, category_ids, names, confidences, features = zip(*records)
-        assert image.boxes.tobytes() == box_array(boxes).tobytes()
-        assert image.category_ids.tolist() == list(category_ids)
-        assert image.category_names == names
-        assert image.confidences.tobytes() == np.array(confidences).tobytes()
-        assert image.features.tobytes() == np.array(features).reshape(len(records), dim).tobytes()
+    assert_same_columns(images, got_dim, groups, dim)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([0, 1, 3, 16]).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim), st.lists(dump_lines(dim, padded=False) | dump_lines(dim, padded=True),
+                                   min_size=1, max_size=12)
+        )
+    )
+)
+def test_valid_dumps_of_any_spacing_are_read_one_conversion_per_column(dim_and_lines):
+    # canonical lines and lines with doubled, padded or other whitespace
+    # between numbers never reach the line parser, and read bit-identically to it
+    dim, lines = dim_and_lines
+    text = f"#refnms-dets v1 feature_dim={dim}\n" + "".join(line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dets.tsv"
+        path.write_text(text, encoding="utf-8")
+        groups, _ = load_dump_by_line(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_lines", lambda *args: pytest.fail("line parser used"))
+            images, got_dim = load_detection_dump(path)
+    assert_same_columns(images, got_dim, groups, dim)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,5 +1,7 @@
 """Relatedness model: expression encoding, attention, fusion head, scoring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,19 @@ def test_init_keeps_the_draws_of_the_model_with_box_conditioned_attention():
     named = init_parameters(cfg, seed=12).named_parameters()
     for name in ("fc_s.w", "mlp_b.w1", "mlp_b.w2", "fc_r.w"):
         np.testing.assert_array_equal(named[name].value, draws[name], err_msg=name)
+
+
+# sha256 of the checkpoint-v2 flat store of `init_parameters(cfg, seed=12)` with the
+# block of its identity feature projection, (5, 5) after the GRUs, cut out
+V2_STORE_WITHOUT_PROJECTION = "0497ed96dc613871da17db0a93f4046fbdc0abc6642ad925929ed5ec2158f88c"
+
+
+def test_init_keeps_every_checkpoint_v2_value_without_the_projection():
+    # the projection's identity drew nothing, so deleting it moves no other draw
+    cfg = ModelConfig(vocab_size=7, feature_dim=5, embed_dim=4, hidden_size=3)
+    params = init_parameters(cfg, seed=12)
+    assert "feature_projection" not in params.named_parameters()
+    assert hashlib.sha256(params.values.tobytes()).hexdigest() == V2_STORE_WITHOUT_PROJECTION
 
 
 def test_init_uses_embedding_table_and_zero_pad_row():
@@ -336,28 +351,30 @@ def removed_parameters(config, rng):
 
 
 def reference_scores(features, words, params, removed):
-    """The per-box forward with box-conditioned attention logits, as the model
-    had them: one graph per box, vectors instead of row batches. `removed`
-    holds the parameters of the box side of the attention."""
+    """The per-box forward with box-conditioned attention logits, as the
+    checkpoint-v1 model had them (less its feature projection): one graph per
+    box, vectors instead of row batches. `removed` holds the parameters of the
+    box side of the attention."""
     q = params.config.word_feature_dim
     n_words = words.value.shape[0]
     mlp_a = MlpParams(*(removed[f"mlp_a.{k}"] for k in ("w1", "b1", "w2", "b2")))
     fc_s_w = ad.concat([removed["fc_s.w[:q]"], ad.reshape(params.fc_s_w, (q,))])
 
     def mlp(p, x):
-        return ad.add(ad.matmul(p.w2, ad.relu(ad.add(ad.matmul(p.w1, x), p.b1))), p.b2)
+        hidden = ad.relu(ad.add(oracles.matmul(p.w1, x), p.b1))
+        return ad.add(oracles.matmul(p.w2, hidden), p.b2)
 
     scores = []
     for feature in features:
-        v = ad.matmul(params.feature_projection, ad.constant(feature))
-        key = ad.broadcast_to(ad.reshape(mlp(mlp_a, v), (1, q)), (n_words, q))
+        v = ad.constant(feature)
+        key = oracles.broadcast_to(ad.reshape(mlp(mlp_a, v), (1, q)), (n_words, q))
         paired = ad.concat([key, words], axis=1)
         logits = ad.add(
-            ad.matmul(paired, fc_s_w), ad.broadcast_to(removed["fc_s.b"], (n_words,))
+            oracles.matmul(paired, fc_s_w), oracles.broadcast_to(removed["fc_s.b"], (n_words,))
         )
-        attended = ad.matmul(ad.softmax(logits, axis=0), words)
+        attended = oracles.matmul(oracles.softmax(logits, axis=0), words)
         joint = ad.l2_normalize(ad.mul(mlp(params.mlp_b, v), attended))
-        scores.append(ad.sigmoid(ad.add(ad.matmul(params.fc_r_w, joint), params.fc_r_b)))
+        scores.append(ad.sigmoid(ad.add(oracles.matmul(params.fc_r_w, joint), params.fc_r_b)))
     return ad.concat(scores)
 
 

@@ -104,18 +104,24 @@ def test_first_step_magnitude_is_the_learning_rate():
 
 
 def test_learning_rate_groups():
+    # one run of the flat store, or two with an embedding rate: the embeddings, then the rest
     params = tiny_model()
-    named = params.named_parameters()
+    count = params.embeddings.value.size
+    assert trainer._learning_rate_segments(params, TrainConfig()) == [
+        (0, params.values.size, TrainConfig().lr_rest)
+    ]
+    cfg = TrainConfig(embedding_lr=2e-3, lr_rest=5e-3)
+    assert trainer._learning_rate_segments(params, cfg) == [
+        (0, count, 2e-3), (count, params.values.size, 5e-3)
+    ]
     state = init_optimizer_state(params)
-    before_head = params.feature_projection.value.copy()
-    before_rest = params.fc_r_w.value.copy()
-    for node in named.values():
-        node.grad[...] = 1.0
-    cfg = TrainConfig()
+    before_embeddings = params.embeddings.value.copy()
+    before_rest = params.values[count:].copy()
+    params.grads[...] = 1.0
     adam_step(params, state, cfg)
-    head_delta = np.abs(before_head - params.feature_projection.value).mean()
-    rest_delta = np.abs(before_rest - params.fc_r_w.value).mean()
-    assert head_delta / rest_delta == pytest.approx(cfg.lr_head / cfg.lr_rest, rel=1e-6)
+    embedding_delta = np.abs(before_embeddings - params.embeddings.value).mean()
+    rest_delta = np.abs(before_rest - params.values[count:]).mean()
+    assert embedding_delta / rest_delta == pytest.approx(cfg.embedding_lr / cfg.lr_rest, rel=1e-6)
 
 
 def test_non_finite_gradient_aborts_with_parameter_name():
@@ -172,7 +178,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("key", ["lr_head", "eps", "margin", "embedding_lr"])
+@pytest.mark.parametrize("key", ["lr_rest", "eps", "margin", "embedding_lr"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_train_config_rejects_non_finite_floats(key, value):
     with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -208,13 +214,13 @@ def test_train_config_accepts_the_ends_of_its_ranges():
     hidden=st.integers(1, 3),
     steps=st.integers(1, 4),
     embedding_lr=st.sampled_from([None, 0.0, 2e-2]),
-    silent=st.integers(0, 26),
+    silent=st.integers(0, 25),
     seed=st.integers(0, 2**16),
 )
 def test_flat_adam_is_bit_equal_to_the_per_parameter_reference(
     chunk, hidden, steps, embedding_lr, silent, seed
 ):
-    # chunks of 1 to 70 floats cut every run of a 91-to-251-float store
+    # chunks of 1 to 70 floats cut every run of a 75-to-235-float store
     # at many points; parameter `silent` gets no gradient on any step
     rng = np.random.default_rng(seed)
     params = tiny_model(seed=seed % 7, hidden=hidden)
@@ -225,7 +231,7 @@ def test_flat_adam_is_bit_equal_to_the_per_parameter_reference(
     ref_v = {name: np.zeros(node.value.shape) for name, node in named.items()}
     ref_step = 0
     state = init_optimizer_state(params)
-    cfg = TrainConfig(embedding_lr=embedding_lr, lr_rest=1e-2, lr_head=3e-3)
+    cfg = TrainConfig(embedding_lr=embedding_lr, lr_rest=1e-2)
     for _ in range(steps):
         params.zero_gradients()
         for name, node in named.items():
@@ -479,6 +485,8 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     np.testing.assert_array_equal(state.v, loaded_state.v)
     assert loaded_vocab.word_to_index == vocab.word_to_index
     assert header["epochs_completed"] == 3
+    assert header["format_version"] == 3
+    assert [entry["name"] for entry in header["arrays"]][:26] == list(params.named_parameters())
     # identical save -> identical bytes
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, params, state, cfg, vocab, epochs_completed=3)
@@ -615,7 +623,7 @@ MALFORMED_HEADERS = [
     (edited("optimizer_step", value="3"), "'optimizer_step' must be an integer"),
     (edited("optimizer_step", value=-1), "'optimizer_step' must be >= 0"),
     (lambda header: {**header, "arrays": header["arrays"][::-1]}, "order save_checkpoint writes"),
-    (lambda header: {**header, "arrays": header["arrays"][:-1]}, "lists 80 arrays, expected 81"),
+    (lambda header: {**header, "arrays": header["arrays"][:-1]}, "lists 77 arrays, expected 78"),
     (edited("arrays", 0, "shape", value=[8, 4]), "shape mismatch for 'embeddings'"),
     (edited("vocab", "words", value=["<pad>", "unk"]), "word list has 2 words"),
     (edited("vocab", "words", 1, value="<unk>"), "word list: vocabulary word list must start"),
