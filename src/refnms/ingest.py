@@ -219,13 +219,8 @@ def _parse_lines(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
 
 def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
     """(len(fields), width) float64: each field is `width` numbers separated by
-    whitespace, as ``str.split`` cuts them. Raises ValueError on any other
-    layout or a bad number.
-
-    Fields with single spaces between numbers are read first, split on the
-    space alone; numpy's whitespace mode, which skips the characters
-    ``str.split`` skips, reads the others, a few percent slower.
-    """
+    whitespace, as ``str.split`` cuts them (numpy's reader skips the same
+    characters). Raises ValueError on any other layout or a bad number."""
     if width == 0:
         if any(map(str.strip, fields)):
             raise ValueError("values where none are declared")
@@ -233,10 +228,7 @@ def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            try:
-                rows = np.loadtxt(fields, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
-            except ValueError:
-                rows = np.loadtxt(fields, dtype=np.float64, delimiter=None, comments=None, ndmin=2)
+            rows = np.loadtxt(fields, dtype=np.float64, delimiter=None, comments=None, ndmin=2)
         except UserWarning as exc:  # numpy skips empty rows, and warns when none is left
             raise ValueError(str(exc)) from None
     if rows.shape != (len(fields), width):
@@ -251,9 +243,15 @@ def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
     numpy's text reader converts each number of a box or feature with the
     parser behind Python's ``float()``, so values are bit-identical to
     `_parse_lines`; runs of whitespace and padding around the numbers are
-    read as ``str.split`` reads them. That slow path takes any block that
-    numpy cannot read (an embedded carriage return, a digit separator) or that
-    fails a check, and raises the error of its first bad line.
+    read as ``str.split`` reads them. `_parse_lines` takes any block that
+    numpy cannot read (a digit separator, say) or that fails a check, and
+    raises the error of its first bad line.
+
+    Each field must give exactly one row. numpy drops a field with no numbers,
+    which the shape check catches, and refuses one with a line end inside it
+    (ValueError), so no field gives two rows to balance a dropped one. A
+    carriage return never gets here from `load_detection_dump`: the file is
+    read with universal newlines, so it ends a line for both parsers.
     """
     fields = [line.rstrip("\n").split("\t") for line in lines]
     try:

@@ -255,54 +255,17 @@ def test_malformed_checkpoint_word_list_exits_naming_the_file(
 def test_version_1_checkpoint_exits_with_data_error_asking_to_retrain(
     dataset, checkpoint_bytes, tmp_path, capsys
 ):
-    capsys.readouterr()
-    code, ckpt = apply_with_header_edit(
-        dataset, checkpoint_bytes, tmp_path, lambda fields: fields.update(format_version=1)
-    )
-    assert code == EXIT_DATA
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and "version 1" in err and "retrain" in err
-
-
-def as_version_2(checkpoint_bytes):
-    """A checkpoint v3 rewritten in the layout of v2: each of the three blocks
-    gains a (D, D) `feature_projection` after `gru_bwd.b_h`, the identity among
-    the parameters and zeros among Adam's moments."""
-    magic, header, payload = checkpoint_bytes.split(b"\n", 2)
-    fields = json.loads(header)
-    dim = fields["model_config"]["feature_dim"]
-    values = np.frombuffer(payload, dtype="<f8")
-    arrays, pieces, start = [], [], 0
-    for entry in fields["arrays"]:
-        size = math.prod(entry["shape"])
-        arrays.append(entry)
-        pieces.append(values[start : start + size])
-        start += size
-        if entry["name"].endswith("gru_bwd.b_h"):
-            prefix = entry["name"][: -len("gru_bwd.b_h")]
-            arrays.append({"name": f"{prefix}feature_projection", "shape": [dim, dim]})
-            pieces.append((np.zeros((dim, dim)) if prefix else np.eye(dim)).ravel())
-    fields.update(format_version=2, arrays=arrays)
-    return b"\n".join([magic, json.dumps(fields).encode(), np.concatenate(pieces).tobytes()])
-
-
-@pytest.mark.parametrize("command", ["apply", "eval-recall"])
-def test_version_2_checkpoint_with_a_feature_projection_exits_asking_to_retrain(
-    dataset, checkpoint_bytes, tmp_path, capsys, command
-):
-    ckpt = tmp_path / "v2.ckpt"
-    ckpt.write_bytes(as_version_2(checkpoint_bytes))
-    argv = {
-        "apply": ["apply", *data_args(dataset)[:4], "--checkpoint", str(ckpt),
-                  "--out", str(tmp_path / "o.tsv")],
-        "eval-recall": ["eval-recall", *data_args(dataset), "--split", "val",
-                        "--method", "ref_nms", "--checkpoint", str(ckpt),
-                        "--out", str(tmp_path / "r.csv")],
-    }[command]
-    capsys.readouterr()
-    assert main(argv) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and "version 2" in err and "v3" in err and "retrain" in err
+    # v2 too: load_checkpoint refuses on the header's version, before the arrays
+    for version in (1, 2):
+        capsys.readouterr()
+        code, ckpt = apply_with_header_edit(
+            dataset, checkpoint_bytes, tmp_path,
+            lambda fields, v=version: fields.update(format_version=v),
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"version {version}" in err
+        assert "v3" in err and "retrain" in err
 
 
 def test_non_finite_checkpoint_value_exits_with_data_error_naming_the_array(
