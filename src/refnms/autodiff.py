@@ -43,25 +43,6 @@ class Node:
     def item(self) -> float:
         return float(self.value.item())
 
-    def __add__(self, other):
-        return add(self, _lift(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0, self))
-
     def __repr__(self) -> str:
         tag = "set" if self.grad is not None else "unset"
         return f"Node(shape={self.value.shape}, grad={tag})"
@@ -70,12 +51,6 @@ class Node:
 def constant(value) -> Node:
     """Leaf node holding `value`; gradients may still accumulate into it."""
     return Node(value)
-
-
-def _lift(x, like: Node) -> Node:
-    if isinstance(x, Node):
-        return x
-    return Node(np.full_like(like.value, float(x)))
 
 
 def _accumulate(node: Node, g: np.ndarray) -> None:

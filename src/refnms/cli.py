@@ -30,13 +30,12 @@ from .ingest import (
     load_expressions,
     load_regions,
 )
-from .model import ModelConfig, init_parameters, make_batch, relatedness_forward, score_expressions
-from .nms import NmsConfig, ProposalBudget, proposal_pipeline
+from .model import ModelConfig, init_parameters, make_batch, relatedness_forward
+from .nms import NmsConfig, ProposalBudget, keep_lists, select_proposals
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
 from .trainer import (
     TrainConfig,
-    build_training_set,
     init_optimizer_state,
     load_checkpoint,
     save_checkpoint,
@@ -316,9 +315,9 @@ def cmd_train(args) -> int:
     vocab = build_vocabulary(expressions, max_len)
     table = load_embeddings(args.embeddings)
     regions_by_image = group_regions(load_regions(args.regions))
-    dataset = build_training_set(
-        expressions, group_detections(images), regions_by_image, table, vocab,
-        cfg.similarity_threshold,
+    dataset = build_eval_set(
+        expressions, group_detections(images), regions_by_image, table,
+        cfg.similarity_threshold, vocab,
     )
     model_cfg = ModelConfig(
         vocab_size=len(vocab),
@@ -372,40 +371,29 @@ def cmd_apply(args) -> int:
         expressions = [e for e in expressions if e.split == args.split]
     nms_cfg = NmsConfig(iou_threshold=args.nms_iou, per_class=not args.cross_class)
     budget = _budget_from_flags(args)
-    params = vocab = None
+    for expr in expressions:
+        if expr.image_id not in by_image:
+            by_image[expr.image_id] = ImageDetections.empty(expr.image_id, feature_dim)
+    images = [by_image[expr.image_id] for expr in expressions]
+    # the model's parameters, or without a model one constant relatedness for every box
+    relatedness = 1.0 if args.baseline else args.stub_relatedness
+    tokens = [None] * len(expressions)
     if args.checkpoint is not None:
-        params, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
-    images = [by_image.get(expr.image_id) for expr in expressions]
-    images = [
-        ImageDetections.empty(expr.image_id, feature_dim) if image is None else image
-        for expr, image in zip(expressions, images)
-    ]
-    if params is not None:
-        tokens = (encode_tokens(expr.tokens, vocab) for expr in expressions)
-        scores = score_expressions(zip(images, tokens), params, args.min_confidence)
-    # without a model the keep list does not depend on the expression: NMS once per image
-    constant_relatedness = 1.0 if args.baseline else args.stub_relatedness
-    image_keeps = {}
+        relatedness, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
+        tokens = [encode_tokens(expr.tokens, vocab) for expr in expressions]
+    kept_lists = keep_lists(zip(images, tokens), relatedness, args.min_confidence, nms_cfg)
     lines = []
-    for expr, image in zip(expressions, images):
-        if params is not None:
-            kept = proposal_pipeline(
-                image, args.min_confidence, nms_cfg, budget, relatedness=next(scores)
-            )
-        else:
-            if expr.image_id not in image_keeps:
-                image_keeps[expr.image_id] = proposal_pipeline(
-                    image, args.min_confidence, nms_cfg, budget, relatedness=constant_relatedness
-                )
-            kept = image_keeps[expr.image_id]
-        for box, category_id, confidence, relatedness, fused in zip(
+    for expr, image, kept in zip(expressions, images, kept_lists):
+        if budget is not None:
+            kept = select_proposals(kept, budget)
+        for box, category_id, confidence, related, fused in zip(
             image.boxes[kept.rows].tolist(), image.category_ids[kept.rows].tolist(),
             image.confidences[kept.rows].tolist(), kept.relatedness.tolist(),
             kept.scores.tolist(),
         ):
             lines.append(
                 f"{expr.expression_id}\t{' '.join(repr(float(v)) for v in box)}\t{category_id}"
-                f"\t{repr(float(confidence))}\t{repr(float(relatedness))}\t{repr(float(fused))}"
+                f"\t{repr(float(confidence))}\t{repr(float(related))}\t{repr(float(fused))}"
             )
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {len(lines)} proposals to {args.out}")

@@ -1,9 +1,11 @@
-"""Recall of the referent and of contextual pseudo ground truths.
+"""The example set, and recall of the referent and of contextual pseudo
+ground truths.
 
-For every expression the retained proposals are checked against the
-annotated referent box (hit above 0.5 IoU) and against the pseudo
-ground-truth regions (region-side many-to-one matching). Hits come from one
-IoU matrix per expression, kept proposals against targets. Results
+`build_eval_set` assembles one `EvalExample` per expression; training reads
+the same examples. For every expression the retained proposals are checked
+against the annotated referent box (hit above 0.5 IoU) and against the
+pseudo ground-truth regions (region-side many-to-one matching). Hits come
+from one IoU matrix per expression, kept proposals against targets. Results
 aggregate per proposal budget into a CSV-serializable report.
 """
 
@@ -25,8 +27,8 @@ from .ingest import (
     Vocabulary,
     encode_tokens,
 )
-from .model import ModelParameters, score_expressions
-from .nms import KeepList, NmsConfig, ProposalBudget, proposal_pipeline
+from .model import ModelParameters
+from .nms import NmsConfig, ProposalBudget, keep_lists
 from .pseudo_gt import generate_pseudo_gt, memoized_similarity, pseudo_region_boxes
 
 # a proposal hits a target when their IoU is strictly above this
@@ -101,7 +103,11 @@ def contextual_recall(proposals: np.ndarray, pseudo_regions: np.ndarray) -> tupl
 
 @dataclass(frozen=True, eq=False)
 class EvalExample:
-    """One expression with everything its evaluation needs."""
+    """One expression with everything its evaluation and its training need.
+
+    Training reads these examples too: its foreground is
+    ``(referent, *pseudo_boxes)``, and it needs ``token_indices``.
+    """
 
     expression_id: str
     split: str
@@ -119,7 +125,8 @@ def build_eval_set(
     similarity_threshold: float = 0.4,
     vocab: Vocabulary | None = None,
 ) -> list[EvalExample]:
-    """Assemble evaluation examples; token indices only when a vocab is given."""
+    """Assemble the examples of `eval-recall` and of training; token indices
+    only when a vocab is given."""
     examples = []
     similarity = memoized_similarity(table)
     for expr in expressions:
@@ -155,16 +162,15 @@ def recall_curve(
     min_confidence: float = 0.05,
     real_case_min_score: float = 0.65,
     params: ModelParameters | None = None,
-    report: RecallReport | None = None,
 ) -> RecallReport:
     """Aggregate referent and contextual recall per proposal budget.
 
     Budgets are integers (top-N selection) or the string "real_case"
-    (selection by score threshold `real_case_min_score`). For ref_nms the
-    model scores the expressions in passes (`model.score_expressions`). NMS
-    runs once per expression, or once per image for the expression-agnostic
-    baseline; budgets only re-slice the keep list. Expressions without any
-    pseudo region are excluded from the contextual denominator.
+    (selection by score threshold `real_case_min_score`). Each expression's
+    keep list comes from `nms.keep_lists`: the model's relatedness for
+    ref_nms, relatedness 1.0 for the baseline; budgets only re-slice it.
+    Expressions without any pseudo region are excluded from the contextual
+    denominator.
     """
     if not examples:
         raise ValueError("recall_curve: empty example list")
@@ -174,36 +180,26 @@ def recall_curve(
     if len(splits) != 1:
         raise ValueError(f"recall_curve: examples span several splits {sorted(splits)}")
     split = splits.pop()
+    relatedness: ModelParameters | float = 1.0
     if method == "ref_nms":
         if params is None:
             raise ValueError("recall_curve: ref_nms needs trained parameters")
         for ex in examples:
             if ex.token_indices is None:
                 raise ValueError(f"recall_curve: example {ex.expression_id} lacks token indices")
-        relatedness = score_expressions(
-            ((ex.detections, ex.token_indices) for ex in examples), params, min_confidence
-        )
-    baseline_keeps: dict[ImageDetections, KeepList] = {}
+        relatedness = params
+    kept_lists = keep_lists(
+        ((ex.detections, ex.token_indices) for ex in examples),
+        relatedness, min_confidence, nms_cfg,
+    )
     found_at = []
-    for ex in examples:
-        if method == "baseline_conf":
-            # the confidence baseline ignores the expression: NMS once per image
-            if ex.detections not in baseline_keeps:
-                baseline_keeps[ex.detections] = proposal_pipeline(
-                    ex.detections, min_confidence, nms_cfg
-                )
-            kept = baseline_keeps[ex.detections]
-        else:
-            kept = proposal_pipeline(
-                ex.detections, min_confidence, nms_cfg, relatedness=next(relatedness)
-            )
+    for ex, kept in zip(examples, kept_lists):
         # a budget keeps a prefix of the keep list: target j is found within
         # the first k proposals exactly when first[j] < k
         targets = box_array((ex.referent, *ex.pseudo_boxes))
         first = first_hits(ex.detections.boxes[kept.rows], targets).tolist()
         found_at.append((kept.scores, first[0], first[1:]))
-    if report is None:
-        report = RecallReport()
+    report = RecallReport()
     for budget in budgets:
         if budget == "real_case":
             selector = ProposalBudget.threshold(real_case_min_score)

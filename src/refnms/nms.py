@@ -1,21 +1,26 @@
-"""Greedy NMS on a fused score, proposal budgets, and the one proposal pipeline.
+"""Greedy NMS on a fused score, proposal budgets, the one proposal pipeline
+and the one loop that gives each expression its keep list.
 
 Every method suppresses on the fused score, relatedness times detection
 confidence. The expression-aware method takes relatedness from the model
 (`model.score_expressions`); the confidence baseline gives every box
-relatedness 1.0, so its fused score is its confidence. NMS is greedy, per-class by default, with deterministic
-index tie-breaking, and runs as one vectorised pass per call. Detections are
-referred to by their row in the image's columns throughout.
+relatedness 1.0, so its fused score is its confidence. NMS is greedy,
+per-class by default, with deterministic index tie-breaking, and runs as one
+vectorised pass per call. Detections are referred to by their row in the
+image's columns throughout. `keep_lists` serves `apply` and `eval-recall`
+alike: they differ only in what they do with each keep list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
+
 import numpy as np
 
 from .geometry import pairwise_iou
 from .ingest import ImageDetections
-from .model import DEFAULT_MIN_CONFIDENCE, survivors
+from .model import DEFAULT_MIN_CONFIDENCE, ModelParameters, score_expressions, survivors
 
 
 @dataclass(frozen=True)
@@ -143,3 +148,32 @@ def proposal_pipeline(
     kept = per_class_nms(image.boxes[rows], fused, image.category_ids[rows], nms_cfg)
     keep = KeepList(rows[kept], fused[kept], related[kept])
     return keep if budget is None else select_proposals(keep, budget)
+
+
+def keep_lists(
+    expressions: Iterable[tuple[ImageDetections, Sequence[int] | None]],
+    relatedness: ModelParameters | float,
+    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
+    nms_cfg: NmsConfig = NmsConfig(),
+) -> Iterator[KeepList]:
+    """The unbudgeted `proposal_pipeline` keep list of each (image, token
+    indices) expression, in the order given.
+
+    With model parameters, the model scores the expressions in passes
+    (`model.score_expressions`). A constant relatedness, such as the
+    baseline's 1.0, ignores the expression and its token indices: NMS runs
+    once per distinct image object and its keep list is reused.
+    """
+    if isinstance(relatedness, ModelParameters):
+        expressions = list(expressions)  # score_expressions reads a whole pass ahead
+        scores = score_expressions(expressions, relatedness, min_confidence)
+        for (image, _), related in zip(expressions, scores):
+            yield proposal_pipeline(image, min_confidence, nms_cfg, relatedness=related)
+        return
+    by_image: dict[ImageDetections, KeepList] = {}
+    for image, _ in expressions:
+        if image not in by_image:
+            by_image[image] = proposal_pipeline(
+                image, min_confidence, nms_cfg, relatedness=relatedness
+            )
+        yield by_image[image]

@@ -3,8 +3,9 @@
 Nouns are pulled from the expression (POS tags when available, otherwise a
 function-word stoplist heuristic) and matched against region category names
 by cosine similarity of word embeddings. Regions scoring at or above the
-similarity threshold become pseudo ground truths; the annotated referent box
-is always part of the foreground regardless of matching.
+similarity threshold become pseudo ground truths. Training's foreground is
+the annotated referent box followed by the matched regions' boxes
+(`evaluation.EvalExample`).
 """
 
 from __future__ import annotations
@@ -57,11 +58,10 @@ _NUMERIC_RE = re.compile(r"\d+(\.\d+)?")
 
 @dataclass(frozen=True)
 class PseudoGtSet:
-    """Region ids matched to an expression's nouns, plus the referent flag."""
+    """Region ids matched to an expression's nouns."""
 
     expression_id: str
     region_ids: frozenset[str]
-    referent_included: bool
 
 
 def extract_nouns(tokens: Sequence[str], pos_tags: Sequence[str] | None = None) -> list[str]:
@@ -121,8 +121,7 @@ def generate_pseudo_gt(
     """Match the expression's nouns against region categories.
 
     A region is included when the best cosine similarity over extracted nouns
-    reaches `similarity_threshold` (inclusive at the boundary). The referent
-    is always foreground, so `referent_included` is always True here.
+    reaches `similarity_threshold` (inclusive at the boundary).
     `similarity`, such as a `memoized_similarity` shared by many expressions,
     stands in for `category_similarity` against `table`.
     """
@@ -143,18 +142,9 @@ def generate_pseudo_gt(
         )
         if best >= similarity_threshold:
             matched.add(region.region_id)
-    return PseudoGtSet(expr.expression_id, frozenset(matched), referent_included=True)
+    return PseudoGtSet(expr.expression_id, frozenset(matched))
 
 
 def pseudo_region_boxes(pseudo: PseudoGtSet, regions: Iterable[GroundTruthRegion]) -> list[Box]:
     """Boxes of the matched regions, in the order the regions are given."""
     return [r.box for r in regions if r.region_id in pseudo.region_ids]
-
-
-def foreground_boxes(
-    expr: ExpressionRecord, pseudo: PseudoGtSet, regions: Iterable[GroundTruthRegion]
-) -> list[Box]:
-    """Referent box (when flagged) followed by the matched region boxes."""
-    boxes = [expr.referent_box] if pseudo.referent_included else []
-    boxes.extend(pseudo_region_boxes(pseudo, regions))
-    return boxes

@@ -1,8 +1,11 @@
 """Training loop: Adam with one learning rate (the word embeddings may get
 their own), epoch scheduling, and self-contained binary checkpoints.
 
-Shuffling is keyed on (seed, epoch) so an interrupted run resumed from a
-checkpoint retraces the uninterrupted one exactly.
+Training reads the `evaluation.EvalExample`s that `build_eval_set` builds
+with a vocabulary; an expression's foreground is its referent followed by
+its pseudo ground-truth boxes. Shuffling is keyed on (seed, epoch) so an
+interrupted run resumed from a checkpoint retraces the uninterrupted one
+exactly.
 
 Flat layout: the model's parameters live in one flat float64 buffer (see
 `model.ModelParameters`), in `named_parameters` order with the shapes of
@@ -26,24 +29,16 @@ import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import CHECKPOINT_VERSION
 from . import autodiff as ad
 from .autodiff import Node
-from .geometry import Box, box_array
-from .ingest import (
-    DataFormatError,
-    EmbeddingTable,
-    ExpressionRecord,
-    GroundTruthRegion,
-    ImageDetections,
-    Vocabulary,
-    encode_tokens,
-    vocabulary_from_words,
-)
+from .evaluation import EvalExample
+from .geometry import box_array
+from .ingest import DataFormatError, Vocabulary, vocabulary_from_words
 from .model import (
     ModelConfig,
     ModelParameters,
@@ -62,7 +57,6 @@ from .objectives import (
     sample_pairs,
     segment_weights,
 )
-from .pseudo_gt import foreground_boxes, generate_pseudo_gt, memoized_similarity
 
 LOSS_KINDS = ("binary_xe", "ranking")
 
@@ -136,37 +130,14 @@ def init_optimizer_state(params: ModelParameters) -> OptimizerState:
     return OptimizerState(m=np.zeros(params.values.size), v=np.zeros(params.values.size))
 
 
-def _learning_rate(name: str, cfg: TrainConfig) -> float:
-    if name == "embeddings" and cfg.embedding_lr is not None:
-        return cfg.embedding_lr
-    return cfg.lr_rest
-
-
-def _learning_rate_segments(
-    params: ModelParameters, cfg: TrainConfig
-) -> list[tuple[int, int, float]]:
-    """Runs of the flat store that share a learning rate, as (start, stop, lr).
-
-    Also checks that every parameter's ``grad`` is its view of the flat
-    gradient buffer.
-    """
-    segments: list[tuple[int, int, float]] = []
-    start = 0
+def _check_gradient_views(params: ModelParameters) -> None:
+    """Every parameter's ``grad`` must be its view of the flat gradient buffer."""
     for name, node in params.named_parameters().items():
-        view = params.grad_views[name]
-        if node.grad is not view:
+        if node.grad is not params.grad_views[name]:
             raise ValueError(
                 f"gradient of parameter '{name}' is not its view of the flat gradient "
                 "buffer; zero_gradients() points it there, and gradients must be added in place"
             )
-        stop = start + view.size
-        lr = _learning_rate(name, cfg)
-        if segments and segments[-1][2] == lr:
-            segments[-1] = (segments[-1][0], stop, lr)
-        else:
-            segments.append((start, stop, lr))
-        start = stop
-    return segments
 
 
 def adam_step(params: ModelParameters, state: OptimizerState, cfg: TrainConfig) -> None:
@@ -174,13 +145,15 @@ def adam_step(params: ModelParameters, state: OptimizerState, cfg: TrainConfig) 
 
     The store is updated in chunks of `ADAM_CHUNK` floats through two
     chunk-sized scratch buffers, with the float operations of
-    ``value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``; each run of
-    parameters that share a learning rate gets one ``lr *`` per chunk it
-    overlaps. A parameter that got no gradient has a zero one. A non-finite
-    gradient aborts with the offending parameter's name, before the chunk
-    that holds it is updated.
+    ``value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``. The embeddings come
+    first in the store, so the floats before their end get `embedding_lr`
+    (when set) and the rest `lr_rest`. A parameter that got no gradient has
+    a zero one. A non-finite gradient aborts with the offending parameter's
+    name, before the chunk that holds it is updated.
     """
-    segments = _learning_rate_segments(params, cfg)
+    _check_gradient_views(params)
+    embedding_lr = cfg.lr_rest if cfg.embedding_lr is None else cfg.embedding_lr
+    embedding_end = params.embeddings.value.size
     state.step += 1
     bc1 = 1.0 - cfg.beta1**state.step
     bc2 = 1.0 - cfg.beta2**state.step
@@ -200,48 +173,11 @@ def adam_step(params: ModelParameters, state: OptimizerState, cfg: TrainConfig) 
         v *= cfg.beta2
         v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=a), g, out=a)
         np.divide(m, bc1, out=a)
-        for seg_lo, seg_hi, lr in segments:
-            if seg_lo < hi and lo < seg_hi:
-                piece = a[max(seg_lo, lo) - lo : min(seg_hi, hi) - lo]
-                np.multiply(lr, piece, out=piece)
+        split = min(max(embedding_end - lo, 0), hi - lo)
+        np.multiply(embedding_lr, a[:split], out=a[:split])
+        np.multiply(cfg.lr_rest, a[split:], out=a[split:])
         denominator = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), cfg.eps, out=b)
         params.values[lo:hi] -= np.divide(a, denominator, out=a)
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    expression_id: str
-    token_indices: tuple[int, ...]
-    detections: ImageDetections
-    foreground: tuple[Box, ...]
-
-
-def build_training_set(
-    expressions: Sequence[ExpressionRecord],
-    detections_by_image: Mapping[str, ImageDetections],
-    regions_by_image: Mapping[str, Sequence[GroundTruthRegion]],
-    table: EmbeddingTable,
-    vocab: Vocabulary,
-    similarity_threshold: float = 0.4,
-) -> list[TrainingExample]:
-    """Assemble training examples: token indices plus precomputed foreground."""
-    examples = []
-    similarity = memoized_similarity(table)
-    for expr in expressions:
-        regions = regions_by_image.get(expr.image_id, ())
-        pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold, similarity)
-        detections = detections_by_image.get(expr.image_id)
-        if detections is None:
-            detections = ImageDetections.empty(expr.image_id)
-        examples.append(
-            TrainingExample(
-                expression_id=expr.expression_id,
-                token_indices=tuple(encode_tokens(expr.tokens, vocab)),
-                detections=detections,
-                foreground=tuple(foreground_boxes(expr, pseudo, regions)),
-            )
-        )
-    return examples
 
 
 @dataclass
@@ -266,7 +202,7 @@ class MinibatchLoss:
 
 
 def minibatch_loss(
-    examples: Sequence[TrainingExample], params: ModelParameters, cfg: TrainConfig
+    examples: Sequence[EvalExample], params: ModelParameters, cfg: TrainConfig
 ) -> MinibatchLoss:
     """The mean of the per-expression losses of a minibatch, as one graph.
 
@@ -290,7 +226,7 @@ def minibatch_loss(
     )
     scores = relatedness_forward(batch, params)
     bins = np.concatenate([
-        assign_labels(ex.detections.boxes[kept], box_array(ex.foreground))[1]
+        assign_labels(ex.detections.boxes[kept], box_array((ex.referent, *ex.pseudo_boxes)))[1]
         for ex, kept in zip(used, rows)
     ])
     if cfg.loss_kind == "binary_xe":
@@ -308,7 +244,7 @@ def minibatch_loss(
 
 
 def train_epoch(
-    dataset: Sequence[TrainingExample],
+    dataset: Sequence[EvalExample],
     params: ModelParameters,
     opt_state: OptimizerState,
     cfg: TrainConfig,
@@ -341,7 +277,7 @@ def train_epoch(
 
 
 def train(
-    dataset: Sequence[TrainingExample],
+    dataset: Sequence[EvalExample],
     params: ModelParameters,
     opt_state: OptimizerState,
     cfg: TrainConfig,

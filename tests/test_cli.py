@@ -518,3 +518,88 @@ def test_apply_and_eval_recall_make_no_scalar_iou_call(
     assert calls == []
     geometry.iou(geometry.Box(0, 0, 1, 1), geometry.Box(0, 0, 1, 1))
     assert len(calls) == 1  # the counter is live
+
+
+def referent_hits_in_apply_output(path, expressions):
+    """Expressions of `expressions` (id -> referent box) with a proposal in the
+    `apply` output at `path` above 0.5 IoU with their referent, recounted box by box."""
+    hit = set()
+    for line in path.read_text().splitlines():
+        expression_id, box, *_ = line.split("\t")
+        proposal = geometry.Box(*(float(v) for v in box.split(" ")))
+        if geometry.iou(proposal, expressions[expression_id]) > 0.5:
+            hit.add(expression_id)
+    return len(hit)
+
+
+@pytest.mark.parametrize(
+    "apply_flags, eval_flags",
+    [
+        (["--checkpoint", "CKPT"], ["--method", "ref_nms", "--checkpoint", "CKPT"]),
+        (["--baseline"], ["--method", "baseline_conf"]),
+        (["--baseline", "--cross-class"], ["--method", "baseline_conf", "--cross-class"]),
+    ],
+    ids=["checkpoint", "baseline", "baseline-cross-class"],
+)
+def test_apply_and_eval_recall_agree_on_referent_hits(
+    dataset, checkpoint_bytes, tmp_path, apply_flags, eval_flags
+):
+    # apply's top k holds an expression's referent exactly when eval-recall
+    # counts a referent hit for it at budget k
+    from refnms.ingest import load_expressions
+
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(checkpoint_bytes)
+    apply_flags = [str(ckpt) if flag == "CKPT" else flag for flag in apply_flags]
+    eval_flags = [str(ckpt) if flag == "CKPT" else flag for flag in eval_flags]
+    budgets = (1, 2, 3, 5, 8)
+    report = tmp_path / "recall.csv"
+    assert main(
+        ["eval-recall", *data_args(dataset), "--split", "val", *eval_flags,
+         "--budgets", ",".join(map(str, budgets)), "--out", str(report)]
+    ) == EXIT_OK
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    eval_hits = {int(row[2]): int(row[4]) for row in rows}
+    referents = {
+        e.expression_id: e.referent_box
+        for e in load_expressions(dataset / "expressions.tsv") if e.split == "val"
+    }
+    apply_hits = {}
+    for k in budgets:
+        out = tmp_path / f"top{k}.tsv"
+        assert main(
+            ["apply", *data_args(dataset)[:4], "--split", "val", *apply_flags,
+             "--top-n", str(k), "--out", str(out)]
+        ) == EXIT_OK
+        apply_hits[k] = referent_hits_in_apply_output(out, referents)
+    assert apply_hits == eval_hits
+    assert len(set(eval_hits.values())) > 1  # the budgets tell the keep lists apart
+
+
+def test_baseline_runs_nms_once_per_image_in_apply_and_eval_recall(
+    dataset, tmp_path, monkeypatch
+):
+    import refnms.nms as nms
+    from refnms.ingest import load_expressions
+
+    val_images = [
+        e.image_id for e in load_expressions(dataset / "expressions.tsv") if e.split == "val"
+    ]
+    assert len(set(val_images)) < len(val_images)  # images are shared by expressions
+    images = []
+    pipeline = nms.proposal_pipeline
+
+    def counted(image, *args, **kwargs):
+        images.append(image.image_id)
+        return pipeline(image, *args, **kwargs)
+
+    monkeypatch.setattr(nms, "proposal_pipeline", counted)
+    for argv in (
+        ["apply", *data_args(dataset)[:4], "--split", "val", "--baseline", "--top-n", "3",
+         "--out", str(tmp_path / "a.tsv")],
+        ["eval-recall", *data_args(dataset), "--split", "val", "--method", "baseline_conf",
+         "--out", str(tmp_path / "e.csv")],
+    ):
+        images.clear()
+        assert main(argv) == EXIT_OK
+        assert images == list(dict.fromkeys(val_images)), argv[0]

@@ -215,7 +215,7 @@ def test_recall_curve_matches_a_brute_force_iou_oracle(examples, method, cross_c
 
 
 def test_baseline_runs_nms_once_per_image(monkeypatch):
-    import refnms.evaluation as evaluation
+    import refnms.nms as nms
 
     rng = np.random.default_rng(85)
     first = curve_fixture(rng, n_expressions=3)
@@ -233,13 +233,13 @@ def test_baseline_runs_nms_once_per_image(monkeypatch):
     ]
     expected = recall_curve(apart, "baseline_conf", [3, 7]).rows
     images = []
-    pipeline = evaluation.proposal_pipeline
+    pipeline = nms.proposal_pipeline
 
     def counted(image, *args, **kwargs):
         images.append(image)
         return pipeline(image, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "proposal_pipeline", counted)
+    monkeypatch.setattr(nms, "proposal_pipeline", counted)
     assert recall_curve(examples, "baseline_conf", [3, 7]).rows == expected
     assert images == [ex.detections for ex in first]
 

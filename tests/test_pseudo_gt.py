@@ -12,12 +12,10 @@ from refnms.pseudo_gt import (
     HEURISTIC_STOPLIST,
     category_similarity,
     extract_nouns,
-    foreground_boxes,
     generate_pseudo_gt,
     memoized_similarity,
     pseudo_region_boxes,
 )
-from refnms.trainer import build_training_set
 
 
 def table_of(**vectors):
@@ -117,7 +115,12 @@ def test_no_nouns_gives_empty_set_but_referent_flag():
         expression(["red", "one"], tags=("ADJ", "NUM")), [region("r1", "cat")], table
     )
     assert out.region_ids == frozenset()
-    assert out.referent_included is True
+    # the referent stays the example's foreground
+    (example,) = build_eval_set(
+        [expression(["red", "one"], tags=("ADJ", "NUM"))], {}, {"img1": [region("r1", "cat")]},
+        table,
+    )
+    assert (example.referent, *example.pseudo_boxes) == (Box(0, 0, 10, 10),)
 
 
 def test_exact_category_match_is_included():
@@ -198,16 +201,6 @@ def test_output_independent_of_region_order():
     assert forward == backward
 
 
-def test_foreground_boxes_prepends_referent():
-    table = table_of(cat=[1.0])
-    regions = [region("r1", "cat")]
-    expr = expression(["cat"], tags=("NOUN",))
-    pseudo = generate_pseudo_gt(expr, regions, table)
-    boxes = foreground_boxes(expr, pseudo, regions)
-    assert boxes[0] == expr.referent_box
-    assert boxes[1] == regions[0].box
-
-
 # memoized similarity --------------------------------------------------------------
 
 WORDS = ("cat", "dog", "mat", "red", "zebra", "traffic", "light", "the")
@@ -256,12 +249,11 @@ def test_memoized_similarity_is_bit_equal_to_the_direct_one(inputs):
     for e in expressions:
         shared = generate_pseudo_gt(e, by_image.get(e.image_id, ()), table, threshold, memo)
         assert shared == direct[e.expression_id]
-    training = build_training_set(
-        expressions, {}, by_image, table, build_vocabulary(expressions, 10), threshold
+    examples = build_eval_set(
+        expressions, {}, by_image, table, threshold, build_vocabulary(expressions, 10)
     )
-    evaluation = build_eval_set(expressions, {}, by_image, table, threshold)
-    for e, train_ex, eval_ex in zip(expressions, training, evaluation):
+    for e, example in zip(expressions, examples):
         regions_of = by_image.get(e.image_id, ())
         expected = pseudo_region_boxes(direct[e.expression_id], regions_of)
-        assert list(train_ex.foreground) == [e.referent_box, *expected]
-        assert list(eval_ex.pseudo_boxes) == expected
+        assert example.referent == e.referent_box
+        assert list(example.pseudo_boxes) == expected

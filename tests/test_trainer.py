@@ -26,11 +26,10 @@ from refnms.ingest import (
 )
 from refnms.model import ModelConfig, flat_views, init_parameters
 from refnms.objectives import assign_labels, binary_xe, ranking_loss, sample_pairs
+from refnms.evaluation import EvalExample, build_eval_set
 from refnms.trainer import (
     TrainConfig,
-    TrainingExample,
     adam_step,
-    build_training_set,
     init_optimizer_state,
     load_checkpoint,
     save_checkpoint,
@@ -64,11 +63,13 @@ def toy_dataset(rng, n_expressions=6, boxes_per_image=5):
             if cat == category and target is None:
                 target = box
         examples.append(
-            TrainingExample(
+            EvalExample(
                 expression_id=f"e{e}",
-                token_indices=(2 + category,),
+                split="train",
                 detections=image_of_rows(f"img{e}", records),
-                foreground=(target,),
+                referent=target,
+                pseudo_boxes=(),
+                token_indices=(2 + category,),
             )
         )
     return examples
@@ -103,25 +104,23 @@ def test_first_step_magnitude_is_the_learning_rate():
     np.testing.assert_allclose(delta, cfg.lr_rest, rtol=1e-6)
 
 
-def test_learning_rate_groups():
-    # one run of the flat store, or two with an embedding rate: the embeddings, then the rest
-    params = tiny_model()
-    count = params.embeddings.value.size
-    assert trainer._learning_rate_segments(params, TrainConfig()) == [
-        (0, params.values.size, TrainConfig().lr_rest)
-    ]
-    cfg = TrainConfig(embedding_lr=2e-3, lr_rest=5e-3)
-    assert trainer._learning_rate_segments(params, cfg) == [
-        (0, count, 2e-3), (count, params.values.size, 5e-3)
-    ]
-    state = init_optimizer_state(params)
-    before_embeddings = params.embeddings.value.copy()
-    before_rest = params.values[count:].copy()
-    params.grads[...] = 1.0
-    adam_step(params, state, cfg)
-    embedding_delta = np.abs(before_embeddings - params.embeddings.value).mean()
-    rest_delta = np.abs(before_rest - params.values[count:]).mean()
-    assert embedding_delta / rest_delta == pytest.approx(cfg.embedding_lr / cfg.lr_rest, rel=1e-6)
+def test_learning_rate_groups(monkeypatch):
+    # the embeddings come first in the flat store and get embedding_lr (lr_rest when unset),
+    # every float after them lr_rest; a first step with unit gradients moves each float by its rate
+    count = tiny_model().embeddings.value.size
+    monkeypatch.setattr(trainer, "ADAM_CHUNK", 7)  # a chunk straddles the boundary
+    assert count % 7
+    for cfg, embedding_lr in (
+        (TrainConfig(lr_rest=5e-3), 5e-3),
+        (TrainConfig(embedding_lr=2e-3, lr_rest=5e-3), 2e-3),
+    ):
+        params = tiny_model()
+        before = params.values.copy()
+        params.grads[...] = 1.0
+        adam_step(params, init_optimizer_state(params), cfg)
+        delta = before - params.values
+        np.testing.assert_allclose(delta[:count], embedding_lr, rtol=1e-6)
+        np.testing.assert_allclose(delta[count:], cfg.lr_rest, rtol=1e-6)
 
 
 def test_non_finite_gradient_aborts_with_parameter_name():
@@ -167,7 +166,9 @@ def reference_adam_step(named, m, v, step, cfg):
         m[name] += np.multiply(1.0 - cfg.beta1, g, out=a)
         v[name] *= cfg.beta2
         v[name] += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=a), g, out=a)
-        lr = trainer._learning_rate(name, cfg)
+        lr = cfg.lr_rest
+        if name == "embeddings" and cfg.embedding_lr is not None:
+            lr = cfg.embedding_lr
         update = np.multiply(lr, np.divide(m[name], bc1, out=a), out=a)
         denominator = np.add(np.sqrt(np.divide(v[name], bc2, out=b), out=b), cfg.eps, out=b)
         node.value -= np.divide(update, denominator, out=a)
@@ -308,8 +309,8 @@ def test_empty_dataset_is_an_error():
 
 def test_all_skipped_is_an_error():
     params = tiny_model()
-    example = TrainingExample(
-        "e0", (1,), ImageDetections.empty("img", FEATURE_DIM), (Box(0, 0, 10, 10),)
+    example = EvalExample(
+        "e0", "train", ImageDetections.empty("img", FEATURE_DIM), Box(0, 0, 10, 10), (), (1,)
     )
     with pytest.raises(ValueError, match="usable"):
         train_epoch([example], params, init_optimizer_state(params), TrainConfig(), 0)
@@ -319,8 +320,9 @@ def test_skipped_expressions_are_counted():
     rng = np.random.default_rng(70)
     dataset = toy_dataset(rng, n_expressions=4)
     dataset.append(
-        TrainingExample(
-            "empty", (1,), ImageDetections.empty("none", FEATURE_DIM), (Box(0, 0, 1, 1),)
+        EvalExample(
+            "empty", "train", ImageDetections.empty("none", FEATURE_DIM), Box(0, 0, 1, 1), (),
+            (1,),
         )
     )
     params = tiny_model()
@@ -401,7 +403,8 @@ def oracle_minibatch_loss(examples, params, cfg):
         )
         if scores is None:
             continue
-        bins = assign_labels(ex.detections.boxes[survivors], box_array(ex.foreground))[1]
+        foreground = box_array((ex.referent, *ex.pseudo_boxes))
+        bins = assign_labels(ex.detections.boxes[survivors], foreground)[1]
         if cfg.loss_kind == "binary_xe":
             losses.append(binary_xe(scores, bins > 0))
         else:
@@ -679,7 +682,9 @@ def test_resume_reproduces_the_uninterrupted_run(tmp_path):
         np.testing.assert_array_equal(a.value, b.value, err_msg=name)
 
 
-def test_build_training_set_precomputes_foreground():
+def test_training_foreground_is_the_referent_then_the_matched_regions():
+    # training reads build_eval_set's examples: the referent and the matched
+    # "cat" region are positives, the unmatched "dog" region a negative
     table = EmbeddingTable(2, {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 1.0])})
     expr = ExpressionRecord(
         "e1", "img1", ("the", "cat"), ("DET", "NOUN"), Box(0, 0, 10, 10), "train"
@@ -690,9 +695,15 @@ def test_build_training_set_precomputes_foreground():
             GroundTruthRegion("r2", "img1", Box(40, 40, 50, 50), "dog"),
         ]
     }
-    record = (Box(0, 0, 10, 10), 0, "cat", 0.9, np.zeros(2))
-    detections = {"img1": image_of_rows("img1", [record])}
+    records = [
+        (box, 0, "cat", 0.9, np.zeros(FEATURE_DIM))
+        for box in (Box(0, 0, 10, 10), Box(20, 20, 30, 30), Box(40, 40, 50, 50))
+    ]
+    detections = {"img1": image_of_rows("img1", records)}
     vocab = build_vocabulary([expr, expr], max_len=10)
-    (example,) = build_training_set([expr], detections, regions, table, vocab, 0.4)
-    assert example.foreground == (Box(0, 0, 10, 10), Box(20, 20, 30, 30))
+    (example,) = build_eval_set([expr], detections, regions, table, 0.4, vocab)
+    assert (example.referent, *example.pseudo_boxes) == (Box(0, 0, 10, 10), Box(20, 20, 30, 30))
     assert example.token_indices == tuple(encode_tokens(expr.tokens, vocab))
+    params = tiny_model(vocab_size=len(vocab))
+    step = trainer.minibatch_loss([example], params, TrainConfig())
+    assert (step.used, step.positives, step.negatives) == (1, 2, 1)
