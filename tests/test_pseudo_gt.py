@@ -201,6 +201,17 @@ def test_output_independent_of_region_order():
     assert forward == backward
 
 
+def test_foreground_boxes_prepends_referent():
+    # an example's foreground is its referent, then the matched regions' boxes
+    table = table_of(cat=[1.0])
+    regions = [region("r1", "cat")]
+    expr = expression(["cat"], tags=("NOUN",))
+    (example,) = build_eval_set([expr], {}, {"img1": regions}, table)
+    boxes = (example.referent, *example.pseudo_boxes)
+    assert boxes[0] == expr.referent_box
+    assert boxes[1] == regions[0].box
+
+
 # memoized similarity --------------------------------------------------------------
 
 WORDS = ("cat", "dog", "mat", "red", "zebra", "traffic", "light", "the")

@@ -682,7 +682,7 @@ def test_resume_reproduces_the_uninterrupted_run(tmp_path):
         np.testing.assert_array_equal(a.value, b.value, err_msg=name)
 
 
-def test_training_foreground_is_the_referent_then_the_matched_regions():
+def test_build_training_set_precomputes_foreground():
     # training reads build_eval_set's examples: the referent and the matched
     # "cat" region are positives, the unmatched "dog" region a negative
     table = EmbeddingTable(2, {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 1.0])})
