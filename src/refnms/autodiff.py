@@ -418,23 +418,6 @@ class GruParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def init_gru_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> GruParams:
-    """Uniform(-k, k) weights with k = 1/sqrt(hidden_dim), zero biases."""
-    k = 1.0 / np.sqrt(hidden_dim)
-
-    def w(rows: int, cols: int) -> Node:
-        return Node(rng.uniform(-k, k, size=(rows, cols)))
-
-    def b() -> Node:
-        return Node(np.zeros(hidden_dim))
-
-    return GruParams(
-        w_z=w(hidden_dim, input_dim), u_z=w(hidden_dim, hidden_dim), b_z=b(),
-        w_r=w(hidden_dim, input_dim), u_r=w(hidden_dim, hidden_dim), b_r=b(),
-        w_h=w(hidden_dim, input_dim), u_h=w(hidden_dim, hidden_dim), b_h=b(),
-    )
-
-
 def gru_sequence(xs: Node, params: GruParams) -> Node:
     """Run one GRU direction from a zero state over the steps of `xs`.
 

@@ -19,6 +19,7 @@ from . import CHECKPOINT_VERSION, DETECTION_DUMP_VERSION, __version__
 from . import autodiff as ad
 from .evaluation import build_eval_set, recall_curve, write_report
 from .ingest import (
+    SPLITS,
     DataFormatError,
     ImageDetections,
     build_vocabulary,
@@ -93,11 +94,30 @@ def _finite_in(lo: float, hi: float, *, open_interval: bool = False):
 
 _positive_int = _int_at_least(1)
 _count = _int_at_least(0)
+
 _unit = _finite_in(0.0, 1.0)
 _open_unit = _finite_in(0.0, 1.0, open_interval=True)
 _cosine = _finite_in(-1.0, 1.0)
 _non_negative = _finite_in(0.0, math.inf)
 _positive = _finite_in(0.0, math.inf, open_interval=True)
+_SPLITS = sorted(SPLITS)
+
+
+def _budgets(text: str) -> list:
+    """An argparse type: a comma list of top-N sizes and/or 'real_case' (or 'real')."""
+    budgets: list = []
+    for part in text.split(","):
+        part = part.strip()
+        if part in ("real", "real_case"):
+            budgets.append("real_case")
+            continue
+        try:
+            budgets.append(_count(part))
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(
+                f"bad budget '{part}' in '{text}': expected an integer >= 0 or 'real_case'"
+            ) from None
+    return budgets
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regions", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--similarity-threshold", type=_cosine, default=0.4)
-    p.add_argument("--split", default=None, help="restrict to one split")
+    p.add_argument("--split", choices=_SPLITS, default=None, help="restrict to one split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo_gt)
 
@@ -158,24 +178,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True)
     p.add_argument("--expressions", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", default=None, help="trained model (fused criterion)")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--checkpoint", default=None, help="trained model (fused criterion)")
+    mode.add_argument(
         "--stub-relatedness",
         type=_unit,
         default=None,
         help="bypass the model with a constant relatedness (fused criterion)",
     )
-    p.add_argument(
+    mode.add_argument(
         "--baseline",
         action="store_true",
         help="confidence-criterion baseline (no model)",
     )
-    p.add_argument("--split", default=None)
+    p.add_argument("--split", choices=_SPLITS, default=None)
     p.add_argument("--min-confidence", type=_unit, default=0.05)
     p.add_argument("--nms-iou", type=_open_unit, default=0.3)
     p.add_argument("--cross-class", action="store_true", help="suppress across categories")
-    p.add_argument("--top-n", type=_count, default=None)
-    p.add_argument("--min-score", type=_unit, default=None)
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--top-n", type=_count, default=None)
+    budget.add_argument("--min-score", type=_unit, default=None)
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("eval-recall", help="recall vs. proposal budget", epilog=EPILOG)
@@ -183,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expressions", required=True)
     p.add_argument("--regions", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--split", required=True)
+    p.add_argument("--split", choices=_SPLITS, required=True)
     p.add_argument("--method", choices=("baseline_conf", "ref_nms"), required=True)
-    p.add_argument("--budgets", default="10,20,50,100,real_case",
+    p.add_argument("--budgets", type=_budgets, default="10,20,50,100,real_case",
                    help="comma list of top-N sizes and/or 'real_case'")
     p.add_argument("--checkpoint", default=None, help="required for ref_nms")
     p.add_argument("--out", required=True, help="CSV report path")
@@ -340,8 +362,6 @@ def cmd_train(args) -> int:
 
 
 def _budget_from_flags(args) -> ProposalBudget | None:
-    if args.top_n is not None and args.min_score is not None:
-        raise ValueError("--top-n and --min-score are mutually exclusive")
     if args.top_n is not None:
         return ProposalBudget.top_n(args.top_n)
     if args.min_score is not None:
@@ -361,9 +381,6 @@ def _load_model(checkpoint, feature_dim: int, detections):
 
 
 def cmd_apply(args) -> int:
-    modes = sum((args.checkpoint is not None, args.stub_relatedness is not None, args.baseline))
-    if modes != 1:
-        raise ValueError("choose exactly one of --checkpoint, --stub-relatedness, --baseline")
     images, feature_dim = load_detection_dump(args.detections)
     by_image = group_detections(images)
     expressions = load_expressions(args.expressions)
@@ -400,19 +417,6 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _parse_budgets(text: str) -> list:
-    budgets: list = []
-    for part in text.split(","):
-        part = part.strip()
-        if part in ("real", "real_case"):
-            budgets.append("real_case")
-        else:
-            budgets.append(int(part))
-    if not budgets:
-        raise ValueError("empty budget list")
-    return budgets
-
-
 def cmd_eval_recall(args) -> int:
     images, feature_dim = load_detection_dump(args.detections)
     expressions = [e for e in load_expressions(args.expressions) if e.split == args.split]
@@ -432,7 +436,7 @@ def cmd_eval_recall(args) -> int:
     report = recall_curve(
         examples,
         args.method,
-        _parse_budgets(args.budgets),
+        args.budgets,
         nms_cfg=NmsConfig(iou_threshold=args.nms_iou, per_class=not args.cross_class),
         min_confidence=args.min_confidence,
         real_case_min_score=args.real_case_min_score,

@@ -91,16 +91,6 @@ def first_hits(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.vstack([hit, np.ones((1, len(targets)), dtype=bool)]).argmax(axis=0)
 
 
-def contextual_recall(proposals: np.ndarray, pseudo_regions: np.ndarray) -> tuple[int, int]:
-    """(matched, total) over the rows of `pseudo_regions` (m, 4).
-
-    Matching is region-side many-to-one: one proposal may satisfy several
-    regions, and each region counts at most once.
-    """
-    first = first_hits(proposals, pseudo_regions.reshape(-1, 4))
-    return int(np.count_nonzero(first < len(proposals))), len(first)
-
-
 @dataclass(frozen=True, eq=False)
 class EvalExample:
     """One expression with everything its evaluation and its training need.

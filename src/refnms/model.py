@@ -20,18 +20,23 @@ scores are bit-equal whatever other expressions share its batch: every
 product computes a row the same way whatever the rows beside it, and sums
 over words add padded steps as exact zeros. `score_expressions` scores a
 sequence of expressions in passes of at most `PASS_FLOATS` box floats.
+
+`parameter_table` is the one declaration of the parameters: each one's
+name, shape and init bound, in the order of the flat store. The store's
+views, `init_parameters`, the checkpoint's arrays and Adam all follow it,
+and the forward reads each parameter by its table name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GruParams, Node, init_gru_params
+from .autodiff import GruParams, Node
 from .ingest import DataFormatError, EmbeddingTable, ImageDetections, PAD_TOKEN, Vocabulary
 
 DEFAULT_MIN_CONFIDENCE = 0.05
@@ -50,9 +55,9 @@ class ModelConfig:
     hidden_size: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "feature_dim", "embed_dim", "hidden_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
     @property
     def word_feature_dim(self) -> int:
@@ -60,63 +65,65 @@ class ModelConfig:
         return 2 * self.hidden_size
 
 
-@dataclass
-class MlpParams:
-    """Two-layer perceptron with a ReLU between the layers."""
+def parameter_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], float]]:
+    """Every parameter of the model, by name, in store order: its shape and
+    the bound b of its uniform(-b, b) initialization (0 for a bias, which
+    starts at zero). The embeddings come first: `trainer.adam_step` relies
+    on it.
+    """
+    d, e, h, q = config.feature_dim, config.embed_dim, config.hidden_size, config.word_feature_dim
+    k = 1.0 / np.sqrt(h)
+    gru: dict[str, tuple[tuple[int, ...], float]] = {}
+    for gate in "zrh":  # w_* map the input, u_* the state
+        gru.update({f"w_{gate}": ((h, e), k), f"u_{gate}": ((h, h), k), f"b_{gate}": ((h,), 0.0)})
+    return {
+        "embeddings": ((config.vocab_size, e), 0.1),
+        **{f"gru_fwd.{name}": entry for name, entry in gru.items()},
+        **{f"gru_bwd.{name}": entry for name, entry in gru.items()},
+        "fc_s.w": ((1, q), 1.0 / np.sqrt(2 * q)),   # attention logit head over words
+        "mlp_b.w1": ((q, d), 1.0 / np.sqrt(d)),     # box side of the fusion, feature -> q
+        "mlp_b.b1": ((q,), 0.0),
+        "mlp_b.w2": ((q, q), 1.0 / np.sqrt(q)),
+        "mlp_b.b2": ((q,), 0.0),
+        "fc_r.w": ((1, q), 1.0 / np.sqrt(q)),       # relatedness logit head
+        "fc_r.b": ((1,), 0.0),
+    }
 
-    w1: Node
-    b1: Node
-    w2: Node
-    b2: Node
 
-    def nodes(self) -> dict[str, Node]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
 class ModelParameters:
     """Every trainable array of the relatedness model, in one flat store.
 
-    Each parameter's ``value`` is a view of the flat float64 buffer ``values``
-    and its ``grad`` a view of the flat buffer ``grads``, both laid out in
-    `named_parameters` order with the shapes of `parameter_shapes`. Values
-    and gradients must therefore be written in place. ``grads`` comes from
-    ``np.zeros``, whose pages the OS maps only when they are written, so a
-    model that only scores boxes never makes its gradient memory resident.
+    One graph node per `parameter_table` entry, read as ``params[name]``.
+    Each node's ``value`` is a view of the flat float64 buffer ``values``
+    and its ``grad`` the view of the same name in ``grad_views``, a view of
+    the flat buffer ``grads``. Values and gradients must therefore be
+    written in place. ``grads`` comes from ``np.zeros``, whose pages the OS
+    maps only when they are written, so a model that only scores boxes
+    never makes its gradient memory resident.
     """
 
-    config: ModelConfig
-    embeddings: Node            # (vocab, embed)
-    gru_fwd: GruParams
-    gru_bwd: GruParams
-    fc_s_w: Node                # attention logit head over words, (1, word_feature_dim)
-    mlp_b: MlpParams            # box side of the fusion, feature -> word_feature_dim
-    fc_r_w: Node                # relatedness logit head, (1, word_feature_dim)
-    fc_r_b: Node                # (1,)
-    values: np.ndarray = field(repr=False, compare=False)
-    grads: np.ndarray = field(init=False, repr=False, compare=False)
-    grad_views: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.grads = np.zeros(self.values.size)
-        self.grad_views = flat_views(self.grads, self.config)
+    def __init__(self, config: ModelConfig, values: np.ndarray) -> None:
+        self.config = config
+        self.values = values
+        self._nodes = {name: Node(view) for name, view in flat_views(values, config).items()}
+        self.grads = np.zeros(values.size)
+        self.grad_views = flat_views(self.grads, config)
         self._point_gradients()
 
+    def __getitem__(self, name: str) -> Node:
+        return self._nodes[name]
+
+    def gru(self, prefix: str) -> GruParams:
+        """The nodes of one GRU direction, ``"gru_fwd"`` or ``"gru_bwd"``."""
+        return GruParams(**{f.name: self._nodes[f"{prefix}.{f.name}"] for f in fields(GruParams)})
+
     def named_parameters(self) -> dict[str, Node]:
-        named: dict[str, Node] = {"embeddings": self.embeddings}
-        for prefix, group in (("gru_fwd", self.gru_fwd), ("gru_bwd", self.gru_bwd)):
-            for name, node in group.nodes().items():
-                named[f"{prefix}.{name}"] = node
-        named["fc_s.w"] = self.fc_s_w
-        for name, node in self.mlp_b.nodes().items():
-            named[f"mlp_b.{name}"] = node
-        named["fc_r.w"] = self.fc_r_w
-        named["fc_r.b"] = self.fc_r_b
-        return named
+        """Every parameter's node, by name, in `parameter_table` order."""
+        return self._nodes
 
     def _point_gradients(self) -> None:
-        for node, view in zip(self.named_parameters().values(), self.grad_views.values()):
-            node.grad = view
+        for name, node in self._nodes.items():
+            node.grad = self.grad_views[name]
 
     def zero_gradients(self) -> None:
         """Zero the flat gradient buffer and point every ``grad`` at its view."""
@@ -132,9 +139,10 @@ def init_parameters(
 ) -> ModelParameters:
     """Seeded parameter initialization, written into a new flat store.
 
-    Word embeddings start uniform(-0.1, 0.1) and are overwritten with table
-    vectors for vocabulary words found there; the padding row is zero.
-    Weights are drawn in `named_parameters` order; biases start at zero.
+    Weights are drawn uniform(-b, b) with the bounds of `parameter_table`,
+    in its order; biases start at zero. Word embeddings are then
+    overwritten with table vectors for vocabulary words found there; the
+    padding row is zero.
     """
     if table is not None and vocab is not None and table.dimension != config.embed_dim:
         raise DataFormatError(
@@ -143,8 +151,15 @@ def init_parameters(
     rng = np.random.default_rng(seed)
     values = np.zeros(parameter_count(config))
     views = flat_views(values, config)
+    d, q = config.feature_dim, config.word_feature_dim
+    for name, (shape, bound) in parameter_table(config).items():
+        if name == "fc_s.w":
+            # skip the draws of the removed box side of the attention (mlp_a, key half of
+            # fc_s.w): kept weights get their checkpoint-v1 values, so outputs stay comparable
+            rng.bit_generator.advance(q * d + q * q + q)
+        if bound:
+            views[name][...] = rng.uniform(-bound, bound, size=shape)
     emb = views["embeddings"]
-    emb[...] = rng.uniform(-0.1, 0.1, size=emb.shape)
     emb[0] = 0.0
     if table is not None and vocab is not None:
         for word, idx in vocab.word_to_index.items():
@@ -153,41 +168,12 @@ def init_parameters(
             vec = table.get(word)
             if vec is not None:
                 emb[idx] = vec
-    for prefix in ("gru_fwd", "gru_bwd"):
-        gru = init_gru_params(config.embed_dim, config.hidden_size, rng)
-        for name, node in gru.nodes().items():
-            views[f"{prefix}.{name}"][...] = node.value
-    d, q = config.feature_dim, config.word_feature_dim
-    # skip the draws of the removed box side of the attention (mlp_a, key half of fc_s.w) and keep
-    # fc_s.w's bound: kept weights get their checkpoint-v1 values, so outputs stay comparable
-    rng.bit_generator.advance(q * d + q * q + q)
-    bounds = {
-        "fc_s.w": 1.0 / np.sqrt(2 * q),
-        "mlp_b.w1": 1.0 / np.sqrt(d),
-        "mlp_b.w2": 1.0 / np.sqrt(q),
-        "fc_r.w": 1.0 / np.sqrt(q),
-    }
-    for name, bound in bounds.items():
-        views[name][...] = rng.uniform(-bound, bound, size=views[name].shape)
-    return parameters_from_flat(config, values)
+    return ModelParameters(config, values)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter, by name, in `named_parameters` order."""
-    d, e, h, q = config.feature_dim, config.embed_dim, config.hidden_size, config.word_feature_dim
-    gru: dict[str, tuple[int, ...]] = {}
-    for gate in "zrh":
-        gru.update({f"w_{gate}": (h, e), f"u_{gate}": (h, h), f"b_{gate}": (h,)})
-    mlp = {"w1": (q, d), "b1": (q,), "w2": (q, q), "b2": (q,)}
-    return {
-        "embeddings": (config.vocab_size, e),
-        **{f"gru_fwd.{k}": s for k, s in gru.items()},
-        **{f"gru_bwd.{k}": s for k, s in gru.items()},
-        "fc_s.w": (1, q),
-        **{f"mlp_b.{k}": s for k, s in mlp.items()},
-        "fc_r.w": (1, q),
-        "fc_r.b": (1,),
-    }
+    """The shape of every parameter, by name, in `parameter_table` order."""
+    return {name: shape for name, (shape, _) in parameter_table(config).items()}
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -196,7 +182,7 @@ def parameter_count(config: ModelConfig) -> int:
 
 
 def flat_views(buffer: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
-    """Every parameter's view of a flat buffer, by name, in `named_parameters` order."""
+    """Every parameter's view of a flat buffer, by name, in `parameter_table` order."""
     views, start = {}, 0
     for name, shape in parameter_shapes(config).items():
         stop = start + math.prod(shape)
@@ -205,26 +191,6 @@ def flat_views(buffer: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]
     if start != buffer.size:
         raise ValueError(f"flat buffer holds {buffer.size} floats, the parameters {start}")
     return views
-
-
-def parameters_from_flat(config: ModelConfig, values: np.ndarray) -> ModelParameters:
-    """Parameters whose values are views of `values`, a flat float64 buffer."""
-    nodes = {name: Node(view) for name, view in flat_views(values, config).items()}
-
-    def group(cls, prefix: str):
-        return cls(**{f.name: nodes[f"{prefix}.{f.name}"] for f in fields(cls)})
-
-    return ModelParameters(
-        config=config,
-        embeddings=nodes["embeddings"],
-        gru_fwd=group(GruParams, "gru_fwd"),
-        gru_bwd=group(GruParams, "gru_bwd"),
-        fc_s_w=nodes["fc_s.w"],
-        mlp_b=group(MlpParams, "mlp_b"),
-        fc_r_w=nodes["fc_r.w"],
-        fc_r_b=nodes["fc_r.b"],
-        values=values,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +255,9 @@ def encode_expressions(batch: ExpressionBatch, params: ModelParameters) -> Node:
     Rows past an expression's length hold padding states.
     """
     steps, size = batch.tokens.shape
-    fwd = ad.gru_sequence(ad.take(params.embeddings, batch.tokens), params.gru_fwd)
-    bwd = ad.gru_sequence(ad.take(params.embeddings, batch.reversed_tokens), params.gru_bwd)
+    embeddings = params["embeddings"]
+    fwd = ad.gru_sequence(ad.take(embeddings, batch.tokens), params.gru("gru_fwd"))
+    bwd = ad.gru_sequence(ad.take(embeddings, batch.reversed_tokens), params.gru("gru_bwd"))
     # the backward state of position t of expression b is step n_b - 1 - t of its run
     position = np.arange(steps)[:, None]
     back = np.where(position < batch.lengths, batch.lengths - 1 - position, position)
@@ -310,13 +277,13 @@ def forward(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
     steps, size = batch.tokens.shape
     n, q = batch.features.shape[0], params.config.word_feature_dim
     words = encode_expressions(batch, params)
-    logits = ad.reshape(ad.linear(words, params.fc_s_w), (steps, size))
+    logits = ad.reshape(ad.linear(words, params["fc_s.w"]), (steps, size))
     weights = ad.masked_softmax(logits, batch.lengths)
     attended = ad.weighted_sum(weights, ad.reshape(words, (steps, size, q)))
-    b = params.mlp_b
-    gate = ad.linear(ad.relu(ad.linear(batch.features, b.w1, b.b1)), b.w2, b.b2)
+    hidden = ad.relu(ad.linear(batch.features, params["mlp_b.w1"], params["mlp_b.b1"]))
+    gate = ad.linear(hidden, params["mlp_b.w2"], params["mlp_b.b2"])
     joint = ad.l2_normalize(ad.mul(gate, ad.take(attended, batch.segments)), axis=1)
-    logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
+    logit = ad.linear(joint, params["fc_r.w"], params["fc_r.b"])
     return {
         "words": words, "logits": logits, "weights": weights, "attended": attended,
         "gate": gate, "joint": joint, "logit": logit,

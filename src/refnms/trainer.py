@@ -8,11 +8,13 @@ interrupted run resumed from a checkpoint retraces the uninterrupted one
 exactly.
 
 Flat layout: the model's parameters live in one flat float64 buffer (see
-`model.ModelParameters`), in `named_parameters` order with the shapes of
-`model.parameter_shapes`, and so do their gradients and Adam's `m` and `v`.
+`model.ModelParameters`), in the order and with the shapes of
+`model.parameter_table`, and so do their gradients and Adam's `m` and `v`.
 The embeddings come first in that order, so the learning rates form at most
 two contiguous runs (embeddings, the rest), and an Adam step is a few
-vectorised updates over slices instead of one per parameter.
+vectorised updates over slices instead of one per parameter. Nothing here
+names a parameter other than the embeddings: a table entry reaches the
+checkpoint and Adam with no edit to this module.
 
 Checkpoint payload: three contiguous blocks of little-endian float64, the
 parameters, then `m`, then `v`, each in the flat layout. The JSON header
@@ -27,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -45,7 +47,6 @@ from .model import (
     make_batch,
     parameter_count,
     parameter_shapes,
-    parameters_from_flat,
     relatedness_forward,
     survivors,
 )
@@ -153,7 +154,7 @@ def adam_step(params: ModelParameters, state: OptimizerState, cfg: TrainConfig) 
     """
     _check_gradient_views(params)
     embedding_lr = cfg.lr_rest if cfg.embedding_lr is None else cfg.embedding_lr
-    embedding_end = params.embeddings.value.size
+    embedding_end = params["embeddings"].value.size
     state.step += 1
     bc1 = 1.0 - cfg.beta1**state.step
     bc2 = 1.0 - cfg.beta2**state.step
@@ -314,12 +315,7 @@ def save_checkpoint(
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": cfg.config_hash(),
-        "model_config": {
-            "vocab_size": params.config.vocab_size,
-            "feature_dim": params.config.feature_dim,
-            "embed_dim": params.config.embed_dim,
-            "hidden_size": params.config.hidden_size,
-        },
+        "model_config": asdict(params.config),
         "vocab": {
             "words": vocab.words_by_index(),
             "max_sentence_length": vocab.max_sentence_length,
@@ -373,8 +369,8 @@ def _validate_header(path, header) -> ModelConfig:
     """
     mc = _header_field(path, header, "model_config", dict, "an object")
     dims = {
-        key: _header_field(path, mc, key, int, "an integer", "model_config.")
-        for key in ("vocab_size", "feature_dim", "embed_dim", "hidden_size")
+        f.name: _header_field(path, mc, f.name, int, "an integer", "model_config.")
+        for f in fields(ModelConfig)
     }
     try:
         config = ModelConfig(**dims)
@@ -488,7 +484,7 @@ def load_checkpoint(
             raise DataFormatError(f"{path}: checkpoint word list: {exc}") from None
         payload = np.fromfile(fh, dtype="<f8", count=3 * count if with_optimizer else count)
     _require_finite(path, payload, expected)
-    params = parameters_from_flat(config, payload[:count])
+    params = ModelParameters(config, payload[:count])
     opt_state = None
     if with_optimizer:
         opt_state = OptimizerState(

@@ -3,7 +3,8 @@
 Each is a plain restatement of an earlier, per-box form of the program: one
 `geometry.iou` call per pair of boxes, one Python object or line at a time,
 one expression per model graph. The autodiff ops that only these oracles
-and the engine's own tests use live here too.
+and the engine's own tests use live here too, as does a standalone GRU
+initializer for those tests.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from refnms import autodiff as ad
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import DUMP_HEADER_RE, DataFormatError, ImageDetections
-from refnms.model import DEFAULT_MIN_CONFIDENCE, ModelParameters, flat_views, parameters_from_flat
+from refnms.model import DEFAULT_MIN_CONFIDENCE, ModelParameters, flat_views
 from refnms.nms import NmsConfig, per_class_nms
 
 
@@ -158,7 +159,25 @@ def with_swapped_directions(params: ModelParameters) -> ModelParameters:
         prefix, _, rest = name.partition(".")
         if prefix in swap:
             view[...] = source[f"{swap[prefix]}.{rest}"]
-    return parameters_from_flat(params.config, values)
+    return ModelParameters(params.config, values)
+
+
+def init_gru_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> ad.GruParams:
+    """One GRU direction's weights, uniform(-k, k) with k = 1/sqrt(hidden_dim),
+    and zero biases, as standalone nodes."""
+    k = 1.0 / np.sqrt(hidden_dim)
+
+    def w(rows: int, cols: int) -> ad.Node:
+        return ad.Node(rng.uniform(-k, k, size=(rows, cols)))
+
+    def b() -> ad.Node:
+        return ad.Node(np.zeros(hidden_dim))
+
+    return ad.GruParams(
+        w_z=w(hidden_dim, input_dim), u_z=w(hidden_dim, hidden_dim), b_z=b(),
+        w_r=w(hidden_dim, input_dim), u_r=w(hidden_dim, hidden_dim), b_r=b(),
+        w_h=w(hidden_dim, input_dim), u_h=w(hidden_dim, hidden_dim), b_h=b(),
+    )
 
 
 def encode_expression(indices: Sequence[int], params: ModelParameters) -> ad.Node:
@@ -169,10 +188,10 @@ def encode_expression(indices: Sequence[int], params: ModelParameters) -> ad.Nod
     """
     if len(indices) == 0:
         raise ValueError("encode_expression: empty token sequence")
-    tokens = ad.take(params.embeddings, indices)
+    tokens = ad.take(params["embeddings"], indices)
     backwards = np.arange(len(indices) - 1, -1, -1)
-    fwd_states = ad.gru_sequence(tokens, params.gru_fwd)
-    bwd_states = ad.gru_sequence(ad.take(tokens, backwards), params.gru_bwd)
+    fwd_states = ad.gru_sequence(tokens, params.gru("gru_fwd"))
+    bwd_states = ad.gru_sequence(ad.take(tokens, backwards), params.gru("gru_bwd"))
     return ad.concat([fwd_states, ad.take(bwd_states, backwards)], axis=1)
 
 
@@ -181,13 +200,13 @@ def forward(features: np.ndarray, words: ad.Node, params: ModelParameters) -> di
     one expression's (n_words, q) word features: one attention row, (1, n_words),
     broadcast to the n boxes. Returns every stage by name, as `model.forward`."""
     n, q = features.shape[0], params.config.word_feature_dim
-    b = params.mlp_b
-    gate = ad.linear(ad.relu(ad.linear(features, b.w1, b.b1)), b.w2, b.b2)
-    logits = ad.reshape(ad.linear(words, params.fc_s_w), (1, words.value.shape[0]))
+    hidden = ad.relu(ad.linear(features, params["mlp_b.w1"], params["mlp_b.b1"]))
+    gate = ad.linear(hidden, params["mlp_b.w2"], params["mlp_b.b2"])
+    logits = ad.reshape(ad.linear(words, params["fc_s.w"]), (1, words.value.shape[0]))
     weights = softmax(logits, axis=1)
     attended = matmul(weights, words)
     joint = ad.l2_normalize(ad.mul(gate, broadcast_to(attended, (n, q))), axis=1)
-    logit = ad.linear(joint, params.fc_r_w, params.fc_r_b)
+    logit = ad.linear(joint, params["fc_r.w"], params["fc_r.b"])
     return {
         "logits": logits, "weights": weights, "attended": attended,
         "gate": gate, "joint": joint, "logit": logit,

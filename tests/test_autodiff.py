@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import init_gru_params
 from refnms import autodiff as ad
-from refnms.autodiff import GruParams, Node, backward, grad_check, gru_sequence, init_gru_params
+from refnms.autodiff import GruParams, Node, backward, grad_check, gru_sequence
 
 FD_TOL = 1e-4
 

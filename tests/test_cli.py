@@ -127,13 +127,21 @@ def test_apply_stub_relatedness_one_matches_baseline_byte_for_byte(dataset, tmp_
     assert len(first) == 6  # id, box, category, confidence, relatedness, fused
 
 
-def test_apply_requires_exactly_one_mode(dataset, tmp_path):
-    code = main(
-        ["apply", "--detections", str(dataset / "detections.tsv"),
-         "--expressions", str(dataset / "expressions.tsv"),
-         "--out", str(tmp_path / "o.tsv")]
-    )
-    assert code == 1
+def test_apply_requires_exactly_one_mode(dataset, tmp_path, capsys):
+    # no mode, two modes, or two budgets are usage errors
+    common = ["apply", "--detections", str(dataset / "detections.tsv"),
+              "--expressions", str(dataset / "expressions.tsv"), "--out", str(tmp_path / "o.tsv")]
+    for flags, message in [
+        ([], "one of the arguments --checkpoint --stub-relatedness --baseline is required"),
+        (["--baseline", "--stub-relatedness", "0.5"], "not allowed with argument --baseline"),
+        (["--baseline", "--top-n", "3", "--min-score", "0.2"],
+         "argument --min-score: not allowed with argument --top-n"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*common, *flags])
+        assert excinfo.value.code == 2, flags
+        assert message in capsys.readouterr().err, flags
+    assert not (tmp_path / "o.tsv").exists()
 
 
 def test_train_then_eval_produces_well_formed_csv(dataset, tmp_path):
@@ -427,6 +435,18 @@ def test_negative_top_n_is_a_usage_error(capsys):
         main(["apply", *REQUIRED["apply"], "--top-n", "-1"])
     assert excinfo.value.code == 2
     assert "argument --top-n: expected an integer >= 0, got -1" in capsys.readouterr().err
+    # eval-recall's top-N budgets, and an unknown split
+    for flags, message in [
+        (["--budgets", ""], "bad budget '' in ''"),
+        (["--budgets", "5,,10"], "bad budget '' in '5,,10'"),
+        (["--budgets", "-3"], "bad budget '-3' in '-3'"),
+        (["--budgets", "5,abc"], "bad budget 'abc' in '5,abc'"),
+        (["--split", "dev"], "argument --split: invalid choice: 'dev'"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval-recall", *REQUIRED["eval-recall"], *flags])
+        assert excinfo.value.code == 2, flags
+        assert message in capsys.readouterr().err, flags
 
 
 @pytest.mark.parametrize("seed", range(1, 9))

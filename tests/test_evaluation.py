@@ -15,7 +15,6 @@ from refnms.evaluation import (
     RecallReport,
     RecallRow,
     build_eval_set,
-    contextual_recall,
     first_hits,
     recall_curve,
     write_report,
@@ -65,20 +64,24 @@ def test_referent_hit_requires_more_than_half_iou():
 
 
 def test_contextual_recall_empty_region_set():
-    assert contextual_recall(box_array([Box(0, 0, 5, 5)]), box_array([])) == (0, 0)
+    first = first_hits(box_array([Box(0, 0, 5, 5)]), box_array([]))
+    assert first.shape == (0,)
 
 
 def test_contextual_recall_perfect_match():
+    # each region is found by the proposal equal to it, and not before
     regions = [Box(0, 0, 10, 10), Box(20, 20, 30, 30)]
-    assert contextual_recall(box_array(regions), box_array(regions)) == (2, 2)
+    assert first_hits(box_array(regions), box_array(regions)).tolist() == [0, 1]
+    assert first_hits(box_array(regions[::-1]), box_array(regions)).tolist() == [1, 0]
 
 
 def test_contextual_recall_one_proposal_may_match_many_regions():
-    # two nearly identical regions both hit by the same proposal
-    regions = [Box(0, 0, 10, 10), Box(0.5, 0, 10.5, 10)]
+    # two nearly identical regions both hit by the same proposal; a region no
+    # proposal hits is found at len(proposals)
+    regions = [Box(0, 0, 10, 10), Box(0.5, 0, 10.5, 10), Box(50, 50, 60, 60)]
     proposal = Box(0, 0, 10, 10)
     assert hits(proposal, regions[1])
-    assert contextual_recall(box_array([proposal]), box_array(regions)) == (2, 2)
+    assert first_hits(box_array([proposal]), box_array(regions)).tolist() == [0, 0, 1]
 
 
 # aggregation -------------------------------------------------------------------

@@ -12,18 +12,24 @@ from oracles import (
     encode_expression,
     forward,
     image_of_rows,
+    init_gru_params,
     relatedness_forward,
     score_boxes,
     with_swapped_directions,
 )
 from refnms import autodiff as ad
 from refnms import model
-from refnms.autodiff import grad_check, init_gru_params
+from refnms.autodiff import grad_check
 from refnms.geometry import Box
-from refnms.ingest import EmbeddingTable, ImageDetections
+from refnms.ingest import (
+    PAD_TOKEN,
+    UNK_TOKEN,
+    EmbeddingTable,
+    ImageDetections,
+    vocabulary_from_words,
+)
 from refnms.model import (
     PASS_FLOATS,
-    MlpParams,
     ModelConfig,
     init_parameters,
     make_batch,
@@ -31,6 +37,7 @@ from refnms.model import (
     score_expressions,
 )
 from refnms.nms import proposal_pipeline
+from refnms.trainer import TrainConfig, init_optimizer_state, load_checkpoint, save_checkpoint
 
 
 def tiny_config(**overrides):
@@ -80,7 +87,7 @@ def test_zero_gru_params_make_all_word_features_equal():
     # zero gates wipe the input contribution, so states depend only on the
     # step count; from the zero initial state every feature is zero
     params = init_parameters(tiny_config(), seed=1)
-    for group in (params.gru_fwd, params.gru_bwd):
+    for group in (params.gru("gru_fwd"), params.gru("gru_bwd")):
         zero_out(*group.nodes().values())
     words = encode_expression([2, 5, 2, 7], params).value
     for row in words[1:]:
@@ -112,10 +119,20 @@ def test_init_is_deterministic():
         np.testing.assert_array_equal(na.value, nb.value, err_msg=name)
 
 
-def test_parameter_shapes_match_initialized_parameters():
+def test_parameter_shapes_match_initialized_parameters(tmp_path):
+    # the store, the gradient views and the checkpoint header all follow the table, in order
     cfg = ModelConfig(vocab_size=7, feature_dim=5, embed_dim=4, hidden_size=3)
-    named = init_parameters(cfg, seed=0).named_parameters()
-    assert list(parameter_shapes(cfg).items()) == [(n, p.value.shape) for n, p in named.items()]
+    params = init_parameters(cfg, seed=0)
+    table = [(name, shape) for name, (shape, _) in model.parameter_table(cfg).items()]
+    assert list(parameter_shapes(cfg).items()) == table
+    assert [(n, p.value.shape) for n, p in params.named_parameters().items()] == table
+    assert [(n, view.shape) for n, view in params.grad_views.items()] == table
+    path = tmp_path / "model.ckpt"
+    vocab = vocabulary_from_words([PAD_TOKEN, UNK_TOKEN, *"abcde"], max_len=4)
+    save_checkpoint(path, params, init_optimizer_state(params), TrainConfig(), vocab)
+    header = load_checkpoint(path)[3]
+    stored = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    assert stored == table + [(f"adam.{m}.{n}", shape) for m in "mv" for n, shape in table]
 
 
 def test_init_keeps_the_draws_of_the_model_with_box_conditioned_attention():
@@ -163,12 +180,12 @@ def test_init_uses_embedding_table_and_zero_pad_row():
     table = EmbeddingTable(4, {"cat": np.array([9.0, 8.0, 7.0, 6.0])})
     cfg = ModelConfig(vocab_size=len(vocab), feature_dim=3, embed_dim=4, hidden_size=2)
     params = init_parameters(cfg, seed=0, table=table, vocab=vocab)
-    np.testing.assert_array_equal(params.embeddings.value[0], 0.0)
+    np.testing.assert_array_equal(params["embeddings"].value[0], 0.0)
     np.testing.assert_array_equal(
-        params.embeddings.value[vocab.word_to_index["cat"]], [9.0, 8.0, 7.0, 6.0]
+        params["embeddings"].value[vocab.word_to_index["cat"]], [9.0, 8.0, 7.0, 6.0]
     )
     # "dog" is not in the table: random init, bounded away from the table row
-    assert np.all(np.abs(params.embeddings.value[vocab.word_to_index["dog"]]) <= 0.1)
+    assert np.all(np.abs(params["embeddings"].value[vocab.word_to_index["dog"]]) <= 0.1)
 
 
 # attention ----------------------------------------------------------------------
@@ -184,7 +201,7 @@ def test_attend_singleton_word():
 
 def test_attend_zero_logit_head_is_uniform_mean():
     params = init_parameters(tiny_config(), seed=2)
-    zero_out(params.fc_s_w)
+    zero_out(params["fc_s.w"])
     words = encode_expression([1, 2, 3], params)
     stages = forward(np.array([[0.3, -0.2, 0.5]]), words, params)
     np.testing.assert_allclose(stages["weights"].value, 1.0 / 3.0, atol=1e-12)
@@ -197,7 +214,7 @@ def test_attend_softmax_arithmetic():
     # logits (ln 3, 0) -> weights (0.75, 0.25)
     cfg = ModelConfig(vocab_size=4, feature_dim=2, embed_dim=2, hidden_size=1)
     params = init_parameters(cfg, seed=0)
-    params.fc_s_w.value = np.array([[np.log(3.0), 0.0]])
+    params["fc_s.w"].value = np.array([[np.log(3.0), 0.0]])
     words = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
     stages = forward(np.zeros((1, 2)), words, params)
     np.testing.assert_allclose(stages["weights"].value, [[0.75, 0.25]], atol=1e-12)
@@ -219,7 +236,7 @@ def test_attention_weights_sum_to_one():
 
 def test_relate_zero_head_gives_half():
     params = init_parameters(tiny_config(), seed=3)
-    zero_out(params.fc_r_w, params.fc_r_b)
+    zero_out(params["fc_r.w"], params["fc_r.b"])
     words = encode_expression([1, 2], params)
     stages = forward(np.array([[0.5, 0.5, 0.5]]), words, params)
     assert stages["logit"].value[0, 0] == 0.0
@@ -231,10 +248,10 @@ def test_relate_hand_computed_instance():
     # head weights (1,1) give logit 1.4 and sigmoid(1.4)
     cfg = ModelConfig(vocab_size=4, feature_dim=2, embed_dim=2, hidden_size=1)
     params = init_parameters(cfg, seed=0)
-    zero_out(params.mlp_b.w1, params.mlp_b.b1, params.mlp_b.w2)
-    params.mlp_b.b2.value = np.array([3.0, 4.0])
-    params.fc_r_w.value = np.array([[1.0, 1.0]])
-    params.fc_r_b.value = np.zeros(1)
+    zero_out(params["mlp_b.w1"], params["mlp_b.b1"], params["mlp_b.w2"])
+    params["mlp_b.b2"].value = np.array([3.0, 4.0])
+    params["fc_r.w"].value = np.array([[1.0, 1.0]])
+    params["fc_r.b"].value = np.zeros(1)
     # a single word is attended with weight 1, so attended is that word, (1, 1)
     stages = forward(np.zeros((1, 2)), ad.constant(np.array([[1.0, 1.0]])), params)
     np.testing.assert_array_equal(stages["attended"].value, [[1.0, 1.0]])
@@ -255,7 +272,7 @@ def test_relatedness_always_strictly_inside_unit_interval():
 def test_trace_invariants():
     rng = np.random.default_rng(43)
     params = init_parameters(tiny_config(), seed=11)
-    params.mlp_b.b2.value += 0.5  # keep the pre-norm vector comfortably nonzero
+    params["mlp_b.b2"].value += 0.5  # keep the pre-norm vector comfortably nonzero
     words = encode_expression([2, 6, 4, 1], params)
     stages = forward(rng.normal(size=(10, 3)), words, params)
     # one attention row and one summary for the expression, shared by every box
@@ -357,24 +374,24 @@ def reference_scores(features, words, params, removed):
     box side of the attention."""
     q = params.config.word_feature_dim
     n_words = words.value.shape[0]
-    mlp_a = MlpParams(*(removed[f"mlp_a.{k}"] for k in ("w1", "b1", "w2", "b2")))
-    fc_s_w = ad.concat([removed["fc_s.w[:q]"], ad.reshape(params.fc_s_w, (q,))])
+    fc_s_w = ad.concat([removed["fc_s.w[:q]"], ad.reshape(params["fc_s.w"], (q,))])
 
-    def mlp(p, x):
-        hidden = ad.relu(ad.add(oracles.matmul(p.w1, x), p.b1))
-        return ad.add(oracles.matmul(p.w2, hidden), p.b2)
+    def mlp(p, prefix, x):
+        hidden = ad.relu(ad.add(oracles.matmul(p[f"{prefix}.w1"], x), p[f"{prefix}.b1"]))
+        return ad.add(oracles.matmul(p[f"{prefix}.w2"], hidden), p[f"{prefix}.b2"])
 
     scores = []
     for feature in features:
         v = ad.constant(feature)
-        key = oracles.broadcast_to(ad.reshape(mlp(mlp_a, v), (1, q)), (n_words, q))
+        key = oracles.broadcast_to(ad.reshape(mlp(removed, "mlp_a", v), (1, q)), (n_words, q))
         paired = ad.concat([key, words], axis=1)
         logits = ad.add(
             oracles.matmul(paired, fc_s_w), oracles.broadcast_to(removed["fc_s.b"], (n_words,))
         )
         attended = oracles.matmul(oracles.softmax(logits, axis=0), words)
-        joint = ad.l2_normalize(ad.mul(mlp(params.mlp_b, v), attended))
-        scores.append(ad.sigmoid(ad.add(oracles.matmul(params.fc_r_w, joint), params.fc_r_b)))
+        joint = ad.l2_normalize(ad.mul(mlp(params, "mlp_b", v), attended))
+        logit = ad.add(oracles.matmul(params["fc_r.w"], joint), params["fc_r.b"])
+        scores.append(ad.sigmoid(logit))
     return ad.concat(scores)
 
 
@@ -535,7 +552,7 @@ def test_batched_gradients_match_finite_differences():
     rng = np.random.default_rng(52)
     cfg = ModelConfig(vocab_size=7, feature_dim=4, embed_dim=3, hidden_size=2)
     params = init_parameters(cfg, seed=4)
-    params.mlp_b.b2.value += 0.5  # keep the pre-norm vectors comfortably nonzero
+    params["mlp_b.b2"].value += 0.5  # keep the pre-norm vectors comfortably nonzero
     batch = make_batch(*zip(*random_expressions(rng, cfg, (4, 1, 2), (3, 2, 1))))
 
     def loss():

@@ -82,10 +82,9 @@ def test_encoder_forward_backward_speed(benchmark, scale):
 
     words = benchmark(step)
     assert words.value.shape == (8, cfg.word_feature_dim)
-    encoder = {"embeddings": params.embeddings}
-    for prefix, group in (("gru_fwd", params.gru_fwd), ("gru_bwd", params.gru_bwd)):
-        encoder.update({f"{prefix}.{name}": node for name, node in group.nodes().items()})
-    for name, node in encoder.items():
+    for name, node in params.named_parameters().items():
+        if name != "embeddings" and not name.startswith("gru_"):
+            continue
         assert node.grad is not None and np.all(np.isfinite(node.grad)), name
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import image_of_rows
 from refnms import autodiff as ad
-from refnms import trainer
+from refnms import model, trainer
 from refnms.autodiff import Node
 from refnms.geometry import Box, box_array
 from refnms.ingest import (
@@ -95,19 +95,19 @@ def test_first_step_magnitude_is_the_learning_rate():
     # very first update is lr * g / (|g| + eps)
     params = tiny_model()
     state = init_optimizer_state(params)
-    before = params.embeddings.value.copy()
+    before = params["embeddings"].value.copy()
     params.zero_gradients()
-    params.embeddings.grad[...] = 1.0
+    params["embeddings"].grad[...] = 1.0
     cfg = TrainConfig()
     adam_step(params, state, cfg)
-    delta = before - params.embeddings.value
+    delta = before - params["embeddings"].value
     np.testing.assert_allclose(delta, cfg.lr_rest, rtol=1e-6)
 
 
 def test_learning_rate_groups(monkeypatch):
     # the embeddings come first in the flat store and get embedding_lr (lr_rest when unset),
     # every float after them lr_rest; a first step with unit gradients moves each float by its rate
-    count = tiny_model().embeddings.value.size
+    count = tiny_model()["embeddings"].value.size
     monkeypatch.setattr(trainer, "ADAM_CHUNK", 7)  # a chunk straddles the boundary
     assert count % 7
     for cfg, embedding_lr in (
@@ -127,7 +127,7 @@ def test_non_finite_gradient_aborts_with_parameter_name():
     params = tiny_model()
     state = init_optimizer_state(params)
     params.zero_gradients()
-    params.fc_r_b.grad[...] = np.nan
+    params["fc_r.b"].grad[...] = np.nan
     with pytest.raises(FloatingPointError, match="fc_r.b"):
         adam_step(params, state, TrainConfig())
 
@@ -136,13 +136,13 @@ def test_embedding_lr_override_can_freeze_embeddings():
     params = tiny_model()
     named = params.named_parameters()
     state = init_optimizer_state(params)
-    before = params.embeddings.value.copy()
+    before = params["embeddings"].value.copy()
     for node in named.values():
         node.grad[...] = 1.0
     adam_step(params, state, TrainConfig(embedding_lr=0.0))
-    np.testing.assert_array_equal(params.embeddings.value, before)
+    np.testing.assert_array_equal(params["embeddings"].value, before)
     # everything else moved
-    assert not np.array_equal(params.fc_r_w.value, tiny_model().fc_r_w.value)
+    assert not np.array_equal(params["fc_r.w"].value, tiny_model()["fc_r.w"].value)
 
 
 def reference_adam_step(named, m, v, step, cfg):
@@ -258,7 +258,7 @@ def test_a_gradient_that_is_not_its_flat_view_is_an_error():
     params = tiny_model()
     state = init_optimizer_state(params)
     params.zero_gradients()
-    params.fc_r_w.grad = np.ones_like(params.fc_r_w.value)
+    params["fc_r.w"].grad = np.ones_like(params["fc_r.w"].value)
     with pytest.raises(ValueError, match="fc_r.w"):
         adam_step(params, state, TrainConfig())
 
@@ -356,12 +356,12 @@ def test_frozen_embeddings_still_converge():
     rng = np.random.default_rng(73)
     dataset = toy_dataset(rng, n_expressions=8)
     params = tiny_model(seed=7, hidden=3)
-    params.embeddings.value[2] = np.array([1.0, 0.0, 0.0])
-    params.embeddings.value[3] = np.array([0.0, 1.0, 0.0])
+    params["embeddings"].value[2] = np.array([1.0, 0.0, 0.0])
+    params["embeddings"].value[3] = np.array([0.0, 1.0, 0.0])
     cfg = TrainConfig(batch_size=2, epochs=40, seed=4, embedding_lr=0.0)
-    emb_before = params.embeddings.value.copy()
+    emb_before = params["embeddings"].value.copy()
     history = train(dataset, params, init_optimizer_state(params), cfg)
-    np.testing.assert_array_equal(params.embeddings.value, emb_before)
+    np.testing.assert_array_equal(params["embeddings"].value, emb_before)
     assert history[-1].mean_loss < 0.6 * history[0].mean_loss
 
 
@@ -496,6 +496,39 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_a_parameter_table_entry_needs_no_other_edit(tmp_path, monkeypatch):
+    # one more entry in the table reaches the store, the gradient views, the
+    # checkpoint and Adam, and draws after every other weight
+    plain = tiny_model(seed=4)
+    table = model.parameter_table
+    monkeypatch.setattr(
+        model, "parameter_table", lambda config: {**table(config), "extra.w": ((2, 3), 0.5)}
+    )
+    params = tiny_model(seed=4)
+    named = params.named_parameters()
+    assert list(named) == [*plain.named_parameters(), "extra.w"]
+    np.testing.assert_array_equal(params.values[: plain.values.size], plain.values)
+    extra = named["extra.w"].value
+    assert extra.shape == (2, 3) and np.all(extra != 0.0) and np.all(np.abs(extra) <= 0.5)
+    assert named["extra.w"].grad is params.grad_views["extra.w"]
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, init_optimizer_state(params), TrainConfig(), vocab_for(params))
+    loaded, state, _, header = load_checkpoint(path)
+    names = [entry["name"] for entry in header["arrays"]]
+    assert [n for n in names if n.endswith("extra.w")] == ["extra.w", "adam.m.extra.w",
+                                                           "adam.v.extra.w"]
+    np.testing.assert_array_equal(loaded["extra.w"].value, extra)
+
+    loaded.zero_gradients()
+    loaded["extra.w"].grad[...] = 1.0
+    cfg = TrainConfig(lr_rest=0.01)
+    adam_step(loaded, state, cfg)
+    # a first Adam step with a unit gradient moves each float by lr / (1 + eps)
+    np.testing.assert_allclose(extra - loaded["extra.w"].value, cfg.lr_rest / (1 + cfg.eps))
+    np.testing.assert_array_equal(loaded.values[: plain.values.size], plain.values)
+
+
 def test_checkpoint_rejects_wrong_feature_dimension(tmp_path):
     params = tiny_model()
     path = tmp_path / "model.ckpt"
@@ -553,7 +586,7 @@ def test_failed_save_leaves_the_previous_checkpoint_intact(tmp_path):
     before = path.read_bytes()
     # the parameters are written first; the last Adam block cannot be converted
     state.v = np.full(state.v.shape, "x")
-    params.embeddings.value += 1.0
+    params["embeddings"].value += 1.0
     with pytest.raises(ValueError):
         save_checkpoint(path, params, state, cfg, vocab)
     assert path.read_bytes() == before
