@@ -32,7 +32,7 @@ from .ingest import (
     load_regions,
 )
 from .model import ModelConfig, init_parameters, make_batch, relatedness_forward
-from .nms import NmsConfig, ProposalBudget, keep_lists, select_proposals
+from .nms import NmsConfig, ProposalBudget, StopRule, keep_lists, select_proposals
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
 from .trainer import (
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("baseline_conf", "ref_nms"), required=True)
     p.add_argument("--budgets", type=_budgets, default="10,20,50,100,real_case",
                    help="comma list of top-N sizes and/or 'real_case'")
-    p.add_argument("--checkpoint", default=None, help="required for ref_nms")
+    p.add_argument("--checkpoint", default=None, help="required for ref_nms, refused otherwise")
     p.add_argument("--out", required=True, help="CSV report path")
     p.add_argument("--similarity-threshold", type=_cosine, default=0.4)
     p.add_argument("--min-confidence", type=_unit, default=0.05)
@@ -398,7 +398,8 @@ def cmd_apply(args) -> int:
     if args.checkpoint is not None:
         relatedness, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
         tokens = [encode_tokens(expr.tokens, vocab) for expr in expressions]
-    kept_lists = keep_lists(zip(images, tokens), relatedness, args.min_confidence, nms_cfg)
+    stop = StopRule() if budget is None else StopRule.covering([budget])
+    kept_lists = keep_lists(zip(images, tokens), relatedness, args.min_confidence, nms_cfg, stop)
     lines = []
     for expr, image, kept in zip(expressions, images, kept_lists):
         if budget is not None:
@@ -489,6 +490,11 @@ def cmd_grad_check(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "eval-recall" and args.method != "ref_nms"
+            and args.checkpoint is not None):
+        parser.error(
+            f"eval-recall: argument --checkpoint: not allowed with --method {args.method}"
+        )
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -28,7 +28,7 @@ from .ingest import (
     encode_tokens,
 )
 from .model import ModelParameters
-from .nms import NmsConfig, ProposalBudget, keep_lists
+from .nms import NmsConfig, ProposalBudget, StopRule, keep_lists
 from .pseudo_gt import generate_pseudo_gt, memoized_similarity, pseudo_region_boxes
 
 # a proposal hits a target when their IoU is strictly above this
@@ -158,7 +158,9 @@ def recall_curve(
     Budgets are integers (top-N selection) or the string "real_case"
     (selection by score threshold `real_case_min_score`). Each expression's
     keep list comes from `nms.keep_lists`: the model's relatedness for
-    ref_nms, relatedness 1.0 for the baseline; budgets only re-slice it.
+    ref_nms, relatedness 1.0 for the baseline. NMS stops once the list is
+    long enough for every budget (the largest top-N and the score floor
+    together); budgets only re-slice it.
     Expressions without any pseudo region are excluded from the contextual
     denominator.
     """
@@ -178,9 +180,14 @@ def recall_curve(
             if ex.token_indices is None:
                 raise ValueError(f"recall_curve: example {ex.expression_id} lacks token indices")
         relatedness = params
+    selectors = [
+        ProposalBudget.threshold(real_case_min_score) if budget == "real_case"
+        else ProposalBudget.top_n(int(budget))
+        for budget in budgets
+    ]
     kept_lists = keep_lists(
         ((ex.detections, ex.token_indices) for ex in examples),
-        relatedness, min_confidence, nms_cfg,
+        relatedness, min_confidence, nms_cfg, StopRule.covering(selectors),
     )
     found_at = []
     for ex, kept in zip(examples, kept_lists):
@@ -190,11 +197,7 @@ def recall_curve(
         first = first_hits(ex.detections.boxes[kept.rows], targets).tolist()
         found_at.append((kept.scores, first[0], first[1:]))
     report = RecallReport()
-    for budget in budgets:
-        if budget == "real_case":
-            selector = ProposalBudget.threshold(real_case_min_score)
-        else:
-            selector = ProposalBudget.top_n(int(budget))
+    for budget, selector in zip(budgets, selectors):
         ref_hits = ctx_matched = ctx_total = 0
         for scores, referent_at, pseudo_at in found_at:
             k = selector.count(scores)

@@ -1,4 +1,5 @@
-"""Axis-aligned bounding-box arithmetic: IoU of two boxes, and of two box arrays."""
+"""Axis-aligned bounding-box arithmetic: IoU of two boxes, of two box arrays,
+and of two stacks of box arrays."""
 
 from __future__ import annotations
 
@@ -55,16 +56,18 @@ def box_array(boxes: Sequence[Box]) -> np.ndarray:
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(k, m) IoUs between the rows of two `box_array`s.
+    """(..., k, m) IoUs between the rows of two `box_array`s, (k, 4) and
+    (m, 4), or of two stacks of them, (..., k, 4) and (..., m, 4).
 
     Performs `iou`'s float operations in its order, so every value is
     bit-equal to `iou` on the same pair of boxes.
     """
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    iw = np.minimum(a[:, 2:3], b[:, 2]) - np.maximum(a[:, 0:1], b[:, 0])
-    ih = np.minimum(a[:, 3:4], b[:, 3]) - np.maximum(a[:, 1:2], b[:, 1])
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
-    union = (area_a[:, None] + area_b) - inter
+    union = (area_a[..., :, None] + area_b[..., None, :]) - inter
     overlapping = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)

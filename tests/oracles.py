@@ -3,8 +3,9 @@
 Each is a plain restatement of an earlier, per-box form of the program: one
 `geometry.iou` call per pair of boxes, one Python object or line at a time,
 one expression per model graph. The autodiff ops that only these oracles
-and the engine's own tests use live here too, as does a standalone GRU
-initializer for those tests.
+and the engine's own tests use live here too, as do a standalone GRU
+initializer for those tests and `greedy_nms`, a (Box, score) front end to
+the program's own NMS that is no oracle.
 """
 
 import math
@@ -142,7 +143,11 @@ def greedy_nms(items, iou_threshold):
 
     Boxes are visited in descending score with ties broken by ascending input
     index; each kept box suppresses every remaining box overlapping it with
-    IoU strictly above `iou_threshold`. Runs the program's NMS.
+    IoU strictly above `iou_threshold`. This is not an oracle: it runs the
+    program's own `nms.per_class_nms` on (Box, score) items, and
+    `test_nms.py` pins it to the slow `reference_nms`. The oracles of
+    `per_class_nms` and `keep_lists` are `reference_nms` and
+    `reference_per_class_nms` in `test_nms.py`.
     """
     boxes = box_array([box for box, _ in items])
     scores = np.array([score for _, score in items], dtype=np.float64)

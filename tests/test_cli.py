@@ -144,6 +144,17 @@ def test_apply_requires_exactly_one_mode(dataset, tmp_path, capsys):
     assert not (tmp_path / "o.tsv").exists()
 
 
+def test_eval_recall_refuses_a_checkpoint_without_ref_nms(dataset, tmp_path, capsys):
+    # baseline_conf reads no model: a checkpoint there is a usage error, even
+    # one that does not exist
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval-recall", *data_args(dataset), "--split", "val", "--method", "baseline_conf",
+              "--checkpoint", str(tmp_path / "missing.ckpt"), "--out", str(tmp_path / "r.csv")])
+    assert excinfo.value.code == 2
+    assert "--checkpoint: not allowed with --method baseline_conf" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_train_then_eval_produces_well_formed_csv(dataset, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     code = main(
@@ -599,27 +610,36 @@ def test_apply_and_eval_recall_agree_on_referent_hits(
 def test_baseline_runs_nms_once_per_image_in_apply_and_eval_recall(
     dataset, tmp_path, monkeypatch
 ):
+    # NMS work is counted as the perfbench tracer counts it: boxes into and
+    # rows kept by `per_class_nms`; each val image's boxes go in, and its
+    # rows are kept, once however many expressions share it
     import refnms.nms as nms
-    from refnms.ingest import load_expressions
+    from refnms.ingest import group_detections, load_detection_dump, load_expressions
+    from refnms.model import survivors
 
     val_images = [
         e.image_id for e in load_expressions(dataset / "expressions.tsv") if e.split == "val"
     ]
     assert len(set(val_images)) < len(val_images)  # images are shared by expressions
-    images = []
-    pipeline = nms.proposal_pipeline
+    by_image = group_detections(load_detection_dump(dataset / "detections.tsv")[0])
+    images = [by_image[image_id] for image_id in dict.fromkeys(val_images)]
+    boxes_in = sum(len(survivors(image, 0.05)) for image in images)
+    kept_lists = [nms.proposal_pipeline(image) for image in images]
+    calls = []
+    per_class_nms = nms.per_class_nms
 
-    def counted(image, *args, **kwargs):
-        images.append(image.image_id)
-        return pipeline(image, *args, **kwargs)
+    def counted(boxes, *args, **kwargs):
+        kept = per_class_nms(boxes, *args, **kwargs)
+        calls.append((len(boxes), len(kept)))
+        return kept
 
-    monkeypatch.setattr(nms, "proposal_pipeline", counted)
-    for argv in (
-        ["apply", *data_args(dataset)[:4], "--split", "val", "--baseline", "--top-n", "3",
-         "--out", str(tmp_path / "a.tsv")],
-        ["eval-recall", *data_args(dataset), "--split", "val", "--method", "baseline_conf",
-         "--out", str(tmp_path / "e.csv")],
+    monkeypatch.setattr(nms, "per_class_nms", counted)
+    for argv, rows_kept in (
+        (["apply", *data_args(dataset)[:4], "--split", "val", "--baseline", "--top-n", "3",
+          "--out", str(tmp_path / "a.tsv")], sum(min(3, len(kept)) for kept in kept_lists)),
+        (["eval-recall", *data_args(dataset), "--split", "val", "--method", "baseline_conf",
+          "--out", str(tmp_path / "e.csv")], sum(len(kept) for kept in kept_lists)),
     ):
-        images.clear()
+        calls.clear()
         assert main(argv) == EXIT_OK
-        assert images == list(dict.fromkeys(val_images)), argv[0]
+        assert np.sum(calls, axis=0).tolist() == [boxes_in, rows_kept], argv[0]

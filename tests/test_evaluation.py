@@ -21,7 +21,7 @@ from refnms.evaluation import (
 )
 from refnms.geometry import Box, box_array
 from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
-from refnms.model import ModelConfig, init_parameters
+from refnms.model import ModelConfig, init_parameters, survivors
 from refnms.nms import NmsConfig, proposal_pipeline
 
 
@@ -218,6 +218,9 @@ def test_recall_curve_matches_a_brute_force_iou_oracle(examples, method, cross_c
 
 
 def test_baseline_runs_nms_once_per_image(monkeypatch):
+    # NMS work is counted as the perfbench tracer counts it: boxes into and
+    # rows kept by `per_class_nms`; each image's boxes go in, and its rows
+    # are kept, once however many expressions share it
     import refnms.nms as nms
 
     rng = np.random.default_rng(85)
@@ -234,17 +237,26 @@ def test_baseline_runs_nms_once_per_image(monkeypatch):
                     ex.referent, ex.pseudo_boxes)
         for ex in examples
     ]
-    expected = recall_curve(apart, "baseline_conf", [3, 7]).rows
-    images = []
-    pipeline = nms.proposal_pipeline
+    once = [
+        (len(survivors(ex.detections, 0.05)), min(7, len(proposal_pipeline(ex.detections))))
+        for ex in first
+    ]
+    calls = []
+    per_class_nms = nms.per_class_nms
 
-    def counted(image, *args, **kwargs):
-        images.append(image)
-        return pipeline(image, *args, **kwargs)
+    def counted(boxes, *args, **kwargs):
+        kept = per_class_nms(boxes, *args, **kwargs)
+        calls.append((len(boxes), len(kept)))
+        return kept
 
-    monkeypatch.setattr(nms, "proposal_pipeline", counted)
-    assert recall_curve(examples, "baseline_conf", [3, 7]).rows == expected
-    assert images == [ex.detections for ex in first]
+    monkeypatch.setattr(nms, "per_class_nms", counted)
+    work = {}
+    for name, these in (("shared", examples), ("apart", apart)):
+        calls.clear()
+        work[name] = recall_curve(these, "baseline_conf", [3, 7]).rows, np.sum(calls, axis=0)
+    assert work["shared"][0] == work["apart"][0]
+    assert work["shared"][1].tolist() == np.sum(once, axis=0).tolist()
+    assert work["apart"][1].tolist() == (2 * np.sum(once, axis=0)).tolist()
 
 
 def test_expressions_without_pseudo_regions_leave_the_denominator():

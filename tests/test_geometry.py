@@ -142,3 +142,7 @@ def test_pairwise_iou_is_bit_equal_to_iou(a, b):
     assert got.shape == (len(a), len(b))
     expected = np.array([[iou(p, q) for q in b] for p in a], dtype=np.float64).reshape(got.shape)
     assert got.tobytes() == expected.tobytes()
+    # a stack of box arrays gives each pair of arrays its own matrix
+    stacked = pairwise_iou(np.stack([box_array(a), box_array(a[::-1])]),
+                           np.stack([box_array(b), box_array(b[::-1])]))
+    assert stacked.tobytes() == np.stack([expected, expected[::-1, ::-1]]).tobytes()

@@ -1,6 +1,8 @@
-"""Greedy NMS against an exhaustive reference, budgets, and the pipeline."""
+"""Greedy NMS against an exhaustive reference, budgets, the pipeline and
+the keep-list loop."""
 
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from hypothesis import strategies as st
 from oracles import greedy_nms, image_of_rows
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import ImageDetections
-from refnms.model import ModelConfig, init_parameters, score_expressions
+import refnms.nms as nms_module
+from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
 from refnms.nms import (
     KeepList,
     NmsConfig,
     ProposalBudget,
+    StopRule,
+    keep_lists,
     per_class_nms,
     proposal_pipeline,
     select_proposals,
@@ -341,3 +346,83 @@ def test_ref_nms_pipeline_runs_end_to_end():
         assert fused == relatedness * confidence
     fused_order = kept.scores.tolist()
     assert fused_order == sorted(fused_order, reverse=True)
+
+
+# keep lists ---------------------------------------------------------------------------
+
+TINY_MODEL = init_parameters(
+    ModelConfig(vocab_size=4, feature_dim=2, embed_dim=2, hidden_size=2), seed=2
+)
+
+
+@st.composite
+def keep_list_cases(draw):
+    """Expressions over a few grid-box images, and a relatedness for them.
+
+    Image sizes fall on both sides of `_BLOCK_ROWS` (32), confidence 0.0
+    falls below the confidence filter, and two feature rows make equal
+    model scores, so empty images, images without survivors and score ties
+    all occur.
+    """
+    images = []
+    for i in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(0, 6) | st.integers(30, 40))):
+            x1, y1 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+            box = Box(x1, y1, x1 + draw(st.integers(0, 4)), y1 + draw(st.integers(0, 4)))
+            feature = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0)]))
+            rows.append((box, draw(st.integers(0, 2)), "obj", draw(LEVELS), feature))
+        images.append(image_of_rows(f"img{i}", rows, feature_dim=2))
+    tokens = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    expressions = draw(st.lists(st.tuples(st.sampled_from(images), tokens), max_size=8))
+    relatedness = draw(st.just(TINY_MODEL) | LEVELS)
+    return expressions, relatedness
+
+
+BUDGETS = st.lists(
+    st.builds(ProposalBudget.top_n, st.integers(0, 45))
+    | st.builds(ProposalBudget.threshold, LEVELS | st.floats(0.0, 1.0)),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keep_list_cases(), THRESHOLDS, st.booleans(), BUDGETS,
+       st.sampled_from([8192, 60, 1]), st.sampled_from([32, 5]))
+def test_keep_lists_match_the_per_class_reference(
+    case, threshold, per_class, budgets, pass_floats, block_rows
+):
+    # Windows of at most `pass_floats` box scores: small limits split one
+    # image's expressions across windows. Blocks of 5 rows send most images
+    # to the blocked pass and make it stop inside and between blocks.
+    expressions, relatedness = case
+    cfg = NmsConfig(iou_threshold=threshold, per_class=per_class)
+    stop = StopRule.covering(budgets) if budgets else StopRule()
+    with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats), \
+            mock.patch.object(nms_module, "_BLOCK_ROWS", block_rows):
+        got = list(keep_lists(iter(expressions), relatedness, nms_cfg=cfg, stop=stop))
+    if relatedness is TINY_MODEL:
+        related = list(score_expressions(expressions, TINY_MODEL))
+    else:
+        related = [np.full(len(survivors(image, 0.05)), relatedness) for image, _ in expressions]
+    assert len(got) == len(expressions)
+    for (image, _), relatedness_of_rows, kept in zip(expressions, related, got):
+        rows = survivors(image, 0.05).tolist()
+        proposals = [
+            proposal(Box(*image.boxes[row]), int(image.category_ids[row]),
+                     float(image.confidences[row]), float(r))
+            for row, r in zip(rows, relatedness_of_rows.tolist())
+        ]
+        position = {id(p): i for i, p in enumerate(proposals)}
+        expected = [position[id(p)] for p in reference_per_class_nms(proposals, cfg, "fused")]
+        scores = [proposals[i].fused for i in expected]
+        # the walk stops after stop.rows kept rows, once scores fall below the floor
+        length = max(stop.rows, sum(score >= stop.min_score for score in scores))
+        assert kept.rows.tolist() == [rows[i] for i in expected[:length]]
+        assert kept.scores.tolist() == scores[:length]
+        assert kept.relatedness.tolist() == [proposals[i].relatedness for i in expected[:length]]
+        whole = KeepList(np.array([rows[i] for i in expected], dtype=np.intp),
+                         np.array(scores), np.zeros(len(expected)))
+        for budget in budgets:
+            assert select_proposals(kept, budget).rows.tolist() == \
+                select_proposals(whole, budget).rows.tolist()

@@ -1,16 +1,23 @@
-"""Micro-benchmark of cross-class NMS on detector-sized pools of boxes.
+"""Micro-benchmarks of NMS: cross-class NMS on detector-sized pools of
+boxes, and `keep_lists` on many small images.
 
-Times `per_class_nms` alone, on seeded random boxes of 16-64 px spread over a
-640 x 480 image, the make-up of a crowded detector output. Run
-`python -m pytest tests/test_nms_benchmark.py --benchmark-enable --benchmark-only`
-for the timing table; a plain test run checks the keep list once per size.
+The first times `per_class_nms` alone, on seeded random boxes of 16-64 px
+spread over a 640 x 480 image, the make-up of a crowded detector output. The
+second times `keep_lists` with a small model (scoring included) on 250
+images of 20 such boxes with 2 expressions each, the shape of the
+`synth_small` workload, with `apply --top-n 5`'s stop and without a budget.
+Run `python -m pytest tests/test_nms_benchmark.py --benchmark-enable --benchmark-only`
+for the timing table; a plain test run checks the keep lists once per case,
+against `per_class_nms` run on each expression alone.
 """
 
 import numpy as np
 import pytest
 
 from refnms.geometry import pairwise_iou
-from refnms.nms import NmsConfig, per_class_nms
+from refnms.ingest import ImageDetections
+from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
+from refnms.nms import NmsConfig, ProposalBudget, StopRule, keep_lists, per_class_nms
 
 
 def detector_like_pool(n, seed):
@@ -35,3 +42,32 @@ def test_cross_class_nms_speed(benchmark, n):
     overlaps = pairwise_iou(boxes[kept], boxes[kept])
     np.fill_diagonal(overlaps, 0.0)
     assert overlaps.max() <= cfg.iou_threshold
+
+
+def small_image_expressions(images=250, boxes=20, expressions_per_image=2, seed=0):
+    """(image, token indices) expressions over detector-like images, each
+    image's expressions one after another."""
+    rng = np.random.default_rng(seed)
+    expressions = []
+    for i in range(images):
+        pool, confidences, categories = detector_like_pool(boxes, seed=seed + i)
+        image = ImageDetections(f"img{i}", pool, confidences, categories, ("obj",) * boxes,
+                                rng.normal(size=(boxes, 8)))
+        expressions += [(image, rng.integers(1, 20, size=4).tolist())
+                        for _ in range(expressions_per_image)]
+    return expressions
+
+
+@pytest.mark.parametrize("top_n", [5, None])
+def test_keep_lists_speed_on_small_images(benchmark, top_n):
+    cfg = NmsConfig()
+    params = init_parameters(ModelConfig(vocab_size=20, feature_dim=8, hidden_size=16), 0)
+    expressions = small_image_expressions()
+    stop = StopRule() if top_n is None else StopRule.covering([ProposalBudget.top_n(top_n)])
+    kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, stop=stop)))
+    related = score_expressions(expressions, params)
+    for (image, _), relatedness, got in zip(expressions, related, kept):
+        rows = survivors(image, 0.05)
+        fused = relatedness * image.confidences[rows]
+        whole = rows[per_class_nms(image.boxes[rows], fused, image.category_ids[rows], cfg)]
+        assert got.rows.tolist() == whole[:top_n].tolist()
