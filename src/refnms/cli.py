@@ -32,7 +32,7 @@ from .ingest import (
     load_regions,
 )
 from .model import ModelConfig, init_parameters, make_batch, relatedness_forward
-from .nms import NmsConfig, ProposalBudget, StopRule, keep_lists, select_proposals
+from .nms import NmsConfig, ProposalBudget, keep_lists
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
 from .trainer import (
@@ -313,18 +313,13 @@ def _resolve_train_settings(args) -> tuple[TrainConfig, int, int]:
             (settings if key in _TRAIN_KEYS else extras)[key] = value
     if args.loss is not None:
         settings["loss_kind"] = {"xe": "binary_xe", "rank": "ranking"}[args.loss]
-    for flag, key in (
-        ("epochs", "epochs"), ("seed", "seed"), ("batch_size", "batch_size"),
-        ("min_confidence", "min_confidence"),
-        ("similarity_threshold", "similarity_threshold"),
+    for key in (
+        "epochs", "seed", "batch_size", "min_confidence", "similarity_threshold",
+        "hidden_size", "max_sentence_length",
     ):
-        value = getattr(args, flag)
+        value = getattr(args, key)
         if value is not None:
-            settings[key] = value
-    if args.hidden_size is not None:
-        extras["hidden_size"] = args.hidden_size
-    if args.max_sentence_length is not None:
-        extras["max_sentence_length"] = args.max_sentence_length
+            (settings if key in _TRAIN_KEYS else extras)[key] = value
     return TrainConfig(**settings), extras["hidden_size"], extras["max_sentence_length"]
 
 
@@ -361,12 +356,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _budget_from_flags(args) -> ProposalBudget | None:
+def _budget_from_flags(args) -> ProposalBudget:
     if args.top_n is not None:
         return ProposalBudget.top_n(args.top_n)
     if args.min_score is not None:
         return ProposalBudget.threshold(args.min_score)
-    return None
+    return ProposalBudget()
 
 
 def _load_model(checkpoint, feature_dim: int, detections):
@@ -387,7 +382,6 @@ def cmd_apply(args) -> int:
     if args.split:
         expressions = [e for e in expressions if e.split == args.split]
     nms_cfg = NmsConfig(iou_threshold=args.nms_iou, per_class=not args.cross_class)
-    budget = _budget_from_flags(args)
     for expr in expressions:
         if expr.image_id not in by_image:
             by_image[expr.image_id] = ImageDetections.empty(expr.image_id, feature_dim)
@@ -398,20 +392,19 @@ def cmd_apply(args) -> int:
     if args.checkpoint is not None:
         relatedness, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
         tokens = [encode_tokens(expr.tokens, vocab) for expr in expressions]
-    stop = StopRule() if budget is None else StopRule.covering([budget])
-    kept_lists = keep_lists(zip(images, tokens), relatedness, args.min_confidence, nms_cfg, stop)
+    kept_lists = keep_lists(
+        zip(images, tokens), relatedness, args.min_confidence, nms_cfg, _budget_from_flags(args)
+    )
     lines = []
     for expr, image, kept in zip(expressions, images, kept_lists):
-        if budget is not None:
-            kept = select_proposals(kept, budget)
-        for box, category_id, confidence, related, fused in zip(
+        for (x1, y1, x2, y2), category_id, confidence, related, fused in zip(
             image.boxes[kept.rows].tolist(), image.category_ids[kept.rows].tolist(),
             image.confidences[kept.rows].tolist(), kept.relatedness.tolist(),
             kept.scores.tolist(),
         ):
             lines.append(
-                f"{expr.expression_id}\t{' '.join(repr(float(v)) for v in box)}\t{category_id}"
-                f"\t{repr(float(confidence))}\t{repr(float(related))}\t{repr(float(fused))}"
+                f"{expr.expression_id}\t{x1!r} {y1!r} {x2!r} {y2!r}\t{category_id}"
+                f"\t{confidence!r}\t{related!r}\t{fused!r}"
             )
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {len(lines)} proposals to {args.out}")

@@ -28,7 +28,7 @@ from .ingest import (
     encode_tokens,
 )
 from .model import ModelParameters
-from .nms import NmsConfig, ProposalBudget, StopRule, keep_lists
+from .nms import NmsConfig, ProposalBudget, keep_lists
 from .pseudo_gt import generate_pseudo_gt, memoized_similarity, pseudo_region_boxes
 
 # a proposal hits a target when their IoU is strictly above this
@@ -187,7 +187,7 @@ def recall_curve(
     ]
     kept_lists = keep_lists(
         ((ex.detections, ex.token_indices) for ex in examples),
-        relatedness, min_confidence, nms_cfg, StopRule.covering(selectors),
+        relatedness, min_confidence, nms_cfg, ProposalBudget.covering(selectors),
     )
     found_at = []
     for ex, kept in zip(examples, kept_lists):

@@ -17,9 +17,9 @@ consecutive expressions at a time. An image whose survivors fit in one
 `_BLOCK_ROWS` block has its suppression relation computed once per window,
 and one greedy walk decides all such expressions of the window together. A
 larger image gets a blocked pass per expression, which never builds its
-n x n matrix. Both stop where a `StopRule` lets them: greedy NMS's first k
-kept rows depend only on the rows visited before them, so a budget needs
-only a prefix of the walk.
+n x n matrix. Both stop where the `ProposalBudget` they are given ends: it
+is a prefix of the keep list, and greedy NMS's first k kept rows depend only
+on the rows visited before them.
 """
 
 from __future__ import annotations
@@ -53,57 +53,43 @@ class NmsConfig:
 
 @dataclass(frozen=True)
 class ProposalBudget:
-    """Either keep the best `n` proposals or all above a score floor."""
+    """The first `n` rows of a keep list and every row whose fused score is
+    at least `min_score`.
 
-    n: int | None = None
-    min_score: float | None = None
+    A keep list is ordered by descending score, so that is always a prefix
+    of it, and NMS stops where the prefix ends. `top_n` and `threshold` set
+    one of the two; the default keeps the whole list.
+    """
+
+    n: int = 0
+    min_score: float = -math.inf
 
     def __post_init__(self) -> None:
-        if (self.n is None) == (self.min_score is None):
-            raise ValueError("exactly one of n / min_score must be set")
-        if self.n is not None and self.n < 0:
+        if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if math.isnan(self.min_score):
+            raise ValueError("min_score must not be NaN")
 
     @classmethod
     def top_n(cls, n: int) -> "ProposalBudget":
-        return cls(n=n)
+        return cls(n, math.inf)
 
     @classmethod
     def threshold(cls, min_score: float) -> "ProposalBudget":
-        return cls(min_score=min_score)
-
-    def count(self, scores: np.ndarray) -> int:
-        """How many leading entries of a keep list with these `scores` the budget keeps.
-
-        A keep list is ordered by descending score, so both the best `n` and
-        every score at or above the floor are a prefix of it.
-        """
-        if self.n is not None:
-            return min(self.n, len(scores))
-        return int(np.count_nonzero(scores >= self.min_score))
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """Where greedy NMS may stop: at the first row it visits once it has kept
-    `rows` rows and the fused score has fallen below `min_score`.
-
-    What it has kept by then is a prefix of the whole keep list: its first
-    ``max(rows, kept rows scoring >= min_score)`` rows, or all of it. The
-    default never stops.
-    """
-
-    rows: int = 0
-    min_score: float = -math.inf
+        return cls(0, min_score)
 
     @classmethod
-    def covering(cls, budgets: Sequence[ProposalBudget]) -> "StopRule":
-        """The earliest stop that leaves every one of `budgets` the prefix it
-        would cut from the whole keep list: the largest `n` and the lowest floor."""
+    def covering(cls, budgets: Sequence["ProposalBudget"]) -> "ProposalBudget":
+        """The shortest budget whose prefix holds every one of `budgets`'
+        prefixes: the largest `n` and the lowest floor."""
         return cls(
-            max((b.n for b in budgets if b.n is not None), default=0),
-            min((b.min_score for b in budgets if b.min_score is not None), default=math.inf),
+            max((b.n for b in budgets), default=0),
+            min((b.min_score for b in budgets), default=math.inf),
         )
+
+    def count(self, scores: np.ndarray) -> int:
+        """How many leading entries of a keep list with these `scores` the budget keeps."""
+        return max(min(self.n, len(scores)), int(np.count_nonzero(scores >= self.min_score)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +121,7 @@ def per_class_nms(
     scores: np.ndarray,
     category_ids: np.ndarray,
     cfg: NmsConfig,
-    stop: StopRule = StopRule(),
+    budget: ProposalBudget = ProposalBudget(),
     *,
     sizes: np.ndarray | None = None,
     images: np.ndarray | None = None,
@@ -146,7 +132,7 @@ def per_class_nms(
     each kept row suppresses every later row overlapping it with IoU
     strictly above ``cfg.iou_threshold`` and, with ``cfg.per_class``, of its
     own `category_ids`. One pass serves every category. The walk ends where
-    `stop` lets it.
+    `budget`'s prefix does.
 
     One image: `boxes` (n, 4), `scores` (n,) and `category_ids` (n,). The
     result is the kept rows in visit order. IoUs are computed for a block of
@@ -163,21 +149,23 @@ def per_class_nms(
     visit order.
     """
     if sizes is None:
-        return _blocked_nms(boxes, scores, category_ids, cfg, stop)
-    return _window_nms(boxes, scores, category_ids, cfg, stop, sizes, images)
+        return _blocked_nms(boxes, scores, category_ids, cfg, budget)
+    return _window_nms(boxes, scores, category_ids, cfg, budget, sizes, images)
 
 
-def _blocked_nms(boxes, scores, category_ids, cfg: NmsConfig, stop: StopRule) -> np.ndarray:
+def _blocked_nms(
+    boxes, scores, category_ids, cfg: NmsConfig, budget: ProposalBudget
+) -> np.ndarray:
     order = np.argsort(-scores, kind="stable")
     boxes = boxes[order]
     categories = category_ids[order] if cfg.per_class else None
     n = len(order)
-    floor_visits = np.count_nonzero(scores >= stop.min_score)
+    floor_visits = np.count_nonzero(scores >= budget.min_score)
     position = np.arange(n)
     alive = np.ones(n, dtype=bool)
     kept = 0
     for start in range(0, n, _BLOCK_ROWS):
-        if kept >= stop.rows and start >= floor_visits:
+        if kept >= budget.n and start >= floor_visits:
             alive[start:] = False
             break
         rows = start + np.flatnonzero(alive[start : start + _BLOCK_ROWS])
@@ -187,7 +175,7 @@ def _blocked_nms(boxes, scores, category_ids, cfg: NmsConfig, stop: StopRule) ->
             survives |= categories[rows, None] != categories[start:]
         for r, i in enumerate(rows.tolist()):
             if alive[i]:
-                if kept >= stop.rows and i >= floor_visits:
+                if kept >= budget.n and i >= floor_visits:
                     alive[i:] = False
                     break
                 alive[start:] &= survives[r]
@@ -195,7 +183,9 @@ def _blocked_nms(boxes, scores, category_ids, cfg: NmsConfig, stop: StopRule) ->
     return order[alive]
 
 
-def _window_nms(boxes, scores, category_ids, cfg: NmsConfig, stop: StopRule, sizes, images):
+def _window_nms(
+    boxes, scores, category_ids, cfg: NmsConfig, budget: ProposalBudget, sizes, images
+):
     width = scores.shape[1]
     real = np.arange(width) < sizes[:, None]
     padded = np.zeros((len(sizes), width, 4))
@@ -216,12 +206,12 @@ def _window_nms(boxes, scores, category_ids, cfg: NmsConfig, stop: StopRule, siz
     alive = real[images]
     scores = np.where(alive, scores, -np.inf)
     order = np.argsort(-scores, axis=1, kind="stable")
-    floor_visits = np.count_nonzero(scores >= stop.min_score, axis=1)
+    floor_visits = np.count_nonzero(scores >= budget.min_score, axis=1)
     expression = np.arange(len(scores))
     kept = np.zeros(alive.shape, dtype=bool)  # by visit step
     count = np.zeros(len(scores), dtype=np.intp)
     for step in range(width):
-        going = (count < stop.rows) | (step < floor_visits)
+        going = (count < budget.n) | (step < floor_visits)
         if not going.any():
             break
         row = order[:, step]
@@ -233,29 +223,24 @@ def _window_nms(boxes, scores, category_ids, cfg: NmsConfig, stop: StopRule, siz
     return expression * width + order[expression, step]
 
 
-def select_proposals(kept: KeepList, budget: ProposalBudget) -> KeepList:
-    """Apply a proposal budget to a keep list: a prefix of it."""
-    k = budget.count(kept.scores)
-    return KeepList(kept.rows[:k], kept.scores[:k], kept.relatedness[:k])
-
-
 def proposal_pipeline(
     image: ImageDetections,
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
     nms_cfg: NmsConfig = NmsConfig(),
-    budget: ProposalBudget | None = None,
+    budget: ProposalBudget = ProposalBudget(),
     *,
     relatedness: float | np.ndarray = 1.0,
 ) -> KeepList:
-    """Confidence filter, relatedness, NMS on the fused score, then the budget.
+    """Confidence filter, relatedness, then NMS on the fused score up to the end
+    of `budget`'s prefix.
 
     `relatedness` is one value per surviving row (`model.survivors`), such as
     the model's scores for an expression, or one constant for every box; the
     default 1.0 makes the fused score the confidence, which is the
     expression-agnostic baseline.
     """
-    (keep,) = _keep_lists_of([_pool(image, min_confidence, relatedness)], nms_cfg)
-    return keep if budget is None else select_proposals(keep, budget)
+    (keep,) = _keep_lists_of([_pool(image, min_confidence, relatedness)], nms_cfg, budget)
+    return keep
 
 
 def keep_lists(
@@ -263,10 +248,10 @@ def keep_lists(
     relatedness: ModelParameters | float,
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
     nms_cfg: NmsConfig = NmsConfig(),
-    stop: StopRule = StopRule(),
+    budget: ProposalBudget = ProposalBudget(),
 ) -> Iterator[KeepList]:
     """The `proposal_pipeline` keep list of each (image, token indices)
-    expression, in the order given, up to where `stop` lets NMS stop.
+    expression, in the order given, each cut to `budget`'s prefix: NMS stops there.
 
     With model parameters, the model scores the expressions in passes
     (`model.score_expressions`). A constant relatedness, such as the
@@ -280,12 +265,12 @@ def keep_lists(
             _pool(image, min_confidence, related)
             for (image, _), related in zip(expressions, scores)
         )
-        yield from _keep_lists_of(pools, nms_cfg, stop)
+        yield from _keep_lists_of(pools, nms_cfg, budget)
         return
     images = [image for image, _ in expressions]
     distinct = dict.fromkeys(images)
     pools = (_pool(image, min_confidence, relatedness) for image in distinct)
-    by_image = dict(zip(distinct, _keep_lists_of(pools, nms_cfg, stop)))
+    by_image = dict(zip(distinct, _keep_lists_of(pools, nms_cfg, budget)))
     for image in images:
         yield by_image[image]
 
@@ -310,7 +295,7 @@ def _pool(image: ImageDetections, min_confidence: float, relatedness: float | np
     return _Pool(image, rows, related, related * image.confidences[rows])
 
 
-def _keep_lists_of(pools, nms_cfg: NmsConfig, stop: StopRule = StopRule()):
+def _keep_lists_of(pools, nms_cfg: NmsConfig, budget: ProposalBudget):
     """The keep list of each `_pool`, NMS run a window of consecutive pools
     at a time: pools times the widest survivor count stay within `PASS_FLOATS`."""
     window: list = []
@@ -318,15 +303,15 @@ def _keep_lists_of(pools, nms_cfg: NmsConfig, stop: StopRule = StopRule()):
     for pool in pools:
         n = len(pool.rows)
         if window and (len(window) + 1) * max(width, n) > PASS_FLOATS:
-            yield from _window_keep_lists(window, nms_cfg, stop)
+            yield from _window_keep_lists(window, nms_cfg, budget)
             window, width = [], 0
         window.append(pool)
         width = max(width, n)
     if window:
-        yield from _window_keep_lists(window, nms_cfg, stop)
+        yield from _window_keep_lists(window, nms_cfg, budget)
 
 
-def _window_keep_lists(window, nms_cfg: NmsConfig, stop: StopRule) -> list[KeepList]:
+def _window_keep_lists(window, nms_cfg: NmsConfig, budget: ProposalBudget) -> list[KeepList]:
     """One walk for the pools whose image fits one block, a blocked pass for
     each larger one, and no NMS call for a pool without survivors."""
     kept = [np.zeros(0, dtype=np.intp)] * len(window)  # positions in each pool's survivors
@@ -343,7 +328,7 @@ def _window_keep_lists(window, nms_cfg: NmsConfig, stop: StopRule) -> list[KeepL
             scores,
             np.concatenate([image.category_ids[rows] for image, rows in rows_of.items()]),
             nms_cfg,
-            stop,
+            budget,
             sizes=np.array([len(rows) for rows in rows_of.values()]),
             images=np.array([index[window[e].image] for e in small]),
         )
@@ -354,7 +339,7 @@ def _window_keep_lists(window, nms_cfg: NmsConfig, stop: StopRule) -> list[KeepL
     for e, (image, rows, _, fused) in enumerate(window):
         if len(rows) > _BLOCK_ROWS:
             kept[e] = per_class_nms(
-                image.boxes[rows], fused, image.category_ids[rows], nms_cfg, stop
+                image.boxes[rows], fused, image.category_ids[rows], nms_cfg, budget
             )
     return [
         KeepList(pool.rows[k], pool.fused[k], pool.related[k]) for pool, k in zip(window, kept)

@@ -10,6 +10,7 @@ import pytest
 
 from refnms import geometry
 from refnms.cli import EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
+from refnms.trainer import TrainConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +360,21 @@ def test_train_config_file_round_trip(dataset, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     code = main(["train", *data_args(dataset), "--out", str(ckpt), "--config", str(config)])
     assert code == EXIT_OK
+
+
+def test_train_settings_take_flags_over_the_config_file_over_the_defaults(dataset, tmp_path):
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 1\nhidden_size = 4\nseed = 9\n")
+    for flags, epochs, hidden_size in (((), 1, 4), (("--epochs", "2", "--hidden-size", "6"), 2, 6)):
+        ckpt = tmp_path / "model.ckpt"
+        code = main(["train", *data_args(dataset), "--out", str(ckpt), "--config", str(config),
+                     *flags])
+        assert code == EXIT_OK
+        _, _, vocab, header = load_checkpoint(ckpt, with_optimizer=False)
+        assert header["epochs_completed"] == epochs
+        assert header["model_config"]["hidden_size"] == hidden_size
+        assert vocab.max_sentence_length == 10  # set by neither
+        assert header["config_hash"] == TrainConfig(epochs=epochs, seed=9).config_hash()
 
 
 def test_train_rejects_unknown_config_key(dataset, tmp_path):

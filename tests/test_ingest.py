@@ -409,6 +409,66 @@ def test_regions_round_trip_with_multiword_category(tmp_path):
     assert loaded[0].box == Box(1, 2, 3, 4)
 
 
+NAMES = st.text("abcXYZ019_-.:", min_size=1, max_size=6)
+TOKENS = st.lists(st.text("abcxyz019'-", min_size=1, max_size=5), min_size=1, max_size=4)
+
+
+@st.composite
+def boxes(draw):
+    x1, y1 = draw(FINITE), draw(FINITE)
+    return Box(x1, y1, draw(st.floats(min_value=x1, allow_infinity=False)),
+               draw(st.floats(min_value=y1, allow_infinity=False)))
+
+
+def box_bits(box):
+    return np.array([box.x1, box.y1, box.x2, box.y2]).tobytes()
+
+
+@st.composite
+def expression_records(draw):
+    ids = draw(st.lists(NAMES, unique=True, max_size=4))
+    records = []
+    for expression_id in ids:
+        tokens = tuple(draw(TOKENS))
+        tags = draw(st.none() | st.lists(NAMES, min_size=len(tokens), max_size=len(tokens)))
+        records.append(ExpressionRecord(
+            expression_id, draw(NAMES), tokens, None if tags is None else tuple(tags),
+            draw(boxes()), draw(st.sampled_from(sorted(ingest.SPLITS))),
+        ))
+    return records
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(expression_records())
+def test_expressions_write_then_load_keep_every_field(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "expr.tsv"
+        write_expressions(path, records)
+        loaded = load_expressions(path)
+    assert len(loaded) == len(records)
+    for orig, back in zip(records, loaded):
+        assert (back.expression_id, back.image_id, back.tokens, back.pos_tags, back.split) == (
+            orig.expression_id, orig.image_id, orig.tokens, orig.pos_tags, orig.split
+        )
+        assert box_bits(back.referent_box) == box_bits(orig.referent_box)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(GroundTruthRegion, NAMES, NAMES, boxes(),
+                          st.text("ab Z-", min_size=1, max_size=8)), max_size=4))
+def test_regions_write_then_load_keep_every_field(regions):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "regions.tsv"
+        write_regions(path, regions)
+        loaded = load_regions(path)
+    assert len(loaded) == len(regions)
+    for orig, back in zip(regions, loaded):
+        assert (back.region_id, back.image_id, back.category_name) == (
+            orig.region_id, orig.image_id, orig.category_name
+        )
+        assert box_bits(back.box) == box_bits(orig.box)
+
+
 def test_expression_and_region_boxes_must_be_finite(tmp_path):
     path = tmp_path / "e.tsv"
     path.write_text("e1\timg1\ttrain\t0 0 5 5\tthe cat\ne2\timg1\ttrain\t0 nan 5 5\tthe cat\n")

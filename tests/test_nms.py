@@ -1,6 +1,7 @@
 """Greedy NMS against an exhaustive reference, budgets, the pipeline and
 the keep-list loop."""
 
+import math
 from typing import NamedTuple
 from unittest import mock
 
@@ -15,14 +16,11 @@ from refnms.ingest import ImageDetections
 import refnms.nms as nms_module
 from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
 from refnms.nms import (
-    KeepList,
     NmsConfig,
     ProposalBudget,
-    StopRule,
     keep_lists,
     per_class_nms,
     proposal_pipeline,
-    select_proposals,
 )
 
 
@@ -76,14 +74,11 @@ def nms(proposals, cfg, criterion="fused"):
     return [proposals[i] for i in kept.tolist()]
 
 
-def keep_list_of(pool):
-    """A keep list of every proposal of `pool`, best confidence first, as NMS leaves it."""
-    order = sorted(range(len(pool)), key=lambda i: (-pool[i].confidence, i))
-    return KeepList(
-        np.array(order, dtype=np.intp),
-        np.array([pool[i].confidence for i in order], dtype=np.float64),
-        np.ones(len(order)),
-    )
+def kept_scores(pool, budget):
+    """The fused scores `proposal_pipeline` keeps of `pool` under `budget`."""
+    rows = [(p.box, p.category_id, "obj", p.confidence, (0.0,)) for p in pool]
+    image = image_of_rows("img", rows, feature_dim=1)
+    return proposal_pipeline(image, min_confidence=0.0, budget=budget).scores.tolist()
 
 
 # greedy procedure ----------------------------------------------------------------
@@ -239,7 +234,7 @@ def test_greedy_nms_matches_the_reference_on_grid_boxes(proposals, threshold):
 
 def test_top_n_larger_than_pool_keeps_everything():
     pool = [proposal(Box(i * 20, 0, i * 20 + 10, 10), confidence=0.5) for i in range(3)]
-    assert len(select_proposals(keep_list_of(pool), ProposalBudget.top_n(10))) == 3
+    assert len(kept_scores(pool, ProposalBudget.top_n(10))) == 3
 
 
 def test_top_n_output_size():
@@ -249,7 +244,7 @@ def test_top_n_output_size():
         for i in range(7)
     ]
     for n in range(0, 10):
-        assert len(select_proposals(keep_list_of(pool), ProposalBudget.top_n(n))) == min(n, 7)
+        assert len(kept_scores(pool, ProposalBudget.top_n(n))) == min(n, 7)
 
 
 def test_threshold_budget_boundary_is_inclusive():
@@ -258,17 +253,26 @@ def test_threshold_budget_boundary_is_inclusive():
         proposal(Box(20, 0, 30, 10), confidence=0.66),
         proposal(Box(40, 0, 50, 10), confidence=0.6),
     ]
-    kept = select_proposals(keep_list_of(pool), ProposalBudget.threshold(0.65))
-    assert kept.scores.tolist() == [0.7, 0.66]
-    at_edge = select_proposals(keep_list_of(pool), ProposalBudget.threshold(0.6))
-    assert len(at_edge) == 3
+    assert kept_scores(pool, ProposalBudget.threshold(0.65)) == [0.7, 0.66]
+    assert len(kept_scores(pool, ProposalBudget.threshold(0.6))) == 3
 
 
-def test_budget_requires_exactly_one_mode():
-    with pytest.raises(ValueError):
-        ProposalBudget()
-    with pytest.raises(ValueError):
-        ProposalBudget(n=5, min_score=0.5)
+def test_budget_counts_the_union_of_its_two_prefixes():
+    scores = np.array([0.9, 0.7, 0.5, 0.3, 0.1])
+    assert ProposalBudget().count(scores) == 5
+    assert ProposalBudget().count(np.zeros(0)) == 0
+    assert ProposalBudget(n=2, min_score=0.4).count(scores) == 3  # the floor reaches further
+    assert ProposalBudget(n=4, min_score=0.6).count(scores) == 4  # n reaches further
+    assert ProposalBudget(n=9, min_score=0.6).count(scores) == 5
+    budgets = [ProposalBudget.top_n(2), ProposalBudget.threshold(0.4), ProposalBudget.top_n(1)]
+    covering = ProposalBudget.covering(budgets)
+    assert covering == ProposalBudget(n=2, min_score=0.4)
+    for budget in budgets:
+        assert budget.count(scores) <= covering.count(scores)
+    assert ProposalBudget.covering([]).count(scores) == 0
+    for n, min_score in ((-1, -math.inf), (0, math.nan), (3, math.nan)):
+        with pytest.raises(ValueError):
+            ProposalBudget(n, min_score)
 
 
 # pipeline ----------------------------------------------------------------------------
@@ -397,10 +401,10 @@ def test_keep_lists_match_the_per_class_reference(
     # to the blocked pass and make it stop inside and between blocks.
     expressions, relatedness = case
     cfg = NmsConfig(iou_threshold=threshold, per_class=per_class)
-    stop = StopRule.covering(budgets) if budgets else StopRule()
+    budget = ProposalBudget.covering(budgets) if budgets else ProposalBudget()
     with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats), \
             mock.patch.object(nms_module, "_BLOCK_ROWS", block_rows):
-        got = list(keep_lists(iter(expressions), relatedness, nms_cfg=cfg, stop=stop))
+        got = list(keep_lists(iter(expressions), relatedness, nms_cfg=cfg, budget=budget))
     if relatedness is TINY_MODEL:
         related = list(score_expressions(expressions, TINY_MODEL))
     else:
@@ -416,13 +420,11 @@ def test_keep_lists_match_the_per_class_reference(
         position = {id(p): i for i, p in enumerate(proposals)}
         expected = [position[id(p)] for p in reference_per_class_nms(proposals, cfg, "fused")]
         scores = [proposals[i].fused for i in expected]
-        # the walk stops after stop.rows kept rows, once scores fall below the floor
-        length = max(stop.rows, sum(score >= stop.min_score for score in scores))
+        # the walk stops after budget.n kept rows, once scores fall below the floor
+        length = max(budget.n, sum(score >= budget.min_score for score in scores))
         assert kept.rows.tolist() == [rows[i] for i in expected[:length]]
         assert kept.scores.tolist() == scores[:length]
         assert kept.relatedness.tolist() == [proposals[i].relatedness for i in expected[:length]]
-        whole = KeepList(np.array([rows[i] for i in expected], dtype=np.intp),
-                         np.array(scores), np.zeros(len(expected)))
-        for budget in budgets:
-            assert select_proposals(kept, budget).rows.tolist() == \
-                select_proposals(whole, budget).rows.tolist()
+        for each in budgets:  # the covering budget keeps each one's prefix of the whole list
+            each_length = max(each.n, sum(score >= each.min_score for score in scores))
+            assert min(each_length, len(expected)) <= len(kept)

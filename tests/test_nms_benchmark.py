@@ -5,7 +5,7 @@ The first times `per_class_nms` alone, on seeded random boxes of 16-64 px
 spread over a 640 x 480 image, the make-up of a crowded detector output. The
 second times `keep_lists` with a small model (scoring included) on 250
 images of 20 such boxes with 2 expressions each, the shape of the
-`synth_small` workload, with `apply --top-n 5`'s stop and without a budget.
+`synth_small` workload, with `apply --top-n 5`'s budget and without one.
 Run `python -m pytest tests/test_nms_benchmark.py --benchmark-enable --benchmark-only`
 for the timing table; a plain test run checks the keep lists once per case,
 against `per_class_nms` run on each expression alone.
@@ -17,7 +17,7 @@ import pytest
 from refnms.geometry import pairwise_iou
 from refnms.ingest import ImageDetections
 from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
-from refnms.nms import NmsConfig, ProposalBudget, StopRule, keep_lists, per_class_nms
+from refnms.nms import NmsConfig, ProposalBudget, keep_lists, per_class_nms
 
 
 def detector_like_pool(n, seed):
@@ -63,8 +63,8 @@ def test_keep_lists_speed_on_small_images(benchmark, top_n):
     cfg = NmsConfig()
     params = init_parameters(ModelConfig(vocab_size=20, feature_dim=8, hidden_size=16), 0)
     expressions = small_image_expressions()
-    stop = StopRule() if top_n is None else StopRule.covering([ProposalBudget.top_n(top_n)])
-    kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, stop=stop)))
+    budget = ProposalBudget() if top_n is None else ProposalBudget.top_n(top_n)
+    kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, budget=budget)))
     related = score_expressions(expressions, params)
     for (image, _), relatedness, got in zip(expressions, related, kept):
         rows = survivors(image, 0.05)

@@ -3,11 +3,14 @@
 import copy
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from oracles import image_of_rows
@@ -20,9 +23,12 @@ from refnms.ingest import (
     EmbeddingTable,
     ExpressionRecord,
     GroundTruthRegion,
+    PAD_TOKEN,
+    UNK_TOKEN,
     ImageDetections,
     build_vocabulary,
     encode_tokens,
+    vocabulary_from_words,
 )
 from refnms.model import ModelConfig, flat_views, init_parameters
 from refnms.objectives import assign_labels, binary_xe, ranking_loss, sample_pairs
@@ -494,6 +500,41 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, params, state, cfg, vocab, epochs_completed=3)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@st.composite
+def checkpoint_contents(draw):
+    """A small model, Adam state and vocabulary, every float drawn bit by bit."""
+    words = draw(st.lists(st.text("abcxyz", min_size=1, max_size=4), unique=True, max_size=5))
+    vocab = vocabulary_from_words([PAD_TOKEN, UNK_TOKEN, *words], draw(st.integers(1, 12)))
+    dims = st.integers(1, 3)
+    params = init_parameters(
+        ModelConfig(len(vocab), draw(dims), embed_dim=draw(dims), hidden_size=draw(dims)), 0
+    )
+    state = init_optimizer_state(params)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for buffer in (params.values, state.m, state.v):
+        buffer[...] = draw(hnp.arrays(np.float64, buffer.shape, elements=finite))
+    state.step = draw(st.integers(0, 2**40))
+    return params, state, vocab, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(checkpoint_contents())
+def test_save_then_load_checkpoint_is_bit_equal(contents):
+    params, state, vocab, epochs = contents
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(path, params, state, TrainConfig(), vocab, epochs_completed=epochs)
+        loaded, loaded_state, loaded_vocab, header = load_checkpoint(path)
+    assert loaded.config == params.config
+    for orig, back in ((params.values, loaded.values), (state.m, loaded_state.m),
+                       (state.v, loaded_state.v)):
+        assert orig.tobytes() == back.tobytes()
+    assert loaded_state.step == state.step
+    assert loaded_vocab.words_by_index() == vocab.words_by_index()
+    assert loaded_vocab.max_sentence_length == vocab.max_sentence_length
+    assert header["epochs_completed"] == epochs
 
 
 def test_a_parameter_table_entry_needs_no_other_edit(tmp_path, monkeypatch):
