@@ -344,13 +344,16 @@ def cmd_train(args) -> int:
     )
     params = init_parameters(model_cfg, cfg.seed, table, vocab)
     opt_state = init_optimizer_state(params)
-    history = train(dataset, params, opt_state, cfg)
-    for i, metrics in enumerate(history):
+
+    def report(epoch: int, metrics) -> None:
         print(
-            f"epoch {i}: loss={metrics.mean_loss:.6f} used={metrics.expressions_used} "
+            f"epoch {epoch}: loss={metrics.mean_loss:.6f} used={metrics.expressions_used} "
             f"skipped={metrics.expressions_skipped} pos={metrics.positives} "
-            f"neg={metrics.negatives}"
+            f"neg={metrics.negatives}",
+            flush=True,
         )
+
+    train(dataset, params, opt_state, cfg, on_epoch=report)
     save_checkpoint(args.out, params, opt_state, cfg, vocab, epochs_completed=cfg.epochs)
     print(f"checkpoint: {args.out}")
     return EXIT_OK
@@ -420,8 +423,6 @@ def cmd_eval_recall(args) -> int:
     table = load_embeddings(args.embeddings)
     params = vocab = None
     if args.method == "ref_nms":
-        if args.checkpoint is None:
-            raise ValueError("--method ref_nms requires --checkpoint")
         params, vocab = _load_model(args.checkpoint, feature_dim, args.detections)
     examples = build_eval_set(
         expressions, group_detections(images), regions_by_image, table,
@@ -483,11 +484,13 @@ def cmd_grad_check(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "eval-recall" and args.method != "ref_nms"
-            and args.checkpoint is not None):
-        parser.error(
-            f"eval-recall: argument --checkpoint: not allowed with --method {args.method}"
-        )
+    if args.command == "eval-recall":
+        if args.method == "ref_nms" and args.checkpoint is None:
+            parser.error("eval-recall: argument --checkpoint: required with --method ref_nms")
+        if args.method != "ref_nms" and args.checkpoint is not None:
+            parser.error(
+                f"eval-recall: argument --checkpoint: not allowed with --method {args.method}"
+            )
     try:
         return args.func(args)
     except FileNotFoundError as exc:

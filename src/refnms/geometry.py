@@ -1,5 +1,5 @@
-"""Axis-aligned bounding-box arithmetic: IoU of two boxes, of two box arrays,
-and of two stacks of box arrays."""
+"""Axis-aligned bounding-box arithmetic: IoU of two boxes, of every pair of
+rows of two box arrays (or stacks of them), and of boxes pair by pair."""
 
 from __future__ import annotations
 
@@ -62,12 +62,22 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Performs `iou`'s float operations in its order, so every value is
     bit-equal to `iou` on the same pair of boxes.
     """
+    return paired_iou(a[..., :, None, :], b[..., None, :, :])
+
+
+def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoUs of the boxes of `a` and `b` pair by pair: (..., 4) arrays that
+    broadcast against each other give (...) IoUs.
+
+    Performs `iou`'s float operations in its order, so every value is
+    bit-equal to `iou` on the same pair of boxes, in either order. Each
+    area is computed once per box of the unbroadcast arrays.
+    """
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    a, b = a[..., :, None, :], b[..., None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
-    union = (area_a[..., :, None] + area_b[..., None, :]) - inter
+    union = (area_a + area_b) - inter
     overlapping = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)

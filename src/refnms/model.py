@@ -18,8 +18,12 @@ taking its expression's summary by segment index. The graph's size does not
 grow with B, the number of tokens or the number of boxes. An expression's
 scores are bit-equal whatever other expressions share its batch: every
 product computes a row the same way whatever the rows beside it, and sums
-over words add padded steps as exact zeros. `score_expressions` scores a
-sequence of expressions in passes of at most `PASS_FLOATS` box floats.
+over words add padded steps as exact zeros. That holds for a one-thread BLAS:
+OpenBLAS splits a large product's rows between threads, and a row's value
+then depends on where the split falls, so scoring pins the bundled OpenBLAS
+to one thread. `score_expressions` scores a sequence of expressions in
+passes of at most `PASS_FLOATS` box floats (`score_survivors`, when the
+caller has each expression's survivors).
 
 `parameter_table` is the one declaration of the parameters: each one's
 name, shape and init bound, in the order of the flat store. The store's
@@ -29,8 +33,12 @@ and the forward reads each parameter by its table name.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -316,17 +324,28 @@ def score_expressions(
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
 ) -> Iterator[np.ndarray]:
     """The relatedness of each (image, token indices) expression's
-    `survivors`, in the order given.
+    `survivors`, in the order given, scored by `score_survivors`."""
+    return score_survivors(
+        ((image, survivors(image, min_confidence), indices) for image, indices in expressions),
+        params,
+    )
 
-    Consecutive expressions share a `score_boxes` pass while their survivors
+
+def score_survivors(
+    expressions: Iterable[tuple[ImageDetections, np.ndarray, Sequence[int]]],
+    params: ModelParameters,
+) -> Iterator[np.ndarray]:
+    """The relatedness of the given rows of each (image, rows, token indices)
+    expression, in the order given.
+
+    Consecutive expressions share a `score_boxes` pass while their rows
     times max(feature_dim, word_feature_dim) stay within `PASS_FLOATS`. An
-    expression without survivors gets an empty array and no model work.
+    expression without rows gets an empty array and no model work.
     """
     width = max(params.config.feature_dim, params.config.word_feature_dim)
     group: list[tuple[ImageDetections, np.ndarray, Sequence[int]]] = []
     floats = 0
-    for image, indices in expressions:
-        rows = survivors(image, min_confidence)
+    for image, rows, indices in expressions:
         if group and floats + rows.size * width > PASS_FLOATS:
             yield from _score_pass(group, params)
             group, floats = [], 0
@@ -342,7 +361,42 @@ def _score_pass(group, params: ModelParameters) -> Iterator[np.ndarray]:
     pieces = []
     if scored:
         batch = make_batch([indices for _, indices in scored], [block for block, _ in scored])
-        pieces = np.split(score_boxes(batch, params), batch.offsets[1:-1])
+        with _one_blas_thread():
+            pieces = np.split(score_boxes(batch, params), batch.offsets[1:-1])
     pieces = iter(pieces)
     for _, rows, _ in group:
         yield next(pieces) if rows.size else np.zeros(0)
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles, or None where numpy links another BLAS."""
+    package = Path(np.__file__).parent
+    for path in sorted([*(package.parent / "numpy.libs").glob("libscipy_openblas64_*"),
+                        *(package / ".dylibs").glob("libscipy_openblas64_*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the bundled OpenBLAS on one thread inside the block, then restore
+    its thread count."""
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else 1
+    if threads == 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](threads)

@@ -13,30 +13,33 @@ with each keep list.
 The confidence filter ignores the expression, so every expression of an
 image has the same survivors and the same relation "row i suppresses row j";
 only the visiting order differs. `keep_lists` therefore takes a window of
-consecutive expressions at a time. An image whose survivors fit in one
-`_BLOCK_ROWS` block has its suppression relation computed once per window,
-and one greedy walk decides all such expressions of the window together. A
-larger image gets a blocked pass per expression, which never builds its
-n x n matrix. Both stop where the `ProposalBudget` they are given ends: it
-is a prefix of the keep list, and greedy NMS's first k kept rows depend only
-on the rows visited before them.
+consecutive expressions at a time, and one `per_class_nms` call computes
+each distinct image's relation once for the window. An image of at most
+`_BLOCK_ROWS` survivors gets it as a dense matrix, and one vectorised greedy
+walk decides all such expressions of the window together. A larger image
+gets it as a sparse relation (`_relation`), found by a sweep over x1 that
+never builds its n x n matrix, and a greedy walk over it per expression.
+Both walks stop where the `ProposalBudget` they are given ends: it is a
+prefix of the keep list, and greedy NMS's first k kept rows depend only on
+the rows visited before them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import pairwise_iou
+from .geometry import paired_iou, pairwise_iou
 from .ingest import ImageDetections
 from .model import (
     DEFAULT_MIN_CONFIDENCE,
     PASS_FLOATS,
     ModelParameters,
-    score_expressions,
+    score_survivors,
     survivors,
 )
 
@@ -109,10 +112,9 @@ class KeepList:
         return len(self.rows)
 
 
-# Rows of boxes whose IoUs one step computes: a (32, n) block stays small at
-# n = 1000 boxes, and still amortises numpy's per-call cost on small images.
-# An image of at most this many survivors is also small enough for the
-# window walk, whose IoU call builds its whole (n, n) matrix.
+# An image of at most this many survivors is decided by the dense window
+# walk, which builds its (n, n) suppression matrix; a larger one gets a
+# sparse relation (`_relation`) and a walk over it per expression.
 _BLOCK_ROWS = 32
 
 
@@ -135,52 +137,109 @@ def per_class_nms(
     `budget`'s prefix does.
 
     One image: `boxes` (n, 4), `scores` (n,) and `category_ids` (n,). The
-    result is the kept rows in visit order. IoUs are computed for a block of
-    rows still alive at a time, against the rows from the block on, so no
-    n x n matrix is ever built.
+    result is the kept rows in visit order.
 
-    A window of images of at most `_BLOCK_ROWS` rows each: `boxes` and
-    `category_ids` hold ``sizes[i]`` rows of image i, one image after
-    another, and row e of `scores` (E, width) scores the rows of image
-    ``images[e]`` (its entries past that image's size are ignored). Each
-    image's suppression relation is computed once, for a stack of images per
-    IoU call, and one walk decides every row of `scores`. The result is
-    ``e * width + row`` for each kept row, expression by expression, each in
-    visit order.
+    A window of images: `boxes` and `category_ids` hold ``sizes[i]`` rows of
+    image i, one image after another, and row e of `scores` (E, width)
+    scores the rows of image ``images[e]`` (its entries past that image's
+    size are ignored). The result is ``e * width + row`` for each kept row,
+    expression by expression, each in visit order. Each image's suppression
+    relation is computed once, however many expressions read it. Images of
+    at most `_BLOCK_ROWS` rows get it as a dense matrix, a stack of images
+    per IoU call, and one walk decides all of their expressions. Each
+    larger image gets it from `_relation`, and a walk over it per expression.
     """
     if sizes is None:
-        return _blocked_nms(boxes, scores, category_ids, cfg, budget)
-    return _window_nms(boxes, scores, category_ids, cfg, budget, sizes, images)
+        sizes, images, scores = np.array([len(scores)]), np.zeros(1, dtype=np.intp), scores[None]
+    width = scores.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    large = sizes > _BLOCK_ROWS
+    on_small = np.flatnonzero(~large[images] & (sizes[images] > 0))
+    kept = [np.zeros(0, dtype=np.intp)]
+    if len(on_small):
+        small = ~large[np.repeat(np.arange(len(sizes)), sizes)]
+        narrow = int(sizes[~large].max())  # the dense walk's width
+        flat = _window_nms(
+            boxes[small], scores[on_small, :narrow], category_ids[small], cfg, budget,
+            sizes[~large], (np.cumsum(~large) - 1)[images[on_small]],
+        )
+        which, row = np.divmod(flat, narrow)
+        kept.append(on_small[which] * width + row)
+    on_large = np.flatnonzero(large[images])
+    for image in dict.fromkeys(images[on_large].tolist()):
+        rows = slice(starts[image], starts[image] + sizes[image])
+        relation = _relation(
+            boxes[rows], category_ids[rows] if cfg.per_class else None, cfg.iou_threshold
+        )
+        for e in on_large[images[on_large] == image].tolist():
+            kept.append(e * width + _walk(relation, scores[e, : sizes[image]], budget))
+    flat = np.concatenate(kept)
+    return flat[np.argsort(flat // max(width, 1), kind="stable")]
 
 
-def _blocked_nms(
-    boxes, scores, category_ids, cfg: NmsConfig, budget: ProposalBudget
-) -> np.ndarray:
-    order = np.argsort(-scores, kind="stable")
-    boxes = boxes[order]
-    categories = category_ids[order] if cfg.per_class else None
-    n = len(order)
-    floor_visits = np.count_nonzero(scores >= budget.min_score)
-    position = np.arange(n)
-    alive = np.ones(n, dtype=bool)
-    kept = 0
-    for start in range(0, n, _BLOCK_ROWS):
-        if kept >= budget.n and start >= floor_visits:
-            alive[start:] = False
-            break
-        rows = start + np.flatnonzero(alive[start : start + _BLOCK_ROWS])
-        survives = pairwise_iou(boxes[rows], boxes[start:]) <= cfg.iou_threshold
-        survives |= position[start:] <= rows[:, None]
+def _relation(boxes, categories, iou_threshold: float) -> tuple[list[int], np.ndarray]:
+    """Which rows suppress which, as a symmetric CSR (indptr, neighbours):
+    row i suppresses row j, and j suppresses i, iff
+    ``neighbours[indptr[i]:indptr[i + 1]]`` holds j.
+
+    A pair suppresses when its IoU is strictly above `iou_threshold` and,
+    given `categories`, both rows are of one category. A sweep over x1 finds
+    the pairs that can overlap: in x1 order, row p's candidates are the rows
+    after it that start left of its right edge. They are taken at most
+    `PASS_FLOATS` pairs at a time, pairs apart in y or category are
+    dropped, and `paired_iou` decides the rest, bit-equal to `pairwise_iou`.
+    """
+    n = len(boxes)
+    by_x = np.argsort(boxes[:, 0], kind="stable").astype(np.int32)
+    boxes = boxes[by_x]
+    x1, y1, x2, y2 = boxes.T.copy()
+    counts = np.maximum(np.searchsorted(x1, x2, side="left") - np.arange(1, n + 1), 0)
+    ends = np.cumsum(counts)  # row p's candidates are pairs ends[p] - counts[p] to ends[p]
+    starts = ends - counts
+    if categories is not None:
+        categories = categories[by_x]
+    total = int(ends[-1]) if n else 0
+    pairs = [np.zeros((2, 0), dtype=np.int32)]
+    for first in range(0, total, PASS_FLOATS):
+        last = min(first + PASS_FLOATS, total)
+        lo = int(np.searchsorted(ends, first, side="right"))
+        hi = int(np.searchsorted(ends, last - 1, side="right")) + 1
+        take = counts[lo:hi].copy()  # the chunk's pairs of rows lo to hi
+        take[0] -= first - starts[lo]
+        take[-1] -= ends[hi - 1] - last
+        p = np.repeat(np.arange(lo, hi), take)
+        q = np.arange(first + 1, last + 1) + (p - starts[p])
+        near = (y1[q] < np.repeat(y2[lo:hi], take)) & (np.repeat(y1[lo:hi], take) < y2[q])
         if categories is not None:
-            survives |= categories[rows, None] != categories[start:]
-        for r, i in enumerate(rows.tolist()):
-            if alive[i]:
-                if kept >= budget.n and i >= floor_visits:
-                    alive[i:] = False
-                    break
-                alive[start:] &= survives[r]
-                kept += 1
-    return order[alive]
+            near &= categories[q] == np.repeat(categories[lo:hi], take)
+        near = np.flatnonzero(near)
+        p, q = p[near], q[near]
+        suppresses = paired_iou(boxes[p], boxes[q]) > iou_threshold
+        pairs.append(by_x[np.stack([p[suppresses], q[suppresses]])])
+    i, j = np.concatenate(pairs, axis=1)
+    source, target = np.concatenate([i, j]), np.concatenate([j, i])
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(source, minlength=n), out=indptr[1:])
+    return indptr.tolist(), target[np.argsort(source, kind="stable")]
+
+
+def _walk(relation: tuple[list[int], np.ndarray], scores: np.ndarray, budget: ProposalBudget):
+    """Greedy NMS over `_relation`'s `relation`: the kept rows, in visit order."""
+    indptr, neighbours = relation
+    order = np.argsort(-scores, kind="stable").tolist()
+    floor_visits = int(np.count_nonzero(scores >= budget.min_score))
+    alive = bytearray(b"\x01") * len(order)
+    kept = []
+    for step, row in enumerate(order):
+        if alive[row]:
+            if len(kept) >= budget.n and step >= floor_visits:
+                break
+            kept.append(row)
+            first, last = indptr[row], indptr[row + 1]
+            if first != last:
+                for other in neighbours[first:last].tolist():
+                    alive[other] = 0
+    return np.array(kept, dtype=np.intp)
 
 
 def _window_nms(
@@ -239,7 +298,8 @@ def proposal_pipeline(
     default 1.0 makes the fused score the confidence, which is the
     expression-agnostic baseline.
     """
-    (keep,) = _keep_lists_of([_pool(image, min_confidence, relatedness)], nms_cfg, budget)
+    pool = _pool(image, survivors(image, min_confidence), relatedness)
+    (keep,) = _keep_lists_of([pool], nms_cfg, budget)
     return keep
 
 
@@ -254,25 +314,36 @@ def keep_lists(
     expression, in the order given, each cut to `budget`'s prefix: NMS stops there.
 
     With model parameters, the model scores the expressions in passes
-    (`model.score_expressions`). A constant relatedness, such as the
-    baseline's 1.0, ignores the expression and its token indices: NMS runs
-    once per distinct image object and its keep list is reused.
+    (`model.score_survivors`), each expression's survivors found once. A
+    constant relatedness, such as the baseline's 1.0, ignores the expression
+    and its token indices: NMS runs once per distinct image object and its
+    keep list is reused.
     """
     if isinstance(relatedness, ModelParameters):
-        expressions = list(expressions)  # score_expressions reads a whole pass ahead
-        scores = score_expressions(expressions, relatedness, min_confidence)
+        # score_survivors reads a whole pass ahead of the pools; tee keeps that pass
+        scored, pooled = itertools.tee(_with_survivors(expressions, min_confidence))
+        scores = score_survivors(scored, relatedness)
         pools = (
-            _pool(image, min_confidence, related)
-            for (image, _), related in zip(expressions, scores)
+            _pool(image, rows, related) for (image, rows, _), related in zip(pooled, scores)
         )
         yield from _keep_lists_of(pools, nms_cfg, budget)
         return
     images = [image for image, _ in expressions]
     distinct = dict.fromkeys(images)
-    pools = (_pool(image, min_confidence, relatedness) for image in distinct)
+    pools = (_pool(image, survivors(image, min_confidence), relatedness) for image in distinct)
     by_image = dict(zip(distinct, _keep_lists_of(pools, nms_cfg, budget)))
     for image in images:
         yield by_image[image]
+
+
+def _with_survivors(expressions, min_confidence: float):
+    """(image, survivors, token indices) of each expression; consecutive
+    expressions of one image share one survivors array."""
+    image = rows = None
+    for this, indices in expressions:
+        if this is not image:
+            image, rows = this, survivors(this, min_confidence)
+        yield image, rows, indices
 
 
 class _Pool(NamedTuple):
@@ -285,8 +356,7 @@ class _Pool(NamedTuple):
     fused: np.ndarray
 
 
-def _pool(image: ImageDetections, min_confidence: float, relatedness: float | np.ndarray):
-    rows = survivors(image, min_confidence)
+def _pool(image: ImageDetections, rows: np.ndarray, relatedness: float | np.ndarray):
     related = np.asarray(relatedness, dtype=np.float64)
     if related.ndim == 0:
         related = np.full(len(rows), float(related))
@@ -312,16 +382,16 @@ def _keep_lists_of(pools, nms_cfg: NmsConfig, budget: ProposalBudget):
 
 
 def _window_keep_lists(window, nms_cfg: NmsConfig, budget: ProposalBudget) -> list[KeepList]:
-    """One walk for the pools whose image fits one block, a blocked pass for
-    each larger one, and no NMS call for a pool without survivors."""
+    """One `per_class_nms` call for the pools with survivors, each distinct
+    image's rows passed once, and no NMS call for a pool without survivors."""
     kept = [np.zeros(0, dtype=np.intp)] * len(window)  # positions in each pool's survivors
-    small = [e for e, pool in enumerate(window) if 0 < len(pool.rows) <= _BLOCK_ROWS]
-    if small:
-        rows_of = {window[e].image: window[e].rows for e in small}  # distinct images, in order
+    busy = [e for e, pool in enumerate(window) if len(pool.rows)]
+    if busy:
+        rows_of = {window[e].image: window[e].rows for e in busy}  # distinct images, in order
         index = {image: i for i, image in enumerate(rows_of)}
         width = max(len(rows) for rows in rows_of.values())
-        scores = np.zeros((len(small), width))
-        for s, e in enumerate(small):
+        scores = np.zeros((len(busy), width))
+        for s, e in enumerate(busy):
             scores[s, : len(window[e].fused)] = window[e].fused
         flat = per_class_nms(
             np.concatenate([image.boxes[rows] for image, rows in rows_of.items()]),
@@ -330,17 +400,12 @@ def _window_keep_lists(window, nms_cfg: NmsConfig, budget: ProposalBudget) -> li
             nms_cfg,
             budget,
             sizes=np.array([len(rows) for rows in rows_of.values()]),
-            images=np.array([index[window[e].image] for e in small]),
+            images=np.array([index[window[e].image] for e in busy]),
         )
         which, position = np.divmod(flat, width)
-        pieces = np.split(position, np.searchsorted(which, np.arange(1, len(small))))
-        for e, piece in zip(small, pieces):
+        pieces = np.split(position, np.searchsorted(which, np.arange(1, len(busy))))
+        for e, piece in zip(busy, pieces):
             kept[e] = piece
-    for e, (image, rows, _, fused) in enumerate(window):
-        if len(rows) > _BLOCK_ROWS:
-            kept[e] = per_class_nms(
-                image.boxes[rows], fused, image.category_ids[rows], nms_cfg, budget
-            )
     return [
         KeepList(pool.rows[k], pool.fused[k], pool.related[k]) for pool, k in zip(window, kept)
     ]

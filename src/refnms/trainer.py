@@ -31,7 +31,7 @@ import os
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -283,13 +283,18 @@ def train(
     opt_state: OptimizerState,
     cfg: TrainConfig,
     start_epoch: int = 0,
+    on_epoch: Callable[[int, EpochMetrics], None] | None = None,
 ) -> list[EpochMetrics]:
+    """Epochs `start_epoch` to ``cfg.epochs - 1``: their metrics, each also
+    passed to `on_epoch` with its epoch index as the epoch ends."""
     if not dataset:
         raise ValueError("train: empty dataset")
-    return [
-        train_epoch(dataset, params, opt_state, cfg, epoch)
-        for epoch in range(start_epoch, cfg.epochs)
-    ]
+    history = []
+    for epoch in range(start_epoch, cfg.epochs):
+        history.append(train_epoch(dataset, params, opt_state, cfg, epoch))
+        if on_epoch is not None:
+            on_epoch(epoch, history[-1])
+    return history
 
 
 def save_checkpoint(

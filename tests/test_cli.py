@@ -340,12 +340,48 @@ def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):
     assert "baseline_conf" in csv_path.read_text()
 
 
-def test_eval_recall_refnms_without_checkpoint_fails(dataset, tmp_path):
-    code = main(
-        ["eval-recall", *data_args(dataset), "--split", "val", "--method", "ref_nms",
-         "--budgets", "5", "--out", str(tmp_path / "r.csv")]
-    )
-    assert code == 1
+def test_eval_recall_refnms_without_checkpoint_fails(dataset, tmp_path, capsys):
+    # a usage error, refused before any file is read
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval-recall", *data_args(dataset), "--split", "val", "--method", "ref_nms",
+              "--budgets", "5", "--out", str(tmp_path / "r.csv")])
+    assert excinfo.value.code == 2
+    assert "--checkpoint: required with --method ref_nms" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_train_prints_each_epoch_line_as_the_epoch_ends(dataset, tmp_path, monkeypatch):
+    # stdout is a block-buffered stream, as when piped; what reaches its raw
+    # layer before epoch 1 trains must hold epoch 0's line
+    import io
+
+    import refnms.trainer as trainer
+
+    written = bytearray()
+
+    class Raw(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            written.extend(data)
+            return len(data)
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(Raw()), "utf-8"))
+    out_before = []
+    train_epoch = trainer.train_epoch
+
+    def recording(*args):
+        out_before.append(written.decode())
+        return train_epoch(*args)
+
+    monkeypatch.setattr(trainer, "train_epoch", recording)
+    assert main(["train", *data_args(dataset), "--out", str(tmp_path / "m.ckpt"),
+                 "--epochs", "2", "--hidden-size", "2"]) == EXIT_OK
+    sys.stdout.flush()
+    lines = written.decode().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["epoch 0", "epoch 1", "checkpoint"]
+    assert out_before == ["", lines[0] + "\n"]
 
 
 def test_train_config_file_round_trip(dataset, tmp_path):

@@ -1,6 +1,10 @@
 """Relatedness model: expression encoding, attention, fusion head, scoring."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,6 +593,41 @@ def test_scores_do_not_depend_on_the_other_expressions_of_a_pass(name):
         together = np.split(model.score_boxes(batch, params), batch.offsets[1:-1])
         for i, scores in zip(pick.tolist(), together):
             np.testing.assert_array_equal(scores, alone[i])
+
+
+# Scores every expression alone and all of them in shared passes, and prints
+# how many expressions' scores differ. q = 100 outputs and 100-d features
+# fill a pass with up to PASS_FLOATS / 100 = 81 box rows, where OpenBLAS
+# splits the products' rows between two threads.
+TWO_THREAD_COMPOSITION = """
+import numpy as np
+from refnms.ingest import ImageDetections
+from refnms.model import ModelConfig, init_parameters, score_expressions
+
+cfg = ModelConfig(vocab_size=50, feature_dim=100, embed_dim=100, hidden_size=50)
+params = init_parameters(cfg, seed=1)
+rng = np.random.default_rng(55)
+expressions = []
+for i in range(60):
+    n = int(rng.integers(1, 41))
+    image = ImageDetections(f"img{i}", np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), np.full(n, 0.9),
+                            np.zeros(n, dtype=int), ("obj",) * n, rng.normal(size=(n, 100)))
+    expressions.append((image, rng.integers(1, 50, size=int(rng.integers(1, 11))).tolist()))
+together = list(score_expressions(expressions, params))
+alone = [next(score_expressions([expression], params)) for expression in expressions]
+print(sum(not np.array_equal(a, t) for a, t in zip(alone, together)))
+"""
+
+
+def test_scores_do_not_depend_on_the_other_expressions_under_two_blas_threads():
+    # composition independence must not rest on the caller's BLAS thread count
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", TWO_THREAD_COMPOSITION], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_make_batch_pads_at_the_end_and_reverses_within_each_length():

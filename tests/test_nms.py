@@ -229,6 +229,56 @@ def test_greedy_nms_matches_the_reference_on_grid_boxes(proposals, threshold):
     assert greedy_nms(items, threshold) == reference_nms(items, threshold)
 
 
+def worst_case_proposals(kind, rng):
+    """Proposals past `_BLOCK_ROWS`, for the sparse relation's worst cases:
+    one cluster of 1,000 near-identical boxes (every pair suppresses),
+    boxes of zero width or height among ordinary ones, and boxes that share
+    a few x1 values. Scores come from a few levels, so they tie too."""
+    if kind == "one cluster":
+        n = 1000
+        corners = 100.0 + rng.uniform(0.0, 1e-3, size=(n, 2))
+        sides = 50.0 + rng.uniform(0.0, 1e-3, size=(n, 2))
+        boxes = np.hstack([corners, corners + sides])
+    elif kind == "zero width or height":
+        n = 300
+        corners = rng.integers(0, 12, size=(n, 2)).astype(float)
+        sides = rng.integers(1, 6, size=(n, 2)).astype(float)
+        sides[: n // 3, 0] = 0.0
+        sides[n // 3 : 2 * n // 3, 1] = 0.0
+        boxes = np.hstack([corners, corners + sides])
+    else:  # x1 ties
+        n = 300
+        x1 = rng.choice([0.0, 4.0, 8.0], size=n)
+        y1 = rng.uniform(0, 30, size=n)
+        boxes = np.stack([x1, y1, x1 + rng.integers(1, 9, size=n), y1 + rng.uniform(1, 10, size=n)],
+                         axis=1)
+    return [
+        proposal(Box(*box), int(rng.integers(3)), float(confidence), float(related))
+        for box, confidence, related in zip(
+            boxes.tolist(), rng.choice([0.25, 0.5, 1.0], size=n), rng.choice([0.5, 1.0], size=n)
+        )
+    ]
+
+
+@pytest.mark.parametrize("kind", ["one cluster", "zero width or height", "x1 ties"])
+@pytest.mark.parametrize("per_class", [True, False])
+def test_sparse_relation_matches_the_references_on_worst_cases(kind, per_class):
+    proposals = worst_case_proposals(kind, np.random.default_rng(65))
+    cfg = NmsConfig(iou_threshold=0.3, per_class=per_class)
+    got = nms(proposals, cfg, "fused")
+    assert [id(p) for p in got] == [id(p) for p in reference_per_class_nms(proposals, cfg, "fused")]
+    if not per_class:
+        position = {id(p): i for i, p in enumerate(proposals)}
+        items = [(p.box, p.fused) for p in proposals]
+        assert [position[id(p)] for p in got] == reference_nms(items, cfg.iou_threshold)
+    if kind == "one cluster":
+        indptr, _ = nms_module._relation(
+            box_array([p.box for p in proposals]), None, cfg.iou_threshold
+        )
+        assert np.diff(indptr).tolist() == [len(proposals) - 1] * len(proposals)
+        assert len(got) == (3 if per_class else 1)
+
+
 # budgets ----------------------------------------------------------------------------
 
 
@@ -363,10 +413,11 @@ TINY_MODEL = init_parameters(
 def keep_list_cases(draw):
     """Expressions over a few grid-box images, and a relatedness for them.
 
-    Image sizes fall on both sides of `_BLOCK_ROWS` (32), confidence 0.0
-    falls below the confidence filter, and two feature rows make equal
-    model scores, so empty images, images without survivors and score ties
-    all occur.
+    Image sizes fall on both sides of `_BLOCK_ROWS` (32), the cut between
+    the dense window walk and the sparse relation. Confidence 0.0 falls
+    below the confidence filter, and two feature rows make equal model
+    scores, so empty images, images without survivors and score ties all
+    occur.
     """
     images = []
     for i in range(draw(st.integers(1, 4))):
@@ -396,9 +447,10 @@ BUDGETS = st.lists(
 def test_keep_lists_match_the_per_class_reference(
     case, threshold, per_class, budgets, pass_floats, block_rows
 ):
-    # Windows of at most `pass_floats` box scores: small limits split one
-    # image's expressions across windows. Blocks of 5 rows send most images
-    # to the blocked pass and make it stop inside and between blocks.
+    # `pass_floats` bounds a window's box scores and a chunk of the sparse
+    # relation's candidate pairs: small limits split one image's expressions
+    # across windows and its candidates across chunks, down to one pair per
+    # chunk. A cut of 5 rows sends most images to the sparse relation.
     expressions, relatedness = case
     cfg = NmsConfig(iou_threshold=threshold, per_class=per_class)
     budget = ProposalBudget.covering(budgets) if budgets else ProposalBudget()

@@ -1,11 +1,14 @@
 """Micro-benchmarks of NMS: cross-class NMS on detector-sized pools of
-boxes, and `keep_lists` on many small images.
+boxes, and `keep_lists` on many small images and on a few crowded ones.
 
 The first times `per_class_nms` alone, on seeded random boxes of 16-64 px
 spread over a 640 x 480 image, the make-up of a crowded detector output. The
 second times `keep_lists` with a small model (scoring included) on 250
 images of 20 such boxes with 2 expressions each, the shape of the
-`synth_small` workload, with `apply --top-n 5`'s budget and without one.
+`synth_small` workload, with `apply --top-n 5`'s budget and without one. The
+third times `keep_lists` on 4 images of 1,000 such boxes with 2 or 7
+expressions each (RefCOCO has about 7 per image) and a top-300 budget; its
+model has 2-d features and words, so that scoring stays small beside NMS.
 Run `python -m pytest tests/test_nms_benchmark.py --benchmark-enable --benchmark-only`
 for the timing table; a plain test run checks the keep lists once per case,
 against `per_class_nms` run on each expression alone.
@@ -44,7 +47,7 @@ def test_cross_class_nms_speed(benchmark, n):
     assert overlaps.max() <= cfg.iou_threshold
 
 
-def small_image_expressions(images=250, boxes=20, expressions_per_image=2, seed=0):
+def detector_like_expressions(images, boxes, expressions_per_image, feature_dim, seed=0):
     """(image, token indices) expressions over detector-like images, each
     image's expressions one after another."""
     rng = np.random.default_rng(seed)
@@ -52,22 +55,39 @@ def small_image_expressions(images=250, boxes=20, expressions_per_image=2, seed=
     for i in range(images):
         pool, confidences, categories = detector_like_pool(boxes, seed=seed + i)
         image = ImageDetections(f"img{i}", pool, confidences, categories, ("obj",) * boxes,
-                                rng.normal(size=(boxes, 8)))
+                                rng.normal(size=(boxes, feature_dim)))
         expressions += [(image, rng.integers(1, 20, size=4).tolist())
                         for _ in range(expressions_per_image)]
     return expressions
 
 
-@pytest.mark.parametrize("top_n", [5, None])
-def test_keep_lists_speed_on_small_images(benchmark, top_n):
-    cfg = NmsConfig()
-    params = init_parameters(ModelConfig(vocab_size=20, feature_dim=8, hidden_size=16), 0)
-    expressions = small_image_expressions()
-    budget = ProposalBudget() if top_n is None else ProposalBudget.top_n(top_n)
-    kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, budget=budget)))
+def check_against_each_expression_alone(expressions, params, cfg, kept, top_n):
     related = score_expressions(expressions, params)
     for (image, _), relatedness, got in zip(expressions, related, kept):
         rows = survivors(image, 0.05)
         fused = relatedness * image.confidences[rows]
         whole = rows[per_class_nms(image.boxes[rows], fused, image.category_ids[rows], cfg)]
         assert got.rows.tolist() == whole[:top_n].tolist()
+
+
+@pytest.mark.parametrize("top_n", [5, None])
+def test_keep_lists_speed_on_small_images(benchmark, top_n):
+    cfg = NmsConfig()
+    params = init_parameters(ModelConfig(vocab_size=20, feature_dim=8, hidden_size=16), 0)
+    expressions = detector_like_expressions(250, 20, 2, feature_dim=8)
+    budget = ProposalBudget() if top_n is None else ProposalBudget.top_n(top_n)
+    kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, budget=budget)))
+    check_against_each_expression_alone(expressions, params, cfg, kept, top_n)
+
+
+@pytest.mark.parametrize("expressions_per_image", [2, 7])
+def test_keep_lists_speed_on_crowded_images(benchmark, expressions_per_image):
+    cfg = NmsConfig()
+    params = init_parameters(
+        ModelConfig(vocab_size=20, feature_dim=2, embed_dim=2, hidden_size=1), 0
+    )
+    expressions = detector_like_expressions(4, 1000, expressions_per_image, feature_dim=2)
+    budget = ProposalBudget.top_n(300)
+    kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, budget=budget)))
+    assert all(len(keep) == 300 for keep in kept)
+    check_against_each_expression_alone(expressions, params, cfg, kept, 300)
