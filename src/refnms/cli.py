@@ -39,6 +39,7 @@ from .trainer import (
     TrainConfig,
     init_optimizer_state,
     load_checkpoint,
+    resume_state,
     save_checkpoint,
     train,
 )
@@ -172,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sentence-length", type=_positive_int, default=None)
     p.add_argument("--min-confidence", type=_unit, default=None)
     p.add_argument("--similarity-threshold", type=_cosine, default=None)
+    p.add_argument("--resume", default=None, metavar="CKPT",
+                   help="continue the run that wrote CKPT, with the same settings, to --epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("apply", help="dump kept proposals per expression", epilog=EPILOG)
@@ -342,8 +345,12 @@ def cmd_train(args) -> int:
         embed_dim=table.dimension,
         hidden_size=hidden_size,
     )
-    params = init_parameters(model_cfg, cfg.seed, table, vocab)
-    opt_state = init_optimizer_state(params)
+    start_epoch = 0
+    if args.resume is not None:
+        params, opt_state, start_epoch = resume_state(args.resume, cfg, model_cfg, vocab)
+    else:
+        params = init_parameters(model_cfg, cfg.seed, table, vocab)
+        opt_state = init_optimizer_state(params)
 
     def report(epoch: int, metrics) -> None:
         print(
@@ -353,7 +360,7 @@ def cmd_train(args) -> int:
             flush=True,
         )
 
-    train(dataset, params, opt_state, cfg, on_epoch=report)
+    train(dataset, params, opt_state, cfg, start_epoch, on_epoch=report)
     save_checkpoint(args.out, params, opt_state, cfg, vocab, epochs_completed=cfg.epochs)
     print(f"checkpoint: {args.out}")
     return EXIT_OK

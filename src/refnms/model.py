@@ -9,21 +9,25 @@ detection's region feature is gated by a two-layer perceptron, and the fused
 relatedness probability. The final suppression criterion is the product of
 relatedness and detection confidence.
 
-One forward serves training, scoring and tracing, over a batch of B
-expressions (`ExpressionBatch`): tokens padded to (T, B) at the end of each
-expression, one GRU call per direction (the backward one on tokens reversed
-within each expression's length), a masked softmax down (T, B), and the
-surviving boxes of all B images as the rows of one (sum N, D) matrix, each
-taking its expression's summary by segment index. The graph's size does not
-grow with B, the number of tokens or the number of boxes. An expression's
-scores are bit-equal whatever other expressions share its batch: every
-product computes a row the same way whatever the rows beside it, and sums
-over words add padded steps as exact zeros. That holds for a one-thread BLAS:
-OpenBLAS splits a large product's rows between threads, and a row's value
-then depends on where the split falls, so scoring pins the bundled OpenBLAS
-to one thread. `score_expressions` scores a sequence of expressions in
-passes of at most `PASS_FLOATS` box floats (`score_survivors`, when the
-caller has each expression's survivors).
+One forward serves training and tracing, over a batch of B expressions
+(`ExpressionBatch`): tokens padded to (T, B) at the end of each expression,
+one GRU call per direction (the backward one on tokens reversed within each
+expression's length), a masked softmax down (T, B), and the surviving boxes
+of all B images as the rows of one (sum N, D) matrix, each taking its
+expression's summary by segment index. The graph's size does not grow with
+B, the number of tokens or the number of boxes.
+
+Scoring (`score_boxes`) runs the same stages in three parts, because the
+text side (embeddings, bi-GRU, attention) reads only the tokens and the box
+side (`mlp_b`'s gate) only the image: the text side once per distinct
+token-index sequence, the box side once per distinct image, and the joint,
+logit and sigmoid per expression. An expression's scores are bit-equal
+however its work is split or batched: every product computes a row the same
+way whatever the rows beside it, and sums over words add padded steps as
+exact zeros. That holds for a one-thread BLAS: OpenBLAS splits a large
+product's rows between threads, and a row's value then depends on where the
+split falls, so scoring pins the bundled OpenBLAS to one thread.
+`score_expressions` finds each image's survivors and scores them.
 
 `parameter_table` is the one declaration of the parameters: each one's
 name, shape and init bound, in the order of the flat store. The store's
@@ -49,9 +53,15 @@ from .ingest import DataFormatError, EmbeddingTable, ImageDetections, PAD_TOKEN,
 
 DEFAULT_MIN_CONFIDENCE = 0.05
 
-# floats in the widest intermediate of one scoring pass, its boxes times
-# max(feature_dim, word_feature_dim); bounds a pass's scratch memory. An
-# expression wider than this gets a pass of its own.
+# Floats in the widest array of one scoring pass: a text pass's word
+# features (longest sequence x sequences x word_feature_dim), a box pass's
+# features or gate rows (boxes x max(feature_dim, word_feature_dim)), a joint
+# pass's rows (boxes x word_feature_dim). An item wider than this gets a pass
+# of its own. It bounds each array, not a pass's memory: a pass keeps every
+# stage of `forward` alive until it ends, several arrays of up to this size
+# (the GRU keeps five (T, B, hidden) arrays per direction), and a window's
+# summaries, one row per distinct sequence, outlive its passes. NMS bounds a
+# window's box scores and a chunk of candidate pairs by it too.
 PASS_FLOATS = 8192
 
 
@@ -282,35 +292,43 @@ def forward(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
     length; ``attended`` (B, q); ``gate`` and ``joint`` (sum N, q); ``logit``
     (sum N, 1); ``score`` (sum N,), the relatedness probabilities.
     """
+    text = _text_side(batch, params)
+    gate = _box_side(batch.features, params)
+    summaries = ad.take(text["attended"], batch.segments)
+    return {**text, "gate": gate, **_relate(gate, summaries, params)}
+
+
+def _text_side(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
+    """``words``, ``logits``, ``weights`` and ``attended`` of `forward`: the
+    stages that read only the batch's tokens."""
     steps, size = batch.tokens.shape
-    n, q = batch.features.shape[0], params.config.word_feature_dim
+    q = params.config.word_feature_dim
     words = encode_expressions(batch, params)
     logits = ad.reshape(ad.linear(words, params["fc_s.w"]), (steps, size))
     weights = ad.masked_softmax(logits, batch.lengths)
     attended = ad.weighted_sum(weights, ad.reshape(words, (steps, size, q)))
-    hidden = ad.relu(ad.linear(batch.features, params["mlp_b.w1"], params["mlp_b.b1"]))
-    gate = ad.linear(hidden, params["mlp_b.w2"], params["mlp_b.b2"])
-    joint = ad.l2_normalize(ad.mul(gate, ad.take(attended, batch.segments)), axis=1)
+    return {"words": words, "logits": logits, "weights": weights, "attended": attended}
+
+
+def _box_side(features: np.ndarray, params: ModelParameters) -> Node:
+    """``gate`` of `forward`, (n, q), for the (n, D) region features of n boxes."""
+    hidden = ad.relu(ad.linear(features, params["mlp_b.w1"], params["mlp_b.b1"]))
+    return ad.linear(hidden, params["mlp_b.w2"], params["mlp_b.b2"])
+
+
+def _relate(gate: Node, summaries: Node, params: ModelParameters) -> dict[str, Node]:
+    """``joint``, ``logit`` and ``score`` of `forward`: each box's gate row
+    against its expression's summary, both (n, q)."""
+    joint = ad.l2_normalize(ad.mul(gate, summaries), axis=1)
     logit = ad.linear(joint, params["fc_r.w"], params["fc_r.b"])
-    return {
-        "words": words, "logits": logits, "weights": weights, "attended": attended,
-        "gate": gate, "joint": joint, "logit": logit,
-        "score": ad.sigmoid(ad.reshape(logit, (n,))),
-    }
+    score = ad.sigmoid(ad.reshape(logit, (len(gate.value),)))
+    return {"joint": joint, "logit": logit, "score": score}
 
 
 def relatedness_forward(batch: ExpressionBatch, params: ModelParameters) -> Node:
     """The training forward: relatedness of every box of the batch, (sum N,),
     as one graph node."""
     return forward(batch, params)["score"]
-
-
-def score_boxes(batch: ExpressionBatch, params: ModelParameters) -> np.ndarray:
-    """One scoring pass: the relatedness of every box of the batch, (sum N,).
-
-    Only values come back, so the pass's graph is freed on return.
-    """
-    return relatedness_forward(batch, params).value
 
 
 def survivors(image: ImageDetections, min_confidence: float) -> np.ndarray:
@@ -324,48 +342,96 @@ def score_expressions(
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
 ) -> Iterator[np.ndarray]:
     """The relatedness of each (image, token indices) expression's
-    `survivors`, in the order given, scored by `score_survivors`."""
-    return score_survivors(
-        ((image, survivors(image, min_confidence), indices) for image, indices in expressions),
-        params,
+    `survivors`, in the order given, scored by one `score_boxes` call."""
+    expressions = list(expressions)
+    rows_of = {image: survivors(image, min_confidence) for image, _ in expressions}
+    return iter(
+        score_boxes([(image, rows_of[image], indices) for image, indices in expressions], params)
     )
 
 
-def score_survivors(
-    expressions: Iterable[tuple[ImageDetections, np.ndarray, Sequence[int]]],
+def score_boxes(
+    expressions: Sequence[tuple[ImageDetections, np.ndarray, Sequence[int]]],
     params: ModelParameters,
-) -> Iterator[np.ndarray]:
+) -> list[np.ndarray]:
     """The relatedness of the given rows of each (image, rows, token indices)
-    expression, in the order given.
+    expression, in the order given; an expression without rows gets an empty
+    array and no model work. Only values come back.
 
-    Consecutive expressions share a `score_boxes` pass while their rows
-    times max(feature_dim, word_feature_dim) stay within `PASS_FLOATS`. An
-    expression without rows gets an empty array and no model work.
+    Each side of `forward` runs once: `_text_side` once per distinct
+    token-index sequence, `_box_side` once per distinct image (by identity,
+    with the rows of its first expression), and `_relate` once per
+    expression, taking both sides by index. Each runs in passes whose widest
+    intermediate stays within `PASS_FLOATS` floats: the text side's words,
+    longest sequence times sequences times word_feature_dim (sequences go in
+    ascending length); the box side's rows times max(feature_dim,
+    word_feature_dim); `_relate`'s rows times word_feature_dim. A sequence,
+    image or expression wider than that alone gets a pass of its own. The
+    box side holds one pass of gate rows at a time, and `_relate` runs over
+    the expressions of that pass's images. Scores are bit-equal to
+    `forward`'s, whatever shares a pass (see the module docstring).
     """
-    width = max(params.config.feature_dim, params.config.word_feature_dim)
-    group: list[tuple[ImageDetections, np.ndarray, Sequence[int]]] = []
-    floats = 0
-    for image, rows, indices in expressions:
-        if group and floats + rows.size * width > PASS_FLOATS:
-            yield from _score_pass(group, params)
-            group, floats = [], 0
-        group.append((image, rows, indices))
-        floats += rows.size * width
-    if group:
-        yield from _score_pass(group, params)
+    q = params.config.word_feature_dim
+    scores = [np.zeros(0)] * len(expressions)
+    text_of: dict[tuple[int, ...], int] = {}  # distinct sequences, in order
+    text_index = [0] * len(expressions)  # each expression's sequence
+    by_image: dict[ImageDetections, tuple[np.ndarray, list[int]]] = {}
+    for e, (image, rows, indices) in enumerate(expressions):
+        if rows.size:
+            text_index[e] = text_of.setdefault(tuple(indices), len(text_of))
+            by_image.setdefault(image, (rows, []))[1].append(e)
+    images = list(by_image.items())
+    width = max(params.config.feature_dim, q)
+    with _one_blas_thread():
+        summaries = _summaries(list(text_of), params)
+        for part in _passes([len(rows) for _, (rows, _) in images], width):
+            gate = _box_side(
+                np.concatenate([image.features[rows] for image, (rows, _) in images[part]]), params
+            ).value
+            members = []  # (expression, its image's first gate row, rows)
+            start = 0
+            for _, (rows, owners) in images[part]:
+                members += [(e, start, len(rows)) for e in owners]
+                start += len(rows)
+            for piece in _passes([n for _, _, n in members], q):
+                chunk = members[piece]
+                counts = [n for _, _, n in chunk]
+                gate_rows = gate[np.concatenate([np.arange(s, s + n) for _, s, n in chunk])]
+                texts = [text_index[e] for e, _, _ in chunk]
+                summary_rows = np.repeat(summaries[texts], counts, axis=0)
+                related = _relate(ad.constant(gate_rows), ad.constant(summary_rows), params)
+                values = np.split(related["score"].value, np.cumsum(counts)[:-1])
+                for (e, _, _), scored in zip(chunk, values):
+                    scores[e] = scored
+    return scores
 
 
-def _score_pass(group, params: ModelParameters) -> Iterator[np.ndarray]:
-    """Score the (image, survivors, token indices) of `group` in one batch."""
-    scored = [(image.features[rows], indices) for image, rows, indices in group if rows.size]
-    pieces = []
-    if scored:
-        batch = make_batch([indices for _, indices in scored], [block for block, _ in scored])
-        with _one_blas_thread():
-            pieces = np.split(score_boxes(batch, params), batch.offsets[1:-1])
-    pieces = iter(pieces)
-    for _, rows, _ in group:
-        yield next(pieces) if rows.size else np.zeros(0)
+def _summaries(texts: list[tuple[int, ...]], params: ModelParameters) -> np.ndarray:
+    """`_text_side`'s ``attended`` of each token-index sequence, (len(texts),
+    word_feature_dim), in passes of sequences of ascending length."""
+    order = sorted(range(len(texts)), key=lambda t: len(texts[t]))
+    summaries = np.empty((len(texts), params.config.word_feature_dim))
+    for part in _passes([len(texts[t]) for t in order], summaries.shape[1], padded=True):
+        chosen = order[part]
+        batch = make_batch([texts[t] for t in chosen], [np.zeros((0, 0))] * len(chosen))
+        summaries[chosen] = _text_side(batch, params)["attended"].value
+    return summaries
+
+
+def _passes(sizes: Sequence[int], width: int, padded: bool = False) -> Iterator[slice]:
+    """Consecutive items, `sizes[i]` rows each, in slices of at most
+    `PASS_FLOATS` floats: their rows times `width`, or with `padded` their
+    count times their largest size times `width`. An item over the bound
+    alone gets a slice of its own."""
+    first = total = largest = 0
+    for i, size in enumerate(sizes):
+        largest, total = max(largest, size), total + size
+        floats = (i + 1 - first) * largest if padded else total
+        if i > first and floats * width > PASS_FLOATS:
+            yield slice(first, i)
+            first, total, largest = i, size, size
+    if len(sizes) > first:
+        yield slice(first, len(sizes))
 
 
 @functools.cache

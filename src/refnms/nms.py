@@ -3,18 +3,20 @@ and the one loop that gives each expression its keep list.
 
 Every method suppresses on the fused score, relatedness times detection
 confidence. The expression-aware method takes relatedness from the model
-(`model.score_expressions`); the confidence baseline gives every box
-relatedness 1.0, so its fused score is its confidence. NMS is greedy,
-per-class by default, with deterministic index tie-breaking. Detections are
-referred to by their row in the image's columns throughout. `keep_lists`
-serves `apply` and `eval-recall` alike: they differ only in what they do
-with each keep list.
+(`model.score_boxes`); the confidence baseline gives every box relatedness
+1.0, so its fused score is its confidence. NMS is greedy, per-class by
+default, with deterministic index tie-breaking. Detections are referred to
+by their row in the image's columns throughout. `keep_lists` serves `apply`
+and `eval-recall` alike: they differ only in what they do with each keep
+list.
 
 The confidence filter ignores the expression, so every expression of an
 image has the same survivors and the same relation "row i suppresses row j";
 only the visiting order differs. `keep_lists` therefore takes a window of
-consecutive expressions at a time, and one `per_class_nms` call computes
-each distinct image's relation once for the window. An image of at most
+consecutive expressions at a time, cut between images where it can. One
+`model.score_boxes` call scores the window, running the model's box side
+once per distinct image, and one `per_class_nms` call computes each distinct
+image's relation once for the window. An image of at most
 `_BLOCK_ROWS` survivors gets it as a dense matrix, and one vectorised greedy
 walk decides all such expressions of the window together. A larger image
 gets it as a sparse relation (`_relation`), found by a sweep over x1 that
@@ -26,7 +28,6 @@ the rows visited before them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -39,7 +40,7 @@ from .model import (
     DEFAULT_MIN_CONFIDENCE,
     PASS_FLOATS,
     ModelParameters,
-    score_survivors,
+    score_boxes,
     survivors,
 )
 
@@ -299,7 +300,7 @@ def proposal_pipeline(
     expression-agnostic baseline.
     """
     pool = _pool(image, survivors(image, min_confidence), relatedness)
-    (keep,) = _keep_lists_of([pool], nms_cfg, budget)
+    (keep,) = _window_keep_lists([pool], nms_cfg, budget)
     return keep
 
 
@@ -313,37 +314,73 @@ def keep_lists(
     """The `proposal_pipeline` keep list of each (image, token indices)
     expression, in the order given, each cut to `budget`'s prefix: NMS stops there.
 
-    With model parameters, the model scores the expressions in passes
-    (`model.score_survivors`), each expression's survivors found once. A
-    constant relatedness, such as the baseline's 1.0, ignores the expression
-    and its token indices: NMS runs once per distinct image object and its
-    keep list is reused.
+    One loop takes a window of expressions at a time (`_windows`). With model
+    parameters, one `model.score_boxes` call scores the window, and each
+    expression's survivors are found once per run of its image. A constant
+    relatedness, such as the baseline's 1.0, ignores the expression and its
+    token indices: NMS runs once per distinct image object and its keep list
+    is reused.
     """
     if isinstance(relatedness, ModelParameters):
-        # score_survivors reads a whole pass ahead of the pools; tee keeps that pass
-        scored, pooled = itertools.tee(_with_survivors(expressions, min_confidence))
-        scores = score_survivors(scored, relatedness)
-        pools = (
-            _pool(image, rows, related) for (image, rows, _), related in zip(pooled, scores)
-        )
-        yield from _keep_lists_of(pools, nms_cfg, budget)
+        yield from _keep_lists_of(_image_runs(expressions, min_confidence), relatedness,
+                                  nms_cfg, budget)
         return
     images = [image for image, _ in expressions]
     distinct = dict.fromkeys(images)
-    pools = (_pool(image, survivors(image, min_confidence), relatedness) for image in distinct)
-    by_image = dict(zip(distinct, _keep_lists_of(pools, nms_cfg, budget)))
+    runs = ((image, survivors(image, min_confidence), [None]) for image in distinct)
+    by_image = dict(zip(distinct, _keep_lists_of(runs, relatedness, nms_cfg, budget)))
     for image in images:
         yield by_image[image]
 
 
-def _with_survivors(expressions, min_confidence: float):
-    """(image, survivors, token indices) of each expression; consecutive
-    expressions of one image share one survivors array."""
-    image = rows = None
+def _image_runs(expressions, min_confidence: float):
+    """(image, survivors, token indices of each expression) of each run of
+    consecutive expressions of one image object."""
+    image, texts = None, []
     for this, indices in expressions:
-        if this is not image:
-            image, rows = this, survivors(this, min_confidence)
-        yield image, rows, indices
+        if texts and this is not image:
+            yield image, survivors(image, min_confidence), texts
+            texts = []
+        image = this
+        texts.append(indices)
+    if texts:
+        yield image, survivors(image, min_confidence), texts
+
+
+def _windows(runs):
+    """`_image_runs`' runs in windows of (image, survivors, token indices)
+    expressions, cut between runs: a window's expressions times its widest
+    survivor count stay within `PASS_FLOATS`. A run over the bound alone is
+    cut into windows of its own, as full as the bound allows, and its last
+    one stays open."""
+    window: list = []
+    width = 0
+    for image, rows, texts in runs:
+        n = len(rows)
+        if window and (len(window) + len(texts)) * max(width, n) > PASS_FLOATS:
+            yield window
+            window, width = [], 0
+        width = max(width, n)
+        step = max(1, PASS_FLOATS // n) if n else len(texts)
+        for first in range(0, len(texts), step):
+            if first:
+                yield window
+                window = []
+            window += [(image, rows, indices) for indices in texts[first : first + step]]
+    if window:
+        yield window
+
+
+def _keep_lists_of(runs, relatedness: ModelParameters | float, nms_cfg: NmsConfig,
+                   budget: ProposalBudget):
+    """The keep list of each expression of `runs`, scored and NMS run a window at a time."""
+    for window in _windows(runs):
+        if isinstance(relatedness, ModelParameters):
+            related = score_boxes(window, relatedness)
+        else:
+            related = [relatedness] * len(window)
+        pools = [_pool(image, rows, r) for (image, rows, _), r in zip(window, related)]
+        yield from _window_keep_lists(pools, nms_cfg, budget)
 
 
 class _Pool(NamedTuple):
@@ -363,22 +400,6 @@ def _pool(image: ImageDetections, rows: np.ndarray, relatedness: float | np.ndar
     elif related.shape != rows.shape:
         raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {len(rows)} boxes")
     return _Pool(image, rows, related, related * image.confidences[rows])
-
-
-def _keep_lists_of(pools, nms_cfg: NmsConfig, budget: ProposalBudget):
-    """The keep list of each `_pool`, NMS run a window of consecutive pools
-    at a time: pools times the widest survivor count stay within `PASS_FLOATS`."""
-    window: list = []
-    width = 0
-    for pool in pools:
-        n = len(pool.rows)
-        if window and (len(window) + 1) * max(width, n) > PASS_FLOATS:
-            yield from _window_keep_lists(window, nms_cfg, budget)
-            window, width = [], 0
-        window.append(pool)
-        width = max(width, n)
-    if window:
-        yield from _window_keep_lists(window, nms_cfg, budget)
 
 
 def _window_keep_lists(window, nms_cfg: NmsConfig, budget: ProposalBudget) -> list[KeepList]:

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -295,6 +295,32 @@ def train(
         if on_epoch is not None:
             on_epoch(epoch, history[-1])
     return history
+
+
+def resume_state(
+    path, cfg: TrainConfig, config: ModelConfig, vocab: Vocabulary
+) -> tuple[ModelParameters, OptimizerState, int]:
+    """The parameters, Adam state and completed epochs of checkpoint `path`,
+    to train on to ``cfg.epochs``.
+
+    The checkpoint must hold model `config` and `vocab`, and have been
+    written with `cfg` up to its epoch count: its config hash must be that
+    of `cfg` with ``epochs`` set to the epochs it completed, which must be
+    fewer than ``cfg.epochs``. Anything else is a `DataFormatError`.
+    """
+    params, opt_state, stored_vocab, header = load_checkpoint(path, expected_config=config)
+    done = _header_field(path, header, "epochs_completed", int, "an integer")
+    if not 1 <= done < cfg.epochs:
+        raise DataFormatError(
+            f"{path}: checkpoint completed {done} epochs; resuming needs 1 to {cfg.epochs - 1}"
+        )
+    if header.get("config_hash") != replace(cfg, epochs=done).config_hash():
+        raise DataFormatError(
+            f"{path}: checkpoint was trained with another training config than this run's"
+        )
+    if stored_vocab != vocab:
+        raise DataFormatError(f"{path}: checkpoint vocabulary differs from this run's")
+    return params, opt_state, done
 
 
 def save_checkpoint(

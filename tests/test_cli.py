@@ -384,6 +384,38 @@ def test_train_prints_each_epoch_line_as_the_epoch_ends(dataset, tmp_path, monke
     assert out_before == ["", lines[0] + "\n"]
 
 
+def test_train_resume_continues_the_run_byte_for_byte(dataset, tmp_path, capsys):
+    # 2 epochs, then --resume to 4: the checkpoint of 4 straight epochs,
+    # parameters, Adam moments and step included
+    common = ["train", *data_args(dataset), "--hidden-size", "4", "--seed", "5"]
+    straight, half, resumed = (tmp_path / name for name in ("4.ckpt", "2.ckpt", "2+2.ckpt"))
+    assert main([*common, "--epochs", "4", "--out", str(straight)]) == EXIT_OK
+    assert main([*common, "--epochs", "2", "--out", str(half)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*common, "--epochs", "4", "--resume", str(half), "--out", str(resumed)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["epoch 2", "epoch 3", "checkpoint"]
+    assert resumed.read_bytes() == straight.read_bytes()
+
+
+def test_train_resume_refuses_a_checkpoint_of_other_settings(dataset, tmp_path, capsys):
+    common = ["train", *data_args(dataset), "--hidden-size", "4", "--seed", "5"]
+    half = tmp_path / "half.ckpt"
+    assert main([*common, "--epochs", "2", "--out", str(half)]) == EXIT_OK
+    for flags, message in [
+        (("--epochs", "4", "--seed", "6"), "another training config"),
+        (("--epochs", "4", "--loss", "rank"), "another training config"),
+        (("--epochs", "4", "--hidden-size", "6"), "does not match"),
+        (("--epochs", "4", "--max-sentence-length", "3"), "vocabulary differs"),
+        (("--epochs", "2",), "completed 2 epochs"),
+    ]:
+        out = tmp_path / "resumed.ckpt"
+        capsys.readouterr()
+        assert main([*common, *flags, "--resume", str(half), "--out", str(out)]) == EXIT_DATA
+        assert message in capsys.readouterr().err, flags
+        assert not out.exists()
+
+
 def test_train_config_file_round_trip(dataset, tmp_path):
     config = tmp_path / "train.cfg"
     config.write_text(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from refnms.ingest import (
     UNK_TOKEN,
     EmbeddingTable,
     ImageDetections,
+    encode_tokens,
     vocabulary_from_words,
 )
 from refnms.model import (
@@ -39,8 +41,10 @@ from refnms.model import (
     make_batch,
     parameter_shapes,
     score_expressions,
+    survivors,
 )
-from refnms.nms import proposal_pipeline
+import refnms.nms as nms_module
+from refnms.nms import keep_lists, proposal_pipeline
 from refnms.trainer import TrainConfig, init_optimizer_state, load_checkpoint, save_checkpoint
 
 
@@ -586,17 +590,18 @@ def test_scores_do_not_depend_on_the_other_expressions_of_a_pass(name):
     expressions = random_expressions(
         rng, cfg, rng.integers(1, 11, size=24), [1, 2] + list(rng.integers(1, 30, size=22))
     )
-    alone = [model.score_boxes(make_batch([t], [f]), params) for t, f in expressions]
+    alone = [model.relatedness_forward(make_batch([t], [f]), params).value for t, f in expressions]
     for _ in range(20):
         pick = rng.choice(len(expressions), size=int(rng.integers(2, 13)), replace=False)
         batch = make_batch([expressions[i][0] for i in pick], [expressions[i][1] for i in pick])
-        together = np.split(model.score_boxes(batch, params), batch.offsets[1:-1])
+        together = np.split(model.relatedness_forward(batch, params).value, batch.offsets[1:-1])
         for i, scores in zip(pick.tolist(), together):
             np.testing.assert_array_equal(scores, alone[i])
 
 
-# Scores every expression alone and all of them in shared passes, and prints
-# how many expressions' scores differ. q = 100 outputs and 100-d features
+# Scores every expression alone and all of them in shared passes, repeated
+# expressions and token sequences among them, and prints how many
+# expressions' scores differ. q = 100 outputs and 100-d features
 # fill a pass with up to PASS_FLOATS / 100 = 81 box rows, where OpenBLAS
 # splits the products' rows between two threads.
 TWO_THREAD_COMPOSITION = """
@@ -613,6 +618,9 @@ for i in range(60):
     image = ImageDetections(f"img{i}", np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), np.full(n, 0.9),
                             np.zeros(n, dtype=int), ("obj",) * n, rng.normal(size=(n, 100)))
     expressions.append((image, rng.integers(1, 50, size=int(rng.integers(1, 11))).tolist()))
+# repeats: whole expressions, and other images' token sequences
+expressions += [expressions[i] for i in rng.integers(0, 60, size=20)]
+expressions += [(expressions[i][0], expressions[j][1]) for i, j in rng.integers(60, size=(20, 2))]
 together = list(score_expressions(expressions, params))
 alone = [next(score_expressions([expression], params)) for expression in expressions]
 print(sum(not np.array_equal(a, t) for a, t in zip(alone, together)))
@@ -630,6 +638,77 @@ def test_scores_do_not_depend_on_the_other_expressions_under_two_blas_threads():
     assert proc.stdout.split() == ["0"]
 
 
+# `keep_lists`' window scoring vs. each expression scored alone -------------------
+
+WINDOW_VOCABULARY = [PAD_TOKEN, UNK_TOKEN, "red", "dog", "cat"]
+WINDOW_OOV = ["blue", "cow"]
+WINDOW_MODELS = [
+    init_parameters(ModelConfig(vocab_size=5, feature_dim=3, embed_dim=4, hidden_size=3), 1),
+    # inner dimensions of 32 and more, where BLAS has a small-matrix kernel
+    init_parameters(ModelConfig(vocab_size=5, feature_dim=40, embed_dim=33, hidden_size=20), 1),
+]
+
+
+@st.composite
+def window_cases(draw):
+    """Images of boxes apart from each other, so that NMS keeps every
+    survivor, and (image, word tokens) expressions over them. Each drawn
+    expression may come back as the same words, as its words up to the
+    sentence limit plus one more, or with each unknown word swapped for
+    another: token-index sequences equal to its own. Confidence 0 falls below
+    the confidence filter, so images without survivors occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    params = draw(st.sampled_from(WINDOW_MODELS))
+    images = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 12))
+        confidences = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
+        boxes = [(20.0 * k, 0.0, 20.0 * k + 10.0, 10.0) for k in range(n)]
+        images.append(ImageDetections(f"img{i}", np.reshape(boxes, (n, 4)), confidences,
+                                      np.zeros(n, dtype=int), ("obj",) * n,
+                                      rng.normal(size=(n, params.config.feature_dim))))
+    limit = draw(st.integers(1, 4))
+    words = st.lists(st.sampled_from(WINDOW_VOCABULARY[2:] + WINDOW_OOV), min_size=1, max_size=5)
+    image_index = st.integers(0, len(images) - 1)
+    drawn = draw(st.lists(st.tuples(image_index, words), min_size=1, max_size=8))
+    expressions = []
+    for image, tokens in drawn:
+        expressions.append((image, tokens))
+        variant = draw(st.sampled_from(["none", "same", "truncated", "unknown"]))
+        other_image = draw(st.integers(0, len(images) - 1))
+        if variant == "same":
+            expressions.append((other_image, tokens))
+        elif variant == "truncated":
+            expressions.append((other_image, tokens[:limit] + ["dog"]))
+        elif variant == "unknown":
+            swap = dict(zip(WINDOW_OOV, WINDOW_OOV[::-1]))
+            expressions.append((other_image, [swap.get(word, word) for word in tokens]))
+    if draw(st.booleans()):  # each image's expressions one after another
+        expressions.sort(key=lambda expression: expression[0])
+    return params, [(images[i], tokens) for i, tokens in expressions], limit
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(window_cases(), st.sampled_from([8192, 24, 1]))
+def test_window_scoring_is_bit_equal_to_each_expression_alone(case, pass_floats):
+    # small bounds cut an image's expressions across windows and each side
+    # of the model into passes of one or a few items
+    params, expressions, limit = case
+    vocab = vocabulary_from_words(WINDOW_VOCABULARY, limit)
+    indexed = [(image, encode_tokens(tokens, vocab)) for image, tokens in expressions]
+    with mock.patch.object(model, "PASS_FLOATS", pass_floats), \
+            mock.patch.object(nms_module, "PASS_FLOATS", pass_floats):
+        kept = list(keep_lists(iter(indexed), params))
+    assert len(kept) == len(indexed)
+    for (image, indices), keep in zip(indexed, kept):
+        rows = survivors(image, 0.05)
+        assert sorted(keep.rows.tolist()) == rows.tolist()
+        if rows.size:
+            alone = model.relatedness_forward(make_batch([indices], [image.features[rows]]), params)
+            position = np.searchsorted(rows, keep.rows)
+            np.testing.assert_array_equal(keep.relatedness, alone.value[position])
+
+
 def test_make_batch_pads_at_the_end_and_reverses_within_each_length():
     batch = make_batch([[3, 1, 4], [5], [2, 6]], [np.zeros((2, 1)), np.zeros((0, 1)), np.ones((1, 1))])
     assert batch.tokens.T.tolist() == [[3, 1, 4], [5, 0, 0], [2, 6, 0]]
@@ -642,26 +721,48 @@ def test_make_batch_pads_at_the_end_and_reverses_within_each_length():
 
 
 def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
+    # the text side once per distinct token sequence, the box side once per
+    # distinct image, the joint once per expression; each pass's widest array
+    # within PASS_FLOATS unless the pass holds one sequence, image or expression
     rng = np.random.default_rng(54)
     params = init_parameters(tiny_config(), seed=3)
-    width = max(params.config.feature_dim, params.config.word_feature_dim)
+    q = params.config.word_feature_dim
     images = [
         random_image(rng, n, 3, confidences=list(rng.uniform(0.0, 0.1, size=n)))
         for n in [0, 3000] + list(rng.integers(0, 800, size=24))
     ]
-    expressions = [(image, [int(i) for i in rng.integers(1, 9, size=3)]) for image in images]
-    passes = []
-    original = model.score_boxes
+    texts = [[int(i) for i in rng.integers(1, 9, size=n)] for n in rng.integers(1, 21, size=150)]
+    expressions = [
+        (image, texts[int(rng.integers(len(texts)))])
+        for image in images for _ in range(int(rng.integers(1, 12)))
+    ]
+    expressions.insert(3, (images[1], [int(i) for i in rng.integers(1, 9, size=1500)]))
+    rows_of = {image: survivors(image, 0.05) for image in images}
+    busy = [(image, indices) for image, indices in expressions if rows_of[image].size]
+    one_image_rows = {len(rows) for rows in rows_of.values()}
+    passes = {"text": [], "box": [], "joint": []}  # (items or rows, floats) of each pass
 
-    def recording(batch, params):
-        passes.append((len(batch), batch.features.shape[0]))
-        return original(batch, params)
+    def recording(name, function, measure):
+        def record(*args):
+            result = function(*args)
+            passes[name].append(measure(*args, result))
+            return result
+        monkeypatch.setattr(model, function.__name__, record)
 
-    monkeypatch.setattr(model, "score_boxes", recording)
+    recording("text", model._text_side, lambda batch, _, out: (len(batch), out["words"].value.size))
+    recording("box", model._box_side,
+              lambda features, _, out: (len(features), max(features.size, out.value.size)))
+    recording("joint", model._relate, lambda gate, *_: (len(gate.value), gate.value.size))
     scored = list(score_expressions(expressions, params, min_confidence=0.05))
-    assert len(passes) > 1 and max(rows for _, rows in passes) * width > PASS_FLOATS
-    assert all(rows * width <= PASS_FLOATS or size == 1 for size, rows in passes)
-    assert sum(rows for _, rows in passes) == sum(len(s) for s in scored)
+    assert max(floats for _, floats in passes["text"]) == 1500 * q > PASS_FLOATS
+    assert max(items for items, _ in passes["text"]) > 1
+    assert all(floats <= PASS_FLOATS or items == 1 for items, floats in passes["text"])
+    assert sum(items for items, _ in passes["text"]) == len({tuple(t) for _, t in busy})
+    for name in ("box", "joint"):
+        assert len(passes[name]) > 1 and max(f for _, f in passes[name]) > PASS_FLOATS, name
+        assert all(f <= PASS_FLOATS or rows in one_image_rows for rows, f in passes[name]), name
+    assert sum(rows for rows, _ in passes["box"]) == sum(len(rows) for rows in rows_of.values())
+    assert sum(rows for rows, _ in passes["joint"]) == sum(len(rows_of[i]) for i, _ in busy)
     for (image, indices), relatedness in zip(expressions, scored):
         # the confidence floor is inclusive; an image without survivors scores nothing
         rows, reference = score_boxes(image, indices, params, min_confidence=0.05)

@@ -6,11 +6,19 @@ the summed scores for one expression, at the acceptance scale (D=8, hidden
 boxes); `test_encoder_forward_backward_speed` times the expression encoder
 alone on the same 8 tokens. `test_scoring_speed` scores 500 expressions of
 the acceptance scale (synth_small's `apply`) in passes with
-`score_expressions`, and one by one through the per-expression oracle. Run
+`score_expressions`, and one by one through the per-expression oracle.
+`test_scoring_speed_on_one_paper_scale_image` scores 7 expressions of one
+100-box image at paper scale (RefCOCO has about 7 expressions per image), all
+together, where the box side runs once, and each alone, where it runs 7
+times; the 7 have distinct token sequences or one repeated.
+`test_one_box_side_per_image_speeds_paper_scale_scoring` requires the first
+to take at most half the time of the second. Run
 `python -m pytest tests/test_model_benchmark.py --benchmark-enable --benchmark-only`
 for the timing table; a plain test run makes one pass per scale and checks
 that every parameter received a finite gradient.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -106,3 +114,49 @@ def test_scoring_speed(benchmark, mode):
 
     scores = benchmark(score)
     assert [len(s) for s in scores] == [n_boxes] * len(expressions)
+
+
+def paper_scale_image_expressions(texts):
+    """Paper-scale parameters and 7 expressions of one 100-box image, with
+    distinct token sequences or one sequence 7 times."""
+    cfg, n_boxes = SCALES["paper"]
+    rng = np.random.default_rng(7)
+    params = init_parameters(cfg, seed=7)
+    image = image_of(n_boxes, cfg.feature_dim, rng)
+    indices = [rng.integers(1, cfg.vocab_size, size=8).tolist() for _ in range(7)]
+    if texts == "repeated":
+        indices = indices[:1] * 7
+    return params, [(image, each) for each in indices]
+
+
+def score_together_and_alone(params, expressions):
+    return (
+        lambda: list(score_expressions(expressions, params)),
+        lambda: [next(score_expressions([expression], params)) for expression in expressions],
+    )
+
+
+@pytest.mark.parametrize("texts", ["distinct", "repeated"])
+@pytest.mark.parametrize("mode", ["together", "alone"])
+def test_scoring_speed_on_one_paper_scale_image(benchmark, mode, texts):
+    params, expressions = paper_scale_image_expressions(texts)
+    together, alone = score_together_and_alone(params, expressions)
+    scores = benchmark(together if mode == "together" else alone)
+    assert [len(s) for s in scores] == [100] * 7
+
+
+@pytest.mark.parametrize("texts", ["distinct", "repeated"])
+def test_one_box_side_per_image_speeds_paper_scale_scoring(texts):
+    # ROADMAP item 4a: at least 2x at 7 expressions per image, best of 5
+    params, expressions = paper_scale_image_expressions(texts)
+    best, scores = {}, {}
+    for name, score in zip(("together", "alone"), score_together_and_alone(params, expressions)):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            scores[name] = score()
+            times.append(time.perf_counter() - start)
+        best[name] = min(times)
+    for together, alone in zip(scores["together"], scores["alone"]):
+        np.testing.assert_array_equal(together, alone)
+    assert best["alone"] >= 2.0 * best["together"], best

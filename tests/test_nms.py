@@ -409,6 +409,18 @@ TINY_MODEL = init_parameters(
 )
 
 
+def test_windows_are_cut_between_images_and_split_an_image_only_over_the_bound():
+    # (image, survivors, expressions) runs; PASS_FLOATS 12 holds 2 expressions of 5 survivors
+    a, b, c = (ImageDetections.empty(name) for name in "abc")
+    runs = [(a, np.arange(3), [[1], [2]]), (b, np.arange(5), [[1], [2], [3], [4]]),
+            (c, np.arange(0), [[1], [2], [3]]), (a, np.arange(3), [[3]])]
+    with mock.patch.object(nms_module, "PASS_FLOATS", 12):
+        windows = list(nms_module._windows(iter(runs)))
+    cut = [[(image.image_id, indices) for image, _, (indices,) in window] for window in windows]
+    assert cut == [[("a", 1), ("a", 2)], [("b", 1), ("b", 2)], [("b", 3), ("b", 4)],
+                   [("c", 1), ("c", 2), ("c", 3), ("a", 3)]]
+
+
 @st.composite
 def keep_list_cases(draw):
     """Expressions over a few grid-box images, and a relatedness for them.

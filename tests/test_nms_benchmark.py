@@ -14,9 +14,12 @@ for the timing table; a plain test run checks the keep lists once per case,
 against `per_class_nms` run on each expression alone.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import refnms.nms as nms_module
 from refnms.geometry import pairwise_iou
 from refnms.ingest import ImageDetections
 from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
@@ -91,3 +94,17 @@ def test_keep_lists_speed_on_crowded_images(benchmark, expressions_per_image):
     kept = benchmark(lambda: list(keep_lists(expressions, params, nms_cfg=cfg, budget=budget)))
     assert all(len(keep) == 300 for keep in kept)
     check_against_each_expression_alone(expressions, params, cfg, kept, 300)
+
+
+@pytest.mark.parametrize("expressions_per_image, relations", [(2, 4), (7, 4), (9, 8)])
+def test_each_crowded_image_gets_its_relation_once_per_window(expressions_per_image, relations):
+    # windows are cut between images: 7 expressions of 1,000 survivors fit one
+    # window, 9 exceed PASS_FLOATS alone and go to two windows of their own
+    params = init_parameters(
+        ModelConfig(vocab_size=20, feature_dim=2, embed_dim=2, hidden_size=1), 0
+    )
+    expressions = detector_like_expressions(4, 1000, expressions_per_image, feature_dim=2)
+    with mock.patch.object(nms_module, "_relation", wraps=nms_module._relation) as relation:
+        kept = list(keep_lists(expressions, params, budget=ProposalBudget.top_n(300)))
+    assert relation.call_count == relations
+    check_against_each_expression_alone(expressions, params, NmsConfig(), kept, 300)
