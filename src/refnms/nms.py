@@ -15,13 +15,11 @@ image has the same survivors and the same relation "row i suppresses row j";
 only the visiting order differs. `keep_lists` therefore takes a window of
 consecutive expressions at a time, cut between images where it can. One
 `model.score_boxes` call scores the window, running the model's box side
-once per distinct image, and one `per_class_nms` call computes each distinct
-image's relation once for the window. An image of at most
-`_BLOCK_ROWS` survivors gets it as a dense matrix, and one vectorised greedy
-walk decides all such expressions of the window together. A larger image
-gets it as a sparse relation (`_relation`), found by a sweep over x1 that
-never builds its n x n matrix, and a greedy walk over it per expression.
-Both walks stop where the `ProposalBudget` they are given ends: it is a
+once per distinct image, and one `per_class_nms` call builds one sparse
+relation over every row of the window's distinct images (`_relation`),
+found by a sweep over (image, x1) that never builds an n x n matrix. Each
+expression then runs one greedy walk over its image's rows of that
+relation, and stops where the `ProposalBudget` it is given ends: it is a
 prefix of the keep list, and greedy NMS's first k kept rows depend only on
 the rows visited before them.
 """
@@ -34,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import paired_iou, pairwise_iou
+from .geometry import paired_iou
 from .ingest import ImageDetections
 from .model import (
     DEFAULT_MIN_CONFIDENCE,
@@ -113,12 +111,6 @@ class KeepList:
         return len(self.rows)
 
 
-# An image of at most this many survivors is decided by the dense window
-# walk, which builds its (n, n) suppression matrix; a larger one gets a
-# sparse relation (`_relation`) and a walk over it per expression.
-_BLOCK_ROWS = 32
-
-
 def per_class_nms(
     boxes: np.ndarray,
     scores: np.ndarray,
@@ -144,57 +136,54 @@ def per_class_nms(
     image i, one image after another, and row e of `scores` (E, width)
     scores the rows of image ``images[e]`` (its entries past that image's
     size are ignored). The result is ``e * width + row`` for each kept row,
-    expression by expression, each in visit order. Each image's suppression
-    relation is computed once, however many expressions read it. Images of
-    at most `_BLOCK_ROWS` rows get it as a dense matrix, a stack of images
-    per IoU call, and one walk decides all of their expressions. Each
-    larger image gets it from `_relation`, and a walk over it per expression.
+    expression by expression, each in visit order. One `_relation` call
+    gives the suppression relation of every image of the window, however
+    many expressions read it, and each expression walks its image's rows.
     """
     if sizes is None:
         sizes, images, scores = np.array([len(scores)]), np.zeros(1, dtype=np.intp), scores[None]
     width = scores.shape[1]
     starts = np.cumsum(sizes) - sizes
-    large = sizes > _BLOCK_ROWS
-    on_small = np.flatnonzero(~large[images] & (sizes[images] > 0))
-    kept = [np.zeros(0, dtype=np.intp)]
-    if len(on_small):
-        small = ~large[np.repeat(np.arange(len(sizes)), sizes)]
-        narrow = int(sizes[~large].max())  # the dense walk's width
-        flat = _window_nms(
-            boxes[small], scores[on_small, :narrow], category_ids[small], cfg, budget,
-            sizes[~large], (np.cumsum(~large) - 1)[images[on_small]],
-        )
-        which, row = np.divmod(flat, narrow)
-        kept.append(on_small[which] * width + row)
-    on_large = np.flatnonzero(large[images])
-    for image in dict.fromkeys(images[on_large].tolist()):
-        rows = slice(starts[image], starts[image] + sizes[image])
-        relation = _relation(
-            boxes[rows], category_ids[rows] if cfg.per_class else None, cfg.iou_threshold
-        )
-        for e in on_large[images[on_large] == image].tolist():
-            kept.append(e * width + _walk(relation, scores[e, : sizes[image]], budget))
-    flat = np.concatenate(kept)
-    return flat[np.argsort(flat // max(width, 1), kind="stable")]
+    relation = _relation(
+        boxes, np.repeat(np.arange(len(sizes)), sizes),
+        category_ids if cfg.per_class else None, cfg.iou_threshold,
+    )
+    scores = np.where(np.arange(width) < sizes[images, None], scores, -np.inf)
+    # each expression's image's rows in visit order, then its padding
+    orders = np.argsort(-scores, axis=1, kind="stable") + starts[images, None]
+    floor_visits = np.count_nonzero(scores >= budget.min_score, axis=1)
+    kept, counts = [], []
+    for order, size, floor in zip(orders.tolist(), sizes[images].tolist(), floor_visits.tolist()):
+        walk = _walk(relation, order[:size], floor, budget.n)
+        kept += walk
+        counts.append(len(walk))
+    offsets = np.arange(len(images)) * width - starts[images]  # window row -> flat index
+    return np.array(kept, dtype=np.intp) + np.repeat(offsets, counts)
 
 
-def _relation(boxes, categories, iou_threshold: float) -> tuple[list[int], np.ndarray]:
+def _relation(boxes, images, categories, iou_threshold: float) -> tuple[list[int], np.ndarray]:
     """Which rows suppress which, as a symmetric CSR (indptr, neighbours):
     row i suppresses row j, and j suppresses i, iff
     ``neighbours[indptr[i]:indptr[i + 1]]`` holds j.
 
-    A pair suppresses when its IoU is strictly above `iou_threshold` and,
-    given `categories`, both rows are of one category. A sweep over x1 finds
-    the pairs that can overlap: in x1 order, row p's candidates are the rows
-    after it that start left of its right edge. They are taken at most
-    `PASS_FLOATS` pairs at a time, pairs apart in y or category are
-    dropped, and `paired_iou` decides the rest, bit-equal to `pairwise_iou`.
+    `images` gives each row's image. A pair suppresses when both rows are
+    of one image, its IoU is strictly above `iou_threshold` and, given
+    `categories`, both rows are of one category. A sweep over (image, x1)
+    finds the pairs that can overlap: in that order, row p's candidates are
+    the rows after it of its own image that start left of its right edge,
+    and one `searchsorted` over the keys ``image + 1j * x1`` (numpy orders
+    complex numbers by real part, then imaginary part) finds where they
+    end. They are taken at most `PASS_FLOATS` pairs at a time, pairs apart
+    in y or category are dropped, and `paired_iou` decides the rest,
+    bit-equal to `pairwise_iou`.
     """
     n = len(boxes)
-    by_x = np.argsort(boxes[:, 0], kind="stable").astype(np.int32)
-    boxes = boxes[by_x]
+    keys = images + 1j * boxes[:, 0]
+    by_x = np.argsort(keys, kind="stable").astype(np.int32)
+    keys, boxes = keys[by_x], boxes[by_x]
     x1, y1, x2, y2 = boxes.T.copy()
-    counts = np.maximum(np.searchsorted(x1, x2, side="left") - np.arange(1, n + 1), 0)
+    past = np.searchsorted(keys, keys.real + 1j * x2, side="left")  # past row p's candidates
+    counts = np.maximum(past - np.arange(1, n + 1), 0)
     ends = np.cumsum(counts)  # row p's candidates are pairs ends[p] - counts[p] to ends[p]
     starts = ends - counts
     if categories is not None:
@@ -224,63 +213,23 @@ def _relation(boxes, categories, iou_threshold: float) -> tuple[list[int], np.nd
     return indptr.tolist(), target[np.argsort(source, kind="stable")]
 
 
-def _walk(relation: tuple[list[int], np.ndarray], scores: np.ndarray, budget: ProposalBudget):
-    """Greedy NMS over `_relation`'s `relation`: the kept rows, in visit order."""
+def _walk(relation: tuple[list[int], np.ndarray], order: list[int], floor_visits: int, n: int):
+    """Greedy NMS over `_relation`'s `relation`, visiting the rows of `order`:
+    the kept rows, in visit order. It stops before keeping another row once
+    `n` rows are kept and `floor_visits` rows visited."""
     indptr, neighbours = relation
-    order = np.argsort(-scores, kind="stable").tolist()
-    floor_visits = int(np.count_nonzero(scores >= budget.min_score))
-    alive = bytearray(b"\x01") * len(order)
+    alive = bytearray(b"\x01") * (len(indptr) - 1)
     kept = []
     for step, row in enumerate(order):
         if alive[row]:
-            if len(kept) >= budget.n and step >= floor_visits:
+            if len(kept) >= n and step >= floor_visits:
                 break
             kept.append(row)
             first, last = indptr[row], indptr[row + 1]
             if first != last:
                 for other in neighbours[first:last].tolist():
                     alive[other] = 0
-    return np.array(kept, dtype=np.intp)
-
-
-def _window_nms(
-    boxes, scores, category_ids, cfg: NmsConfig, budget: ProposalBudget, sizes, images
-):
-    width = scores.shape[1]
-    real = np.arange(width) < sizes[:, None]
-    padded = np.zeros((len(sizes), width, 4))
-    padded[real] = boxes
-    # row i suppresses row j of its image; padding is never alive, so it
-    # neither suppresses nor is kept. IoUs are computed for a stack of
-    # images at a time, each stack within PASS_FLOATS floats, so a window's
-    # float temporaries stay small beside its boolean relation.
-    suppresses = np.empty((len(sizes), width, width), dtype=bool)
-    stack = max(1, PASS_FLOATS // (width * width))
-    for first in range(0, len(sizes), stack):
-        part = padded[first : first + stack]
-        suppresses[first : first + stack] = pairwise_iou(part, part) > cfg.iou_threshold
-    if cfg.per_class:
-        categories = np.zeros(real.shape, dtype=np.int64)
-        categories[real] = category_ids
-        suppresses &= categories[:, :, None] == categories[:, None, :]
-    alive = real[images]
-    scores = np.where(alive, scores, -np.inf)
-    order = np.argsort(-scores, axis=1, kind="stable")
-    floor_visits = np.count_nonzero(scores >= budget.min_score, axis=1)
-    expression = np.arange(len(scores))
-    kept = np.zeros(alive.shape, dtype=bool)  # by visit step
-    count = np.zeros(len(scores), dtype=np.intp)
-    for step in range(width):
-        going = (count < budget.n) | (step < floor_visits)
-        if not going.any():
-            break
-        row = order[:, step]
-        keep = going & alive[expression, row]
-        kept[:, step] = keep
-        count += keep
-        alive &= ~(suppresses[images, row] & keep[:, None])
-    expression, step = np.nonzero(kept)
-    return expression * width + order[expression, step]
+    return kept
 
 
 def proposal_pipeline(

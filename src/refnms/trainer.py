@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -440,7 +439,6 @@ def _require_finite(path, payload: np.ndarray, arrays) -> None:
 def load_checkpoint(
     path,
     expected_config: ModelConfig | None = None,
-    expected_hash: str | None = None,
     with_optimizer: bool = True,
 ) -> tuple[ModelParameters, OptimizerState | None, Vocabulary, dict]:
     """Read a checkpoint back.
@@ -448,8 +446,7 @@ def load_checkpoint(
     The header must list the arrays in the order `save_checkpoint` writes
     them, with the shapes of the stored model configuration, and the file
     must hold exactly their payload. With `expected_config`, stored model
-    dimensions must match exactly. A config-hash mismatch against
-    `expected_hash` only warns. The payload is read once, into one buffer:
+    dimensions must match exactly. The payload is read once, into one buffer:
     the parameters' flat store and Adam's `m` and `v` are slices of it.
     Without `with_optimizer`, only the parameter block is read and the
     returned optimizer state is ``None``. Every value read must be finite.
@@ -477,8 +474,6 @@ def load_checkpoint(
                 f"{path}: checkpoint model config {header['model_config']} does not match "
                 f"expected {expected_config}"
             )
-        if expected_hash is not None and header.get("config_hash") != expected_hash:
-            warnings.warn(f"{path}: training-config hash differs from the expected one")
         expected = _checkpoint_arrays(config)
         stored = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         for i, ((name, shape), (want_name, want_shape)) in enumerate(zip(stored, expected)):

@@ -230,10 +230,10 @@ def test_greedy_nms_matches_the_reference_on_grid_boxes(proposals, threshold):
 
 
 def worst_case_proposals(kind, rng):
-    """Proposals past `_BLOCK_ROWS`, for the sparse relation's worst cases:
-    one cluster of 1,000 near-identical boxes (every pair suppresses),
-    boxes of zero width or height among ordinary ones, and boxes that share
-    a few x1 values. Scores come from a few levels, so they tie too."""
+    """Proposals for the sparse relation's worst cases: one cluster of 1,000
+    near-identical boxes (every pair suppresses), boxes of zero width or
+    height among ordinary ones, and boxes that share a few x1 values. Scores
+    come from a few levels, so they tie too."""
     if kind == "one cluster":
         n = 1000
         corners = 100.0 + rng.uniform(0.0, 1e-3, size=(n, 2))
@@ -273,10 +273,48 @@ def test_sparse_relation_matches_the_references_on_worst_cases(kind, per_class):
         assert [position[id(p)] for p in got] == reference_nms(items, cfg.iou_threshold)
     if kind == "one cluster":
         indptr, _ = nms_module._relation(
-            box_array([p.box for p in proposals]), None, cfg.iou_threshold
+            box_array([p.box for p in proposals]), np.zeros(len(proposals), dtype=np.intp), None,
+            cfg.iou_threshold,
         )
         assert np.diff(indptr).tolist() == [len(proposals) - 1] * len(proposals)
         assert len(got) == (3 if per_class else 1)
+
+
+@pytest.mark.parametrize("pass_floats", [8192, 1])
+def test_images_of_one_window_never_suppress_each_other(pass_floats):
+    # images a and b hold the same boxes and c repeats their x1 values, with
+    # zero-width boxes among them; laid end to end in one window, x1 ties
+    # cross each image boundary, and a's and b's equal boxes overlap at IoU 1
+    square, wide, line = Box(0, 0, 10, 10), Box(0, 0, 20, 10), Box(5, 0, 5, 10)
+    layouts = {
+        "a": [square, square, wide, line, Box(10, 0, 20, 10)],
+        "b": [line, square, wide, square],
+        "c": [Box(0, 2, 10, 12), line, line, Box(5, 0, 15, 10)],
+    }
+    rng = np.random.default_rng(66)
+    images = [
+        image_of_rows(name, [(box, 0, "obj", float(c), (0.0,)) for box, c in
+                             zip(boxes, rng.choice([0.5, 0.75, 1.0], size=len(boxes)))], 1)
+        for name, boxes in layouts.items()
+    ]
+    pools = [
+        nms_module._pool(image, rows, rng.choice([0.25, 0.5, 1.0], size=len(rows)))
+        for image in images for rows in [survivors(image, 0.05)] * 2
+    ]
+    with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats), \
+            mock.patch.object(nms_module, "_relation", wraps=nms_module._relation) as relation:
+        got = nms_module._window_keep_lists(pools, NmsConfig(), ProposalBudget())
+        (call,) = relation.call_args_list  # one window, one relation for its three images
+        indptr, neighbours = nms_module._relation(*call.args)
+    of_row = call.args[1]
+    assert of_row.tolist() == [0] * 5 + [1] * 4 + [2] * 4
+    source = np.repeat(np.arange(len(of_row)), np.diff(indptr))
+    assert len(source) > 0
+    assert (of_row[source] == of_row[neighbours]).all()
+    for pool, kept in zip(pools, got):
+        alone = proposal_pipeline(pool.image, relatedness=pool.related)
+        assert kept.rows.tolist() == alone.rows.tolist()
+        assert kept.scores.tolist() == alone.scores.tolist()
 
 
 # budgets ----------------------------------------------------------------------------
@@ -425,11 +463,9 @@ def test_windows_are_cut_between_images_and_split_an_image_only_over_the_bound()
 def keep_list_cases(draw):
     """Expressions over a few grid-box images, and a relatedness for them.
 
-    Image sizes fall on both sides of `_BLOCK_ROWS` (32), the cut between
-    the dense window walk and the sparse relation. Confidence 0.0 falls
-    below the confidence filter, and two feature rows make equal model
-    scores, so empty images, images without survivors and score ties all
-    occur.
+    Images hold 0-6 or 30-40 rows. Confidence 0.0 falls below the
+    confidence filter, and two feature rows make equal model scores, so
+    empty images, images without survivors and score ties all occur.
     """
     images = []
     for i in range(draw(st.integers(1, 4))):
@@ -455,19 +491,16 @@ BUDGETS = st.lists(
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(keep_list_cases(), THRESHOLDS, st.booleans(), BUDGETS,
-       st.sampled_from([8192, 60, 1]), st.sampled_from([32, 5]))
-def test_keep_lists_match_the_per_class_reference(
-    case, threshold, per_class, budgets, pass_floats, block_rows
-):
+       st.sampled_from([8192, 60, 1]))
+def test_keep_lists_match_the_per_class_reference(case, threshold, per_class, budgets, pass_floats):
     # `pass_floats` bounds a window's box scores and a chunk of the sparse
     # relation's candidate pairs: small limits split one image's expressions
     # across windows and its candidates across chunks, down to one pair per
-    # chunk. A cut of 5 rows sends most images to the sparse relation.
+    # chunk.
     expressions, relatedness = case
     cfg = NmsConfig(iou_threshold=threshold, per_class=per_class)
     budget = ProposalBudget.covering(budgets) if budgets else ProposalBudget()
-    with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats), \
-            mock.patch.object(nms_module, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats):
         got = list(keep_lists(iter(expressions), relatedness, nms_cfg=cfg, budget=budget))
     if relatedness is TINY_MODEL:
         related = list(score_expressions(expressions, TINY_MODEL))

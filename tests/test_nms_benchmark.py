@@ -96,10 +96,12 @@ def test_keep_lists_speed_on_crowded_images(benchmark, expressions_per_image):
     check_against_each_expression_alone(expressions, params, cfg, kept, 300)
 
 
-@pytest.mark.parametrize("expressions_per_image, relations", [(2, 4), (7, 4), (9, 8)])
+@pytest.mark.parametrize("expressions_per_image, relations", [(2, 1), (7, 4), (9, 8)])
 def test_each_crowded_image_gets_its_relation_once_per_window(expressions_per_image, relations):
-    # windows are cut between images: 7 expressions of 1,000 survivors fit one
-    # window, 9 exceed PASS_FLOATS alone and go to two windows of their own
+    # one relation per window, and windows are cut between images: the 8
+    # expressions of 2 per image fit one window, 7 expressions of 1,000
+    # survivors fit one window of their own, and 9 exceed PASS_FLOATS alone
+    # and go to two windows of their own
     params = init_parameters(
         ModelConfig(vocab_size=20, feature_dim=2, embed_dim=2, hidden_size=1), 0
     )

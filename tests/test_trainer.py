@@ -721,15 +721,6 @@ def test_checkpoint_header_structure_is_validated(tmp_path, edit, names):
     assert names in str(excinfo.value)
 
 
-def test_checkpoint_hash_mismatch_warns(tmp_path):
-    params = tiny_model()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, init_optimizer_state(params), TrainConfig(seed=1), vocab_for(params))
-    other = TrainConfig(seed=2)
-    with pytest.warns(UserWarning, match="hash"):
-        load_checkpoint(path, expected_hash=other.config_hash())
-
-
 def test_resume_reproduces_the_uninterrupted_run(tmp_path):
     rng = np.random.default_rng(76)
     dataset = toy_dataset(rng)
