@@ -12,7 +12,7 @@ losses need are provided, and everything is 64-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -393,11 +393,6 @@ def backward(loss: Node) -> None:
         if node._backward is not None and node.grad is not None:
             node._backward(node)
     loss._backward_done = True
-
-
-def zero_gradients(nodes: Iterable[Node]) -> None:
-    for n in nodes:
-        n.grad = None
 
 
 @dataclass

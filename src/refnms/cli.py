@@ -30,6 +30,7 @@ from .ingest import (
     load_embeddings,
     load_expressions,
     load_regions,
+    open_utf8,
 )
 from .model import ModelConfig, init_parameters, make_batch, relatedness_forward
 from .nms import NmsConfig, ProposalBudget, keep_lists
@@ -276,7 +277,9 @@ def cmd_pseudo_gt(args) -> int:
 def _parse_config_file(path) -> dict[str, tuple[int, str]]:
     """Each `key = value` line of a config file, as key -> (line number, value)."""
     values: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    with open_utf8(path) as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -37,9 +37,10 @@ import math
 import re
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -57,6 +58,30 @@ BLOCK_CHARS = 1 << 20
 
 class DataFormatError(ValueError):
     """A file violated its declared on-disk format or schema."""
+
+
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """`path` opened for reading as UTF-8 text with universal newlines. A
+    byte sequence in it that is not UTF-8 raises a `DataFormatError` naming
+    the file and the line that holds it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataFormatError:
+    """The error for `path`, which `exc` found is not UTF-8, at its first line that is not."""
+    with open(path, "rb") as fh:  # lines end as in text mode: at \n, \r\n or \r
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return DataFormatError(f"{path}:{lineno}: not UTF-8 text ({bad})")
+    return DataFormatError(f"{path}: not UTF-8 text ({exc})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +312,7 @@ def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
     path = Path(path)
     # per column, its part from each block
     parts: tuple[list, ...] = ([], [], [], [], [], [])
-    with path.open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         m = DUMP_HEADER_RE.match(header)
         if m is None:
@@ -380,7 +405,7 @@ def load_expressions(path) -> list[ExpressionRecord]:
     path = Path(path)
     out: list[ExpressionRecord] = []
     first_line: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.rstrip("\n").split("\t")
             if len(fields) not in (5, 6):
@@ -426,7 +451,7 @@ def write_expressions(path, records: Sequence[ExpressionRecord]) -> None:
 def load_regions(path) -> list[GroundTruthRegion]:
     path = Path(path)
     out: list[GroundTruthRegion] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.rstrip("\n").split("\t")
             if len(fields) != 4:
@@ -450,7 +475,7 @@ def load_embeddings(path) -> EmbeddingTable:
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.rstrip("\n").split()
             if not parts:

@@ -27,7 +27,8 @@ way whatever the rows beside it, and sums over words add padded steps as
 exact zeros. That holds for a one-thread BLAS: OpenBLAS splits a large
 product's rows between threads, and a row's value then depends on where the
 split falls, so scoring pins the bundled OpenBLAS to one thread.
-`score_expressions` finds each image's survivors and scores them.
+`score_expressions` groups expressions into one `Window`, finding each
+image's survivors once, and cuts each row of its score matrix to them.
 
 `parameter_table` is the one declaration of the parameters: each one's
 name, shape and init bound, in the order of the flat store. The store's
@@ -60,8 +61,9 @@ DEFAULT_MIN_CONFIDENCE = 0.05
 # of its own. It bounds each array, not a pass's memory: a pass keeps every
 # stage of `forward` alive until it ends, several arrays of up to this size
 # (the GRU keeps five (T, B, hidden) arrays per direction), and a window's
-# summaries, one row per distinct sequence, outlive its passes. NMS bounds a
-# window's box scores and a chunk of candidate pairs by it too.
+# summaries, one row per distinct sequence, outlive its passes. A window's
+# score matrix stays within it unless one image's run of expressions alone
+# exceeds it, and NMS takes its candidate pairs in chunks of it.
 PASS_FLOATS = 8192
 
 
@@ -336,6 +338,27 @@ def survivors(image: ImageDetections, min_confidence: float) -> np.ndarray:
     return np.flatnonzero(image.confidences >= min_confidence)
 
 
+@dataclass(frozen=True, eq=False)
+class Window:
+    """Consecutive expressions, grouped by image once.
+
+    ``images`` are the distinct image objects in first-seen order and
+    ``rows`` each one's `survivors`; expression e is of image
+    ``images[image_of[e]]`` and has token indices ``tokens[e]`` (None for a
+    relatedness that does not read them).
+    """
+
+    images: list[ImageDetections]
+    rows: list[np.ndarray]
+    image_of: np.ndarray
+    tokens: list[Sequence[int] | None]
+
+    @property
+    def width(self) -> int:
+        """The most survivors of any of its images."""
+        return max(map(len, self.rows), default=0)
+
+
 def score_expressions(
     expressions: Iterable[tuple[ImageDetections, Sequence[int]]],
     params: ModelParameters,
@@ -344,65 +367,58 @@ def score_expressions(
     """The relatedness of each (image, token indices) expression's
     `survivors`, in the order given, scored by one `score_boxes` call."""
     expressions = list(expressions)
-    rows_of = {image: survivors(image, min_confidence) for image, _ in expressions}
-    return iter(
-        score_boxes([(image, rows_of[image], indices) for image, indices in expressions], params)
-    )
+    index: dict[ImageDetections, int] = {}
+    image_of = np.array([index.setdefault(image, len(index)) for image, _ in expressions], int)
+    rows = [survivors(image, min_confidence) for image in index]
+    scores = score_boxes(Window(list(index), rows, image_of, [t for _, t in expressions]), params)
+    return (row[: len(rows[i])] for row, i in zip(scores, image_of.tolist()))
 
 
-def score_boxes(
-    expressions: Sequence[tuple[ImageDetections, np.ndarray, Sequence[int]]],
-    params: ModelParameters,
-) -> list[np.ndarray]:
-    """The relatedness of the given rows of each (image, rows, token indices)
-    expression, in the order given; an expression without rows gets an empty
-    array and no model work. Only values come back.
+def score_boxes(window: Window, params: ModelParameters) -> np.ndarray:
+    """The relatedness of each expression of `window` to its image's
+    survivors, as one (expressions, ``window.width``) matrix: row e holds
+    expression e's scores in the order of its image's ``rows`` and zeros
+    past them. An expression whose image has no survivors costs no model
+    work.
 
     Each side of `forward` runs once: `_text_side` once per distinct
-    token-index sequence, `_box_side` once per distinct image (by identity,
-    with the rows of its first expression), and `_relate` once per
-    expression, taking both sides by index. Each runs in passes whose widest
-    intermediate stays within `PASS_FLOATS` floats: the text side's words,
-    longest sequence times sequences times word_feature_dim (sequences go in
-    ascending length); the box side's rows times max(feature_dim,
-    word_feature_dim); `_relate`'s rows times word_feature_dim. A sequence,
-    image or expression wider than that alone gets a pass of its own. The
-    box side holds one pass of gate rows at a time, and `_relate` runs over
-    the expressions of that pass's images. Scores are bit-equal to
-    `forward`'s, whatever shares a pass (see the module docstring).
+    token-index sequence, `_box_side` once per distinct image, and `_relate`
+    once per expression, taking both sides by index. Each runs in passes
+    whose widest intermediate stays within `PASS_FLOATS` floats: the text
+    side's words, longest sequence times sequences times word_feature_dim
+    (sequences go in ascending length); the box side's rows times
+    max(feature_dim, word_feature_dim); `_relate`'s rows times
+    word_feature_dim. A sequence, image or expression wider than that alone
+    gets a pass of its own. The box side holds one pass of gate rows at a
+    time, and `_relate` runs over the expressions of that pass's images.
+    Scores are bit-equal to `forward`'s, whatever shares a pass (see the
+    module docstring).
     """
     q = params.config.word_feature_dim
-    scores = [np.zeros(0)] * len(expressions)
+    sizes = np.array([len(rows) for rows in window.rows], dtype=np.intp)
+    counts = sizes[window.image_of]  # each expression's survivors
+    columns = np.arange(window.width)
+    scores = np.zeros((len(counts), len(columns)))
     text_of: dict[tuple[int, ...], int] = {}  # distinct sequences, in order
-    text_index = [0] * len(expressions)  # each expression's sequence
-    by_image: dict[ImageDetections, tuple[np.ndarray, list[int]]] = {}
-    for e, (image, rows, indices) in enumerate(expressions):
-        if rows.size:
-            text_index[e] = text_of.setdefault(tuple(indices), len(text_of))
-            by_image.setdefault(image, (rows, []))[1].append(e)
-    images = list(by_image.items())
-    width = max(params.config.feature_dim, q)
+    texts = np.array([text_of.setdefault(tuple(indices), len(text_of)) if n else 0
+                      for n, indices in zip(counts.tolist(), window.tokens)], dtype=np.intp)
+    busy = np.flatnonzero(sizes)  # images with survivors
     with _one_blas_thread():
         summaries = _summaries(list(text_of), params)
-        for part in _passes([len(rows) for _, (rows, _) in images], width):
-            gate = _box_side(
-                np.concatenate([image.features[rows] for image, (rows, _) in images[part]]), params
-            ).value
-            members = []  # (expression, its image's first gate row, rows)
-            start = 0
-            for _, (rows, owners) in images[part]:
-                members += [(e, start, len(rows)) for e in owners]
-                start += len(rows)
-            for piece in _passes([n for _, _, n in members], q):
+        for part in _passes(sizes[busy].tolist(), max(params.config.feature_dim, q)):
+            images = busy[part]
+            features = np.concatenate([window.images[i].features[window.rows[i]] for i in images])
+            gate = _box_side(features, params).value
+            gate_of = dict(zip(images.tolist(), np.split(gate, np.cumsum(sizes[images])[:-1])))
+            members = np.flatnonzero(np.isin(window.image_of, images))
+            for piece in _passes(counts[members].tolist(), q):
                 chunk = members[piece]
-                counts = [n for _, _, n in chunk]
-                gate_rows = gate[np.concatenate([np.arange(s, s + n) for _, s, n in chunk])]
-                texts = [text_index[e] for e, _, _ in chunk]
-                summary_rows = np.repeat(summaries[texts], counts, axis=0)
+                gate_rows = np.concatenate([gate_of[i] for i in window.image_of[chunk].tolist()])
+                summary_rows = np.repeat(summaries[texts[chunk]], counts[chunk], axis=0)
                 related = _relate(ad.constant(gate_rows), ad.constant(summary_rows), params)
-                values = np.split(related["score"].value, np.cumsum(counts)[:-1])
-                for (e, _, _), scored in zip(chunk, values):
-                    scores[e] = scored
+                block = np.zeros((len(chunk), len(columns)))
+                block[columns < counts[chunk, None]] = related["score"].value
+                scores[chunk] = block
     return scores
 
 

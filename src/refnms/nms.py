@@ -12,23 +12,24 @@ list.
 
 The confidence filter ignores the expression, so every expression of an
 image has the same survivors and the same relation "row i suppresses row j";
-only the visiting order differs. `keep_lists` therefore takes a window of
-consecutive expressions at a time, cut between images where it can. One
-`model.score_boxes` call scores the window, running the model's box side
-once per distinct image, and one `per_class_nms` call builds one sparse
-relation over every row of the window's distinct images (`_relation`),
-found by a sweep over (image, x1) that never builds an n x n matrix. Each
-expression then runs one greedy walk over its image's rows of that
-relation, and stops where the `ProposalBudget` it is given ends: it is a
-prefix of the keep list, and greedy NMS's first k kept rows depend only on
-the rows visited before them.
+only the visiting order differs. `keep_lists` therefore groups a window of
+consecutive expressions by image once (`model.Window`). One
+`model.score_boxes` call scores it as one (expressions, widest survivor
+count) matrix, and one `per_class_nms` call takes that matrix times the
+confidences. That call builds one sparse relation over every row of the
+window's images (`_relation`), from a sweep over (image, x1) that never
+builds an n x n matrix, and each expression walks its image's rows of it
+once, greedily, stopping where its `ProposalBudget` ends: that is a prefix
+of the keep list, and greedy NMS's first k kept rows depend only on the
+rows visited before them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .model import (
     DEFAULT_MIN_CONFIDENCE,
     PASS_FLOATS,
     ModelParameters,
+    Window,
     score_boxes,
     survivors,
 )
@@ -248,8 +250,12 @@ def proposal_pipeline(
     default 1.0 makes the fused score the confidence, which is the
     expression-agnostic baseline.
     """
-    pool = _pool(image, survivors(image, min_confidence), relatedness)
-    (keep,) = _window_keep_lists([pool], nms_cfg, budget)
+    rows = survivors(image, min_confidence)
+    related = np.asarray(relatedness, dtype=np.float64)
+    if related.ndim and related.shape != rows.shape:
+        raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {len(rows)} boxes")
+    window = Window([image], [rows], np.zeros(1, dtype=np.intp), [None])
+    (keep,) = _window_keep_lists(window, np.atleast_2d(related), nms_cfg, budget)
     return keep
 
 
@@ -263,119 +269,76 @@ def keep_lists(
     """The `proposal_pipeline` keep list of each (image, token indices)
     expression, in the order given, each cut to `budget`'s prefix: NMS stops there.
 
-    One loop takes a window of expressions at a time (`_windows`). With model
-    parameters, one `model.score_boxes` call scores the window, and each
-    expression's survivors are found once per run of its image. A constant
-    relatedness, such as the baseline's 1.0, ignores the expression and its
-    token indices: NMS runs once per distinct image object and its keep list
-    is reused.
+    One loop takes a window of expressions at a time (`_windows`), each
+    grouped by image once. With model parameters, one `model.score_boxes`
+    call scores the window as one matrix, which goes into NMS as it is. A
+    constant relatedness, such as the baseline's 1.0, ignores the expression
+    and its token indices: NMS runs once per distinct image of the window,
+    and that image's expressions share its keep list.
     """
-    if isinstance(relatedness, ModelParameters):
-        yield from _keep_lists_of(_image_runs(expressions, min_confidence), relatedness,
-                                  nms_cfg, budget)
-        return
-    images = [image for image, _ in expressions]
-    distinct = dict.fromkeys(images)
-    runs = ((image, survivors(image, min_confidence), [None]) for image in distinct)
-    by_image = dict(zip(distinct, _keep_lists_of(runs, relatedness, nms_cfg, budget)))
-    for image in images:
-        yield by_image[image]
-
-
-def _image_runs(expressions, min_confidence: float):
-    """(image, survivors, token indices of each expression) of each run of
-    consecutive expressions of one image object."""
-    image, texts = None, []
-    for this, indices in expressions:
-        if texts and this is not image:
-            yield image, survivors(image, min_confidence), texts
-            texts = []
-        image = this
-        texts.append(indices)
-    if texts:
-        yield image, survivors(image, min_confidence), texts
-
-
-def _windows(runs):
-    """`_image_runs`' runs in windows of (image, survivors, token indices)
-    expressions, cut between runs: a window's expressions times its widest
-    survivor count stay within `PASS_FLOATS`. A run over the bound alone is
-    cut into windows of its own, as full as the bound allows, and its last
-    one stays open."""
-    window: list = []
-    width = 0
-    for image, rows, texts in runs:
-        n = len(rows)
-        if window and (len(window) + len(texts)) * max(width, n) > PASS_FLOATS:
-            yield window
-            window, width = [], 0
-        width = max(width, n)
-        step = max(1, PASS_FLOATS // n) if n else len(texts)
-        for first in range(0, len(texts), step):
-            if first:
-                yield window
-                window = []
-            window += [(image, rows, indices) for indices in texts[first : first + step]]
-    if window:
-        yield window
-
-
-def _keep_lists_of(runs, relatedness: ModelParameters | float, nms_cfg: NmsConfig,
-                   budget: ProposalBudget):
-    """The keep list of each expression of `runs`, scored and NMS run a window at a time."""
-    for window in _windows(runs):
+    for window in _windows(expressions, min_confidence):
         if isinstance(relatedness, ModelParameters):
-            related = score_boxes(window, relatedness)
+            yield from _window_keep_lists(window, score_boxes(window, relatedness), nms_cfg, budget)
         else:
-            related = [relatedness] * len(window)
-        pools = [_pool(image, rows, r) for (image, rows, _), r in zip(window, related)]
-        yield from _window_keep_lists(pools, nms_cfg, budget)
+            kept = _window_keep_lists(window, relatedness, nms_cfg, budget)
+            yield from (kept[i] for i in window.image_of.tolist())
 
 
-class _Pool(NamedTuple):
-    """One expression's survivors (rows of its image), their relatedness and
-    their fused score."""
+def _windows(expressions, min_confidence: float) -> Iterator[Window]:
+    """The (image, token indices) expressions in consecutive windows, each
+    grouped by image object once. A window is cut between runs of
+    consecutive expressions of one image, where its expressions times its
+    widest survivor count would pass `PASS_FLOATS`; a run is never split, so
+    a run over the bound alone is a window of its own. An image's survivors
+    are found once per window."""
+    # the window so far: its images' indices and survivors, its expressions'
+    # image indices and token indices, and its widest survivor count
+    index, rows_of, image_of, tokens, width = {}, [], [], [], 0
+    for image, run in groupby(expressions, key=lambda expression: expression[0]):
+        run = [indices for _, indices in run]
+        i = index.get(image)
+        rows = survivors(image, min_confidence) if i is None else rows_of[i]
+        if image_of and (len(image_of) + len(run)) * max(width, len(rows)) > PASS_FLOATS:
+            yield Window(list(index), rows_of, np.array(image_of, dtype=np.intp), tokens)
+            index, rows_of, image_of, tokens, width, i = {}, [], [], [], 0, None
+        if i is None:
+            i = index[image] = len(rows_of)
+            rows_of.append(rows)
+        image_of += [i] * len(run)
+        tokens += run
+        width = max(width, len(rows))
+    if image_of:
+        yield Window(list(index), rows_of, np.array(image_of, dtype=np.intp), tokens)
 
-    image: ImageDetections
-    rows: np.ndarray
-    related: np.ndarray
-    fused: np.ndarray
 
+def _window_keep_lists(window: Window, related: float | np.ndarray, nms_cfg: NmsConfig,
+                       budget: ProposalBudget) -> list[KeepList]:
+    """The keep lists of one `per_class_nms` call over `window`'s images.
 
-def _pool(image: ImageDetections, rows: np.ndarray, relatedness: float | np.ndarray):
-    related = np.asarray(relatedness, dtype=np.float64)
-    if related.ndim == 0:
-        related = np.full(len(rows), float(related))
-    elif related.shape != rows.shape:
-        raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {len(rows)} boxes")
-    return _Pool(image, rows, related, related * image.confidences[rows])
-
-
-def _window_keep_lists(window, nms_cfg: NmsConfig, budget: ProposalBudget) -> list[KeepList]:
-    """One `per_class_nms` call for the pools with survivors, each distinct
-    image's rows passed once, and no NMS call for a pool without survivors."""
-    kept = [np.zeros(0, dtype=np.intp)] * len(window)  # positions in each pool's survivors
-    busy = [e for e, pool in enumerate(window) if len(pool.rows)]
-    if busy:
-        rows_of = {window[e].image: window[e].rows for e in busy}  # distinct images, in order
-        index = {image: i for i, image in enumerate(rows_of)}
-        width = max(len(rows) for rows in rows_of.values())
-        scores = np.zeros((len(busy), width))
-        for s, e in enumerate(busy):
-            scores[s, : len(window[e].fused)] = window[e].fused
-        flat = per_class_nms(
-            np.concatenate([image.boxes[rows] for image, rows in rows_of.items()]),
-            scores,
-            np.concatenate([image.category_ids[rows] for image, rows in rows_of.items()]),
-            nms_cfg,
-            budget,
-            sizes=np.array([len(rows) for rows in rows_of.values()]),
-            images=np.array([index[window[e].image] for e in busy]),
-        )
-        which, position = np.divmod(flat, width)
-        pieces = np.split(position, np.searchsorted(which, np.arange(1, len(busy))))
-        for e, piece in zip(busy, pieces):
-            kept[e] = piece
+    `related` is the (expressions, ``window.width``) relatedness matrix of
+    `model.score_boxes`, giving one keep list per expression, or one
+    constant, giving one per distinct image.
+    """
+    images = list(zip(window.images, window.rows))
+    width = window.width
+    confidences = np.zeros((len(images), width))
+    for confidence, (image, rows) in zip(confidences, images):
+        confidence[: len(rows)] = image.confidences[rows]
+    owners = window.image_of if np.ndim(related) else np.arange(len(images))
+    related = np.broadcast_to(related, (len(owners), width))
+    fused = related * confidences[owners]
+    flat = per_class_nms(
+        np.concatenate([image.boxes[rows] for image, rows in images]),
+        fused,
+        np.concatenate([image.category_ids[rows] for image, rows in images]),
+        nms_cfg,
+        budget,
+        sizes=np.array([len(rows) for rows in window.rows]),
+        images=owners,
+    )
+    which, position = np.divmod(flat, width)
+    pieces = np.split(position, np.searchsorted(which, np.arange(1, len(owners))))
     return [
-        KeepList(pool.rows[k], pool.fused[k], pool.related[k]) for pool, k in zip(window, kept)
+        KeepList(window.rows[i][k], fused[e, k], related[e, k])
+        for e, (i, k) in enumerate(zip(owners.tolist(), pieces))
     ]

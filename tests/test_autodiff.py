@@ -440,7 +440,8 @@ def test_gru_sequence_matches_the_per_step_reference(steps, batch, input_dim, hi
     inputs = [xs] + list(params.nodes().values())
     results = []
     for run in (gru_sequence, reference_sequence):
-        ad.zero_gradients(inputs)
+        for node in inputs:
+            node.grad = None
         states = run(xs, params)
         backward(ad.sum(ad.mul(states, coefficients)))
         results.append((states.value, [node.grad for node in inputs]))

@@ -601,6 +601,32 @@ def test_non_finite_embedding_exits_with_data_error_naming_the_line(dataset, tmp
     assert f"{embeddings}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name", ["detections.tsv", "expressions.tsv", "regions.tsv", "embeddings.txt", "train.cfg"]
+)
+def test_non_utf8_input_exits_with_data_error_naming_the_line(dataset, tmp_path, capsys, name):
+    # one byte that is not UTF-8, at the end of line 3 of one input file
+    for each in ("detections.tsv", "expressions.tsv", "regions.tsv", "embeddings.txt"):
+        (tmp_path / each).write_bytes((dataset / each).read_bytes())
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 1\nseed = 9\nhidden_size = 4\n")
+    bad = tmp_path / name
+    lines = bad.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    bad.write_bytes(b"\n".join(lines))
+    if name == "train.cfg":
+        argv = ["train", *data_args(tmp_path), "--config", str(config),
+                "--out", str(tmp_path / "m.ckpt")]
+    else:
+        argv = ["eval-recall", *data_args(tmp_path), "--split", "val",
+                "--method", "baseline_conf", "--out", str(tmp_path / "r.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bad}:3: not UTF-8 text" in err
+    assert "can't decode byte 0xff" in err
+
+
 def test_apply_and_eval_recall_make_no_scalar_iou_call(
     dataset, checkpoint_bytes, tmp_path, monkeypatch
 ):

@@ -691,8 +691,8 @@ def window_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(window_cases(), st.sampled_from([8192, 24, 1]))
 def test_window_scoring_is_bit_equal_to_each_expression_alone(case, pass_floats):
-    # small bounds cut an image's expressions across windows and each side
-    # of the model into passes of one or a few items
+    # small bounds give each run of one image's expressions a window of its
+    # own and cut each side of the model into passes of one or a few items
     params, expressions, limit = case
     vocab = vocabulary_from_words(WINDOW_VOCABULARY, limit)
     indexed = [(image, encode_tokens(tokens, vocab)) for image, tokens in expressions]

@@ -14,7 +14,7 @@ from oracles import greedy_nms, image_of_rows
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import ImageDetections
 import refnms.nms as nms_module
-from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
+from refnms.model import ModelConfig, Window, init_parameters, score_expressions, survivors
 from refnms.nms import (
     NmsConfig,
     ProposalBudget,
@@ -297,13 +297,14 @@ def test_images_of_one_window_never_suppress_each_other(pass_floats):
                              zip(boxes, rng.choice([0.5, 0.75, 1.0], size=len(boxes)))], 1)
         for name, boxes in layouts.items()
     ]
-    pools = [
-        nms_module._pool(image, rows, rng.choice([0.25, 0.5, 1.0], size=len(rows)))
-        for image in images for rows in [survivors(image, 0.05)] * 2
-    ]
+    rows = [survivors(image, 0.05) for image in images]
+    window = Window(images, rows, np.repeat(np.arange(3), 2), [None] * 6)
+    related = np.zeros((6, window.width))
+    for e, i in enumerate(window.image_of.tolist()):
+        related[e, : len(rows[i])] = rng.choice([0.25, 0.5, 1.0], size=len(rows[i]))
     with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats), \
             mock.patch.object(nms_module, "_relation", wraps=nms_module._relation) as relation:
-        got = nms_module._window_keep_lists(pools, NmsConfig(), ProposalBudget())
+        got = nms_module._window_keep_lists(window, related, NmsConfig(), ProposalBudget())
         (call,) = relation.call_args_list  # one window, one relation for its three images
         indptr, neighbours = nms_module._relation(*call.args)
     of_row = call.args[1]
@@ -311,8 +312,8 @@ def test_images_of_one_window_never_suppress_each_other(pass_floats):
     source = np.repeat(np.arange(len(of_row)), np.diff(indptr))
     assert len(source) > 0
     assert (of_row[source] == of_row[neighbours]).all()
-    for pool, kept in zip(pools, got):
-        alone = proposal_pipeline(pool.image, relatedness=pool.related)
+    for i, scores, kept in zip(window.image_of.tolist(), related, got):
+        alone = proposal_pipeline(images[i], relatedness=scores[: len(rows[i])])
         assert kept.rows.tolist() == alone.rows.tolist()
         assert kept.scores.tolist() == alone.scores.tolist()
 
@@ -447,16 +448,22 @@ TINY_MODEL = init_parameters(
 )
 
 
-def test_windows_are_cut_between_images_and_split_an_image_only_over_the_bound():
-    # (image, survivors, expressions) runs; PASS_FLOATS 12 holds 2 expressions of 5 survivors
-    a, b, c = (ImageDetections.empty(name) for name in "abc")
-    runs = [(a, np.arange(3), [[1], [2]]), (b, np.arange(5), [[1], [2], [3], [4]]),
-            (c, np.arange(0), [[1], [2], [3]]), (a, np.arange(3), [[3]])]
+def test_windows_are_cut_between_images_and_never_split_an_image():
+    # runs of expressions of one image; PASS_FLOATS 12 holds 2 expressions of
+    # 5 survivors, and b's run of 4 goes to a window of its own all the same
+    a, b, c = (
+        image_of_rows(name, [(Box(0, 0, 1, 1), 0, "obj", 0.5, ())] * n)
+        for name, n in (("a", 3), ("b", 5), ("c", 0))
+    )
+    expressions = [(a, [1]), (a, [2]), (b, [1]), (b, [2]), (b, [3]), (b, [4]),
+                   (c, [1]), (c, [2]), (c, [3]), (a, [3])]
     with mock.patch.object(nms_module, "PASS_FLOATS", 12):
-        windows = list(nms_module._windows(iter(runs)))
-    cut = [[(image.image_id, indices) for image, _, (indices,) in window] for window in windows]
-    assert cut == [[("a", 1), ("a", 2)], [("b", 1), ("b", 2)], [("b", 3), ("b", 4)],
+        windows = list(nms_module._windows(iter(expressions), 0.05))
+    cut = [[(window.images[i].image_id, indices) for i, (indices,) in
+            zip(window.image_of.tolist(), window.tokens)] for window in windows]
+    assert cut == [[("a", 1), ("a", 2)], [("b", 1), ("b", 2), ("b", 3), ("b", 4)],
                    [("c", 1), ("c", 2), ("c", 3), ("a", 3)]]
+    assert [[len(rows) for rows in window.rows] for window in windows] == [[3], [5], [0, 3]]
 
 
 @st.composite
@@ -494,9 +501,9 @@ BUDGETS = st.lists(
        st.sampled_from([8192, 60, 1]))
 def test_keep_lists_match_the_per_class_reference(case, threshold, per_class, budgets, pass_floats):
     # `pass_floats` bounds a window's box scores and a chunk of the sparse
-    # relation's candidate pairs: small limits split one image's expressions
-    # across windows and its candidates across chunks, down to one pair per
-    # chunk.
+    # relation's candidate pairs: small limits give each run of one image's
+    # expressions a window of its own and cut its candidates into chunks,
+    # down to one pair per chunk.
     expressions, relatedness = case
     cfg = NmsConfig(iou_threshold=threshold, per_class=per_class)
     budget = ProposalBudget.covering(budgets) if budgets else ProposalBudget()

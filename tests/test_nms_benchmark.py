@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import refnms.nms as nms_module
+from refnms import model
 from refnms.geometry import pairwise_iou
 from refnms.ingest import ImageDetections
 from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
@@ -96,17 +97,19 @@ def test_keep_lists_speed_on_crowded_images(benchmark, expressions_per_image):
     check_against_each_expression_alone(expressions, params, cfg, kept, 300)
 
 
-@pytest.mark.parametrize("expressions_per_image, relations", [(2, 1), (7, 4), (9, 8)])
+@pytest.mark.parametrize("expressions_per_image, relations", [(2, 1), (7, 4), (9, 4)])
 def test_each_crowded_image_gets_its_relation_once_per_window(expressions_per_image, relations):
-    # one relation per window, and windows are cut between images: the 8
-    # expressions of 2 per image fit one window, 7 expressions of 1,000
-    # survivors fit one window of their own, and 9 exceed PASS_FLOATS alone
-    # and go to two windows of their own
+    # one relation per window, and windows are cut between images and never
+    # split one: the 8 expressions of 2 per image fit one window, and 7 or 9
+    # expressions of 1,000 survivors, within PASS_FLOATS or over it, go to
+    # one window of their own; the box side sees each image's survivors once
     params = init_parameters(
         ModelConfig(vocab_size=20, feature_dim=2, embed_dim=2, hidden_size=1), 0
     )
     expressions = detector_like_expressions(4, 1000, expressions_per_image, feature_dim=2)
-    with mock.patch.object(nms_module, "_relation", wraps=nms_module._relation) as relation:
+    with mock.patch.object(nms_module, "_relation", wraps=nms_module._relation) as relation, \
+            mock.patch.object(model, "_box_side", wraps=model._box_side) as box_side:
         kept = list(keep_lists(expressions, params, budget=ProposalBudget.top_n(300)))
     assert relation.call_count == relations
+    assert sum(len(call.args[0]) for call in box_side.call_args_list) == 4000
     check_against_each_expression_alone(expressions, params, NmsConfig(), kept, 300)
