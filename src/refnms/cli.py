@@ -32,7 +32,7 @@ from .ingest import (
     load_regions,
     open_utf8,
 )
-from .model import ModelConfig, init_parameters, make_batch, relatedness_forward
+from .model import ModelConfig, Window, init_parameters, relatedness_forward
 from .nms import NmsConfig, ProposalBudget, keep_lists
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
@@ -278,15 +278,15 @@ def _parse_config_file(path) -> dict[str, tuple[int, str]]:
     """Each `key = value` line of a config file, as key -> (line number, value)."""
     values: dict[str, tuple[int, str]] = {}
     with open_utf8(path) as fh:
-        text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}:{lineno}: expected `key = value`, got '{raw}'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = (lineno, value.strip())
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.rstrip("\n")
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise DataFormatError(f"{path}:{lineno}: expected `key = value`, got '{raw}'")
+            key, _, value = line.partition("=")
+            values[key.strip()] = (lineno, value.strip())
     return values
 
 
@@ -479,12 +479,12 @@ def cmd_grad_check(args) -> int:
         "gradcheck", boxes, confidences, category_ids, ("object",) * args.boxes, features
     )
     indices = [int(i) for i in rng.integers(1, args.vocab_size, size=args.tokens)]
-    batch = make_batch([indices], [image.features])
+    window = Window.of([(image, indices)], 0.0)  # every box
     # first box as foreground guarantees mixed labels
     _, bins = assign_labels(image.boxes, image.boxes[:1])
 
     def loss() -> ad.Node:
-        return binary_xe(relatedness_forward(batch, params), bins > 0)
+        return binary_xe(relatedness_forward(window, params), bins > 0)
 
     worst = ad.grad_check(loss, list(params.named_parameters().values()), step=args.step)
     print(f"max relative error: {worst:.3e}")

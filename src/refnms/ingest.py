@@ -449,14 +449,20 @@ def write_expressions(path, records: Sequence[ExpressionRecord]) -> None:
 
 
 def load_regions(path) -> list[GroundTruthRegion]:
+    """Parse a regions file with unique region ids."""
     path = Path(path)
     out: list[GroundTruthRegion] = []
+    first_line: dict[str, int] = {}
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.rstrip("\n").split("\t")
             if len(fields) != 4:
                 raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             region_id, image_id, box_field, category = fields
+            if (first := first_line.setdefault(region_id, lineno)) != lineno:
+                raise DataFormatError(
+                    f"{path}:{lineno}: duplicate region_id '{region_id}' (first on line {first})"
+                )
             box = _parse_box(box_field, path, lineno)
             out.append(GroundTruthRegion(region_id, image_id, box, category))
     return out

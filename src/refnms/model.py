@@ -9,26 +9,26 @@ detection's region feature is gated by a two-layer perceptron, and the fused
 relatedness probability. The final suppression criterion is the product of
 relatedness and detection confidence.
 
-One forward serves training and tracing, over a batch of B expressions
-(`ExpressionBatch`): tokens padded to (T, B) at the end of each expression,
-one GRU call per direction (the backward one on tokens reversed within each
-expression's length), a masked softmax down (T, B), and the surviving boxes
-of all B images as the rows of one (sum N, D) matrix, each taking its
-expression's summary by segment index. The graph's size does not grow with
-B, the number of tokens or the number of boxes.
+The model reads one input, a `Window`: expressions grouped by image once,
+with each image's surviving boxes. The text side (embeddings, bi-GRU,
+attention) reads only the tokens, so it runs once per distinct token-index
+sequence: S sequences padded to (T, S) at their ends, one GRU call per
+direction (the backward one on tokens reversed within each length) and a
+masked softmax down (T, S). The box side (`mlp_b`'s gate) reads only the
+image, so it runs once over each image's survivors. Each expression then
+takes its image's gate rows and its sequence's summary by index into the
+joint, logit and sigmoid. `forward` builds this as one graph for training
+and tracing, whose size does not grow with the number of expressions,
+tokens or boxes; `score_boxes` runs the same parts in bounded passes.
 
-Scoring (`score_boxes`) runs the same stages in three parts, because the
-text side (embeddings, bi-GRU, attention) reads only the tokens and the box
-side (`mlp_b`'s gate) only the image: the text side once per distinct
-token-index sequence, the box side once per distinct image, and the joint,
-logit and sigmoid per expression. An expression's scores are bit-equal
-however its work is split or batched: every product computes a row the same
-way whatever the rows beside it, and sums over words add padded steps as
-exact zeros. That holds for a one-thread BLAS: OpenBLAS splits a large
-product's rows between threads, and a row's value then depends on where the
-split falls, so scoring pins the bundled OpenBLAS to one thread.
-`score_expressions` groups expressions into one `Window`, finding each
-image's survivors once, and cuts each row of its score matrix to them.
+An expression's scores are bit-equal however its work is split or batched:
+every product computes a row the same way whatever the rows beside it, and
+sums over words add padded steps as exact zeros. That holds for a
+one-thread BLAS: OpenBLAS splits a large product's rows between threads,
+and a row's value then depends on where the split falls, so scoring pins
+the bundled OpenBLAS to one thread. Gradients round differently where a
+window repeats an image or a sequence: the shared rows' gradients are
+summed before the weight products.
 
 `parameter_table` is the one declaration of the parameters: each one's
 name, shape and init bound, in the order of the flat store. The store's
@@ -213,38 +213,81 @@ def flat_views(buffer: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]
     return views
 
 
+def survivors(image: ImageDetections, min_confidence: float) -> np.ndarray:
+    """The rows of an image with confidence >= `min_confidence`, ascending."""
+    return np.flatnonzero(image.confidences >= min_confidence)
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """Expressions grouped by image once: the one input of the model.
+
+    ``images`` are the distinct image objects in first-seen order and
+    ``rows`` each one's `survivors`; expression e is of image
+    ``images[image_of[e]]`` and has token indices ``tokens[e]`` (None for a
+    relatedness that does not read them). `Window.of` builds one.
+    """
+
+    images: list[ImageDetections]
+    rows: list[np.ndarray]
+    image_of: np.ndarray
+    tokens: list[Sequence[int] | None]
+
+    @classmethod
+    def of(cls, expressions: Iterable[tuple[ImageDetections, Sequence[int] | None]],
+           min_confidence: float) -> Window:
+        """The window of (image, token indices) expressions, in the order given."""
+        expressions = list(expressions)
+        index: dict[ImageDetections, int] = {}
+        image_of = [index.setdefault(image, len(index)) for image, _ in expressions]
+        return cls(list(index), [survivors(image, min_confidence) for image in index],
+                   np.array(image_of, dtype=np.intp), [tokens for _, tokens in expressions])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each image's survivor count."""
+        return np.array([len(rows) for rows in self.rows], dtype=np.intp)
+
+    @property
+    def width(self) -> int:
+        """The most survivors of any of its images."""
+        return max(map(len, self.rows), default=0)
+
+    def texts(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The distinct token-index sequences of the expressions with
+        survivors, in first-seen order, and each expression's index among
+        them (0 for one without survivors)."""
+        index: dict[tuple[int, ...], int] = {}
+        text_of = [index.setdefault(tuple(tokens), len(index)) if n else 0
+                   for n, tokens in zip(self.sizes[self.image_of].tolist(), self.tokens)]
+        return list(index), np.array(text_of, dtype=np.intp)
+
+    def features(self, images: Sequence[int]) -> np.ndarray:
+        """The (rows, D) region features of the survivors of `images`
+        (indices into ``images``), image after image."""
+        blocks = [self.images[i].features[self.rows[i]] for i in images]
+        # one block is used as given: a pass of one wide image holds one copy
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class ExpressionBatch:
-    """B expressions and the boxes each one scores, as padded arrays.
+    """B token-index sequences as padded arrays.
 
-    ``tokens`` (T, B) holds expression b's token indices in
-    ``tokens[:lengths[b], b]`` and the padding index after them;
-    ``reversed_tokens`` holds them in reverse order within the same length.
-    ``features`` (sum N, D) stacks the region features of every expression's
-    boxes, expression by expression: expression b owns rows
-    ``offsets[b]:offsets[b + 1]``, and ``segments`` names each row's
-    expression.
+    ``tokens`` (T, B) holds sequence b in ``tokens[:lengths[b], b]`` and the
+    padding index after it; ``reversed_tokens`` holds it in reverse order
+    within the same length.
     """
 
     tokens: np.ndarray
     reversed_tokens: np.ndarray
     lengths: np.ndarray
-    features: np.ndarray
-    offsets: np.ndarray
-    segments: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.lengths)
 
 
-def make_batch(
-    token_lists: Sequence[Sequence[int]], features: Sequence[np.ndarray]
-) -> ExpressionBatch:
-    """Batch expressions given as token-index sequences and (n_b, D) box features."""
-    if not token_lists or len(token_lists) != len(features):
-        raise ValueError(
-            f"make_batch: {len(token_lists)} expressions for {len(features)} feature blocks"
-        )
+def make_batch(token_lists: Sequence[Sequence[int]]) -> ExpressionBatch:
+    """Batch token-index sequences."""
+    if not token_lists:
+        raise ValueError("make_batch: no token sequences")
     lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.intp)
     if lengths.min() == 0:
         raise ValueError("make_batch: empty token sequence")
@@ -253,18 +296,7 @@ def make_batch(
     for b, indices in enumerate(token_lists):
         tokens[: lengths[b], b] = indices
         reversed_tokens[: lengths[b], b] = tokens[lengths[b] - 1 :: -1, b]
-    counts = np.array([len(block) for block in features], dtype=np.intp)
-    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    return ExpressionBatch(
-        tokens=tokens,
-        reversed_tokens=reversed_tokens,
-        lengths=lengths,
-        # one block is used as given: a pass of one wide expression holds one copy
-        features=features[0] if len(features) == 1 else np.concatenate(features),
-        offsets=offsets,
-        segments=np.repeat(np.arange(len(counts)), counts),
-    )
+    return ExpressionBatch(tokens, reversed_tokens, lengths)
 
 
 def encode_expressions(batch: ExpressionBatch, params: ModelParameters) -> Node:
@@ -286,18 +318,28 @@ def encode_expressions(batch: ExpressionBatch, params: ModelParameters) -> Node:
     return ad.concat([ad.reshape(fwd, rows), ad.take(ad.reshape(bwd, rows), bwd_rows)], axis=1)
 
 
-def forward(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
-    """Score every box of a batch of expressions.
+def forward(window: Window, params: ModelParameters) -> dict[str, Node]:
+    """Score every survivor of every expression of `window`, as one graph.
 
-    Returns every stage by name: ``words`` (T * B, q); ``logits`` and
-    ``weights`` (T, B), one attention column per expression, zero past its
-    length; ``attended`` (B, q); ``gate`` and ``joint`` (sum N, q); ``logit``
-    (sum N, 1); ``score`` (sum N,), the relatedness probabilities.
+    Returns every stage by name: from the S sequences of `Window.texts`,
+    ``words`` (T * S, q), ``logits`` and ``weights`` (T, S), zero past each
+    sequence's length, and ``attended`` (S, q); from the images' survivors,
+    ``gate`` (their rows, q); from each expression's survivors in turn,
+    ``joint`` (sum N, q), ``logit`` (sum N, 1) and ``score`` (sum N,), the
+    relatedness. At least one expression must have a survivor.
     """
-    text = _text_side(batch, params)
-    gate = _box_side(batch.features, params)
-    summaries = ad.take(text["attended"], batch.segments)
-    return {**text, "gate": gate, **_relate(gate, summaries, params)}
+    sizes = window.sizes
+    texts, text_of = window.texts()
+    text = _text_side(make_batch(texts), params)
+    gate = _box_side(window.features(np.flatnonzero(sizes)), params)
+    used = np.flatnonzero(sizes[window.image_of])  # the expressions with survivors
+    counts = sizes[window.image_of[used]]
+    first = (np.cumsum(sizes) - sizes)[window.image_of[used]]  # their images' first gate rows
+    rows = np.concatenate([np.arange(f, f + n) for f, n in zip(first.tolist(), counts.tolist())])
+    summaries = ad.take(text["attended"], np.repeat(text_of[used], counts))
+    # with no image repeated these are the gate's rows in order: a take only costs time
+    gate_rows = gate if len(rows) == len(gate.value) else ad.take(gate, rows)
+    return {**text, "gate": gate, **_relate(gate_rows, summaries, params)}
 
 
 def _text_side(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:
@@ -327,36 +369,9 @@ def _relate(gate: Node, summaries: Node, params: ModelParameters) -> dict[str, N
     return {"joint": joint, "logit": logit, "score": score}
 
 
-def relatedness_forward(batch: ExpressionBatch, params: ModelParameters) -> Node:
-    """The training forward: relatedness of every box of the batch, (sum N,),
-    as one graph node."""
-    return forward(batch, params)["score"]
-
-
-def survivors(image: ImageDetections, min_confidence: float) -> np.ndarray:
-    """The rows of an image with confidence >= `min_confidence`, ascending."""
-    return np.flatnonzero(image.confidences >= min_confidence)
-
-
-@dataclass(frozen=True, eq=False)
-class Window:
-    """Consecutive expressions, grouped by image once.
-
-    ``images`` are the distinct image objects in first-seen order and
-    ``rows`` each one's `survivors`; expression e is of image
-    ``images[image_of[e]]`` and has token indices ``tokens[e]`` (None for a
-    relatedness that does not read them).
-    """
-
-    images: list[ImageDetections]
-    rows: list[np.ndarray]
-    image_of: np.ndarray
-    tokens: list[Sequence[int] | None]
-
-    @property
-    def width(self) -> int:
-        """The most survivors of any of its images."""
-        return max(map(len, self.rows), default=0)
+def relatedness_forward(window: Window, params: ModelParameters) -> Node:
+    """The training forward: `forward`'s ``score``, (sum N,), as one graph node."""
+    return forward(window, params)["score"]
 
 
 def score_expressions(
@@ -365,13 +380,10 @@ def score_expressions(
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
 ) -> Iterator[np.ndarray]:
     """The relatedness of each (image, token indices) expression's
-    `survivors`, in the order given, scored by one `score_boxes` call."""
-    expressions = list(expressions)
-    index: dict[ImageDetections, int] = {}
-    image_of = np.array([index.setdefault(image, len(index)) for image, _ in expressions], int)
-    rows = [survivors(image, min_confidence) for image in index]
-    scores = score_boxes(Window(list(index), rows, image_of, [t for _, t in expressions]), params)
-    return (row[: len(rows[i])] for row, i in zip(scores, image_of.tolist()))
+    `survivors`, in the order given, scored as one `Window`."""
+    window = Window.of(expressions, min_confidence)
+    scores = score_boxes(window, params)
+    return (row[: len(window.rows[i])] for row, i in zip(scores, window.image_of.tolist()))
 
 
 def score_boxes(window: Window, params: ModelParameters) -> np.ndarray:
@@ -381,40 +393,33 @@ def score_boxes(window: Window, params: ModelParameters) -> np.ndarray:
     past them. An expression whose image has no survivors costs no model
     work.
 
-    Each side of `forward` runs once: `_text_side` once per distinct
-    token-index sequence, `_box_side` once per distinct image, and `_relate`
-    once per expression, taking both sides by index. Each runs in passes
-    whose widest intermediate stays within `PASS_FLOATS` floats: the text
-    side's words, longest sequence times sequences times word_feature_dim
-    (sequences go in ascending length); the box side's rows times
-    max(feature_dim, word_feature_dim); `_relate`'s rows times
-    word_feature_dim. A sequence, image or expression wider than that alone
-    gets a pass of its own. The box side holds one pass of gate rows at a
-    time, and `_relate` runs over the expressions of that pass's images.
-    Scores are bit-equal to `forward`'s, whatever shares a pass (see the
-    module docstring).
+    The parts of `forward` run on its grouping, each in passes whose widest
+    array stays within `PASS_FLOATS` floats: `_text_side`'s words, longest
+    sequence times sequences times word_feature_dim (sequences go in
+    ascending length); `_box_side`'s rows times max(feature_dim,
+    word_feature_dim); `_relate`'s rows times word_feature_dim. A sequence,
+    image or expression wider than that alone gets a pass of its own. One
+    pass of gate rows is held at a time, and `_relate` runs over the
+    expressions of that pass's images. Scores are bit-equal to `forward`'s.
     """
     q = params.config.word_feature_dim
-    sizes = np.array([len(rows) for rows in window.rows], dtype=np.intp)
-    counts = sizes[window.image_of]  # each expression's survivors
+    sizes = window.sizes
+    counts = sizes[window.image_of]
+    texts, text_of = window.texts()
     columns = np.arange(window.width)
     scores = np.zeros((len(counts), len(columns)))
-    text_of: dict[tuple[int, ...], int] = {}  # distinct sequences, in order
-    texts = np.array([text_of.setdefault(tuple(indices), len(text_of)) if n else 0
-                      for n, indices in zip(counts.tolist(), window.tokens)], dtype=np.intp)
     busy = np.flatnonzero(sizes)  # images with survivors
     with _one_blas_thread():
-        summaries = _summaries(list(text_of), params)
+        summaries = _summaries(texts, params)
         for part in _passes(sizes[busy].tolist(), max(params.config.feature_dim, q)):
             images = busy[part]
-            features = np.concatenate([window.images[i].features[window.rows[i]] for i in images])
-            gate = _box_side(features, params).value
+            gate = _box_side(window.features(images), params).value
             gate_of = dict(zip(images.tolist(), np.split(gate, np.cumsum(sizes[images])[:-1])))
             members = np.flatnonzero(np.isin(window.image_of, images))
             for piece in _passes(counts[members].tolist(), q):
                 chunk = members[piece]
                 gate_rows = np.concatenate([gate_of[i] for i in window.image_of[chunk].tolist()])
-                summary_rows = np.repeat(summaries[texts[chunk]], counts[chunk], axis=0)
+                summary_rows = np.repeat(summaries[text_of[chunk]], counts[chunk], axis=0)
                 related = _relate(ad.constant(gate_rows), ad.constant(summary_rows), params)
                 block = np.zeros((len(chunk), len(columns)))
                 block[columns < counts[chunk, None]] = related["score"].value
@@ -429,7 +434,7 @@ def _summaries(texts: list[tuple[int, ...]], params: ModelParameters) -> np.ndar
     summaries = np.empty((len(texts), params.config.word_feature_dim))
     for part in _passes([len(texts[t]) for t in order], summaries.shape[1], padded=True):
         chosen = order[part]
-        batch = make_batch([texts[t] for t in chosen], [np.zeros((0, 0))] * len(chosen))
+        batch = make_batch([texts[t] for t in chosen])
         summaries[chosen] = _text_side(batch, params)["attended"].value
     return summaries
 

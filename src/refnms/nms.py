@@ -250,11 +250,10 @@ def proposal_pipeline(
     default 1.0 makes the fused score the confidence, which is the
     expression-agnostic baseline.
     """
-    rows = survivors(image, min_confidence)
+    window = Window.of([(image, None)], min_confidence)
     related = np.asarray(relatedness, dtype=np.float64)
-    if related.ndim and related.shape != rows.shape:
-        raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {len(rows)} boxes")
-    window = Window([image], [rows], np.zeros(1, dtype=np.intp), [None])
+    if related.ndim and related.shape != (window.width,):
+        raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {window.width} boxes")
     (keep,) = _window_keep_lists(window, np.atleast_2d(related), nms_cfg, budget)
     return keep
 
@@ -285,30 +284,22 @@ def keep_lists(
 
 
 def _windows(expressions, min_confidence: float) -> Iterator[Window]:
-    """The (image, token indices) expressions in consecutive windows, each
-    grouped by image object once. A window is cut between runs of
-    consecutive expressions of one image, where its expressions times its
-    widest survivor count would pass `PASS_FLOATS`; a run is never split, so
-    a run over the bound alone is a window of its own. An image's survivors
-    are found once per window."""
-    # the window so far: its images' indices and survivors, its expressions'
-    # image indices and token indices, and its widest survivor count
-    index, rows_of, image_of, tokens, width = {}, [], [], [], 0
+    """The (image, token indices) expressions in consecutive `Window`s. A
+    window is cut between runs of consecutive expressions of one image,
+    where its expressions times its widest survivor count would pass
+    `PASS_FLOATS`; a run is never split, so a run over the bound alone is a
+    window of its own."""
+    window, width = [], 0  # the window's expressions so far, its widest survivor count
     for image, run in groupby(expressions, key=lambda expression: expression[0]):
-        run = [indices for _, indices in run]
-        i = index.get(image)
-        rows = survivors(image, min_confidence) if i is None else rows_of[i]
-        if image_of and (len(image_of) + len(run)) * max(width, len(rows)) > PASS_FLOATS:
-            yield Window(list(index), rows_of, np.array(image_of, dtype=np.intp), tokens)
-            index, rows_of, image_of, tokens, width, i = {}, [], [], [], 0, None
-        if i is None:
-            i = index[image] = len(rows_of)
-            rows_of.append(rows)
-        image_of += [i] * len(run)
-        tokens += run
-        width = max(width, len(rows))
-    if image_of:
-        yield Window(list(index), rows_of, np.array(image_of, dtype=np.intp), tokens)
+        run = list(run)
+        size = len(survivors(image, min_confidence))
+        if window and (len(window) + len(run)) * max(width, size) > PASS_FLOATS:
+            yield Window.of(window, min_confidence)
+            window, width = [], 0
+        window += run
+        width = max(width, size)
+    if window:
+        yield Window.of(window, min_confidence)
 
 
 def _window_keep_lists(window: Window, related: float | np.ndarray, nms_cfg: NmsConfig,

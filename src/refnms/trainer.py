@@ -43,11 +43,10 @@ from .ingest import DataFormatError, Vocabulary, vocabulary_from_words
 from .model import (
     ModelConfig,
     ModelParameters,
-    make_batch,
+    Window,
     parameter_count,
     parameter_shapes,
     relatedness_forward,
-    survivors,
 )
 from .objectives import (
     RankingConfig,
@@ -206,35 +205,29 @@ def minibatch_loss(
 ) -> MinibatchLoss:
     """The mean of the per-expression losses of a minibatch, as one graph.
 
-    The expressions with survivors run as one batch through one forward;
-    the others are skipped. Each expression's loss is the mean over its
+    The minibatch is one `Window` through one forward; expressions without
+    survivors are skipped. Each expression's loss is the mean over its
     boxes (binary cross-entropy) or over its sampled pairs (ranking, a
     constant 0 without pairs).
     """
-    used, rows = [], []
-    for ex in examples:
-        kept = survivors(ex.detections, cfg.min_confidence)
-        if kept.size:
-            used.append(ex)
-            rows.append(kept)
+    window = Window.of([(ex.detections, ex.token_indices) for ex in examples], cfg.min_confidence)
+    used = [(ex, window.rows[i]) for ex, i in zip(examples, window.image_of.tolist())
+            if len(window.rows[i])]
     skipped = len(examples) - len(used)
     if not used:
         return MinibatchLoss(None, 0, skipped, 0, 0)
-    batch = make_batch(
-        [ex.token_indices for ex in used],
-        [ex.detections.features[kept] for ex, kept in zip(used, rows)],
-    )
-    scores = relatedness_forward(batch, params)
+    scores = relatedness_forward(window, params)
+    offsets = np.cumsum([0] + [len(rows) for _, rows in used])
     bins = np.concatenate([
-        assign_labels(ex.detections.boxes[kept], box_array((ex.referent, *ex.pseudo_boxes)))[1]
-        for ex, kept in zip(used, rows)
+        assign_labels(ex.detections.boxes[rows], box_array((ex.referent, *ex.pseudo_boxes)))[1]
+        for ex, rows in used
     ])
     if cfg.loss_kind == "binary_xe":
-        loss = binary_xe(scores, bins > 0, segment_weights(batch.offsets))
+        loss = binary_xe(scores, bins > 0, segment_weights(offsets))
     else:
         rank_cfg = cfg.ranking_config()
         pairs, weights = [], []
-        for lo, hi in zip(batch.offsets[:-1].tolist(), batch.offsets[1:].tolist()):
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
             own = sample_pairs(bins[lo:hi], scores.value[lo:hi], rank_cfg)
             pairs.extend((i + lo, j + lo) for i, j in own)
             weights.extend([1.0 / (len(used) * len(own))] * len(own) if own else [])
@@ -419,7 +412,8 @@ def _validate_header(path, header) -> ModelConfig:
     words = _header_field(path, vocab, "words", list, "a list", "vocab.")
     if not all(isinstance(w, str) for w in words):
         raise DataFormatError(f"{path}: checkpoint header 'vocab.words' must hold strings")
-    _header_field(path, vocab, "max_sentence_length", int, "an integer", "vocab.")
+    if _header_field(path, vocab, "max_sentence_length", int, "an integer", "vocab.") < 1:
+        raise DataFormatError(f"{path}: checkpoint header 'vocab.max_sentence_length' must be >= 1")
     if _header_field(path, header, "optimizer_step", int, "an integer") < 0:
         raise DataFormatError(f"{path}: checkpoint header 'optimizer_step' must be >= 0")
     return config

@@ -22,7 +22,7 @@ from refnms.cli import EXIT_OK, main
 from refnms.evaluation import recall_curve
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import group_regions, load_embeddings, load_expressions, load_regions
-from refnms.model import ModelConfig, init_parameters, make_batch, relatedness_forward
+from refnms.model import ModelConfig, Window, init_parameters, relatedness_forward
 from refnms.nms import NmsConfig, ProposalBudget, proposal_pipeline
 from refnms.objectives import (
     RankingConfig,
@@ -74,10 +74,10 @@ def test_criterion_1_gradient_correctness():
         foreground = box_array([records[0][0]])
         _, bins = assign_labels(image.boxes, foreground)
 
-        batch = make_batch([indices], [image.features])
+        window = Window.of([(image, indices)], 0.0)
 
         def loss():
-            return binary_xe(relatedness_forward(batch, params), bins > 0)
+            return binary_xe(relatedness_forward(window, params), bins > 0)
 
         inputs = list(params.named_parameters().values())
         worst = ad.grad_check(loss, inputs, step=1e-5)

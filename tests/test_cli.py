@@ -288,6 +288,22 @@ def test_version_1_checkpoint_exits_with_data_error_asking_to_retrain(
         assert "v3" in err and "retrain" in err
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_checkpoint_sentence_limit_below_one_exits_with_data_error(
+    dataset, checkpoint_bytes, tmp_path, capsys, limit
+):
+    # -1 once dropped each expression's last token, 0 failed on an empty sequence
+    capsys.readouterr()
+    code, ckpt = apply_with_header_edit(
+        dataset, checkpoint_bytes, tmp_path,
+        lambda fields: fields["vocab"].update(max_sentence_length=limit),
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "'vocab.max_sentence_length' must be >= 1" in err
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_non_finite_checkpoint_value_exits_with_data_error_naming_the_array(
     dataset, checkpoint_bytes, tmp_path, capsys
 ):
@@ -328,6 +344,25 @@ def test_duplicate_expression_id_exits_with_data_error_naming_both_lines(tmp_pat
     err = capsys.readouterr().err
     assert f"{expressions}:3:" in err and "'e0'" in err and "line 1" in err
     assert not (tmp_path / "o.tsv").exists()
+
+
+def test_duplicate_region_id_exits_with_data_error_naming_both_lines(dataset, tmp_path, capsys):
+    # regions are matched by id, so a duplicate would let one region's match
+    # make the other a pseudo ground truth
+    lines = (dataset / "regions.tsv").read_text().splitlines(keepends=True)
+    first_id = lines[0].split("\t", 1)[0]
+    rest = lines[3].split("\t", 1)[1]  # line 4: another region of the first one's image
+    lines[3] = f"{first_id}\t{rest}"
+    regions = tmp_path / "regions.tsv"
+    regions.write_text("".join(lines))
+    capsys.readouterr()
+    code = main(["eval-recall", *data_args(dataset), "--regions", str(regions), "--split", "val",
+                 "--method", "baseline_conf", "--budgets", "5",
+                 "--out", str(tmp_path / "recall.csv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{regions}:4:" in err and f"'{first_id}'" in err and "line 1" in err
+    assert not (tmp_path / "recall.csv").exists()
 
 
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):
@@ -443,6 +478,24 @@ def test_train_settings_take_flags_over_the_config_file_over_the_defaults(datase
         assert header["model_config"]["hidden_size"] == hidden_size
         assert vocab.max_sentence_length == 10  # set by neither
         assert header["config_hash"] == TrainConfig(epochs=epochs, seed=9).config_hash()
+
+
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+def test_config_file_lines_end_only_at_newlines(dataset, tmp_path, capsys, char):
+    # as in every other input: a line ends at \n, \r\n or \r, not at other
+    # characters that str.splitlines also breaks at
+    config = tmp_path / "train.cfg"
+    config.write_text(f"# note{char} more\nbatch_size = abc\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(
+        ["train", *data_args(dataset), "--out", str(tmp_path / "m.ckpt"),
+         "--config", str(config)]
+    )
+    assert code == EXIT_DATA
+    assert f"{config}:2: batch_size: bad value 'abc'" in capsys.readouterr().err
 
 
 def test_train_rejects_unknown_config_key(dataset, tmp_path):

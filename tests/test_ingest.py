@@ -455,7 +455,8 @@ def test_expressions_write_then_load_keep_every_field(records):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.builds(GroundTruthRegion, NAMES, NAMES, boxes(),
-                          st.text("ab Z-", min_size=1, max_size=8)), max_size=4))
+                          st.text("ab Z-", min_size=1, max_size=8)),
+                max_size=4, unique_by=lambda region: region.region_id))
 def test_regions_write_then_load_keep_every_field(regions):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "regions.tsv"

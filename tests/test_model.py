@@ -37,6 +37,7 @@ from refnms.ingest import (
 from refnms.model import (
     PASS_FLOATS,
     ModelConfig,
+    Window,
     init_parameters,
     make_batch,
     parameter_shapes,
@@ -70,6 +71,18 @@ def random_image(rng, n_boxes, feature_dim, confidences=None):
             )
         )
     return image_of_rows("img", records, feature_dim)
+
+
+def image_with(features):
+    """An image of `features` rows whose every box survives any confidence floor."""
+    n = len(features)
+    return ImageDetections("img", np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), np.ones(n),
+                           np.zeros(n, dtype=int), ("obj",) * n, features)
+
+
+def window_of(expressions):
+    """The `Window` of (token indices, features) expressions, each on an image of its own."""
+    return Window.of([(image_with(features), tokens) for tokens, features in expressions], 0.0)
 
 
 def zero_out(*nodes):
@@ -469,8 +482,8 @@ def test_graph_size_does_not_grow_with_the_number_of_boxes():
     params = init_parameters(tiny_config(), seed=6)
     sizes = set()
     for n_boxes in (1, 2, 40):
-        batch = make_batch([[1, 4, 2], [3]], [rng.normal(size=(n_boxes, 3))] * 2)
-        scores = model.relatedness_forward(batch, params)
+        window = window_of([(tokens, rng.normal(size=(n_boxes, 3))) for tokens in ([1, 4, 2], [3])])
+        scores = model.relatedness_forward(window, params)
         assert scores.value.shape == (2 * n_boxes,)
         sizes.add(graph_size(scores))
     assert len(sizes) == 1
@@ -483,7 +496,7 @@ def test_graph_size_does_not_grow_with_the_number_of_tokens():
     sizes = set()
     for n_tokens in (1, 2, 12):
         indices = [int(i) for i in rng.integers(1, 9, size=n_tokens)]
-        scores = model.relatedness_forward(make_batch([indices], [features]), params)
+        scores = model.relatedness_forward(window_of([(indices, features)]), params)
         sizes.add(graph_size(scores))
     assert len(sizes) == 1
 
@@ -493,8 +506,8 @@ def test_graph_size_does_not_grow_with_the_number_of_expressions():
     params = init_parameters(tiny_config(), seed=6)
     sizes = set()
     for size in (1, 2, 9):
-        batch = make_batch([[1, 2]] * size, [rng.normal(size=(3, 3))] * size)
-        sizes.add(graph_size(model.relatedness_forward(batch, params)))
+        window = window_of([([1, 2], rng.normal(size=(3, 3))) for _ in range(size)])
+        sizes.add(graph_size(model.relatedness_forward(window, params)))
     assert len(sizes) == 1
 
 
@@ -516,6 +529,7 @@ def random_expressions(rng, cfg, lengths, box_counts):
         lambda size: st.tuples(
             st.lists(st.integers(1, 6), min_size=size, max_size=size),
             st.lists(st.integers(0, 6), min_size=size, max_size=size),
+            st.lists(st.integers(0, size - 1), min_size=size, max_size=size),
         )
     ),
     feature_dim=st.integers(1, 5),
@@ -524,33 +538,44 @@ def random_expressions(rng, cfg, lengths, box_counts):
 )
 def test_batch_matches_the_per_expression_oracle(shape, feature_dim, hidden_size, seed):
     # B expressions of any lengths (1 and all-equal included) and box counts
-    # (0 included) in one forward: scores within 1e-12 and gradients within
-    # 1e-10 relative of one oracle graph per expression
-    lengths, box_counts = shape
+    # (0 included), sharing images and token sequences or not, in one forward:
+    # scores within 1e-12 and gradients within 1e-10 relative of one oracle
+    # graph per expression
+    lengths, box_counts, owners = shape
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(vocab_size=7, feature_dim=feature_dim, embed_dim=3, hidden_size=hidden_size)
     params = init_parameters(cfg, seed=seed)
     for node in params.named_parameters().values():
         node.value += 0.5 * rng.normal(size=node.value.shape)
-    expressions = random_expressions(rng, cfg, lengths, box_counts)
-    coefficients = rng.normal(size=sum(box_counts))
+    drawn = random_expressions(rng, cfg, lengths, box_counts)
+    images = [image_with(features) for _, features in drawn]
+    # expression b takes the image of expression owners[b] and, when those
+    # two are of one length, its tokens too
+    expressions = [
+        (images[o], drawn[o][0] if lengths[o] == lengths[b] else drawn[b][0])
+        for b, o in enumerate(owners)
+    ]
+    window = Window.of(expressions, 0.0)
+    if not any(len(image.boxes) for image, _ in expressions):
+        with pytest.raises(ValueError, match="no token sequences"):
+            model.relatedness_forward(window, params)
+        return
+    coefficients = rng.normal(size=sum(len(image.boxes) for image, _ in expressions))
 
     params.zero_gradients()
-    batch = make_batch(*zip(*expressions))
-    scores = model.relatedness_forward(batch, params)
+    scores = model.relatedness_forward(window, params)
     ad.backward(ad.sum(ad.mul(scores, ad.constant(coefficients))))
     grads = {n: p.grad.copy() for n, p in params.named_parameters().items()}
 
     params.zero_gradients()
     reference = [
-        oracles.forward(features, encode_expression(indices, params), params)["score"]
-        for indices, features in expressions if len(features)
+        oracles.forward(image.features, encode_expression(indices, params), params)["score"]
+        for image, indices in expressions if len(image.boxes)
     ]
-    if reference:
-        ad.backward(ad.sum(ad.mul(ad.concat(reference), ad.constant(coefficients))))
-        np.testing.assert_allclose(
-            scores.value, np.concatenate([r.value for r in reference]), rtol=0.0, atol=1e-12
-        )
+    ad.backward(ad.sum(ad.mul(ad.concat(reference), ad.constant(coefficients))))
+    np.testing.assert_allclose(
+        scores.value, np.concatenate([r.value for r in reference]), rtol=0.0, atol=1e-12
+    )
     for name, node in params.named_parameters().items():
         ref = node.grad
         assert np.linalg.norm(grads[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
@@ -561,10 +586,10 @@ def test_batched_gradients_match_finite_differences():
     cfg = ModelConfig(vocab_size=7, feature_dim=4, embed_dim=3, hidden_size=2)
     params = init_parameters(cfg, seed=4)
     params["mlp_b.b2"].value += 0.5  # keep the pre-norm vectors comfortably nonzero
-    batch = make_batch(*zip(*random_expressions(rng, cfg, (4, 1, 2), (3, 2, 1))))
+    window = window_of(random_expressions(rng, cfg, (4, 1, 2), (3, 2, 1)))
 
     def loss():
-        return ad.sum(model.relatedness_forward(batch, params))
+        return ad.sum(model.relatedness_forward(window, params))
 
     inputs = list(params.named_parameters().values())
     assert grad_check(loss, inputs) < 1e-4
@@ -590,11 +615,15 @@ def test_scores_do_not_depend_on_the_other_expressions_of_a_pass(name):
     expressions = random_expressions(
         rng, cfg, rng.integers(1, 11, size=24), [1, 2] + list(rng.integers(1, 30, size=22))
     )
-    alone = [model.relatedness_forward(make_batch([t], [f]), params).value for t, f in expressions]
-    for _ in range(20):
-        pick = rng.choice(len(expressions), size=int(rng.integers(2, 13)), replace=False)
-        batch = make_batch([expressions[i][0] for i in pick], [expressions[i][1] for i in pick])
-        together = np.split(model.relatedness_forward(batch, params).value, batch.offsets[1:-1])
+    images = [image_with(features) for _, features in expressions]
+    alone = [model.relatedness_forward(Window.of([(image, tokens)], 0.0), params).value
+             for image, (tokens, _) in zip(images, expressions)]
+    for k in range(20):
+        # every other window repeats expressions: shared images and sequences
+        pick = rng.choice(len(expressions), size=int(rng.integers(2, 13)), replace=bool(k % 2))
+        window = Window.of([(images[i], expressions[i][0]) for i in pick], 0.0)
+        ends = np.cumsum([len(images[i].boxes) for i in pick])
+        together = np.split(model.relatedness_forward(window, params).value, ends[:-1])
         for i, scores in zip(pick.tolist(), together):
             np.testing.assert_array_equal(scores, alone[i])
 
@@ -704,20 +733,33 @@ def test_window_scoring_is_bit_equal_to_each_expression_alone(case, pass_floats)
         rows = survivors(image, 0.05)
         assert sorted(keep.rows.tolist()) == rows.tolist()
         if rows.size:
-            alone = model.relatedness_forward(make_batch([indices], [image.features[rows]]), params)
+            alone = model.relatedness_forward(Window.of([(image, indices)], 0.05), params)
             position = np.searchsorted(rows, keep.rows)
             np.testing.assert_array_equal(keep.relatedness, alone.value[position])
 
 
 def test_make_batch_pads_at_the_end_and_reverses_within_each_length():
-    batch = make_batch([[3, 1, 4], [5], [2, 6]], [np.zeros((2, 1)), np.zeros((0, 1)), np.ones((1, 1))])
+    tokens = [[3, 1, 4], [5], [2, 6]]
+    batch = make_batch(tokens)
     assert batch.tokens.T.tolist() == [[3, 1, 4], [5, 0, 0], [2, 6, 0]]
     assert batch.reversed_tokens.T.tolist() == [[4, 1, 3], [5, 0, 0], [6, 2, 0]]
     assert batch.lengths.tolist() == [3, 1, 2]
-    assert batch.offsets.tolist() == [0, 2, 2, 3]
-    assert batch.segments.tolist() == [0, 0, 2]
+    # the window's forward scores expression 0's two boxes, then expression
+    # 2's one (segments 0, 0, 2), and encodes only those two sequences
+    rng = np.random.default_rng(56)
+    params = init_parameters(tiny_config(), seed=2)
+    images = [image_with(rng.normal(size=(n, 3))) for n in (2, 0, 1)]
+    window = Window.of(zip(images, tokens), 0.0)
+    assert window.sizes[window.image_of].tolist() == [2, 0, 1]
+    texts, text_of = window.texts()
+    assert texts == [(3, 1, 4), (2, 6)] and text_of.tolist() == [0, 0, 1]
+    stages = model.forward(window, params)
+    assert stages["weights"].value.shape == (3, 2)
+    alone = [model.relatedness_forward(Window.of([(images[e], tokens[e])], 0.0), params).value
+             for e in (0, 2)]
+    np.testing.assert_array_equal(stages["score"].value, np.concatenate(alone))
     with pytest.raises(ValueError, match="empty token sequence"):
-        make_batch([[1], []], [np.zeros((1, 1))] * 2)
+        make_batch([[1], []])
 
 
 def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
@@ -749,7 +791,8 @@ def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
             return result
         monkeypatch.setattr(model, function.__name__, record)
 
-    recording("text", model._text_side, lambda batch, _, out: (len(batch), out["words"].value.size))
+    recording("text", model._text_side,
+              lambda batch, _, out: (len(batch.lengths), out["words"].value.size))
     recording("box", model._box_side,
               lambda features, _, out: (len(features), max(features.size, out.value.size)))
     recording("joint", model._relate, lambda gate, *_: (len(gate.value), gate.value.size))

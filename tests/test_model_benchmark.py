@@ -29,6 +29,7 @@ from refnms import autodiff as ad
 from refnms.geometry import Box
 from refnms.model import (
     ModelConfig,
+    Window,
     encode_expressions,
     init_parameters,
     make_batch,
@@ -60,11 +61,11 @@ def test_forward_backward_speed(benchmark, scale):
     params = init_parameters(cfg, seed=5)
     image = image_of(n_boxes, cfg.feature_dim, rng)
     indices = [int(i) for i in rng.integers(1, cfg.vocab_size, size=8)]
-    batch = make_batch([indices], [image.features])
+    window = Window.of([(image, indices)], 0.0)
 
     def step():
         params.zero_gradients()
-        scores = relatedness_forward(batch, params)
+        scores = relatedness_forward(window, params)
         ad.backward(ad.sum(scores))
         return scores
 
@@ -79,7 +80,7 @@ def test_encoder_forward_backward_speed(benchmark, scale):
     cfg, _ = SCALES[scale]
     rng = np.random.default_rng(5)
     params = init_parameters(cfg, seed=5)
-    batch = make_batch([rng.integers(1, cfg.vocab_size, size=8).tolist()], [np.zeros((0, 1))])
+    batch = make_batch([rng.integers(1, cfg.vocab_size, size=8).tolist()])
     coefficients = ad.constant(rng.normal(size=(8, cfg.word_feature_dim)))
 
     def step():

@@ -297,8 +297,8 @@ def test_images_of_one_window_never_suppress_each_other(pass_floats):
                              zip(boxes, rng.choice([0.5, 0.75, 1.0], size=len(boxes)))], 1)
         for name, boxes in layouts.items()
     ]
-    rows = [survivors(image, 0.05) for image in images]
-    window = Window(images, rows, np.repeat(np.arange(3), 2), [None] * 6)
+    window = Window.of([(image, None) for image in images for _ in range(2)], 0.05)
+    rows = window.rows
     related = np.zeros((6, window.width))
     for e, i in enumerate(window.image_of.tolist()):
         related[e, : len(rows[i])] = rng.choice([0.25, 0.5, 1.0], size=len(rows[i]))

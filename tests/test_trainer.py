@@ -420,26 +420,32 @@ def oracle_minibatch_loss(examples, params, cfg):
     return ad.mean(ad.concat([ad.reshape(l, (1,)) for l in losses])) if losses else None
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     n_expressions=st.integers(1, 5),
     boxes_per_image=st.integers(2, 6),
     lengths=st.lists(st.integers(1, 5), min_size=5, max_size=5),
     loss_kind=st.sampled_from(["binary_xe", "ranking"]),
     min_confidence=st.sampled_from([0.0, 0.5, 0.95]),
+    images=st.integers(1, 5),
+    texts=st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
 def test_minibatch_loss_matches_the_per_expression_oracle(
-    n_expressions, boxes_per_image, lengths, loss_kind, min_confidence, seed
+    n_expressions, boxes_per_image, lengths, loss_kind, min_confidence, images, texts, seed
 ):
     # one batched graph vs. one oracle graph per expression, both losses,
-    # expressions without survivors or without ranking pairs included
+    # expressions without survivors or without ranking pairs included;
+    # expression e takes image e % images and token sequence e % texts, so
+    # expressions share one image object and repeat a sequence when those
+    # are fewer than the expressions
     rng = np.random.default_rng(seed)
+    toys = toy_dataset(rng, n_expressions=n_expressions, boxes_per_image=boxes_per_image)
+    sequences = [tuple(rng.integers(1, 8, size=length).tolist()) for length in lengths]
     dataset = [
-        dataclasses.replace(ex, token_indices=tuple(rng.integers(1, 8, size=length).tolist()))
-        for ex, length in zip(
-            toy_dataset(rng, n_expressions=n_expressions, boxes_per_image=boxes_per_image), lengths
-        )
+        dataclasses.replace(ex, detections=toys[e % images].detections,
+                            token_indices=sequences[e % texts])
+        for e, ex in enumerate(toys)
     ]
     params = tiny_model(seed=seed)
     for node in params.named_parameters().values():
@@ -460,6 +466,30 @@ def test_minibatch_loss_matches_the_per_expression_oracle(
     for name, node in params.named_parameters().items():
         ref = node.grad
         assert np.linalg.norm(views[name] - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+
+def test_a_minibatch_runs_the_box_side_once_per_image(monkeypatch):
+    # 8 expressions over 2 images: one box-side call on the two images'
+    # survivor rows, not one block per expression
+    rng = np.random.default_rng(77)
+    toys = toy_dataset(rng, n_expressions=8)
+    dataset = [dataclasses.replace(ex, detections=toys[e % 2].detections)
+               for e, ex in enumerate(toys)]
+    cfg = TrainConfig(min_confidence=0.3)
+    real, calls = model._box_side, []
+
+    def box_side(features, params):
+        calls.append(features)
+        return real(features, params)
+
+    monkeypatch.setattr(model, "_box_side", box_side)
+    step = trainer.minibatch_loss(dataset, tiny_model(seed=9), cfg)
+    rows = [model.survivors(toys[i].detections, cfg.min_confidence) for i in (0, 1)]
+    assert step.used == 8 and all(len(r) for r in rows)
+    (features,) = calls
+    np.testing.assert_array_equal(
+        features, np.concatenate([toys[i].detections.features[r] for i, r in zip((0, 1), rows)])
+    )
 
 
 # checkpoints --------------------------------------------------------------------------
@@ -697,6 +727,8 @@ MALFORMED_HEADERS = [
     (edited("vocab", "words", value="a b"), "'vocab.words' must be a list"),
     (edited("vocab", "words", value=["<pad>", 1]), "'vocab.words' must hold"),
     (edited("vocab", "max_sentence_length"), "'vocab.max_sentence_length'"),
+    (edited("vocab", "max_sentence_length", value=0), "'vocab.max_sentence_length' must be >= 1"),
+    (edited("vocab", "max_sentence_length", value=-1), "'vocab.max_sentence_length' must be >= 1"),
     (edited("optimizer_step", value="3"), "'optimizer_step' must be an integer"),
     (edited("optimizer_step", value=-1), "'optimizer_step' must be >= 0"),
     (lambda header: {**header, "arrays": header["arrays"][::-1]}, "order save_checkpoint writes"),

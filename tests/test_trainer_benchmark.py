@@ -6,7 +6,8 @@ acceptance scale (D=8, hidden 16) and at paper scale (D=2048, 300-d
 embeddings, hidden 256). `test_paper_scale_training_step_speed` times one
 minibatch of training at paper dimensions with a 2,000-word vocabulary:
 forward and loss (`minibatch_loss`), backward and the Adam step, on 8
-expressions of 100 boxes each. Run
+expressions of 100 boxes each, over 8 distinct images or over 2 shared
+ones (real data has about 7 expressions per image). Run
 `python -m pytest tests/test_trainer_benchmark.py --benchmark-enable --benchmark-only`
 for the timing table; a plain test run makes one step per case and checks
 that every parameter moved (and, for the training step, that the loss is
@@ -43,31 +44,35 @@ def test_adam_step_speed(benchmark, scale):
     assert np.all(params.values != before)
 
 
-def paper_scale_minibatch(config, expressions, boxes, seed):
-    """`expressions` training examples of `boxes` detector-like boxes each,
-    with random features and 3-12 random words; each referent is one of its
+def paper_scale_minibatch(config, expressions, images, boxes, seed):
+    """`expressions` training examples over `images` images of `boxes`
+    detector-like boxes each, with random features and 3-12 random words;
+    example e is of image e % `images`, and its referent is one of that
     image's boxes."""
     rng = np.random.default_rng(seed)
-    examples = []
+    pools, examples = [], []
     for e in range(expressions):
-        corners = rng.uniform(0, 576, size=(boxes, 2))
-        pool = np.hstack([corners, corners + rng.uniform(16, 64, size=(boxes, 2))])
-        image = ImageDetections(
-            f"img{e}", pool, rng.uniform(0.1, 0.95, size=boxes), rng.integers(16, size=boxes),
-            ("obj",) * boxes, rng.normal(size=(boxes, config.feature_dim)),
-        )
+        if e < images:
+            corners = rng.uniform(0, 576, size=(boxes, 2))
+            pool = np.hstack([corners, corners + rng.uniform(16, 64, size=(boxes, 2))])
+            pools.append((pool, ImageDetections(
+                f"img{e}", pool, rng.uniform(0.1, 0.95, size=boxes), rng.integers(16, size=boxes),
+                ("obj",) * boxes, rng.normal(size=(boxes, config.feature_dim)),
+            )))
+        pool, image = pools[e % images]
         words = rng.integers(2, config.vocab_size, size=int(rng.integers(3, 13)))
         examples.append(EvalExample(f"e{e}", "train", image, Box(*pool[e % boxes]), (),
                                     tuple(words.tolist())))
     return examples
 
 
-def test_paper_scale_training_step_speed(benchmark):
+@pytest.mark.parametrize("images", [8, 2], ids=["distinct", "shared"])
+def test_paper_scale_training_step_speed(benchmark, images):
     config = ModelConfig(vocab_size=2000, feature_dim=2048, embed_dim=300, hidden_size=256)
     params = init_parameters(config, seed=6)
     state = init_optimizer_state(params)
     cfg = TrainConfig()
-    examples = paper_scale_minibatch(config, cfg.batch_size, 100, seed=6)
+    examples = paper_scale_minibatch(config, cfg.batch_size, images, 100, seed=6)
     before = {name: node.value.copy() for name, node in params.named_parameters().items()}
 
     def step():
