@@ -32,7 +32,7 @@ from .ingest import (
     load_regions,
     open_utf8,
 )
-from .model import ModelConfig, Window, init_parameters, relatedness_forward
+from .model import DEFAULT_MIN_CONFIDENCE, ModelConfig, Window, init_parameters, relatedness_forward
 from .nms import NmsConfig, ProposalBudget, keep_lists
 from .objectives import assign_labels, binary_xe
 from .synth import SynthConfig, generate_dataset
@@ -141,20 +141,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-data", help="generate a synthetic dataset", epilog=EPILOG)
     p.add_argument("--out-dir", required=True, help="directory for the dataset files")
-    p.add_argument("--images", type=_positive_int, default=250)
-    p.add_argument("--categories", type=_positive_int, default=8)
-    p.add_argument("--boxes-per-image", type=_positive_int, default=20)
-    p.add_argument("--noise", type=_non_negative, default=0.1, help="feature noise sigma")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--expressions-per-image", type=_positive_int, default=2)
-    p.add_argument("--val-fraction", type=_open_unit, default=0.2)
+    p.add_argument("--images", type=_positive_int, default=SynthConfig.n_images)
+    p.add_argument("--categories", type=_positive_int, default=SynthConfig.n_categories)
+    p.add_argument("--boxes-per-image", type=_positive_int, default=SynthConfig.boxes_per_image)
+    p.add_argument("--noise", type=_non_negative, default=SynthConfig.noise,
+                   help="feature noise sigma")
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--expressions-per-image", type=_positive_int,
+                   default=SynthConfig.expressions_per_image)
+    p.add_argument("--val-fraction", type=_open_unit, default=SynthConfig.val_fraction)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("pseudo-gt", help="emit pseudo ground-truths per expression", epilog=EPILOG)
     p.add_argument("--expressions", required=True)
     p.add_argument("--regions", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--similarity-threshold", type=_cosine, default=0.4)
+    p.add_argument("--similarity-threshold", type=_cosine, default=TrainConfig.similarity_threshold)
     p.add_argument("--split", choices=_SPLITS, default=None, help="restrict to one split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudo_gt)
@@ -196,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence-criterion baseline (no model)",
     )
     p.add_argument("--split", choices=_SPLITS, default=None)
-    p.add_argument("--min-confidence", type=_unit, default=0.05)
-    p.add_argument("--nms-iou", type=_open_unit, default=0.3)
+    p.add_argument("--min-confidence", type=_unit, default=DEFAULT_MIN_CONFIDENCE)
+    p.add_argument("--nms-iou", type=_open_unit, default=NmsConfig.iou_threshold)
     p.add_argument("--cross-class", action="store_true", help="suppress across categories")
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--top-n", type=_count, default=None)
@@ -215,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of top-N sizes and/or 'real_case'")
     p.add_argument("--checkpoint", default=None, help="required for ref_nms, refused otherwise")
     p.add_argument("--out", required=True, help="CSV report path")
-    p.add_argument("--similarity-threshold", type=_cosine, default=0.4)
-    p.add_argument("--min-confidence", type=_unit, default=0.05)
-    p.add_argument("--nms-iou", type=_open_unit, default=0.3)
+    p.add_argument("--similarity-threshold", type=_cosine, default=TrainConfig.similarity_threshold)
+    p.add_argument("--min-confidence", type=_unit, default=DEFAULT_MIN_CONFIDENCE)
+    p.add_argument("--nms-iou", type=_open_unit, default=NmsConfig.iou_threshold)
     p.add_argument("--cross-class", action="store_true")
     p.add_argument("--real-case-min-score", type=_unit, default=0.65)
     p.set_defaults(func=cmd_eval_recall)
@@ -275,7 +277,8 @@ def cmd_pseudo_gt(args) -> int:
 
 
 def _parse_config_file(path) -> dict[str, tuple[int, str]]:
-    """Each `key = value` line of a config file, as key -> (line number, value)."""
+    """Each `key = value` line of a config file, as key -> (line number, value).
+    A key may appear once."""
     values: dict[str, tuple[int, str]] = {}
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -286,7 +289,12 @@ def _parse_config_file(path) -> dict[str, tuple[int, str]]:
             if "=" not in line:
                 raise DataFormatError(f"{path}:{lineno}: expected `key = value`, got '{raw}'")
             key, _, value = line.partition("=")
-            values[key.strip()] = (lineno, value.strip())
+            key = key.strip()
+            if key in values:
+                raise DataFormatError(
+                    f"{path}:{lineno}: duplicate key '{key}' (first on line {values[key][0]})"
+                )
+            values[key] = (lineno, value.strip())
     return values
 
 
@@ -302,7 +310,7 @@ _EXTRA_KEYS = {"hidden_size": _positive_int, "max_sentence_length": _positive_in
 def _resolve_train_settings(args) -> tuple[TrainConfig, int, int]:
     """defaults < config file < explicit flags."""
     settings: dict = {}
-    extras = {"hidden_size": 256, "max_sentence_length": 10}
+    extras = {"hidden_size": ModelConfig.hidden_size, "max_sentence_length": 10}
     if args.config:
         for key, (lineno, raw) in _parse_config_file(args.config).items():
             convert = _TRAIN_KEYS.get(key) or _EXTRA_KEYS.get(key)
@@ -475,9 +483,7 @@ def cmd_grad_check(args) -> int:
         category_ids.append(int(rng.integers(3)))
         confidences.append(float(rng.uniform(0.1, 1.0)))
         features.append(rng.normal(size=args.feature_dim))
-    image = ImageDetections(
-        "gradcheck", boxes, confidences, category_ids, ("object",) * args.boxes, features
-    )
+    image = ImageDetections("gradcheck", boxes, confidences, category_ids, features)
     indices = [int(i) for i in rng.integers(1, args.vocab_size, size=args.tokens)]
     window = Window.of([(image, indices)], 0.0)  # every box
     # first box as foreground guarantees mixed labels

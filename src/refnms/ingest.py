@@ -17,13 +17,15 @@ embeddings
     GloVe text format, ``word f1 ... fD`` with a constant dimension.
 
 In memory, a detection dump is one `ImageDetections` per image, held as
-columns: ``boxes`` (n, 4), ``confidences`` (n,), ``category_ids`` (n,),
-``category_names`` and ``features`` (n, D). Row i of every column is the
-image's i-th detection in file order, and the rest of the program refers to
-detections by row index. The dump is read in blocks of about `BLOCK_CHARS`
-characters of whole lines; each numeric column of a block is converted in
-one numpy call, with the values of Python's ``float()``. A block that fails
-any check is parsed again line by line, so an error names its ``file:line``.
+columns: ``boxes`` (n, 4), ``confidences`` (n,), ``category_ids`` (n,) and
+``features`` (n, D). Row i of every column is the image's i-th detection in
+file order, and the rest of the program refers to detections by row index.
+A line's category name is required but not kept: the program refers to
+categories by id, and `write_detection_dump` takes the names by id. The
+dump is read in blocks of about `BLOCK_CHARS` characters of whole lines;
+each numeric column of a block is converted in one numpy call, with the
+values of Python's ``float()``. A block that fails any check is parsed
+again line by line, so an error names its ``file:line``.
 
 Non-finite numbers (nan, inf) are rejected in every file.
 
@@ -89,15 +91,14 @@ class ImageDetections:
     """One image's detections as columns; row i of each column is detection i.
 
     ``boxes`` is (n, 4) float64 (x1, y1, x2, y2), ``confidences`` (n,)
-    float64 in [0, 1], ``category_ids`` (n,) int64, ``category_names`` n
-    strings and ``features`` (n, D) float64. Array-likes are converted.
+    float64 in [0, 1], ``category_ids`` (n,) int64 and ``features`` (n, D)
+    float64. Array-likes are converted.
     """
 
     image_id: str
     boxes: np.ndarray
     confidences: np.ndarray
     category_ids: np.ndarray
-    category_names: tuple[str, ...]
     features: np.ndarray
 
     def __post_init__(self) -> None:
@@ -107,7 +108,6 @@ class ImageDetections:
             "boxes": np.asarray(self.boxes, dtype=np.float64),
             "confidences": np.asarray(self.confidences, dtype=np.float64),
             "category_ids": np.asarray(self.category_ids, dtype=np.int64),
-            "category_names": tuple(self.category_names),
             "features": np.asarray(self.features, dtype=np.float64),
         }
         n = len(columns["confidences"])
@@ -126,7 +126,7 @@ class ImageDetections:
 
     @classmethod
     def empty(cls, image_id: str, feature_dim: int = 0) -> "ImageDetections":
-        return cls(image_id, np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64), (),
+        return cls(image_id, np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64),
                    np.zeros((0, feature_dim)))
 
 
@@ -195,11 +195,11 @@ def _parse_box(field: str, path, lineno: int) -> Box:
 
 
 def _parse_detection_line(line: str, dim: int, path, lineno: int) -> tuple:
-    """(image_id, box, category_id, category_name, confidence, feature) of one dump line."""
+    """(image_id, box, category_id, confidence, feature) of one dump line."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 6:
         raise DataFormatError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-    image_id, box_field, cat_id, cat_name, conf_field, feat_field = fields
+    image_id, box_field, cat_id, _, conf_field, feat_field = fields
     if not image_id:
         raise DataFormatError(f"{path}:{lineno}: empty image_id")
     box = _parse_box(box_field, path, lineno)
@@ -222,7 +222,7 @@ def _parse_detection_line(line: str, dim: int, path, lineno: int) -> tuple:
         )
     if not np.isfinite(feature).all():
         raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
-    return image_id, (box.x1, box.y1, box.x2, box.y2), category_id, cat_name, confidence, feature
+    return image_id, (box.x1, box.y1, box.x2, box.y2), category_id, confidence, feature
 
 
 def _parse_lines(lines: Sequence[str], dim: int, path, first_lineno: int) -> tuple:
@@ -231,12 +231,11 @@ def _parse_lines(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
         _parse_detection_line(line, dim, path, lineno)
         for lineno, line in enumerate(lines, start=first_lineno)
     ]
-    image_ids, boxes, category_ids, names, confidences, features = zip(*rows)
+    image_ids, boxes, category_ids, confidences, features = zip(*rows)
     return (
         list(image_ids),
         np.array(boxes, dtype=np.float64),
         np.array(category_ids, dtype=np.int64),
-        list(names),
         np.array(confidences, dtype=np.float64),
         np.array(features, dtype=np.float64).reshape(len(rows), dim),
     )
@@ -262,8 +261,8 @@ def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
 
 
 def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tuple:
-    """(image_ids, boxes, category_ids, category_names, confidences, features)
-    of a block of dump lines, with one numpy conversion per numeric column.
+    """(image_ids, boxes, category_ids, confidences, features) of a block of
+    dump lines, with one numpy conversion per numeric column.
 
     numpy's text reader converts each number of a box or feature with the
     parser behind Python's ``float()``, so values are bit-identical to
@@ -282,7 +281,7 @@ def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
     try:
         if set(map(len, fields)) != {6}:
             raise ValueError("field count")
-        image_ids, box_fields, cat_fields, names, conf_fields, feat_fields = zip(*fields)
+        image_ids, box_fields, cat_fields, _, conf_fields, feat_fields = zip(*fields)
         boxes = _float_rows(box_fields, 4)
         category_ids = np.array(list(map(int, cat_fields)), dtype=np.int64)
         confidences = np.array(conf_fields, dtype=np.float64)  # float() of each field
@@ -299,7 +298,7 @@ def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
         valid = False
     if not valid:
         return _parse_lines(lines, dim, path, first_lineno)
-    return list(image_ids), boxes, category_ids, list(names), confidences, features
+    return list(image_ids), boxes, category_ids, confidences, features
 
 
 def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
@@ -311,7 +310,7 @@ def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
     """
     path = Path(path)
     # per column, its part from each block
-    parts: tuple[list, ...] = ([], [], [], [], [], [])
+    parts: tuple[list, ...] = ([], [], [], [], [])
     with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         m = DUMP_HEADER_RE.match(header)
@@ -325,8 +324,8 @@ def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
             lineno += len(lines)
     if not parts[0]:
         return [], dim
-    image_ids, names = ([x for part in parts[k] for x in part] for k in (0, 3))
-    boxes, category_ids, confidences, features = (_stacked(parts[k]) for k in (1, 2, 4, 5))
+    image_ids = [x for part in parts[0] for x in part]
+    boxes, category_ids, confidences, features = map(_stacked, parts[1:])
     codes: dict[str, int] = {}
     image_of_row = np.array([codes.setdefault(i, len(codes)) for i in image_ids])
     if (np.diff(image_of_row) < 0).any():
@@ -335,14 +334,13 @@ def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
         boxes, category_ids, confidences, features = (
             column[order] for column in (boxes, category_ids, confidences, features)
         )
-        names = [names[i] for i in order.tolist()]
     for column in (boxes, category_ids, confidences, features):
         column.setflags(write=False)
     bounds = np.cumsum(np.bincount(image_of_row)).tolist()
     return [
         ImageDetections(
             image_id, boxes[start:stop], confidences[start:stop], category_ids[start:stop],
-            tuple(names[start:stop]), features[start:stop],
+            features[start:stop],
         )
         for image_id, start, stop in zip(codes, [0, *bounds], bounds)
     ], dim
@@ -362,8 +360,11 @@ def _stacked(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def write_detection_dump(path, images: Sequence[ImageDetections], feature_dim: int | None = None) -> None:
-    """Write `images` as a detection dump; every float is written as its ``repr``."""
+def write_detection_dump(path, images: Sequence[ImageDetections],
+                         category_names: Sequence[str] | Mapping[int, str],
+                         feature_dim: int | None = None) -> None:
+    """Write `images` as a detection dump, each line with the name
+    ``category_names[category_id]``; every float is written as its ``repr``."""
     if feature_dim is None:
         for img in images:
             if len(img):
@@ -373,9 +374,9 @@ def write_detection_dump(path, images: Sequence[ImageDetections], feature_dim: i
         raise ValueError("write_detection_dump: feature_dim required for an empty dump")
     lines = [f"#refnms-dets v1 feature_dim={feature_dim}"]
     for img in images:
-        for box, category_id, name, confidence, feature in zip(
-            img.boxes.tolist(), img.category_ids.tolist(), img.category_names,
-            img.confidences.tolist(), img.features.tolist(),
+        for box, category_id, confidence, feature in zip(
+            img.boxes.tolist(), img.category_ids.tolist(), img.confidences.tolist(),
+            img.features.tolist(),
         ):
             lines.append(
                 "\t".join(
@@ -383,7 +384,7 @@ def write_detection_dump(path, images: Sequence[ImageDetections], feature_dim: i
                         img.image_id,
                         _format_floats(box),
                         str(category_id),
-                        name,
+                        category_names[category_id],
                         repr(confidence),
                         _format_floats(feature),
                     )
@@ -400,8 +401,15 @@ def _format_box(box: Box) -> str:
     return _format_floats((box.x1, box.y1, box.x2, box.y2))
 
 
+def _empty_id(path, lineno: int, **ids: str) -> DataFormatError:
+    """The error for line `lineno` of `path`, naming the first of `ids` that is empty."""
+    name = next(name for name, value in ids.items() if not value)
+    return DataFormatError(f"{path}:{lineno}: empty {name}")
+
+
 def load_expressions(path) -> list[ExpressionRecord]:
-    """Parse an expressions file with unique expression ids; tokens are lowercased."""
+    """Parse an expressions file with unique expression ids and non-empty
+    expression and image ids; tokens are lowercased."""
     path = Path(path)
     out: list[ExpressionRecord] = []
     first_line: dict[str, int] = {}
@@ -411,6 +419,8 @@ def load_expressions(path) -> list[ExpressionRecord]:
             if len(fields) not in (5, 6):
                 raise DataFormatError(f"{path}:{lineno}: expected 5 or 6 fields, got {len(fields)}")
             expr_id, image_id, split, box_field, tok_field = fields[:5]
+            if not (expr_id and image_id):
+                raise _empty_id(path, lineno, expression_id=expr_id, image_id=image_id)
             if (first := first_line.setdefault(expr_id, lineno)) != lineno:
                 raise DataFormatError(
                     f"{path}:{lineno}: duplicate expression_id '{expr_id}' (first on line {first})"
@@ -449,7 +459,7 @@ def write_expressions(path, records: Sequence[ExpressionRecord]) -> None:
 
 
 def load_regions(path) -> list[GroundTruthRegion]:
-    """Parse a regions file with unique region ids."""
+    """Parse a regions file with unique region ids and non-empty region and image ids."""
     path = Path(path)
     out: list[GroundTruthRegion] = []
     first_line: dict[str, int] = {}
@@ -459,6 +469,8 @@ def load_regions(path) -> list[GroundTruthRegion]:
             if len(fields) != 4:
                 raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             region_id, image_id, box_field, category = fields
+            if not (region_id and image_id):
+                raise _empty_id(path, lineno, region_id=region_id, image_id=image_id)
             if (first := first_line.setdefault(region_id, lineno)) != lineno:
                 raise DataFormatError(
                     f"{path}:{lineno}: duplicate region_id '{region_id}' (first on line {first})"

@@ -19,7 +19,9 @@ image, so it runs once over each image's survivors. Each expression then
 takes its image's gate rows and its sequence's summary by index into the
 joint, logit and sigmoid. `forward` builds this as one graph for training
 and tracing, whose size does not grow with the number of expressions,
-tokens or boxes; `score_boxes` runs the same parts in bounded passes.
+tokens or boxes. `score_boxes` is the one scoring call: it runs the same
+parts in bounded passes and returns one (expressions, widest survivor
+count) matrix, which `nms.proposal_pipeline` takes as it is.
 
 An expression's scores are bit-equal however its work is split or batched:
 every product computes a row the same way whatever the rows beside it, and
@@ -372,18 +374,6 @@ def _relate(gate: Node, summaries: Node, params: ModelParameters) -> dict[str, N
 def relatedness_forward(window: Window, params: ModelParameters) -> Node:
     """The training forward: `forward`'s ``score``, (sum N,), as one graph node."""
     return forward(window, params)["score"]
-
-
-def score_expressions(
-    expressions: Iterable[tuple[ImageDetections, Sequence[int]]],
-    params: ModelParameters,
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> Iterator[np.ndarray]:
-    """The relatedness of each (image, token indices) expression's
-    `survivors`, in the order given, scored as one `Window`."""
-    window = Window.of(expressions, min_confidence)
-    scores = score_boxes(window, params)
-    return (row[: len(window.rows[i])] for row, i in zip(scores, window.image_of.tolist()))
 
 
 def score_boxes(window: Window, params: ModelParameters) -> np.ndarray:

@@ -15,13 +15,13 @@ image has the same survivors and the same relation "row i suppresses row j";
 only the visiting order differs. `keep_lists` therefore groups a window of
 consecutive expressions by image once (`model.Window`). One
 `model.score_boxes` call scores it as one (expressions, widest survivor
-count) matrix, and one `per_class_nms` call takes that matrix times the
-confidences. That call builds one sparse relation over every row of the
-window's images (`_relation`), from a sweep over (image, x1) that never
-builds an n x n matrix, and each expression walks its image's rows of it
-once, greedily, stopping where its `ProposalBudget` ends: that is a prefix
-of the keep list, and greedy NMS's first k kept rows depend only on the
-rows visited before them.
+count) matrix, and `proposal_pipeline` passes that matrix, or a constant,
+times the confidences to one `per_class_nms` call. That call builds one
+sparse relation over every row of the window's images (`_relation`), from a
+sweep over (image, x1) that never builds an n x n matrix, and each
+expression walks its image's rows of it once, greedily, stopping where its
+`ProposalBudget` ends: that is a prefix of the keep list, and greedy NMS's
+first k kept rows depend only on the rows visited before them.
 """
 
 from __future__ import annotations
@@ -234,30 +234,6 @@ def _walk(relation: tuple[list[int], np.ndarray], order: list[int], floor_visits
     return kept
 
 
-def proposal_pipeline(
-    image: ImageDetections,
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-    nms_cfg: NmsConfig = NmsConfig(),
-    budget: ProposalBudget = ProposalBudget(),
-    *,
-    relatedness: float | np.ndarray = 1.0,
-) -> KeepList:
-    """Confidence filter, relatedness, then NMS on the fused score up to the end
-    of `budget`'s prefix.
-
-    `relatedness` is one value per surviving row (`model.survivors`), such as
-    the model's scores for an expression, or one constant for every box; the
-    default 1.0 makes the fused score the confidence, which is the
-    expression-agnostic baseline.
-    """
-    window = Window.of([(image, None)], min_confidence)
-    related = np.asarray(relatedness, dtype=np.float64)
-    if related.ndim and related.shape != (window.width,):
-        raise ValueError(f"proposal_pipeline: {related.shape} relatedness for {window.width} boxes")
-    (keep,) = _window_keep_lists(window, np.atleast_2d(related), nms_cfg, budget)
-    return keep
-
-
 def keep_lists(
     expressions: Iterable[tuple[ImageDetections, Sequence[int] | None]],
     relatedness: ModelParameters | float,
@@ -277,9 +253,9 @@ def keep_lists(
     """
     for window in _windows(expressions, min_confidence):
         if isinstance(relatedness, ModelParameters):
-            yield from _window_keep_lists(window, score_boxes(window, relatedness), nms_cfg, budget)
+            yield from proposal_pipeline(window, score_boxes(window, relatedness), nms_cfg, budget)
         else:
-            kept = _window_keep_lists(window, relatedness, nms_cfg, budget)
+            kept = proposal_pipeline(window, relatedness, nms_cfg, budget)
             yield from (kept[i] for i in window.image_of.tolist())
 
 
@@ -302,14 +278,21 @@ def _windows(expressions, min_confidence: float) -> Iterator[Window]:
         yield Window.of(window, min_confidence)
 
 
-def _window_keep_lists(window: Window, related: float | np.ndarray, nms_cfg: NmsConfig,
-                       budget: ProposalBudget) -> list[KeepList]:
-    """The keep lists of one `per_class_nms` call over `window`'s images.
+def proposal_pipeline(window: Window, related: float | np.ndarray,
+                      nms_cfg: NmsConfig = NmsConfig(),
+                      budget: ProposalBudget = ProposalBudget()) -> list[KeepList]:
+    """Relatedness, then NMS on the fused score up to the end of `budget`'s
+    prefix, over `window`'s survivors: the keep lists of one `per_class_nms`
+    call over its images.
 
     `related` is the (expressions, ``window.width``) relatedness matrix of
     `model.score_boxes`, giving one keep list per expression, or one
-    constant, giving one per distinct image.
+    constant for every box, giving one per distinct image; 1.0 makes the
+    fused score the confidence, which is the expression-agnostic baseline.
     """
+    if np.ndim(related) and np.shape(related) != (len(window.image_of), window.width):
+        raise ValueError(f"proposal_pipeline: {np.shape(related)} relatedness for "
+                         f"{len(window.image_of)} expressions of {window.width} boxes")
     images = list(zip(window.images, window.rows))
     width = window.width
     confidences = np.zeros((len(images), width))

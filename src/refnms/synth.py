@@ -158,8 +158,7 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> SynthPaths:
         boxes, categories, confidences, features = zip(*shuffled)
         images.append(
             ImageDetections(
-                image_id, box_array(boxes), confidences, categories,
-                tuple(names[c] for c in categories), np.array(features),
+                image_id, box_array(boxes), confidences, categories, np.array(features),
             )
         )
 
@@ -189,7 +188,7 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> SynthPaths:
         regions=out_dir / "regions.tsv",
         embeddings=out_dir / "embeddings.txt",
     )
-    write_detection_dump(paths.detections, images, feature_dim=cfg.n_categories)
+    write_detection_dump(paths.detections, images, names, feature_dim=cfg.n_categories)
     write_expressions(paths.expressions, expressions)
     write_regions(paths.regions, regions)
     lines = []

@@ -22,12 +22,12 @@ from refnms.nms import NmsConfig, per_class_nms
 
 
 def image_of_rows(image_id, rows, feature_dim=0):
-    """`ImageDetections` from (box, category_id, category_name, confidence, feature) rows."""
+    """`ImageDetections` from (box, category_id, confidence, feature) rows."""
     if not rows:
         return ImageDetections.empty(image_id, feature_dim)
-    boxes, category_ids, names, confidences, features = zip(*rows)
+    boxes, category_ids, confidences, features = zip(*rows)
     return ImageDetections(
-        image_id, box_array(boxes), confidences, category_ids, names, np.array(features)
+        image_id, box_array(boxes), confidences, category_ids, np.array(features)
     )
 
 

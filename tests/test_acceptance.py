@@ -65,7 +65,7 @@ def test_criterion_1_gradient_correctness():
         for _ in range(3):
             box = random_box(rng)
             records.append(
-                (box, int(rng.integers(3)), "obj", float(rng.uniform(0.1, 1.0)),
+                (box, int(rng.integers(3)), float(rng.uniform(0.1, 1.0)),
                  rng.normal(size=5))
             )
         image = image_of_rows("img", records)
@@ -176,15 +176,16 @@ def test_criterion_5_fusion_identity():
             rng = np.random.default_rng(2000 + seed)
             n = int(rng.integers(1, 25))
             records = [
-                (random_box(rng), int(rng.integers(4)), "obj", float(rng.uniform(0, 1)),
+                (random_box(rng), int(rng.integers(4)), float(rng.uniform(0, 1)),
                  np.zeros(2))
                 for _ in range(n)
             ]
             image = image_of_rows("img", records)
             k = float(rng.uniform(0.05, 1.0))
             nms_cfg = NmsConfig(iou_threshold=float(rng.uniform(0.2, 0.7)))
-            fused = proposal_pipeline(image, nms_cfg=nms_cfg, relatedness=k)
-            base = proposal_pipeline(image, nms_cfg=nms_cfg)
+            window = Window.of([(image, None)], 0.05)
+            (fused,) = proposal_pipeline(window, k, nms_cfg)
+            (base,) = proposal_pipeline(window, 1.0, nms_cfg)
             assert [(records[i][0], records[i][1]) for i in fused.rows] == [
                 (records[i][0], records[i][1]) for i in base.rows
             ], seed
@@ -308,7 +309,7 @@ def test_criterion_9_recall_harness_oracle():
             examples = []
             for e in range(int(rng.integers(2, 7))):
                 records = [
-                    (random_box(rng), int(rng.integers(3)), "obj",
+                    (random_box(rng), int(rng.integers(3)),
                      float(rng.uniform(0.05, 1.0)), np.zeros(2))
                     for _ in range(int(rng.integers(3, 16)))
                 ]
@@ -325,8 +326,9 @@ def test_criterion_9_recall_harness_oracle():
                 expected_hits = 0
                 expected_ctx = [0, 0]
                 for ex in examples:
-                    kept = proposal_pipeline(
-                        ex.detections, 0.05, NmsConfig(), ProposalBudget.top_n(budget)
+                    (kept,) = proposal_pipeline(
+                        Window.of([(ex.detections, None)], 0.05), 1.0, NmsConfig(),
+                        ProposalBudget.top_n(budget),
                     )
                     boxes = [Box(*box) for box in ex.detections.boxes[kept.rows].tolist()]
                     expected_hits += any(hits(b, ex.referent) for b in boxes)

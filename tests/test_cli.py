@@ -1,5 +1,6 @@
 """CLI: flag documentation, exit codes, determinism, command round trips."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -96,6 +97,23 @@ def test_synth_data_is_deterministic(tmp_path):
         assert code == EXIT_OK
     for name in ("detections.tsv", "expressions.tsv", "regions.tsv", "embeddings.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# SHA-256 of each file `synth-data` writes with its default flags (seed 7):
+# the acceptance fixture and perfbench's `synth_small` inputs come from it
+SYNTH_DATA_DEFAULT_SHA256 = {
+    "detections.tsv": "55df944c096a0a875c90ca0226a4e6f3e3b8d4cb68ca84adea8f5cadaa5b4bcb",
+    "expressions.tsv": "8776847779e1ba393cbca97b280d3dd7436ddb0636dac2e1ddfaac0f82a89725",
+    "regions.tsv": "fb7e2ea13d471cbe8a2a0d41d4cb4d3cf327adc09327ef15fab4a4b0b5f1b262",
+    "embeddings.txt": "2a7146574c921d0a9232ec3b33035e2f3fdc49d541c618a00dcda8d711f594b0",
+}
+
+
+def test_synth_data_default_output_is_pinned(tmp_path):
+    assert main(["synth-data", "--out-dir", str(tmp_path)]) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SYNTH_DATA_DEFAULT_SHA256}
+    assert digests == SYNTH_DATA_DEFAULT_SHA256
 
 
 def test_pseudo_gt_command_emits_expression_lines(dataset, tmp_path):
@@ -365,6 +383,46 @@ def test_duplicate_region_id_exits_with_data_error_naming_both_lines(dataset, tm
     assert not (tmp_path / "recall.csv").exists()
 
 
+@pytest.mark.parametrize("field, column", [("expression_id", 0), ("image_id", 1)])
+def test_empty_id_in_expressions_exits_with_data_error_naming_the_line(
+    dataset, tmp_path, capsys, field, column
+):
+    # an empty expression id would start an output line with an empty field
+    lines = (dataset / "expressions.tsv").read_text().splitlines(keepends=True)
+    fields = lines[1].split("\t")
+    fields[column] = ""
+    lines[1] = "\t".join(fields)
+    expressions = tmp_path / "expressions.tsv"
+    expressions.write_text("".join(lines))
+    for argv in (
+        ["apply", *data_args(dataset)[:2], "--expressions", str(expressions), "--baseline"],
+        ["eval-recall", *data_args(dataset), "--expressions", str(expressions), "--split", "val",
+         "--method", "baseline_conf"],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA, argv[0]
+        assert f"{expressions}:2: empty {field}" in capsys.readouterr().err, argv[0]
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, column", [("region_id", 0), ("image_id", 1)])
+def test_empty_id_in_regions_exits_with_data_error_naming_the_line(
+    dataset, tmp_path, capsys, field, column
+):
+    lines = (dataset / "regions.tsv").read_text().splitlines(keepends=True)
+    fields = lines[2].split("\t")
+    fields[column] = ""
+    lines[2] = "\t".join(fields)
+    regions = tmp_path / "regions.tsv"
+    regions.write_text("".join(lines))
+    capsys.readouterr()
+    code = main(["eval-recall", *data_args(dataset), "--regions", str(regions), "--split", "val",
+                 "--method", "baseline_conf", "--out", str(tmp_path / "recall.csv")])
+    assert code == EXIT_DATA
+    assert f"{regions}:3: empty {field}" in capsys.readouterr().err
+    assert not (tmp_path / "recall.csv").exists()
+
+
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):
     csv_path = tmp_path / "recall.csv"
     code = main(
@@ -496,6 +554,18 @@ def test_config_file_lines_end_only_at_newlines(dataset, tmp_path, capsys, char)
     )
     assert code == EXIT_DATA
     assert f"{config}:2: batch_size: bad value 'abc'" in capsys.readouterr().err
+
+
+def test_repeated_config_key_exits_with_data_error_naming_both_lines(dataset, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 1\nseed = 9\nepochs = 2\n")
+    capsys.readouterr()
+    ckpt = tmp_path / "m.ckpt"
+    code = main(["train", *data_args(dataset), "--out", str(ckpt), "--config", str(config)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{config}:3:" in err and "'epochs'" in err and "line 1" in err
+    assert not ckpt.exists()
 
 
 def test_train_rejects_unknown_config_key(dataset, tmp_path):
@@ -787,7 +857,7 @@ def test_baseline_runs_nms_once_per_image_in_apply_and_eval_recall(
     by_image = group_detections(load_detection_dump(dataset / "detections.tsv")[0])
     images = [by_image[image_id] for image_id in dict.fromkeys(val_images)]
     boxes_in = sum(len(survivors(image, 0.05)) for image in images)
-    kept_lists = [nms.proposal_pipeline(image) for image in images]
+    kept_lists = list(nms.keep_lists(((image, None) for image in images), 1.0))
     calls = []
     per_class_nms = nms.per_class_nms
 

@@ -21,7 +21,7 @@ from refnms.evaluation import (
 )
 from refnms.geometry import Box, box_array
 from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
-from refnms.model import ModelConfig, init_parameters, survivors
+from refnms.model import ModelConfig, Window, init_parameters, survivors
 from refnms.nms import NmsConfig, proposal_pipeline
 
 
@@ -36,7 +36,7 @@ def image_of(records, image_id="img"):
 
 
 def record(box, conf, category=0):
-    return (box, category, "obj", conf, np.zeros(2))
+    return (box, category, conf, np.zeros(2))
 
 
 # hit tests ---------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_recall_monotone_over_nested_budgets():
 
 
 def test_recall_matches_brute_force_recomputation():
-    from refnms.nms import ProposalBudget, proposal_pipeline
+    from refnms.nms import ProposalBudget
 
     rng = np.random.default_rng(83)
     for trial in range(20):
@@ -135,8 +135,9 @@ def test_recall_matches_brute_force_recomputation():
             hits_count = 0
             ctx_matched = ctx_total = 0
             for ex in examples:
-                kept = proposal_pipeline(
-                    ex.detections, 0.05, NmsConfig(), ProposalBudget.top_n(budget)
+                (kept,) = proposal_pipeline(
+                    Window.of([(ex.detections, None)], 0.05), 1.0, NmsConfig(),
+                    ProposalBudget.top_n(budget),
                 )
                 boxes = [Box(*box) for box in ex.detections.boxes[kept.rows].tolist()]
                 if any(hits(b, ex.referent) for b in boxes):
@@ -169,7 +170,7 @@ def eval_sets(draw):
     images = []
     for i in range(draw(st.integers(1, 3))):
         rows = [
-            (draw(grid_box()), draw(st.integers(0, 2)), "obj",
+            (draw(grid_box()), draw(st.integers(0, 2)),
              draw(GRID_LEVELS | st.just(0.01)), rng.normal(size=2))
             for _ in range(draw(st.integers(0, 12)))
         ]
@@ -188,8 +189,9 @@ def brute_force_recall(examples, method, budget, params, nms_cfg):
     for ex in examples:
         relatedness = 1.0
         if method == "ref_nms":
-            relatedness = oracles.score_boxes(ex.detections, ex.token_indices, params, 0.05)[1]
-        kept = proposal_pipeline(ex.detections, 0.05, nms_cfg, relatedness=relatedness)
+            _, related = oracles.score_boxes(ex.detections, ex.token_indices, params, 0.05)
+            relatedness = related[None]
+        (kept,) = proposal_pipeline(Window.of([(ex.detections, None)], 0.05), relatedness, nms_cfg)
         scores = kept.scores.tolist()
         if budget == "real_case":
             chosen = [i for i, score in enumerate(scores) if score >= 0.65]
@@ -238,7 +240,8 @@ def test_baseline_runs_nms_once_per_image(monkeypatch):
         for ex in examples
     ]
     once = [
-        (len(survivors(ex.detections, 0.05)), min(7, len(proposal_pipeline(ex.detections))))
+        (len(survivors(ex.detections, 0.05)),
+         min(7, len(proposal_pipeline(Window.of([(ex.detections, None)], 0.05), 1.0)[0])))
         for ex in first
     ]
     calls = []

@@ -1,5 +1,6 @@
 """File format loaders/writers, vocabulary construction, token encoding."""
 
+import collections
 import tempfile
 from pathlib import Path
 
@@ -63,9 +64,12 @@ def test_dump_with_one_image_two_records(tmp_path):
     image = dump[0]
     assert boxes_of(image)[0] == Box(0, 0, 10, 10)
     assert image.category_ids[0] == 2
-    assert image.category_names[0] == "dog"
     assert image.confidences[0] == 0.9
     np.testing.assert_array_equal(image.features[0], [1.0, 2.0, 3.0])
+    # the name goes back by category id: written again, the lines are as read
+    again = tmp_path / "again.tsv"
+    write_detection_dump(again, dump, {2: "dog"})
+    assert again.read_text() == path.read_text()
 
 
 def test_dump_groups_interleaved_images_in_first_seen_order(tmp_path):
@@ -107,6 +111,7 @@ def test_dump_rejects_bad_header(tmp_path):
 
 def test_detection_dump_round_trip(tmp_path):
     rng = np.random.default_rng(5)
+    names = {c: "traffic light" if c % 3 == 0 else "dog" for c in range(10)}
     images = []
     for i in range(3):
         rows = []
@@ -116,26 +121,25 @@ def test_detection_dump_round_trip(tmp_path):
                 (
                     Box(x1, y1, x1 + rng.uniform(1, 50), y1 + rng.uniform(1, 50)),
                     int(rng.integers(0, 10)),
-                    "traffic light" if rng.random() < 0.3 else "dog",
                     float(rng.uniform(0, 1)),
                     rng.normal(size=4),
                 )
             )
         images.append(image_of_rows(f"img{i}", rows))
     path = tmp_path / "dets.tsv"
-    write_detection_dump(path, images, feature_dim=4)
+    write_detection_dump(path, images, names, feature_dim=4)
     loaded, _ = load_detection_dump(path)
     assert [img.image_id for img in loaded] == [img.image_id for img in images]
-    for orig, back in zip(images, loaded):
+    for orig, back, (_, records) in zip(images, loaded, load_dump_by_line(path)[0]):
         for a, b in zip(boxes_of(orig), boxes_of(back)):
             assert a == b
         assert orig.category_ids.tolist() == back.category_ids.tolist()
-        assert orig.category_names == back.category_names
+        assert [names[c] for c in orig.category_ids.tolist()] == [r[2] for r in records]
         assert orig.confidences.tolist() == back.confidences.tolist()
         np.testing.assert_array_equal(orig.features, back.features)
     # second write is byte-identical
     path2 = tmp_path / "dets2.tsv"
-    write_detection_dump(path2, loaded)
+    write_detection_dump(path2, loaded, names)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -243,14 +247,14 @@ def dumps(draw):
 
 
 def assert_same_columns(images, got_dim, groups, dim):
-    """The loader's images hold, bit for bit, the line parser's (image_id, records)."""
+    """The loader's images hold, bit for bit, the line parser's (image_id,
+    records), whose category names the loader does not keep."""
     assert got_dim == dim
     assert [img.image_id for img in images] == [image_id for image_id, _ in groups]
     for image, (_, records) in zip(images, groups):
-        boxes, category_ids, names, confidences, features = zip(*records)
+        boxes, category_ids, _, confidences, features = zip(*records)
         assert image.boxes.tobytes() == box_array(boxes).tobytes()
         assert image.category_ids.tolist() == list(category_ids)
-        assert image.category_names == names
         assert image.confidences.tobytes() == np.array(confidences).tobytes()
         assert image.features.tobytes() == np.array(features).reshape(len(records), dim).tobytes()
 
@@ -340,7 +344,6 @@ def detection_images(draw):
             ImageDetections(
                 f"img{i}", boxes, draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)),
                 draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
-                ["traffic light"] * n,
                 np.array(draw(st.lists(FINITE, min_size=2 * n, max_size=2 * n))).reshape(n, 2),
             )
         )
@@ -352,14 +355,15 @@ def detection_images(draw):
 def test_dump_write_then_load_is_bit_exact(images):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dets.tsv"
-        write_detection_dump(path, images)
+        write_detection_dump(path, images, collections.defaultdict(lambda: "traffic light"))
         loaded, dim = load_detection_dump(path)
+        groups, _ = load_dump_by_line(path)
     assert dim == 2
     assert [img.image_id for img in loaded] == [img.image_id for img in images]
-    for orig, back in zip(images, loaded):
+    for orig, back, (_, records) in zip(images, loaded, groups):
         for column in ("boxes", "confidences", "category_ids", "features"):
             assert getattr(orig, column).tobytes() == getattr(back, column).tobytes(), column
-        assert orig.category_names == back.category_names
+        assert [r[2] for r in records] == ["traffic light"] * len(orig)
 
 
 # expressions and regions --------------------------------------------------------

@@ -27,12 +27,11 @@ def dump(request, tmp_path_factory):
         images.append(
             ImageDetections(
                 f"img{i:04d}", boxes, rng.uniform(0.05, 1.0, size=n_boxes),
-                rng.integers(0, 16, size=n_boxes), ["obj"] * n_boxes,
-                rng.normal(size=(n_boxes, dim)),
+                rng.integers(0, 16, size=n_boxes), rng.normal(size=(n_boxes, dim)),
             )
         )
     path = tmp_path_factory.mktemp("dumps") / f"{request.param}.tsv"
-    write_detection_dump(path, images)
+    write_detection_dump(path, images, ["obj"] * 16)
     return path, SHAPES[request.param]
 
 

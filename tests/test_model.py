@@ -41,7 +41,6 @@ from refnms.model import (
     init_parameters,
     make_batch,
     parameter_shapes,
-    score_expressions,
     survivors,
 )
 import refnms.nms as nms_module
@@ -65,7 +64,6 @@ def random_image(rng, n_boxes, feature_dim, confidences=None):
             (
                 Box(x1, y1, x1 + w, y1 + h),
                 int(rng.integers(0, 3)),
-                "obj",
                 conf,
                 rng.normal(size=feature_dim),
             )
@@ -77,7 +75,7 @@ def image_with(features):
     """An image of `features` rows whose every box survives any confidence floor."""
     n = len(features)
     return ImageDetections("img", np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), np.ones(n),
-                           np.zeros(n, dtype=int), ("obj",) * n, features)
+                           np.zeros(n, dtype=int), features)
 
 
 def window_of(expressions):
@@ -332,8 +330,8 @@ def test_score_is_exactly_relatedness_times_confidence():
     rng = np.random.default_rng(46)
     params = init_parameters(tiny_config(), seed=1)
     image = random_image(rng, 5, 3)
-    (relatedness,) = score_expressions([(image, [1, 4, 2])], params)
-    kept = proposal_pipeline(image, relatedness=relatedness)
+    window = Window.of([(image, [1, 4, 2])], 0.05)
+    (kept,) = proposal_pipeline(window, model.score_boxes(window, params))
     for fused, r, confidence in zip(
         kept.scores.tolist(), kept.relatedness.tolist(), image.confidences[kept.rows].tolist()
     ):
@@ -351,7 +349,7 @@ def test_scores_preserve_input_order_and_permute_with_it():
     perm = rng.permutation(6)
     shuffled = ImageDetections(
         "img", image.boxes[perm], image.confidences[perm], image.category_ids[perm],
-        [image.category_names[i] for i in perm], image.features[perm],
+        image.features[perm],
     )
     _, scored_shuffled = score_boxes(shuffled, indices, params)
     for j, i in enumerate(perm):
@@ -636,7 +634,7 @@ def test_scores_do_not_depend_on_the_other_expressions_of_a_pass(name):
 TWO_THREAD_COMPOSITION = """
 import numpy as np
 from refnms.ingest import ImageDetections
-from refnms.model import ModelConfig, init_parameters, score_expressions
+from refnms.model import ModelConfig, Window, init_parameters, score_boxes
 
 cfg = ModelConfig(vocab_size=50, feature_dim=100, embed_dim=100, hidden_size=50)
 params = init_parameters(cfg, seed=1)
@@ -645,13 +643,20 @@ expressions = []
 for i in range(60):
     n = int(rng.integers(1, 41))
     image = ImageDetections(f"img{i}", np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)), np.full(n, 0.9),
-                            np.zeros(n, dtype=int), ("obj",) * n, rng.normal(size=(n, 100)))
+                            np.zeros(n, dtype=int), rng.normal(size=(n, 100)))
     expressions.append((image, rng.integers(1, 50, size=int(rng.integers(1, 11))).tolist()))
 # repeats: whole expressions, and other images' token sequences
 expressions += [expressions[i] for i in rng.integers(0, 60, size=20)]
 expressions += [(expressions[i][0], expressions[j][1]) for i, j in rng.integers(60, size=(20, 2))]
-together = list(score_expressions(expressions, params))
-alone = [next(score_expressions([expression], params)) for expression in expressions]
+
+
+def scored(expressions):
+    window = Window.of(expressions, 0.05)
+    return [row[:n] for row, n in zip(score_boxes(window, params), window.sizes[window.image_of])]
+
+
+together = scored(expressions)
+alone = [scored([expression])[0] for expression in expressions]
 print(sum(not np.array_equal(a, t) for a, t in zip(alone, together)))
 """
 
@@ -694,7 +699,7 @@ def window_cases(draw):
         confidences = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
         boxes = [(20.0 * k, 0.0, 20.0 * k + 10.0, 10.0) for k in range(n)]
         images.append(ImageDetections(f"img{i}", np.reshape(boxes, (n, 4)), confidences,
-                                      np.zeros(n, dtype=int), ("obj",) * n,
+                                      np.zeros(n, dtype=int),
                                       rng.normal(size=(n, params.config.feature_dim))))
     limit = draw(st.integers(1, 4))
     words = st.lists(st.sampled_from(WINDOW_VOCABULARY[2:] + WINDOW_OOV), min_size=1, max_size=5)
@@ -762,7 +767,7 @@ def test_make_batch_pads_at_the_end_and_reverses_within_each_length():
         make_batch([[1], []])
 
 
-def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
+def test_score_boxes_scores_survivors_in_bounded_passes(monkeypatch):
     # the text side once per distinct token sequence, the box side once per
     # distinct image, the joint once per expression; each pass's widest array
     # within PASS_FLOATS unless the pass holds one sequence, image or expression
@@ -796,7 +801,8 @@ def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
     recording("box", model._box_side,
               lambda features, _, out: (len(features), max(features.size, out.value.size)))
     recording("joint", model._relate, lambda gate, *_: (len(gate.value), gate.value.size))
-    scored = list(score_expressions(expressions, params, min_confidence=0.05))
+    window = Window.of(expressions, 0.05)
+    scored = model.score_boxes(window, params)
     assert max(floats for _, floats in passes["text"]) == 1500 * q > PASS_FLOATS
     assert max(items for items, _ in passes["text"]) > 1
     assert all(floats <= PASS_FLOATS or items == 1 for items, floats in passes["text"])
@@ -806,7 +812,8 @@ def test_score_expressions_scores_survivors_in_bounded_passes(monkeypatch):
         assert all(f <= PASS_FLOATS or rows in one_image_rows for rows, f in passes[name]), name
     assert sum(rows for rows, _ in passes["box"]) == sum(len(rows) for rows in rows_of.values())
     assert sum(rows for rows, _ in passes["joint"]) == sum(len(rows_of[i]) for i, _ in busy)
-    for (image, indices), relatedness in zip(expressions, scored):
+    for (image, indices), row, n in zip(expressions, scored, window.sizes[window.image_of]):
         # the confidence floor is inclusive; an image without survivors scores nothing
         rows, reference = score_boxes(image, indices, params, min_confidence=0.05)
-        np.testing.assert_allclose(relatedness, reference, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(row[:n], reference, rtol=0.0, atol=1e-12)
+        assert not row[n:].any()

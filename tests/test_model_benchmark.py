@@ -5,8 +5,8 @@ the summed scores for one expression, at the acceptance scale (D=8, hidden
 16, 20 boxes) and at paper scale (D=2048, 300-d embeddings, hidden 256, 100
 boxes); `test_encoder_forward_backward_speed` times the expression encoder
 alone on the same 8 tokens. `test_scoring_speed` scores 500 expressions of
-the acceptance scale (synth_small's `apply`) in passes with
-`score_expressions`, and one by one through the per-expression oracle.
+the acceptance scale (synth_small's `apply`) in passes with `score_boxes`
+on one `Window`, and one by one through the per-expression oracle.
 `test_scoring_speed_on_one_paper_scale_image` scores 7 expressions of one
 100-box image at paper scale (RefCOCO has about 7 expressions per image), all
 together, where the box side runs once, and each alone, where it runs 7
@@ -34,7 +34,7 @@ from refnms.model import (
     init_parameters,
     make_batch,
     relatedness_forward,
-    score_expressions,
+    score_boxes,
 )
 
 SCALES = {
@@ -48,7 +48,7 @@ def image_of(n_boxes, feature_dim, rng):
     for _ in range(n_boxes):
         x1, y1 = rng.uniform(0, 500, size=2)
         records.append(
-            (Box(x1, y1, x1 + 40.0, y1 + 60.0), int(rng.integers(8)), "obj",
+            (Box(x1, y1, x1 + 40.0, y1 + 60.0), int(rng.integers(8)),
              float(rng.uniform(0.1, 1.0)), rng.normal(size=feature_dim))
         )
     return image_of_rows("img", records)
@@ -110,7 +110,7 @@ def test_scoring_speed(benchmark, mode):
 
     def score():
         if mode == "passes":
-            return list(score_expressions(expressions, params))
+            return list(score_boxes(Window.of(expressions, 0.05), params))
         return [oracles.score_boxes(image, indices, params)[1] for image, indices in expressions]
 
     scores = benchmark(score)
@@ -132,8 +132,9 @@ def paper_scale_image_expressions(texts):
 
 def score_together_and_alone(params, expressions):
     return (
-        lambda: list(score_expressions(expressions, params)),
-        lambda: [next(score_expressions([expression], params)) for expression in expressions],
+        lambda: score_boxes(Window.of(expressions, 0.05), params),
+        lambda: [score_boxes(Window.of([expression], 0.05), params)[0]
+                 for expression in expressions],
     )
 
 

@@ -14,7 +14,7 @@ from oracles import greedy_nms, image_of_rows
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import ImageDetections
 import refnms.nms as nms_module
-from refnms.model import ModelConfig, Window, init_parameters, score_expressions, survivors
+from refnms.model import ModelConfig, Window, init_parameters, score_boxes, survivors
 from refnms.nms import (
     NmsConfig,
     ProposalBudget,
@@ -76,9 +76,10 @@ def nms(proposals, cfg, criterion="fused"):
 
 def kept_scores(pool, budget):
     """The fused scores `proposal_pipeline` keeps of `pool` under `budget`."""
-    rows = [(p.box, p.category_id, "obj", p.confidence, (0.0,)) for p in pool]
+    rows = [(p.box, p.category_id, p.confidence, (0.0,)) for p in pool]
     image = image_of_rows("img", rows, feature_dim=1)
-    return proposal_pipeline(image, min_confidence=0.0, budget=budget).scores.tolist()
+    (kept,) = proposal_pipeline(Window.of([(image, None)], 0.0), 1.0, budget=budget)
+    return kept.scores.tolist()
 
 
 # greedy procedure ----------------------------------------------------------------
@@ -293,7 +294,7 @@ def test_images_of_one_window_never_suppress_each_other(pass_floats):
     }
     rng = np.random.default_rng(66)
     images = [
-        image_of_rows(name, [(box, 0, "obj", float(c), (0.0,)) for box, c in
+        image_of_rows(name, [(box, 0, float(c), (0.0,)) for box, c in
                              zip(boxes, rng.choice([0.5, 0.75, 1.0], size=len(boxes)))], 1)
         for name, boxes in layouts.items()
     ]
@@ -304,7 +305,7 @@ def test_images_of_one_window_never_suppress_each_other(pass_floats):
         related[e, : len(rows[i])] = rng.choice([0.25, 0.5, 1.0], size=len(rows[i]))
     with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats), \
             mock.patch.object(nms_module, "_relation", wraps=nms_module._relation) as relation:
-        got = nms_module._window_keep_lists(window, related, NmsConfig(), ProposalBudget())
+        got = proposal_pipeline(window, related)
         (call,) = relation.call_args_list  # one window, one relation for its three images
         indptr, neighbours = nms_module._relation(*call.args)
     of_row = call.args[1]
@@ -313,7 +314,8 @@ def test_images_of_one_window_never_suppress_each_other(pass_floats):
     assert len(source) > 0
     assert (of_row[source] == of_row[neighbours]).all()
     for i, scores, kept in zip(window.image_of.tolist(), related, got):
-        alone = proposal_pipeline(images[i], relatedness=scores[: len(rows[i])])
+        (alone,) = proposal_pipeline(Window.of([(images[i], None)], 0.05),
+                                     scores[None, : len(rows[i])])
         assert kept.rows.tolist() == alone.rows.tolist()
         assert kept.scores.tolist() == alone.scores.tolist()
 
@@ -376,7 +378,6 @@ def random_image(rng, n_boxes, feature_dim=4, n_classes=3):
             (
                 Box(x1, y1, x1 + w, y1 + h),
                 int(rng.integers(n_classes)),
-                "obj",
                 float(rng.uniform(0, 1)),
                 rng.normal(size=feature_dim),
             )
@@ -394,14 +395,13 @@ def test_constant_relatedness_equals_confidence_baseline():
         image = random_image(rng, int(rng.integers(1, 24)))
         k = float(rng.uniform(0.05, 1.0))
         nms_cfg = NmsConfig(iou_threshold=float(rng.uniform(0.2, 0.7)))
-        fused = proposal_pipeline(image, nms_cfg=nms_cfg, relatedness=k)
-        base = proposal_pipeline(image, nms_cfg=nms_cfg)
+        window = Window.of([(image, None)], 0.05)
+        (fused,) = proposal_pipeline(window, k, nms_cfg)
+        (base,) = proposal_pipeline(window, 1.0, nms_cfg)
         assert keep_signature(image, fused) == keep_signature(image, base)
         # and under a top-N budget
-        fused_b = proposal_pipeline(
-            image, nms_cfg=nms_cfg, budget=ProposalBudget.top_n(5), relatedness=k
-        )
-        base_b = proposal_pipeline(image, nms_cfg=nms_cfg, budget=ProposalBudget.top_n(5))
+        (fused_b,) = proposal_pipeline(window, k, nms_cfg, ProposalBudget.top_n(5))
+        (base_b,) = proposal_pipeline(window, 1.0, nms_cfg, ProposalBudget.top_n(5))
         assert keep_signature(image, fused_b) == keep_signature(image, base_b)
 
 
@@ -418,9 +418,8 @@ def test_zero_relatedness_loses_nms_to_related_duplicate():
 
 def test_ref_nms_pipeline_empty_image():
     params = init_parameters(ModelConfig(vocab_size=5, feature_dim=4, embed_dim=3, hidden_size=2), 0)
-    image = ImageDetections.empty("img", 4)
-    (relatedness,) = score_expressions([(image, [1, 2])], params)
-    out = proposal_pipeline(image, relatedness=relatedness)
+    window = Window.of([(ImageDetections.empty("img", 4), [1, 2])], 0.05)
+    (out,) = proposal_pipeline(window, score_boxes(window, params))
     assert out.rows.tolist() == []
 
 
@@ -428,10 +427,9 @@ def test_ref_nms_pipeline_runs_end_to_end():
     rng = np.random.default_rng(64)
     params = init_parameters(ModelConfig(vocab_size=6, feature_dim=4, embed_dim=3, hidden_size=2), 1)
     image = random_image(rng, 12)
-    (relatedness,) = score_expressions([(image, [1, 3])], params)
-    kept = proposal_pipeline(
-        image, nms_cfg=NmsConfig(), budget=ProposalBudget.top_n(5), relatedness=relatedness
-    )
+    window = Window.of([(image, [1, 3])], 0.05)
+    (kept,) = proposal_pipeline(window, score_boxes(window, params), NmsConfig(),
+                                ProposalBudget.top_n(5))
     assert len(kept) <= 5
     for fused, relatedness, confidence in zip(
         kept.scores.tolist(), kept.relatedness.tolist(), image.confidences[kept.rows].tolist()
@@ -439,6 +437,17 @@ def test_ref_nms_pipeline_runs_end_to_end():
         assert fused == relatedness * confidence
     fused_order = kept.scores.tolist()
     assert fused_order == sorted(fused_order, reverse=True)
+
+
+def test_pipeline_takes_one_relatedness_row_per_expression_or_one_constant():
+    rng = np.random.default_rng(65)
+    image = random_image(rng, 6)
+    window = Window.of([(image, None), (image, None)], 0.0)
+    assert len(proposal_pipeline(window, 0.5)) == 1  # one keep list per distinct image
+    assert len(proposal_pipeline(window, np.ones((2, 6)))) == 2
+    for shape in ((6,), (1, 6), (2, 5), (2, 7)):
+        with pytest.raises(ValueError, match="relatedness"):
+            proposal_pipeline(window, np.ones(shape))
 
 
 # keep lists ---------------------------------------------------------------------------
@@ -452,7 +461,7 @@ def test_windows_are_cut_between_images_and_never_split_an_image():
     # runs of expressions of one image; PASS_FLOATS 12 holds 2 expressions of
     # 5 survivors, and b's run of 4 goes to a window of its own all the same
     a, b, c = (
-        image_of_rows(name, [(Box(0, 0, 1, 1), 0, "obj", 0.5, ())] * n)
+        image_of_rows(name, [(Box(0, 0, 1, 1), 0, 0.5, ())] * n)
         for name, n in (("a", 3), ("b", 5), ("c", 0))
     )
     expressions = [(a, [1]), (a, [2]), (b, [1]), (b, [2]), (b, [3]), (b, [4]),
@@ -481,7 +490,7 @@ def keep_list_cases(draw):
             x1, y1 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
             box = Box(x1, y1, x1 + draw(st.integers(0, 4)), y1 + draw(st.integers(0, 4)))
             feature = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0)]))
-            rows.append((box, draw(st.integers(0, 2)), "obj", draw(LEVELS), feature))
+            rows.append((box, draw(st.integers(0, 2)), draw(LEVELS), feature))
         images.append(image_of_rows(f"img{i}", rows, feature_dim=2))
     tokens = st.lists(st.integers(1, 3), min_size=1, max_size=3)
     expressions = draw(st.lists(st.tuples(st.sampled_from(images), tokens), max_size=8))
@@ -510,7 +519,9 @@ def test_keep_lists_match_the_per_class_reference(case, threshold, per_class, bu
     with mock.patch.object(nms_module, "PASS_FLOATS", pass_floats):
         got = list(keep_lists(iter(expressions), relatedness, nms_cfg=cfg, budget=budget))
     if relatedness is TINY_MODEL:
-        related = list(score_expressions(expressions, TINY_MODEL))
+        window = Window.of(expressions, 0.05)
+        matrix = score_boxes(window, TINY_MODEL)
+        related = [row[:n] for row, n in zip(matrix, window.sizes[window.image_of])]
     else:
         related = [np.full(len(survivors(image, 0.05)), relatedness) for image, _ in expressions]
     assert len(got) == len(expressions)

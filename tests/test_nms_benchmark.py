@@ -23,7 +23,7 @@ import refnms.nms as nms_module
 from refnms import model
 from refnms.geometry import pairwise_iou
 from refnms.ingest import ImageDetections
-from refnms.model import ModelConfig, init_parameters, score_expressions, survivors
+from refnms.model import ModelConfig, Window, init_parameters, score_boxes, survivors
 from refnms.nms import NmsConfig, ProposalBudget, keep_lists, per_class_nms
 
 
@@ -58,7 +58,7 @@ def detector_like_expressions(images, boxes, expressions_per_image, feature_dim,
     expressions = []
     for i in range(images):
         pool, confidences, categories = detector_like_pool(boxes, seed=seed + i)
-        image = ImageDetections(f"img{i}", pool, confidences, categories, ("obj",) * boxes,
+        image = ImageDetections(f"img{i}", pool, confidences, categories,
                                 rng.normal(size=(boxes, feature_dim)))
         expressions += [(image, rng.integers(1, 20, size=4).tolist())
                         for _ in range(expressions_per_image)]
@@ -66,10 +66,10 @@ def detector_like_expressions(images, boxes, expressions_per_image, feature_dim,
 
 
 def check_against_each_expression_alone(expressions, params, cfg, kept, top_n):
-    related = score_expressions(expressions, params)
+    related = score_boxes(Window.of(expressions, 0.05), params)
     for (image, _), relatedness, got in zip(expressions, related, kept):
         rows = survivors(image, 0.05)
-        fused = relatedness * image.confidences[rows]
+        fused = relatedness[: len(rows)] * image.confidences[rows]
         whole = rows[per_class_nms(image.boxes[rows], fused, image.category_ids[rows], cfg)]
         assert got.rows.tolist() == whole[:top_n].tolist()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import boxes_of
+from oracles import boxes_of, load_dump_by_line
 from refnms.geometry import iou
 from refnms.ingest import (
     group_regions,
@@ -102,12 +102,12 @@ def test_orthogonal_embeddings_make_pseudo_gt_exact(tmp_path):
 
 def test_distractor_categories_are_absent_from_the_image(tmp_path):
     paths = generate_dataset(small_config(n_images=15, noise=0.0), tmp_path / "d")
-    dump = {img.image_id: img for img in load_detection_dump(paths.detections)[0]}
+    groups, _ = load_dump_by_line(paths.detections)  # the dump's lines with their names
     regions = group_regions(load_regions(paths.regions))
-    for image_id, image in dump.items():
+    for image_id, records in groups:
         present = {r.category_name for r in regions[image_id]}
         object_boxes = [r.box for r in regions[image_id]]
-        for box, category_name in zip(boxes_of(image), image.category_names):
+        for box, _, category_name, _, _ in records:
             overlaps_object = any(iou(box, b) > 0.5 for b in object_boxes)
             if not overlaps_object and max(iou(box, b) for b in object_boxes) <= 0.25:
                 assert category_name not in present

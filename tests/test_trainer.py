@@ -65,7 +65,7 @@ def toy_dataset(rng, n_expressions=6, boxes_per_image=5):
             feature = np.zeros(FEATURE_DIM)
             feature[cat] = 1.0
             feature += rng.normal(0, 0.05, size=FEATURE_DIM)
-            records.append((box, cat, f"c{cat}", float(rng.uniform(0.2, 0.9)), feature))
+            records.append((box, cat, float(rng.uniform(0.2, 0.9)), feature))
             if cat == category and target is None:
                 target = box
         examples.append(
@@ -793,7 +793,7 @@ def test_build_training_set_precomputes_foreground():
         ]
     }
     records = [
-        (box, 0, "cat", 0.9, np.zeros(FEATURE_DIM))
+        (box, 0, 0.9, np.zeros(FEATURE_DIM))
         for box in (Box(0, 0, 10, 10), Box(20, 20, 30, 30), Box(40, 40, 50, 50))
     ]
     detections = {"img1": image_of_rows("img1", records)}

@@ -57,7 +57,7 @@ def paper_scale_minibatch(config, expressions, images, boxes, seed):
             pool = np.hstack([corners, corners + rng.uniform(16, 64, size=(boxes, 2))])
             pools.append((pool, ImageDetections(
                 f"img{e}", pool, rng.uniform(0.1, 0.95, size=boxes), rng.integers(16, size=boxes),
-                ("obj",) * boxes, rng.normal(size=(boxes, config.feature_dim)),
+                rng.normal(size=(boxes, config.feature_dim)),
             )))
         pool, image = pools[e % images]
         words = rng.integers(2, config.vocab_size, size=int(rng.integers(3, 13)))
