@@ -17,8 +17,9 @@ import numpy as np
 
 from . import CHECKPOINT_VERSION, DETECTION_DUMP_VERSION, __version__
 from . import autodiff as ad
-from .evaluation import build_eval_set, recall_curve, write_report
+from .evaluation import DEFAULT_REAL_CASE_MIN_SCORE, build_eval_set, recall_curve, write_report
 from .ingest import (
+    DEFAULT_MAX_SENTENCE_LENGTH,
     SPLITS,
     DataFormatError,
     ImageDetections,
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-confidence", type=_unit, default=DEFAULT_MIN_CONFIDENCE)
     p.add_argument("--nms-iou", type=_open_unit, default=NmsConfig.iou_threshold)
     p.add_argument("--cross-class", action="store_true")
-    p.add_argument("--real-case-min-score", type=_unit, default=0.65)
+    p.add_argument("--real-case-min-score", type=_unit, default=DEFAULT_REAL_CASE_MIN_SCORE)
     p.set_defaults(func=cmd_eval_recall)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the model", epilog=EPILOG)
@@ -310,7 +311,8 @@ _EXTRA_KEYS = {"hidden_size": _positive_int, "max_sentence_length": _positive_in
 def _resolve_train_settings(args) -> tuple[TrainConfig, int, int]:
     """defaults < config file < explicit flags."""
     settings: dict = {}
-    extras = {"hidden_size": ModelConfig.hidden_size, "max_sentence_length": 10}
+    extras = {"hidden_size": ModelConfig.hidden_size,
+              "max_sentence_length": DEFAULT_MAX_SENTENCE_LENGTH}
     if args.config:
         for key, (lineno, raw) in _parse_config_file(args.config).items():
             convert = _TRAIN_KEYS.get(key) or _EXTRA_KEYS.get(key)

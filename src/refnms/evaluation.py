@@ -27,12 +27,15 @@ from .ingest import (
     Vocabulary,
     encode_tokens,
 )
-from .model import ModelParameters
+from .model import DEFAULT_MIN_CONFIDENCE, ModelParameters
 from .nms import NmsConfig, ProposalBudget, keep_lists
 from .pseudo_gt import generate_pseudo_gt, memoized_similarity, pseudo_region_boxes
 
 # a proposal hits a target when their IoU is strictly above this
 HIT_IOU = 0.5
+
+# the `real_case` budget keeps the proposals whose score reaches this
+DEFAULT_REAL_CASE_MIN_SCORE = 0.65
 
 METHODS = ("baseline_conf", "ref_nms")
 
@@ -149,8 +152,8 @@ def recall_curve(
     budgets: Sequence,
     *,
     nms_cfg: NmsConfig = NmsConfig(),
-    min_confidence: float = 0.05,
-    real_case_min_score: float = 0.65,
+    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
+    real_case_min_score: float = DEFAULT_REAL_CASE_MIN_SCORE,
     params: ModelParameters | None = None,
 ) -> RecallReport:
     """Aggregate referent and contextual recall per proposal budget.

@@ -27,6 +27,18 @@ each numeric column of a block is converted in one numpy call, with the
 values of Python's ``float()``. A block that fails any check is parsed
 again line by line, so an error names its ``file:line``.
 
+A load of a dump leaves its parsed columns beside it, in a sidecar named
+after it with `SIDECAR_SUFFIX` (``dets.tsv.refnms-cache.npz``), and a later
+load reads that instead of the text. The sidecar is derived data and safe to
+delete. It is written only for a regular file in a directory this process
+may write, atomically, and not if the dump changed during its parse; a
+failed write is ignored. It is keyed by the SHA-256 of the dump's bytes and
+`SIDECAR_VERSION`, and every read checks its columns again as the text
+parse does (shapes, dtypes, finite values, confidences in [0, 1], ordered box
+corners, non-empty distinct image ids, row counts). A sidecar that fails
+any of that, or that is owned by anyone but the dump's owner or this
+process's user, is ignored, and the text is parsed and the sidecar rewritten.
+
 Non-finite numbers (nan, inf) are rejected in every file.
 
 Vocabularies keep words seen at least twice in the training expressions,
@@ -35,14 +47,19 @@ reserve index 0 for padding and a dedicated "unk" index for everything else.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
 import re
+import secrets
+import stat
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -52,10 +69,17 @@ DUMP_HEADER_RE = re.compile(r"#refnms-dets v1 feature_dim=(\d+)$")
 SPLITS = frozenset({"train", "val", "testA", "testB", "test"})
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "unk"
+# tokens of an expression the model reads; later ones are dropped
+DEFAULT_MAX_SENTENCE_LENGTH = 10
 
 # characters of whole lines per block of a detection dump: bounds the text a
 # block holds while amortising numpy's per-call cost (~45 lines at D=2048)
 BLOCK_CHARS = 1 << 20
+
+# a dump's sidecar is named after it with this suffix; the version changes
+# whenever the same dump bytes could parse to other columns
+SIDECAR_SUFFIX = ".refnms-cache.npz"
+SIDECAR_VERSION = 1
 
 
 class DataFormatError(ValueError):
@@ -260,6 +284,18 @@ def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
     return rows
 
 
+def _values_valid(boxes: np.ndarray, confidences: np.ndarray, features: np.ndarray) -> bool:
+    """Whether every box and feature is finite, every confidence lies in
+    [0, 1] and every box has x2 >= x1 and y2 >= y1."""
+    return bool(
+        np.isfinite(boxes).all()
+        and np.isfinite(features).all()
+        and ((confidences >= 0.0) & (confidences <= 1.0)).all()
+        and (boxes[:, 2] >= boxes[:, 0]).all()
+        and (boxes[:, 3] >= boxes[:, 1]).all()
+    )
+
+
 def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tuple:
     """(image_ids, boxes, category_ids, confidences, features) of a block of
     dump lines, with one numpy conversion per numeric column.
@@ -286,14 +322,7 @@ def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
         category_ids = np.array(list(map(int, cat_fields)), dtype=np.int64)
         confidences = np.array(conf_fields, dtype=np.float64)  # float() of each field
         features = _float_rows(feat_fields, dim)
-        valid = (
-            all(image_ids)
-            and np.isfinite(boxes).all()
-            and np.isfinite(features).all()
-            and ((confidences >= 0.0) & (confidences <= 1.0)).all()
-            and (boxes[:, 2] >= boxes[:, 0]).all()
-            and (boxes[:, 3] >= boxes[:, 1]).all()
-        )
+        valid = all(image_ids) and _values_valid(boxes, confidences, features)
     except (ValueError, OverflowError):
         valid = False
     if not valid:
@@ -301,14 +330,54 @@ def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tup
     return list(image_ids), boxes, category_ids, confidences, features
 
 
+class _DumpColumns(NamedTuple):
+    """A parsed dump: ``counts[k]`` rows of image ``image_ids[k]``, in that
+    order, in each column."""
+
+    feature_dim: int
+    image_ids: list[str]
+    counts: np.ndarray  # (images,) int64
+    boxes: np.ndarray
+    confidences: np.ndarray
+    category_ids: np.ndarray
+    features: np.ndarray
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self._fields[2:]}
+
+
 def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
     """Parse a detection dump into (images in first-seen order, feature dimension).
 
     The file is read in blocks of whole lines (`BLOCK_CHARS`), never at once.
     An image's rows keep their file order, whether or not its lines are
-    contiguous in the file.
+    contiguous in the file. A regular file in a writable directory is hashed
+    first, and its sidecar (`sidecar_path`) stands in for the parse when it
+    is keyed by that hash and passes the parser's checks; otherwise the dump
+    is parsed and the sidecar written, unless the file changed meanwhile.
     """
     path = Path(path)
+    stamp = _stamp(path)
+    digest = _sha256(path) if stamp else None
+    columns = _read_sidecar(path, digest, stamp[-1]) if digest else None
+    if columns is None:
+        columns = _parse_dump(path)
+        if digest and _stamp(path) == stamp:
+            _write_sidecar(path, digest, columns)
+    for column in columns.arrays().values():
+        column.setflags(write=False)
+    bounds = np.cumsum(columns.counts).tolist()
+    return [
+        ImageDetections(
+            image_id, columns.boxes[start:stop], columns.confidences[start:stop],
+            columns.category_ids[start:stop], columns.features[start:stop],
+        )
+        for image_id, start, stop in zip(columns.image_ids, [0, *bounds], bounds)
+    ], columns.feature_dim
+
+
+def _parse_dump(path: Path) -> _DumpColumns:
+    """The columns of the dump at `path`, parsed from its text."""
     # per column, its part from each block
     parts: tuple[list, ...] = ([], [], [], [], [])
     with open_utf8(path) as fh:
@@ -323,7 +392,8 @@ def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
                 column.append(part)
             lineno += len(lines)
     if not parts[0]:
-        return [], dim
+        return _DumpColumns(dim, [], np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0),
+                            np.zeros(0, dtype=np.int64), np.zeros((0, dim)))
     image_ids = [x for part in parts[0] for x in part]
     boxes, category_ids, confidences, features = map(_stacked, parts[1:])
     codes: dict[str, int] = {}
@@ -334,16 +404,103 @@ def load_detection_dump(path) -> tuple[list[ImageDetections], int]:
         boxes, category_ids, confidences, features = (
             column[order] for column in (boxes, category_ids, confidences, features)
         )
-    for column in (boxes, category_ids, confidences, features):
-        column.setflags(write=False)
-    bounds = np.cumsum(np.bincount(image_of_row)).tolist()
-    return [
-        ImageDetections(
-            image_id, boxes[start:stop], confidences[start:stop], category_ids[start:stop],
-            features[start:stop],
-        )
-        for image_id, start, stop in zip(codes, [0, *bounds], bounds)
-    ], dim
+    counts = np.bincount(image_of_row).astype(np.int64, copy=False)
+    return _DumpColumns(dim, list(codes), counts, boxes, confidences, category_ids, features)
+
+
+def sidecar_path(path) -> Path:
+    """Where a load of the dump at `path` keeps its parsed columns."""
+    path = Path(path)
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+def _stamp(path: Path) -> tuple | None:
+    """(device, inode, size, mtime_ns, owner) of `path` if it is a regular
+    file in a directory this process may write, else None (no sidecar)."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not (stat.S_ISREG(st.st_mode) and os.access(path.parent, os.W_OK | os.X_OK)):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_uid
+
+
+def _sha256(path: Path) -> str | None:
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 18):  # as fast as hashlib.file_digest (3.11+)
+                h.update(chunk)
+    except OSError:  # the parse raises it
+        return None
+    return h.hexdigest()
+
+
+def _read_sidecar(path: Path, digest: str, dump_owner: int) -> _DumpColumns | None:
+    """The columns in the sidecar of `path`, if it is owned by the dump's
+    owner or this process's user, is keyed by `digest` and passes every check
+    the text parse makes; else None."""
+    sidecar = sidecar_path(path)
+    try:
+        st = os.stat(sidecar)
+        # anyone who can read the dump can compute its key: in a shared
+        # directory, a sidecar of another user's may hold other columns
+        if not stat.S_ISREG(st.st_mode) or st.st_uid not in (dump_owner, os.geteuid()):
+            return None
+        with np.load(sidecar, allow_pickle=False) as npz:
+            names = _DumpColumns._fields[2:]
+            if sorted(npz.files) != sorted(["key", *names]):
+                return None
+            meta = json.loads(npz["key"].tobytes().decode("utf-8"))
+            if (meta["version"], meta["sha256"]) != (SIDECAR_VERSION, digest):
+                return None
+            columns = _DumpColumns(meta["feature_dim"], meta["image_ids"],
+                                   *(npz[name] for name in names))
+        return columns if _columns_valid(columns) else None
+    # derived data in any state: a damaged file raises BadZipFile, KeyError,
+    # ValueError, NotImplementedError, OSError, EOFError or RuntimeError from
+    # zipfile, numpy's reader or json, and every one of them means "parse"
+    except Exception:
+        return None
+
+
+def _columns_valid(c: _DumpColumns) -> bool:
+    """Whether `c` passes every check a text parse makes of its result."""
+    ids, n = c.image_ids, c.confidences.size
+    if not (
+        type(c.feature_dim) is int and c.feature_dim >= 0
+        and type(ids) is list and all(type(i) is str and i for i in ids)
+        and len(set(ids)) == len(ids)
+    ):
+        return False
+    layout = (
+        (c.counts, np.int64, (len(ids),)), (c.boxes, np.float64, (n, 4)),
+        (c.confidences, np.float64, (n,)), (c.category_ids, np.int64, (n,)),
+        (c.features, np.float64, (n, c.feature_dim)),
+    )
+    return bool(
+        all(a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+            for a, dtype, shape in layout)
+        and ((c.counts >= 1) & (c.counts <= n)).all() and c.counts.sum() == n
+    ) and _values_valid(c.boxes, c.confidences, c.features)
+
+
+def _write_sidecar(path: Path, digest: str, c: _DumpColumns) -> None:
+    """Write `c` as the sidecar of `path`, keyed by `digest`: into a file of
+    its own, renamed into place. A write that fails leaves nothing."""
+    sidecar = sidecar_path(path)
+    tmp = sidecar.with_name(f"{sidecar.name}.{secrets.token_hex(8)}.tmp")
+    meta = {"version": SIDECAR_VERSION, "sha256": digest, "feature_dim": c.feature_dim,
+            "image_ids": c.image_ids}  # JSON keeps every character of an id, NUL too
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, key=np.frombuffer(json.dumps(meta).encode("ascii"), dtype=np.uint8),
+                     **c.arrays())
+        os.replace(tmp, sidecar)
+    except Exception:  # derived data: a failed write costs the next load a parse
+        with suppress(OSError):
+            tmp.unlink()
 
 
 def _stacked(parts: list[np.ndarray]) -> np.ndarray:

@@ -339,9 +339,7 @@ def forward(window: Window, params: ModelParameters) -> dict[str, Node]:
     first = (np.cumsum(sizes) - sizes)[window.image_of[used]]  # their images' first gate rows
     rows = np.concatenate([np.arange(f, f + n) for f, n in zip(first.tolist(), counts.tolist())])
     summaries = ad.take(text["attended"], np.repeat(text_of[used], counts))
-    # with no image repeated these are the gate's rows in order: a take only costs time
-    gate_rows = gate if len(rows) == len(gate.value) else ad.take(gate, rows)
-    return {**text, "gate": gate, **_relate(gate_rows, summaries, params)}
+    return {**text, "gate": gate, **_relate(ad.take(gate, rows), summaries, params)}
 
 
 def _text_side(batch: ExpressionBatch, params: ModelParameters) -> dict[str, Node]:

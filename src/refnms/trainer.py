@@ -41,6 +41,7 @@ from .evaluation import EvalExample
 from .geometry import box_array
 from .ingest import DataFormatError, Vocabulary, vocabulary_from_words
 from .model import (
+    DEFAULT_MIN_CONFIDENCE,
     ModelConfig,
     ModelParameters,
     Window,
@@ -75,7 +76,7 @@ class TrainConfig:
     eps: float = 1e-8
     epochs: int = 5
     seed: int = 0
-    min_confidence: float = 0.05    # confidence filter before scoring
+    min_confidence: float = DEFAULT_MIN_CONFIDENCE  # confidence filter before scoring
     similarity_threshold: float = 0.4  # pseudo ground-truth matching
     margin: float = 0.1
     max_negatives: int = 100

@@ -87,6 +87,25 @@ def matmul(a: ad.Node, b: ad.Node) -> ad.Node:
     return out
 
 
+def take(x: ad.Node, indices) -> ad.Node:
+    """`ad.take` as it was before its no-repeat path: every backward sums the
+    gradient rows into a block of the sorted distinct rows with `np.add.at`,
+    then adds the block to those rows."""
+    idx = np.asarray(indices, dtype=np.intp)
+    out = ad.Node(x.value[idx], (x,))
+
+    def _bw(out: ad.Node) -> None:
+        rows = np.array(sorted(set(idx.ravel().tolist())), dtype=np.intp)
+        block = np.zeros((rows.size,) + x.value.shape[1:])
+        np.add.at(block, np.searchsorted(rows, idx), out.grad)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        x.grad[rows] += block
+
+    out._backward = _bw
+    return out
+
+
 def stack(nodes: Sequence[ad.Node]) -> ad.Node:
     """Stack equally shaped nodes along a new leading axis."""
     return ad.concat([ad.reshape(n, (1,) + n.value.shape) for n in nodes], axis=0)

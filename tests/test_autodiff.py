@@ -235,6 +235,38 @@ def test_take_gradient_is_bit_equal_to_a_dense_scatter(rows, cols, picks, accumu
     assert x.grad.tobytes() == expected.tobytes()
 
 
+# gradients with signed zeros, where adding onto a zero block and adding
+# straight onto the rows could differ
+GRADIENTS = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 3),
+       repeats=st.booleans(), accumulated=st.booleans(), column=st.booleans())
+def test_take_backward_is_bit_equal_to_the_block_oracle(data, rows, cols, repeats, accumulated,
+                                                         column):
+    # indices with and without repeats, as a vector or a column of them
+    if repeats:
+        idx = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=10))
+    else:
+        idx = data.draw(st.permutations(range(rows)).flatmap(
+            lambda p: st.integers(0, rows).map(lambda k: p[:k])))
+    idx = np.array(idx, dtype=np.intp).reshape((-1, 1) if column else (-1,))
+    arrays = st.lists(GRADIENTS, min_size=rows * cols, max_size=rows * cols)
+    prior = np.array(data.draw(arrays)).reshape(rows, cols) if accumulated else None
+    upstream = np.array(data.draw(st.lists(GRADIENTS, min_size=idx.size * cols,
+                                           max_size=idx.size * cols))).reshape(*idx.shape, cols)
+    grads = []
+    for take in (ad.take, oracles.take):
+        x = Node(np.zeros((rows, cols)))
+        x.grad = None if prior is None else prior.copy()
+        out = take(x, idx)
+        out.grad = upstream
+        out._backward(out)
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
 def test_fd_activations_and_reductions():
     assert fd_check(lambda a: ad.sum(ad.sigmoid(a)), (5,)) < FD_TOL
     assert fd_check(lambda a: ad.sum(oracles.tanh(a)), (5,)) < FD_TOL

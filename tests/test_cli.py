@@ -1,6 +1,7 @@
 """CLI: flag documentation, exit codes, determinism, command round trips."""
 
 import hashlib
+import inspect
 import json
 import math
 import subprocess
@@ -9,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from refnms import geometry
+from refnms import cli, evaluation, geometry, nms
 from refnms.cli import EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
+from refnms.ingest import sidecar_path
+from refnms.model import DEFAULT_MIN_CONFIDENCE
 from refnms.trainer import TrainConfig, load_checkpoint
 
 
@@ -86,6 +89,23 @@ def test_malformed_file_exit_code(tmp_path):
          "--out", str(tmp_path / "o.tsv"), "--baseline"]
     )
     assert code == EXIT_DATA
+
+
+def test_malformed_dump_exits_with_data_error_naming_the_line_and_leaves_no_sidecar(
+        tmp_path, capsys):
+    dump = tmp_path / "dets.tsv"
+    line = "img\t0 0 10 10\t1\tdog\t{}\t1.0"
+    dump.write_text("#refnms-dets v1 feature_dim=1\n" + line.format(0.5) + "\n"
+                    + line.format(1.5) + "\n")
+    exprs = tmp_path / "exprs.tsv"
+    exprs.write_text("e1\timg\tval\t0 0 10 10\tthe dog\n")
+    capsys.readouterr()
+    code = main(["apply", "--detections", str(dump), "--expressions", str(exprs),
+                 "--out", str(tmp_path / "o.tsv"), "--baseline"])
+    assert code == EXIT_DATA
+    assert f"{dump}:3: confidence 1.5 outside [0, 1]" in capsys.readouterr().err
+    assert not sidecar_path(dump).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dets.tsv", "exprs.tsv"]
 
 
 def test_synth_data_is_deterministic(tmp_path):
@@ -536,6 +556,34 @@ def test_train_settings_take_flags_over_the_config_file_over_the_defaults(datase
         assert header["model_config"]["hidden_size"] == hidden_size
         assert vocab.max_sentence_length == 10  # set by neither
         assert header["config_hash"] == TrainConfig(epochs=epochs, seed=9).config_hash()
+
+
+def parser_default(command, flag):
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    return next(a.default for a in commands[command]._actions if flag in a.option_strings)
+
+
+def test_defaults_have_one_declaration(dataset, monkeypatch):
+    # each default is one object, read by the flag and by every library
+    # function that has it (small ints are shared objects, so the sentence
+    # limit is checked by changing its declaration)
+    for command in ("apply", "eval-recall"):
+        assert parser_default(command, "--min-confidence") is DEFAULT_MIN_CONFIDENCE
+    assert TrainConfig.min_confidence is DEFAULT_MIN_CONFIDENCE
+    for function in (evaluation.recall_curve, nms.keep_lists):
+        assert inspect.signature(function).parameters["min_confidence"].default \
+            is DEFAULT_MIN_CONFIDENCE
+    assert parser_default("eval-recall", "--real-case-min-score") \
+        is evaluation.DEFAULT_REAL_CASE_MIN_SCORE
+    assert inspect.signature(evaluation.recall_curve).parameters["real_case_min_score"].default \
+        is evaluation.DEFAULT_REAL_CASE_MIN_SCORE
+    args = build_parser().parse_args(["train", *data_args(dataset), "--out", "m.ckpt"])
+    monkeypatch.setattr(cli, "DEFAULT_MAX_SENTENCE_LENGTH", 7)
+    monkeypatch.setattr(cli.ModelConfig, "hidden_size", 5)
+    config, hidden_size, max_sentence_length = cli._resolve_train_settings(args)
+    assert (hidden_size, max_sentence_length) == (5, 7)
+    assert config.min_confidence is DEFAULT_MIN_CONFIDENCE
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """File format loaders/writers, vocabulary construction, token encoding."""
 
 import collections
+import hashlib
+import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from refnms.ingest import (
     load_embeddings,
     load_expressions,
     load_regions,
+    sidecar_path,
     vocabulary_from_words,
     write_detection_dump,
     write_expressions,
@@ -327,12 +331,15 @@ def test_block_rows_stay_tied_to_their_lines(dim, features):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# any text a dump's first field can hold: no tab, and no \n or \r, which end a line
+IMAGE_IDS = st.text(st.characters(exclude_characters="\t\n\r"), min_size=1, max_size=6)
 
 
 @st.composite
 def detection_images(draw):
     images = []
-    for i in range(draw(st.integers(1, 3))):
+    image_ids = draw(st.lists(IMAGE_IDS, min_size=1, max_size=3, unique=True))
+    for image_id in image_ids:
         n = draw(st.integers(1, 4))
         boxes = []
         for _ in range(n):
@@ -342,7 +349,7 @@ def detection_images(draw):
             boxes.append((x1, y1, x2, y2))
         images.append(
             ImageDetections(
-                f"img{i}", boxes, draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)),
+                image_id, boxes, draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)),
                 draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
                 np.array(draw(st.lists(FINITE, min_size=2 * n, max_size=2 * n))).reshape(n, 2),
             )
@@ -350,20 +357,237 @@ def detection_images(draw):
     return images
 
 
+def no_text_parse(patch):
+    """Make any parse of dump text fail the test."""
+    patch.setattr(ingest, "_parse_block", lambda *args: pytest.fail("dump text parsed"))
+
+
+def assert_same_images(got, expected):
+    assert [img.image_id for img in got] == [img.image_id for img in expected]
+    for back, orig in zip(got, expected):
+        for column in ("boxes", "confidences", "category_ids", "features"):
+            assert getattr(orig, column).tobytes() == getattr(back, column).tobytes(), column
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(detection_images())
 def test_dump_write_then_load_is_bit_exact(images):
+    # the first load parses the text and leaves a sidecar; the second reads
+    # the sidecar alone, to the same bits
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dets.tsv"
         write_detection_dump(path, images, collections.defaultdict(lambda: "traffic light"))
         loaded, dim = load_detection_dump(path)
         groups, _ = load_dump_by_line(path)
-    assert dim == 2
-    assert [img.image_id for img in loaded] == [img.image_id for img in images]
-    for orig, back, (_, records) in zip(images, loaded, groups):
-        for column in ("boxes", "confidences", "category_ids", "features"):
-            assert getattr(orig, column).tobytes() == getattr(back, column).tobytes(), column
+        assert sidecar_path(path).is_file()
+        with pytest.MonkeyPatch.context() as patch:
+            no_text_parse(patch)
+            again, dim_again = load_detection_dump(path)
+    assert dim == dim_again == 2
+    assert_same_images(loaded, images)
+    assert_same_images(again, images)
+    for image in again:
+        assert not image.features.flags.writeable
+    for orig, (_, records) in zip(images, groups):
         assert [r[2] for r in records] == ["traffic light"] * len(orig)
+
+
+def test_image_ids_with_unicode_and_trailing_nuls_round_trip(tmp_path):
+    # numpy's fixed-width unicode strings drop trailing NULs; the sidecar must not
+    ids = ["a", "a\x00", "a\x00\x00", "\x00", "Ünïcødé 图像 🐕", "b\x00c", " pad "]
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + "".join(det_line(image=i) + "\n" for i in ids), encoding="utf-8")
+    first, _ = load_detection_dump(path)
+    with pytest.MonkeyPatch.context() as patch:
+        no_text_parse(patch)
+        second, _ = load_detection_dump(path)
+    assert [img.image_id for img in first] == [img.image_id for img in second] == ids
+
+
+def test_empty_dump_loads_from_its_sidecar(tmp_path):
+    path = tmp_path / "dets.tsv"
+    path.write_text("#refnms-dets v1 feature_dim=7\n")
+    assert load_detection_dump(path) == ([], 7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_dump", lambda *args: pytest.fail("dump text parsed"))
+        assert load_detection_dump(path) == ([], 7)
+
+
+def counting_text_parses(monkeypatch) -> list:
+    """A list that grows by one each time dump text is parsed."""
+    calls, parse = [], ingest._parse_dump
+
+    def counted(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(ingest, "_parse_dump", counted)
+    return calls
+
+
+def test_dump_edited_to_the_same_size_is_parsed_again(tmp_path, monkeypatch):
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line(conf="0.9") + "\n" + det_line(image="b") + "\n")
+    load_detection_dump(path)
+    old_key = sidecar_path(path).read_bytes()
+    st_before = path.stat()
+    path.write_text(HEADER + det_line(conf="0.8") + "\n" + det_line(image="b") + "\n")
+    # the same size and even the same mtime: the sidecar is keyed by the bytes
+    os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
+    assert path.stat().st_size == st_before.st_size
+    calls = counting_text_parses(monkeypatch)
+    (a, _), _ = load_detection_dump(path)
+    assert a.confidences.tolist() == [0.8] and len(calls) == 1
+    assert sidecar_path(path).read_bytes() != old_key  # rewritten for the new bytes
+    (a, _), _ = load_detection_dump(path)
+    assert a.confidences.tolist() == [0.8] and len(calls) == 1
+
+
+def rewritten(path: Path, change) -> None:
+    """Rewrite the npz at `path` with its arrays passed through `change`."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name].copy() for name in npz.files}
+    change(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def with_key(arrays, **fields):
+    meta = json.loads(arrays["key"].tobytes()) | fields
+    arrays["key"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def set_item(name, index, value):
+    return lambda arrays: arrays[name].__setitem__(index, value)
+
+
+BAD_SIDECARS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "garbage": lambda p: p.write_bytes(b"\x93NUMPY not a zip" * 40),
+    "empty": lambda p: p.write_bytes(b""),
+    "nan feature": lambda p: rewritten(p, set_item("features", (1, 2), np.nan)),
+    "inf box": lambda p: rewritten(p, set_item("boxes", (0, 2), np.inf)),
+    "confidence 1.5": lambda p: rewritten(p, set_item("confidences", 2, 1.5)),
+    "confidence nan": lambda p: rewritten(p, set_item("confidences", 0, np.nan)),
+    "inverted box": lambda p: rewritten(p, set_item("boxes", (1, 0), 50.0)),
+    "wrong key": lambda p: rewritten(p, lambda a: with_key(a, sha256="0" * 64)),
+    "other version": lambda p: rewritten(p, lambda a: with_key(a, version=0)),
+    "counts off": lambda p: rewritten(p, set_item("counts", 0, 3)),
+    "zero count": lambda p: rewritten(p, lambda a: a.update(counts=np.array([0, 3]))),
+    "repeated id": lambda p: rewritten(p, lambda a: with_key(a, image_ids=["a", "a"])),
+    "empty id": lambda p: rewritten(p, lambda a: with_key(a, image_ids=["a", ""])),
+    "feature_dim": lambda p: rewritten(p, lambda a: with_key(a, feature_dim=2)),
+    "float32 features": lambda p: rewritten(
+        p, lambda a: a.update(features=a["features"].astype(np.float32))),
+    "column missing": lambda p: rewritten(p, lambda a: a.pop("category_ids")),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(BAD_SIDECARS))
+def test_bad_sidecar_gives_the_text_parse_and_is_rewritten(tmp_path, monkeypatch, spoil):
+    path = tmp_path / "dets.tsv"
+    lines = [det_line(image="a"), det_line(image="b", box="1 2 3 4"), det_line(image="a")]
+    path.write_text(HEADER + "".join(line + "\n" for line in lines))
+    load_detection_dump(path)
+    BAD_SIDECARS[spoil](sidecar_path(path))
+    calls = counting_text_parses(monkeypatch)
+    images, dim = load_detection_dump(path)
+    assert len(calls) == 1
+    groups, _ = load_dump_by_line(path)
+    assert_same_columns(images, dim, groups, 3)
+    load_detection_dump(path)
+    assert len(calls) == 1  # the rewritten sidecar serves the next load
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+                min_size=1, max_size=4),
+       st.floats(0.05, 1))
+def test_damaged_sidecar_bytes_give_the_text_parse(edits, kept):
+    # bytes of a good sidecar overwritten, and its tail cut off
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dets.tsv"
+        lines = [det_line(image="a"), det_line(image="b", box="1 2 3 4"), det_line(image="a")]
+        path.write_text(HEADER + "".join(line + "\n" for line in lines))
+        load_detection_dump(path)
+        damaged = bytearray(sidecar_path(path).read_bytes())
+        for where, byte in edits:
+            damaged[int(where * len(damaged))] = byte
+        sidecar_path(path).write_bytes(damaged[: max(1, int(kept * len(damaged)))])
+        images, dim = load_detection_dump(path)
+        groups, _ = load_dump_by_line(path)
+    assert_same_columns(images, dim, groups, 3)
+
+
+def test_unwritable_directory_loads_without_hashing_or_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line() + "\n")
+    expected, _ = load_dump_by_line(path)
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda p, mode: False if Path(p) == tmp_path else access(p, mode)
+    )
+    monkeypatch.setattr(ingest, "_sha256", lambda *args: pytest.fail("dump hashed"))
+    images, dim = load_detection_dump(path)
+    assert_same_columns(images, dim, expected, 3)
+    assert os.listdir(tmp_path) == ["dets.tsv"]
+
+
+def test_sidecar_is_written_and_read_without_hashlib_file_digest(tmp_path, monkeypatch):
+    # hashlib.file_digest is new in Python 3.11; the package supports 3.10
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line() + "\n")
+    first, _ = load_detection_dump(path)
+    assert sidecar_path(path).is_file()
+    calls = counting_text_parses(monkeypatch)
+    second, _ = load_detection_dump(path)
+    assert calls == []
+    assert_same_images(second, first)
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another user needs root")
+def test_sidecar_of_another_user_gives_the_text_parse(tmp_path, monkeypatch):
+    # its key is right, as anyone who can read the dump can compute it
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line(conf="0.9") + "\n")
+    load_detection_dump(path)
+    rewritten(sidecar_path(path), set_item("confidences", 0, 0.5))
+    os.chown(sidecar_path(path), os.geteuid() + 4321, -1)
+    calls = counting_text_parses(monkeypatch)
+    (image,), _ = load_detection_dump(path)
+    assert image.confidences.tolist() == [0.9] and len(calls) == 1
+    assert sidecar_path(path).stat().st_uid == os.geteuid()  # replaced by this user's
+
+
+def test_dump_changed_during_its_parse_leaves_no_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line() + "\n")
+    parse = ingest._parse_dump
+
+    def touched(p):
+        columns = parse(p)
+        os.utime(p, ns=(0, path.stat().st_mtime_ns + 1))
+        return columns
+
+    monkeypatch.setattr(ingest, "_parse_dump", touched)
+    load_detection_dump(path)
+    assert os.listdir(tmp_path) == ["dets.tsv"]
+
+
+def test_failed_sidecar_write_is_ignored_and_leaves_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "dets.tsv"
+    path.write_text(HEADER + det_line() + "\n")
+    for error in (OSError(28, "No space left on device"), ValueError("from numpy")):
+
+        def failing(fh, **arrays):
+            fh.write(b"partial")
+            raise error
+
+        monkeypatch.setattr(np, "savez", failing)
+        (image,), _ = load_detection_dump(path)
+        assert image.confidences.tolist() == [0.9]
+        assert os.listdir(tmp_path) == ["dets.tsv"]
 
 
 # expressions and regions --------------------------------------------------------
