@@ -107,19 +107,19 @@ _SPLITS = sorted(SPLITS)
 
 
 def _budgets(text: str) -> list:
-    """An argparse type: a comma list of top-N sizes and/or 'real_case' (or 'real')."""
+    """An argparse type: a comma list of distinct top-N sizes and/or 'real_case' (or 'real')."""
     budgets: list = []
     for part in text.split(","):
         part = part.strip()
-        if part in ("real", "real_case"):
-            budgets.append("real_case")
-            continue
         try:
-            budgets.append(_count(part))
+            budget = "real_case" if part in ("real", "real_case") else _count(part)
         except argparse.ArgumentTypeError:
             raise argparse.ArgumentTypeError(
                 f"bad budget '{part}' in '{text}': expected an integer >= 0 or 'real_case'"
             ) from None
+        if budget in budgets:
+            raise argparse.ArgumentTypeError(f"budget '{part}' repeated in '{text}'")
+        budgets.append(budget)
     return budgets
 
 
@@ -267,11 +267,11 @@ def cmd_pseudo_gt(args) -> int:
     similarity = memoized_similarity(table)
     lines = []
     for expr in expressions:
-        pseudo = generate_pseudo_gt(
+        matched = generate_pseudo_gt(
             expr, regions_by_image.get(expr.image_id, ()), table, args.similarity_threshold,
             similarity,
         )
-        lines.append(f"{expr.expression_id}\t{','.join(sorted(pseudo.region_ids))}")
+        lines.append(f"{expr.expression_id}\t{','.join(sorted(r.region_id for r in matched))}")
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote pseudo ground-truths for {len(lines)} expressions to {args.out}")
     return EXIT_OK
@@ -448,7 +448,7 @@ def cmd_eval_recall(args) -> int:
         expressions, group_detections(images), regions_by_image, table,
         args.similarity_threshold, vocab,
     )
-    report = recall_curve(
+    rows = recall_curve(
         examples,
         args.method,
         args.budgets,
@@ -457,8 +457,8 @@ def cmd_eval_recall(args) -> int:
         real_case_min_score=args.real_case_min_score,
         params=params,
     )
-    write_report(report, args.out)
-    for (split, method, budget), row in report.rows.items():
+    write_report(rows, args.out)
+    for (split, method, budget), row in rows.items():
         print(
             f"{split} {method} budget={budget}: "
             f"referent {row.referent_recall:.2f}% ({row.referent_hits}/{row.referent_total}), "

@@ -2,23 +2,22 @@
 ground truths.
 
 `build_eval_set` assembles one `EvalExample` per expression; training reads
-the same examples. For every expression the retained proposals are checked
-against the annotated referent box (hit above 0.5 IoU) and against the
-pseudo ground-truth regions (region-side many-to-one matching). Hits come
-from one IoU matrix per expression, kept proposals against targets. Results
-aggregate per proposal budget into a CSV-serializable report.
+the same examples. Each example's targets, the referent box then its pseudo
+ground-truth regions' boxes, are checked against the retained proposals (hit
+above 0.5 IoU, region-side many-to-one matching) in one IoU matrix. Results
+aggregate per proposal budget into rows keyed by (split, method, budget).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, box_array, pairwise_iou
+from .geometry import box_array, pairwise_iou
 from .ingest import (
     EmbeddingTable,
     ExpressionRecord,
@@ -29,7 +28,7 @@ from .ingest import (
 )
 from .model import DEFAULT_MIN_CONFIDENCE, ModelParameters
 from .nms import NmsConfig, ProposalBudget, keep_lists
-from .pseudo_gt import generate_pseudo_gt, memoized_similarity, pseudo_region_boxes
+from .pseudo_gt import DEFAULT_SIMILARITY_THRESHOLD, generate_pseudo_gt, memoized_similarity
 
 # a proposal hits a target when their IoU is strictly above this
 HIT_IOU = 0.5
@@ -79,13 +78,6 @@ class RecallRow:
         return 100.0 * self.contextual_matched / self.contextual_total
 
 
-@dataclass
-class RecallReport:
-    """Rows keyed by (split, method, budget label), in insertion order."""
-
-    rows: dict[tuple[str, str, str], RecallRow] = field(default_factory=dict)
-
-
 def first_hits(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """For each row of `targets`, the position of the first row of `proposals`
     that hits it (IoU above `HIT_IOU`), or ``len(proposals)`` when none does."""
@@ -98,15 +90,15 @@ def first_hits(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class EvalExample:
     """One expression with everything its evaluation and its training need.
 
-    Training reads these examples too: its foreground is
-    ``(referent, *pseudo_boxes)``, and it needs ``token_indices``.
+    `targets` is a read-only (1 + m, 4) array: the referent box, then the m
+    pseudo ground-truth regions' boxes. Training reads these examples too:
+    its foreground is `targets`, and it needs ``token_indices``.
     """
 
     expression_id: str
     split: str
     detections: ImageDetections
-    referent: Box
-    pseudo_boxes: tuple[Box, ...]
+    targets: np.ndarray
     token_indices: tuple[int, ...] | None = None
 
 
@@ -115,7 +107,7 @@ def build_eval_set(
     detections_by_image: Mapping[str, ImageDetections],
     regions_by_image: Mapping[str, Sequence[GroundTruthRegion]],
     table: EmbeddingTable,
-    similarity_threshold: float = 0.4,
+    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
     vocab: Vocabulary | None = None,
 ) -> list[EvalExample]:
     """Assemble the examples of `eval-recall` and of training; token indices
@@ -124,7 +116,9 @@ def build_eval_set(
     similarity = memoized_similarity(table)
     for expr in expressions:
         regions = regions_by_image.get(expr.image_id, ())
-        pseudo = generate_pseudo_gt(expr, regions, table, similarity_threshold, similarity)
+        matched = generate_pseudo_gt(expr, regions, table, similarity_threshold, similarity)
+        targets = box_array([expr.referent_box, *(r.box for r in matched)])
+        targets.setflags(write=False)
         detections = detections_by_image.get(expr.image_id)
         if detections is None:
             detections = ImageDetections.empty(expr.image_id)
@@ -134,8 +128,7 @@ def build_eval_set(
                 expression_id=expr.expression_id,
                 split=expr.split,
                 detections=detections,
-                referent=expr.referent_box,
-                pseudo_boxes=tuple(pseudo_region_boxes(pseudo, regions)),
+                targets=targets,
                 token_indices=indices,
             )
         )
@@ -155,7 +148,7 @@ def recall_curve(
     min_confidence: float = DEFAULT_MIN_CONFIDENCE,
     real_case_min_score: float = DEFAULT_REAL_CASE_MIN_SCORE,
     params: ModelParameters | None = None,
-) -> RecallReport:
+) -> dict[tuple[str, str, str], RecallRow]:
     """Aggregate referent and contextual recall per proposal budget.
 
     Budgets are integers (top-N selection) or the string "real_case"
@@ -164,6 +157,7 @@ def recall_curve(
     ref_nms, relatedness 1.0 for the baseline. NMS stops once the list is
     long enough for every budget (the largest top-N and the score floor
     together); budgets only re-slice it.
+    Rows are keyed by (split, method, budget label), in budget order.
     Expressions without any pseudo region are excluded from the contextual
     denominator.
     """
@@ -196,10 +190,9 @@ def recall_curve(
     for ex, kept in zip(examples, kept_lists):
         # a budget keeps a prefix of the keep list: target j is found within
         # the first k proposals exactly when first[j] < k
-        targets = box_array((ex.referent, *ex.pseudo_boxes))
-        first = first_hits(ex.detections.boxes[kept.rows], targets).tolist()
+        first = first_hits(ex.detections.boxes[kept.rows], ex.targets).tolist()
         found_at.append((kept.scores, first[0], first[1:]))
-    report = RecallReport()
+    rows = {}
     for budget, selector in zip(budgets, selectors):
         ref_hits = ctx_matched = ctx_total = 0
         for scores, referent_at, pseudo_at in found_at:
@@ -207,18 +200,18 @@ def recall_curve(
             ref_hits += referent_at < k
             ctx_matched += sum(at < k for at in pseudo_at)
             ctx_total += len(pseudo_at)
-        report.rows[(split, method, budget_label(budget))] = RecallRow(
+        rows[(split, method, budget_label(budget))] = RecallRow(
             ref_hits, len(examples), ctx_matched, ctx_total
         )
-    return report
+    return rows
 
 
-def write_report(report: RecallReport, path) -> None:
+def write_report(rows: Mapping[tuple[str, str, str], RecallRow], path) -> None:
     """CSV with one row per (split, method, budget); percentages to 2 decimals."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for (split, method, budget), row in report.rows.items():
+        for (split, method, budget), row in rows.items():
             writer.writerow(
                 (
                     split,

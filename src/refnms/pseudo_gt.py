@@ -3,24 +3,25 @@
 Nouns are pulled from the expression (POS tags when available, otherwise a
 function-word stoplist heuristic) and matched against region category names
 by cosine similarity of word embeddings. Regions scoring at or above the
-similarity threshold become pseudo ground truths. Training's foreground is
-the annotated referent box followed by the matched regions' boxes
-(`evaluation.EvalExample`).
+similarity threshold become pseudo ground truths, in region order. Training's
+foreground and the recall harness's targets are one array per expression,
+`evaluation.EvalExample.targets`: the referent box, then these regions' boxes.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Box
 from .ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
 
 NOUN_TAGS = frozenset({"NOUN", "PROPN"})
+
+# a region is a pseudo ground truth when its similarity reaches this
+DEFAULT_SIMILARITY_THRESHOLD = 0.4
 
 # Tagless fallback: closed-class words plus modifiers that are common in
 # referring expressions but can never name an object category. Anything not
@@ -54,14 +55,6 @@ HEURISTIC_STOPLIST = frozenset(
 )
 
 _NUMERIC_RE = re.compile(r"\d+(\.\d+)?")
-
-
-@dataclass(frozen=True)
-class PseudoGtSet:
-    """Region ids matched to an expression's nouns."""
-
-    expression_id: str
-    region_ids: frozenset[str]
 
 
 def extract_nouns(tokens: Sequence[str], pos_tags: Sequence[str] | None = None) -> list[str]:
@@ -115,12 +108,12 @@ def generate_pseudo_gt(
     expr: ExpressionRecord,
     regions: Sequence[GroundTruthRegion],
     table: EmbeddingTable,
-    similarity_threshold: float = 0.4,
+    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
     similarity: Callable[[str, str], float] | None = None,
-) -> PseudoGtSet:
-    """Match the expression's nouns against region categories.
+) -> list[GroundTruthRegion]:
+    """The regions matched to the expression's nouns, in the order given.
 
-    A region is included when the best cosine similarity over extracted nouns
+    A region is matched when the best cosine similarity over extracted nouns
     reaches `similarity_threshold` (inclusive at the boundary).
     `similarity`, such as a `memoized_similarity` shared by many expressions,
     stands in for `category_similarity` against `table`.
@@ -134,17 +127,12 @@ def generate_pseudo_gt(
                 f"expression {expr.expression_id} to {expr.image_id}"
             )
     nouns = extract_nouns(expr.tokens, expr.pos_tags)
-    matched = set()
+    matched = []
     for region in regions:
         best = max(
             (similarity(n, region.category_name) for n in nouns),
             default=-1.0,
         )
         if best >= similarity_threshold:
-            matched.add(region.region_id)
-    return PseudoGtSet(expr.expression_id, frozenset(matched))
-
-
-def pseudo_region_boxes(pseudo: PseudoGtSet, regions: Iterable[GroundTruthRegion]) -> list[Box]:
-    """Boxes of the matched regions, in the order the regions are given."""
-    return [r.box for r in regions if r.region_id in pseudo.region_ids]
+            matched.append(region)
+    return matched

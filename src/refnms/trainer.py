@@ -2,10 +2,10 @@
 their own), epoch scheduling, and self-contained binary checkpoints.
 
 Training reads the `evaluation.EvalExample`s that `build_eval_set` builds
-with a vocabulary; an expression's foreground is its referent followed by
-its pseudo ground-truth boxes. Shuffling is keyed on (seed, epoch) so an
-interrupted run resumed from a checkpoint retraces the uninterrupted one
-exactly.
+with a vocabulary; an expression's foreground is the example's `targets`,
+its referent followed by its pseudo ground-truth boxes. Shuffling is keyed
+on (seed, epoch) so an interrupted run resumed from a checkpoint retraces
+the uninterrupted one exactly.
 
 Flat layout: the model's parameters live in one flat float64 buffer (see
 `model.ModelParameters`), in the order and with the shapes of
@@ -38,7 +38,6 @@ from . import CHECKPOINT_VERSION
 from . import autodiff as ad
 from .autodiff import Node
 from .evaluation import EvalExample
-from .geometry import box_array
 from .ingest import DataFormatError, Vocabulary, vocabulary_from_words
 from .model import (
     DEFAULT_MIN_CONFIDENCE,
@@ -57,6 +56,7 @@ from .objectives import (
     sample_pairs,
     segment_weights,
 )
+from .pseudo_gt import DEFAULT_SIMILARITY_THRESHOLD
 
 LOSS_KINDS = ("binary_xe", "ranking")
 
@@ -77,9 +77,9 @@ class TrainConfig:
     epochs: int = 5
     seed: int = 0
     min_confidence: float = DEFAULT_MIN_CONFIDENCE  # confidence filter before scoring
-    similarity_threshold: float = 0.4  # pseudo ground-truth matching
-    margin: float = 0.1
-    max_negatives: int = 100
+    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD  # pseudo ground-truth matching
+    margin: float = RankingConfig.margin
+    max_negatives: int = RankingConfig.max_negatives
     embedding_lr: float | None = None  # None -> lr_rest; 0.0 freezes embeddings
 
     def __post_init__(self) -> None:
@@ -220,7 +220,7 @@ def minibatch_loss(
     scores = relatedness_forward(window, params)
     offsets = np.cumsum([0] + [len(rows) for _, rows in used])
     bins = np.concatenate([
-        assign_labels(ex.detections.boxes[rows], box_array((ex.referent, *ex.pseudo_boxes)))[1]
+        assign_labels(ex.detections.boxes[rows], ex.targets)[1]
         for ex, rows in used
     ])
     if cfg.loss_kind == "binary_xe":

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from refnms import autodiff as ad
+from refnms.evaluation import EvalExample
 from refnms.geometry import Box, box_array, iou
 from refnms.ingest import DUMP_HEADER_RE, DataFormatError, ImageDetections
 from refnms.model import DEFAULT_MIN_CONFIDENCE, ModelParameters, flat_views
@@ -34,6 +35,18 @@ def image_of_rows(image_id, rows, feature_dim=0):
 def boxes_of(image):
     """The image's boxes as `Box` objects, in row order."""
     return [Box(*row) for row in image.boxes.tolist()]
+
+
+def eval_example(expression_id, split, detections, referent, pseudo_boxes=(), token_indices=None):
+    """An `EvalExample` whose targets are `referent` then `pseudo_boxes`."""
+    targets = box_array((referent, *pseudo_boxes))
+    return EvalExample(expression_id, split, detections, targets, token_indices)
+
+
+def targets_of(example):
+    """An example's referent and its pseudo ground-truth boxes, as `Box` objects."""
+    referent, *pseudo = (Box(*row) for row in example.targets.tolist())
+    return referent, pseudo
 
 
 # geometry -------------------------------------------------------------------------

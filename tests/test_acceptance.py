@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import greedy_nms, hits, image_of_rows
+from oracles import eval_example, greedy_nms, hits, image_of_rows, targets_of
 from refnms import autodiff as ad
 from refnms.autodiff import Node
 from refnms.cli import EXIT_OK, main
@@ -286,13 +286,13 @@ def test_criterion_7_pseudo_gt_monotonicity(synthetic_experiment):
             regions = regions_by_image[expr.image_id]
             previous = None
             for gamma in (0.2, 0.4, 0.6, 0.8):
-                current = generate_pseudo_gt(expr, regions, table, gamma).region_ids
+                current = {r.region_id for r in generate_pseudo_gt(expr, regions, table, gamma)}
                 if previous is not None:
                     assert current <= previous, expr.expression_id
                 previous = current
             nouns = {t for t, tag in zip(expr.tokens, expr.pos_tags) if tag == "NOUN"}
             expected = {r.region_id for r in regions if r.category_name in nouns}
-            at_default = generate_pseudo_gt(expr, regions, table, 0.4).region_ids
+            at_default = {r.region_id for r in generate_pseudo_gt(expr, regions, table, 0.4)}
             assert at_default == expected, expr.expression_id
 
 
@@ -301,8 +301,6 @@ def test_criterion_7_pseudo_gt_monotonicity(synthetic_experiment):
 
 def test_criterion_9_recall_harness_oracle():
     with criterion(9, "recall harness oracle"):
-        from refnms.evaluation import EvalExample
-
         budgets = [5, 10, 20, 50]
         for trial in range(20):
             rng = np.random.default_rng(3000 + trial)
@@ -316,8 +314,8 @@ def test_criterion_9_recall_harness_oracle():
                 referent = records[int(rng.integers(len(records)))][0]
                 pseudo = tuple(r[0] for r in records if rng.random() < 0.3)
                 examples.append(
-                    EvalExample(f"e{e}", "val", image_of_rows(f"i{e}", records),
-                                referent, pseudo)
+                    eval_example(f"e{e}", "val", image_of_rows(f"i{e}", records),
+                                 referent, pseudo)
                 )
             report = recall_curve(examples, "baseline_conf", budgets)
             previous_hits = -1
@@ -331,12 +329,13 @@ def test_criterion_9_recall_harness_oracle():
                         ProposalBudget.top_n(budget),
                     )
                     boxes = [Box(*box) for box in ex.detections.boxes[kept.rows].tolist()]
-                    expected_hits += any(hits(b, ex.referent) for b in boxes)
-                    if ex.pseudo_boxes:
-                        for region in ex.pseudo_boxes:
+                    referent, pseudo = targets_of(ex)
+                    expected_hits += any(hits(b, referent) for b in boxes)
+                    if pseudo:
+                        for region in pseudo:
                             expected_ctx[1] += 1
                             expected_ctx[0] += any(hits(b, region) for b in boxes)
-                row = report.rows[("val", "baseline_conf", str(budget))]
+                row = report[("val", "baseline_conf", str(budget))]
                 assert row.referent_hits == expected_hits
                 assert (row.contextual_matched, row.contextual_total) == tuple(expected_ctx)
                 assert row.referent_hits >= previous_hits

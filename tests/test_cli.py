@@ -14,6 +14,8 @@ from refnms import cli, evaluation, geometry, nms
 from refnms.cli import EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
 from refnms.ingest import sidecar_path
 from refnms.model import DEFAULT_MIN_CONFIDENCE
+from refnms.objectives import RankingConfig
+from refnms.pseudo_gt import DEFAULT_SIMILARITY_THRESHOLD, generate_pseudo_gt
 from refnms.trainer import TrainConfig, load_checkpoint
 
 
@@ -134,6 +136,26 @@ def test_synth_data_default_output_is_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in SYNTH_DATA_DEFAULT_SHA256}
     assert digests == SYNTH_DATA_DEFAULT_SHA256
+
+
+# SHA-256 of `pseudo-gt`'s output on that set, with its default threshold
+PSEUDO_GT_DEFAULT_SHA256 = "3f490ae6d2f4059795f30faa264c66e88748042245c83d28f2c5f9a64ec386ed"
+
+
+def test_pseudo_gt_default_output_is_pinned(tmp_path):
+    # each line lists the matched region ids sorted, whatever the regions' order
+    assert main(["synth-data", "--out-dir", str(tmp_path)]) == EXIT_OK
+    regions = tmp_path / "regions.tsv"
+    reversed_regions = tmp_path / "reversed.tsv"
+    reversed_regions.write_text("".join(reversed(regions.read_text().splitlines(True))))
+    for regions_file in (regions, reversed_regions):
+        out = tmp_path / "pseudo.tsv"
+        assert main(
+            ["pseudo-gt", "--expressions", str(tmp_path / "expressions.tsv"),
+             "--regions", str(regions_file), "--embeddings", str(tmp_path / "embeddings.txt"),
+             "--out", str(out)]
+        ) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PSEUDO_GT_DEFAULT_SHA256
 
 
 def test_pseudo_gt_command_emits_expression_lines(dataset, tmp_path):
@@ -578,12 +600,22 @@ def test_defaults_have_one_declaration(dataset, monkeypatch):
         is evaluation.DEFAULT_REAL_CASE_MIN_SCORE
     assert inspect.signature(evaluation.recall_curve).parameters["real_case_min_score"].default \
         is evaluation.DEFAULT_REAL_CASE_MIN_SCORE
+    for command in ("pseudo-gt", "eval-recall"):
+        assert parser_default(command, "--similarity-threshold") is DEFAULT_SIMILARITY_THRESHOLD
+    assert TrainConfig.similarity_threshold is DEFAULT_SIMILARITY_THRESHOLD
+    for function in (generate_pseudo_gt, evaluation.build_eval_set):
+        assert inspect.signature(function).parameters["similarity_threshold"].default \
+            is DEFAULT_SIMILARITY_THRESHOLD
+    assert TrainConfig.margin is RankingConfig.margin
+    assert TrainConfig().ranking_config() == RankingConfig()
     args = build_parser().parse_args(["train", *data_args(dataset), "--out", "m.ckpt"])
     monkeypatch.setattr(cli, "DEFAULT_MAX_SENTENCE_LENGTH", 7)
     monkeypatch.setattr(cli.ModelConfig, "hidden_size", 5)
     config, hidden_size, max_sentence_length = cli._resolve_train_settings(args)
     assert (hidden_size, max_sentence_length) == (5, 7)
     assert config.min_confidence is DEFAULT_MIN_CONFIDENCE
+    assert config.similarity_threshold is DEFAULT_SIMILARITY_THRESHOLD
+    assert config.margin is RankingConfig.margin
 
 
 @pytest.mark.parametrize(
@@ -707,6 +739,9 @@ def test_negative_top_n_is_a_usage_error(capsys):
         (["--budgets", "5,,10"], "bad budget '' in '5,,10'"),
         (["--budgets", "-3"], "bad budget '-3' in '-3'"),
         (["--budgets", "5,abc"], "bad budget 'abc' in '5,abc'"),
+        (["--budgets", "5,5,real"], "budget '5' repeated in '5,5,real'"),
+        (["--budgets", "5,05"], "budget '05' repeated in '5,05'"),
+        (["--budgets", "real,1,real_case"], "budget 'real_case' repeated in 'real,1,real_case'"),
         (["--split", "dev"], "argument --split: invalid choice: 'dev'"),
     ]:
         with pytest.raises(SystemExit) as excinfo:

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import hits, image_of_rows
+from oracles import eval_example, hits, image_of_rows, targets_of
 from refnms.evaluation import (
     EvalExample,
-    RecallReport,
     RecallRow,
     build_eval_set,
     first_hits,
@@ -94,7 +93,7 @@ def curve_fixture(rng, n_expressions=5, boxes=12):
         referent = records[int(rng.integers(boxes))][0]
         pseudo = tuple(r[0] for r in records if rng.random() < 0.3)
         examples.append(
-            EvalExample(f"e{e}", "val", image_of(records, f"img{e}"), referent, pseudo)
+            eval_example(f"e{e}", "val", image_of(records, f"img{e}"), referent, pseudo)
         )
     return examples
 
@@ -105,10 +104,10 @@ def test_recall_hundred_percent_when_proposals_contain_referent():
     for e in range(4):
         box = random_box(rng)
         examples.append(
-            EvalExample(f"e{e}", "val", image_of([record(box, 0.9)], f"img{e}"), box, (box,))
+            eval_example(f"e{e}", "val", image_of([record(box, 0.9)], f"img{e}"), box, (box,))
         )
     report = recall_curve(examples, "baseline_conf", [1, 5])
-    for row in report.rows.values():
+    for row in report.values():
         assert row.referent_recall == 100.0
         assert row.contextual_recall == 100.0
 
@@ -117,7 +116,7 @@ def test_recall_monotone_over_nested_budgets():
     rng = np.random.default_rng(82)
     examples = curve_fixture(rng, n_expressions=8)
     report = recall_curve(examples, "baseline_conf", [5, 10, 20, 50])
-    rows = list(report.rows.values())
+    rows = list(report.values())
     for smaller, larger in zip(rows, rows[1:]):
         assert larger.referent_hits >= smaller.referent_hits
         assert larger.contextual_matched >= smaller.contextual_matched
@@ -140,14 +139,15 @@ def test_recall_matches_brute_force_recomputation():
                     ProposalBudget.top_n(budget),
                 )
                 boxes = [Box(*box) for box in ex.detections.boxes[kept.rows].tolist()]
-                if any(hits(b, ex.referent) for b in boxes):
+                referent, pseudo = targets_of(ex)
+                if any(hits(b, referent) for b in boxes):
                     hits_count += 1
-                if ex.pseudo_boxes:
-                    for region in ex.pseudo_boxes:
+                if pseudo:
+                    for region in pseudo:
                         ctx_total += 1
                         if any(hits(b, region) for b in boxes):
                             ctx_matched += 1
-            row = report.rows[("val", "baseline_conf", str(budget))]
+            row = report[("val", "baseline_conf", str(budget))]
             assert row.referent_hits == hits_count
             assert row.contextual_matched == ctx_matched
             assert row.contextual_total == ctx_total
@@ -176,8 +176,8 @@ def eval_sets(draw):
         ]
         images.append(image_of_rows(f"img{i}", rows, feature_dim=2))
     return [
-        EvalExample(f"e{e}", "val", draw(st.sampled_from(images)), draw(grid_box()),
-                    tuple(draw(st.lists(grid_box(), max_size=3))), (1, 2))
+        eval_example(f"e{e}", "val", draw(st.sampled_from(images)), draw(grid_box()),
+                     tuple(draw(st.lists(grid_box(), max_size=3))), (1, 2))
         for e in range(draw(st.integers(1, 5)))
     ]
 
@@ -198,9 +198,10 @@ def brute_force_recall(examples, method, budget, params, nms_cfg):
         else:
             chosen = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:budget]
         boxes = [Box(*ex.detections.boxes[kept.rows[i]].tolist()) for i in chosen]
-        ref_hits += any(hits(b, ex.referent) for b in boxes)
-        ctx_matched += sum(any(hits(b, region) for b in boxes) for region in ex.pseudo_boxes)
-        ctx_total += len(ex.pseudo_boxes)
+        referent, pseudo = targets_of(ex)
+        ref_hits += any(hits(b, referent) for b in boxes)
+        ctx_matched += sum(any(hits(b, region) for b in boxes) for region in pseudo)
+        ctx_total += len(pseudo)
     return ref_hits, ctx_matched, ctx_total
 
 
@@ -213,7 +214,7 @@ def test_recall_curve_matches_a_brute_force_iou_oracle(examples, method, cross_c
     budgets = [0, 1, 3, 20, "real_case"]
     report = recall_curve(examples, method, budgets, nms_cfg=nms_cfg, params=params)
     for budget in budgets:
-        row = report.rows[("val", method, str(budget))]
+        row = report[("val", method, str(budget))]
         assert (row.referent_hits, row.contextual_matched, row.contextual_total) == (
             brute_force_recall(examples, method, budget, params, nms_cfg)
         ), budget
@@ -228,15 +229,14 @@ def test_baseline_runs_nms_once_per_image(monkeypatch):
     rng = np.random.default_rng(85)
     first = curve_fixture(rng, n_expressions=3)
     second = [
-        EvalExample(f"{ex.expression_id}b", "val", ex.detections,
-                    Box(*ex.detections.boxes[0].tolist()), ())
+        eval_example(f"{ex.expression_id}b", "val", ex.detections,
+                     Box(*ex.detections.boxes[0].tolist()))
         for ex in first
     ]
     examples = first + second
     # the same examples, each with its own copy of its image
     apart = [
-        EvalExample(ex.expression_id, "val", replace(ex.detections, image_id="img"),
-                    ex.referent, ex.pseudo_boxes)
+        EvalExample(ex.expression_id, "val", replace(ex.detections, image_id="img"), ex.targets)
         for ex in examples
     ]
     once = [
@@ -256,7 +256,7 @@ def test_baseline_runs_nms_once_per_image(monkeypatch):
     work = {}
     for name, these in (("shared", examples), ("apart", apart)):
         calls.clear()
-        work[name] = recall_curve(these, "baseline_conf", [3, 7]).rows, np.sum(calls, axis=0)
+        work[name] = recall_curve(these, "baseline_conf", [3, 7]), np.sum(calls, axis=0)
     assert work["shared"][0] == work["apart"][0]
     assert work["shared"][1].tolist() == np.sum(once, axis=0).tolist()
     assert work["apart"][1].tolist() == (2 * np.sum(once, axis=0)).tolist()
@@ -265,10 +265,10 @@ def test_baseline_runs_nms_once_per_image(monkeypatch):
 def test_expressions_without_pseudo_regions_leave_the_denominator():
     rng = np.random.default_rng(84)
     box = random_box(rng)
-    with_pseudo = EvalExample("e0", "val", image_of([record(box, 0.9)]), box, (box,))
-    without = EvalExample("e1", "val", image_of([record(box, 0.9)], "i2"), box, ())
+    with_pseudo = eval_example("e0", "val", image_of([record(box, 0.9)]), box, (box,))
+    without = eval_example("e1", "val", image_of([record(box, 0.9)], "i2"), box)
     report = recall_curve([with_pseudo, without], "baseline_conf", [5])
-    row = report.rows[("val", "baseline_conf", "5")]
+    row = report[("val", "baseline_conf", "5")]
     assert row.contextual_total == 1
     assert row.referent_total == 2
 
@@ -278,8 +278,8 @@ def test_recall_curve_rejects_empty_or_mixed_splits():
     with pytest.raises(ValueError):
         recall_curve([], "baseline_conf", [5])
     box = random_box(rng)
-    a = EvalExample("e0", "val", image_of([record(box, 0.9)]), box, ())
-    b = EvalExample("e1", "train", image_of([record(box, 0.9)], "i2"), box, ())
+    a = eval_example("e0", "val", image_of([record(box, 0.9)]), box)
+    b = eval_example("e1", "train", image_of([record(box, 0.9)], "i2"), box)
     with pytest.raises(ValueError, match="split"):
         recall_curve([a, b], "baseline_conf", [5])
 
@@ -290,10 +290,10 @@ def test_recall_curve_real_case_uses_score_threshold():
     weak = Box(strong.x1 + 200, strong.y1, strong.x2 + 200, strong.y2)
     records = [record(strong, 0.9), record(weak, 0.3)]
     # referent is the weak box: visible at top-5 but absent in the real case
-    ex = EvalExample("e0", "val", image_of(records), weak, ())
+    ex = eval_example("e0", "val", image_of(records), weak)
     report = recall_curve([ex], "baseline_conf", [5, "real_case"], real_case_min_score=0.65)
-    assert report.rows[("val", "baseline_conf", "5")].referent_hits == 1
-    assert report.rows[("val", "baseline_conf", "real_case")].referent_hits == 0
+    assert report[("val", "baseline_conf", "5")].referent_hits == 1
+    assert report[("val", "baseline_conf", "real_case")].referent_hits == 0
 
 
 def test_higher_similarity_threshold_shrinks_contextual_denominator():
@@ -310,8 +310,8 @@ def test_higher_similarity_threshold_shrinks_contextual_denominator():
     detections = {"img": image_of([record(Box(0, 0, 10, 10), 0.9)], "img")}
     loose = build_eval_set([expr], detections, regions, table, similarity_threshold=0.4)
     strict = build_eval_set([expr], detections, regions, table, similarity_threshold=0.9)
-    assert len(loose[0].pseudo_boxes) == 2
-    assert len(strict[0].pseudo_boxes) == 1
+    assert len(loose[0].targets) == 1 + 2
+    assert len(strict[0].targets) == 1 + 1
 
 
 # report emission ------------------------------------------------------------------
@@ -319,15 +319,14 @@ def test_higher_similarity_threshold_shrinks_contextual_denominator():
 
 def test_empty_report_writes_header_only(tmp_path):
     path = tmp_path / "report.csv"
-    write_report(RecallReport(), path)
+    write_report({}, path)
     content = path.read_text().strip().splitlines()
     assert len(content) == 1
     assert content[0].startswith("split,method,budget,referent_recall")
 
 
 def test_report_rows_round_trip_through_csv(tmp_path):
-    report = RecallReport()
-    report.rows[("val", "baseline_conf", "10")] = RecallRow(2, 3, 5, 8)
+    report = {("val", "baseline_conf", "10"): RecallRow(2, 3, 5, 8)}
     path = tmp_path / "report.csv"
     write_report(report, path)
     with path.open() as fh:
@@ -342,8 +341,7 @@ def test_report_rows_round_trip_through_csv(tmp_path):
 
 
 def test_two_thirds_renders_with_two_decimals(tmp_path):
-    report = RecallReport()
-    report.rows[("val", "baseline_conf", "5")] = RecallRow(2, 3, 0, 0)
+    report = {("val", "baseline_conf", "5"): RecallRow(2, 3, 0, 0)}
     path = tmp_path / "report.csv"
     write_report(report, path)
     line = path.read_text().strip().splitlines()[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refnms.evaluation import build_eval_set
-from refnms.geometry import Box
+from refnms.geometry import Box, box_array
 from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion, build_vocabulary
 from refnms.pseudo_gt import (
     HEURISTIC_STOPLIST,
@@ -14,7 +14,6 @@ from refnms.pseudo_gt import (
     extract_nouns,
     generate_pseudo_gt,
     memoized_similarity,
-    pseudo_region_boxes,
 )
 
 
@@ -30,6 +29,10 @@ def expression(tokens, tags=None, image_id="img1", eid="e1"):
 
 def region(rid, category, image_id="img1"):
     return GroundTruthRegion(rid, image_id, Box(0, 0, 5, 5), category)
+
+
+def ids(regions):
+    return {r.region_id for r in regions}
 
 
 # noun extraction ---------------------------------------------------------------
@@ -114,19 +117,19 @@ def test_no_nouns_gives_empty_set_but_referent_flag():
     out = generate_pseudo_gt(
         expression(["red", "one"], tags=("ADJ", "NUM")), [region("r1", "cat")], table
     )
-    assert out.region_ids == frozenset()
+    assert ids(out) == set()
     # the referent stays the example's foreground
     (example,) = build_eval_set(
         [expression(["red", "one"], tags=("ADJ", "NUM"))], {}, {"img1": [region("r1", "cat")]},
         table,
     )
-    assert (example.referent, *example.pseudo_boxes) == (Box(0, 0, 10, 10),)
+    assert example.targets.tolist() == [[0, 0, 10, 10]]
 
 
 def test_exact_category_match_is_included():
     table = table_of(cat=[1.0, 0.0])
     out = generate_pseudo_gt(expression(["cat"], tags=("NOUN",)), [region("r1", "cat")], table)
-    assert out.region_ids == {"r1"}
+    assert ids(out) == {"r1"}
 
 
 def test_threshold_is_inclusive_and_separates_nearby_cosines():
@@ -142,14 +145,14 @@ def test_threshold_is_inclusive_and_separates_nearby_cosines():
     out = generate_pseudo_gt(
         expression(["noun"], tags=("NOUN",)), regions, table, similarity_threshold=0.4
     )
-    assert out.region_ids == {"rb"}
+    assert ids(out) == {"rb"}
     # boundary inclusivity: a cosine exactly at the threshold is kept
     at_edge = table_of(noun=[1.0, 0.0], cata=[0.4, float(np.sqrt(1 - 0.4**2))])
     out = generate_pseudo_gt(
         expression(["noun"], tags=("NOUN",)), [region("ra", "cata")], at_edge,
         similarity_threshold=category_similarity("noun", "cata", at_edge),
     )
-    assert out.region_ids == {"ra"}
+    assert ids(out) == {"ra"}
 
 
 def test_rejects_regions_of_another_image():
@@ -170,7 +173,7 @@ def test_monotone_in_threshold():
     expr = expression(words[:3], tags=("NOUN",) * 3)
     previous = None
     for threshold in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        current = generate_pseudo_gt(expr, regions, table, threshold).region_ids
+        current = ids(generate_pseudo_gt(expr, regions, table, threshold))
         if previous is not None:
             assert current <= previous
         previous = current
@@ -181,12 +184,12 @@ def test_adding_a_noun_never_removes_regions():
     words = [f"w{i}" for i in range(5)]
     table = table_of(**{w: rng.normal(size=3) for w in words})
     regions = [region(f"r{i}", words[i]) for i in range(5)]
-    small = generate_pseudo_gt(
+    small = ids(generate_pseudo_gt(
         expression(words[:2], tags=("NOUN", "NOUN")), regions, table, 0.2
-    ).region_ids
-    grown = generate_pseudo_gt(
+    ))
+    grown = ids(generate_pseudo_gt(
         expression(words[:3], tags=("NOUN",) * 3), regions, table, 0.2
-    ).region_ids
+    ))
     assert small <= grown
 
 
@@ -196,8 +199,8 @@ def test_output_independent_of_region_order():
     table = table_of(**{w: rng.normal(size=3) for w in words})
     regions = [region(f"r{i}", words[i]) for i in range(5)]
     expr = expression(words[:2], tags=("NOUN", "NOUN"))
-    forward = generate_pseudo_gt(expr, regions, table, 0.1).region_ids
-    backward = generate_pseudo_gt(expr, list(reversed(regions)), table, 0.1).region_ids
+    forward = ids(generate_pseudo_gt(expr, regions, table, 0.1))
+    backward = ids(generate_pseudo_gt(expr, list(reversed(regions)), table, 0.1))
     assert forward == backward
 
 
@@ -207,9 +210,29 @@ def test_foreground_boxes_prepends_referent():
     regions = [region("r1", "cat")]
     expr = expression(["cat"], tags=("NOUN",))
     (example,) = build_eval_set([expr], {}, {"img1": regions}, table)
-    boxes = (example.referent, *example.pseudo_boxes)
+    boxes = [Box(*row) for row in example.targets.tolist()]
     assert boxes[0] == expr.referent_box
     assert boxes[1] == regions[0].box
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+def test_targets_are_the_referent_then_the_matched_regions_in_region_order(order):
+    # "cat" and "kitten" match, "dog" does not; the matched rows follow the
+    # regions' order, whichever it is, and the array cannot be written
+    table = table_of(cat=[1.0, 0.0], kitten=[0.9, 0.1], dog=[0.0, 1.0])
+    regions = [
+        GroundTruthRegion("r1", "img1", Box(1, 1, 4, 4), "kitten"),
+        GroundTruthRegion("r2", "img1", Box(2, 2, 6, 6), "dog"),
+        GroundTruthRegion("r3", "img1", Box(3, 3, 9, 9), "cat"),
+    ][::order]
+    expr = expression(["cat"], tags=("NOUN",))
+    (example,) = build_eval_set([expr], {}, {"img1": regions}, table)
+    matched = [r.box for r in regions if r.category_name != "dog"]
+    assert example.targets.dtype == np.float64
+    assert example.targets.tobytes() == box_array([expr.referent_box, *matched]).tobytes()
+    assert not example.targets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        example.targets[0, 0] = 1.0
 
 
 # memoized similarity --------------------------------------------------------------
@@ -265,6 +288,7 @@ def test_memoized_similarity_is_bit_equal_to_the_direct_one(inputs):
     )
     for e, example in zip(expressions, examples):
         regions_of = by_image.get(e.image_id, ())
-        expected = pseudo_region_boxes(direct[e.expression_id], regions_of)
-        assert example.referent == e.referent_box
-        assert list(example.pseudo_boxes) == expected
+        expected = [r.box for r in regions_of if r in direct[e.expression_id]]
+        referent, *pseudo = (Box(*row) for row in example.targets.tolist())
+        assert referent == e.referent_box
+        assert pseudo == expected

@@ -94,10 +94,10 @@ def test_orthogonal_embeddings_make_pseudo_gt_exact(tmp_path):
     regions = group_regions(load_regions(paths.regions))
     for expr in load_expressions(paths.expressions):
         image_regions = regions[expr.image_id]
-        pseudo = generate_pseudo_gt(expr, image_regions, table, 0.4)
+        matched = generate_pseudo_gt(expr, image_regions, table, 0.4)
         nouns = {t for t, tag in zip(expr.tokens, expr.pos_tags) if tag == "NOUN"}
         expected = {r.region_id for r in image_regions if r.category_name in nouns}
-        assert pseudo.region_ids == expected
+        assert {r.region_id for r in matched} == expected
 
 
 def test_distractor_categories_are_absent_from_the_image(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from oracles import image_of_rows
+from oracles import eval_example, image_of_rows
 from refnms import autodiff as ad
 from refnms import model, trainer
 from refnms.autodiff import Node
@@ -73,8 +73,7 @@ def toy_dataset(rng, n_expressions=6, boxes_per_image=5):
                 expression_id=f"e{e}",
                 split="train",
                 detections=image_of_rows(f"img{e}", records),
-                referent=target,
-                pseudo_boxes=(),
+                targets=box_array([target]),
                 token_indices=(2 + category,),
             )
         )
@@ -315,7 +314,7 @@ def test_empty_dataset_is_an_error():
 
 def test_all_skipped_is_an_error():
     params = tiny_model()
-    example = EvalExample(
+    example = eval_example(
         "e0", "train", ImageDetections.empty("img", FEATURE_DIM), Box(0, 0, 10, 10), (), (1,)
     )
     with pytest.raises(ValueError, match="usable"):
@@ -326,7 +325,7 @@ def test_skipped_expressions_are_counted():
     rng = np.random.default_rng(70)
     dataset = toy_dataset(rng, n_expressions=4)
     dataset.append(
-        EvalExample(
+        eval_example(
             "empty", "train", ImageDetections.empty("none", FEATURE_DIM), Box(0, 0, 1, 1), (),
             (1,),
         )
@@ -409,8 +408,7 @@ def oracle_minibatch_loss(examples, params, cfg):
         )
         if scores is None:
             continue
-        foreground = box_array((ex.referent, *ex.pseudo_boxes))
-        bins = assign_labels(ex.detections.boxes[survivors], foreground)[1]
+        bins = assign_labels(ex.detections.boxes[survivors], ex.targets)[1]
         if cfg.loss_kind == "binary_xe":
             losses.append(binary_xe(scores, bins > 0))
         else:
@@ -799,7 +797,7 @@ def test_build_training_set_precomputes_foreground():
     detections = {"img1": image_of_rows("img1", records)}
     vocab = build_vocabulary([expr, expr], max_len=10)
     (example,) = build_eval_set([expr], detections, regions, table, 0.4, vocab)
-    assert (example.referent, *example.pseudo_boxes) == (Box(0, 0, 10, 10), Box(20, 20, 30, 30))
+    assert example.targets.tolist() == [[0, 0, 10, 10], [20, 20, 30, 30]]
     assert example.token_indices == tuple(encode_tokens(expr.tokens, vocab))
     params = tiny_model(vocab_size=len(vocab))
     step = trainer.minibatch_loss([example], params, TrainConfig())

@@ -19,7 +19,6 @@ import pytest
 
 from refnms import autodiff as ad
 from refnms.evaluation import EvalExample
-from refnms.geometry import Box
 from refnms.ingest import ImageDetections
 from refnms.model import ModelConfig, init_parameters
 from refnms.trainer import TrainConfig, adam_step, init_optimizer_state, minibatch_loss
@@ -61,7 +60,7 @@ def paper_scale_minibatch(config, expressions, images, boxes, seed):
             )))
         pool, image = pools[e % images]
         words = rng.integers(2, config.vocab_size, size=int(rng.integers(3, 13)))
-        examples.append(EvalExample(f"e{e}", "train", image, Box(*pool[e % boxes]), (),
+        examples.append(EvalExample(f"e{e}", "train", image, pool[e % boxes][None],
                                     tuple(words.tolist())))
     return examples
 
