@@ -17,7 +17,13 @@ import numpy as np
 
 from . import CHECKPOINT_VERSION, DETECTION_DUMP_VERSION, __version__
 from . import autodiff as ad
-from .evaluation import DEFAULT_REAL_CASE_MIN_SCORE, build_eval_set, recall_curve, write_report
+from .evaluation import (
+    DEFAULT_REAL_CASE_MIN_SCORE,
+    build_eval_set,
+    parse_budget,
+    recall_curve,
+    write_report,
+)
 from .ingest import (
     DEFAULT_MAX_SENTENCE_LENGTH,
     SPLITS,
@@ -26,7 +32,6 @@ from .ingest import (
     build_vocabulary,
     encode_tokens,
     group_detections,
-    group_regions,
     load_detection_dump,
     load_embeddings,
     load_expressions,
@@ -107,13 +112,14 @@ _SPLITS = sorted(SPLITS)
 
 
 def _budgets(text: str) -> list:
-    """An argparse type: a comma list of distinct top-N sizes and/or 'real_case' (or 'real')."""
+    """An argparse type: a comma list of distinct top-N sizes and/or 'real_case' (or
+    'real'), each read by `evaluation.parse_budget`."""
     budgets: list = []
     for part in text.split(","):
         part = part.strip()
         try:
-            budget = "real_case" if part in ("real", "real_case") else _count(part)
-        except argparse.ArgumentTypeError:
+            budget = parse_budget(part)
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad budget '{part}' in '{text}': expected an integer >= 0 or 'real_case'"
             ) from None
@@ -262,16 +268,15 @@ def cmd_pseudo_gt(args) -> int:
     expressions = load_expressions(args.expressions)
     if args.split:
         expressions = [e for e in expressions if e.split == args.split]
-    regions_by_image = group_regions(load_regions(args.regions))
+    regions_by_image = load_regions(args.regions)
     table = load_embeddings(args.embeddings)
     similarity = memoized_similarity(table)
     lines = []
     for expr in expressions:
-        matched = generate_pseudo_gt(
-            expr, regions_by_image.get(expr.image_id, ()), table, args.similarity_threshold,
-            similarity,
-        )
-        lines.append(f"{expr.expression_id}\t{','.join(sorted(r.region_id for r in matched))}")
+        regions = regions_by_image.get(expr.image_id)
+        matched = generate_pseudo_gt(expr, regions, table, args.similarity_threshold, similarity)
+        ids = sorted(regions.region_ids[row] for row in matched)
+        lines.append(f"{expr.expression_id}\t{','.join(ids)}")
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote pseudo ground-truths for {len(lines)} expressions to {args.out}")
     return EXIT_OK
@@ -347,7 +352,7 @@ def cmd_train(args) -> int:
         raise ValueError("no training-split expressions found")
     vocab = build_vocabulary(expressions, max_len)
     table = load_embeddings(args.embeddings)
-    regions_by_image = group_regions(load_regions(args.regions))
+    regions_by_image = load_regions(args.regions)
     dataset = build_eval_set(
         expressions, group_detections(images), regions_by_image, table,
         cfg.similarity_threshold, vocab,
@@ -439,7 +444,7 @@ def cmd_eval_recall(args) -> int:
     expressions = [e for e in load_expressions(args.expressions) if e.split == args.split]
     if not expressions:
         raise ValueError(f"no expressions in split '{args.split}'")
-    regions_by_image = group_regions(load_regions(args.regions))
+    regions_by_image = load_regions(args.regions)
     table = load_embeddings(args.embeddings)
     params = vocab = None
     if args.method == "ref_nms":

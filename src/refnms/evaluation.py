@@ -2,10 +2,11 @@
 ground truths.
 
 `build_eval_set` assembles one `EvalExample` per expression; training reads
-the same examples. Each example's targets, the referent box then its pseudo
-ground-truth regions' boxes, are checked against the retained proposals (hit
-above 0.5 IoU, region-side many-to-one matching) in one IoU matrix. Results
-aggregate per proposal budget into rows keyed by (split, method, budget).
+the same examples. Each example's targets, the referent box then the boxes of
+its pseudo ground-truth rows of its image's `ImageRegions`, are checked
+against the retained proposals (hit above 0.5 IoU, region-side many-to-one
+matching) in one IoU matrix. Results aggregate per proposal budget into rows
+keyed by (split, method, budget), one row per distinct budget.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .geometry import box_array, pairwise_iou
 from .ingest import (
     EmbeddingTable,
     ExpressionRecord,
-    GroundTruthRegion,
     ImageDetections,
+    ImageRegions,
     Vocabulary,
     encode_tokens,
 )
@@ -105,7 +106,7 @@ class EvalExample:
 def build_eval_set(
     expressions: Sequence[ExpressionRecord],
     detections_by_image: Mapping[str, ImageDetections],
-    regions_by_image: Mapping[str, Sequence[GroundTruthRegion]],
+    regions_by_image: Mapping[str, ImageRegions],
     table: EmbeddingTable,
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
     vocab: Vocabulary | None = None,
@@ -115,9 +116,11 @@ def build_eval_set(
     examples = []
     similarity = memoized_similarity(table)
     for expr in expressions:
-        regions = regions_by_image.get(expr.image_id, ())
+        regions = regions_by_image.get(expr.image_id)
         matched = generate_pseudo_gt(expr, regions, table, similarity_threshold, similarity)
-        targets = box_array([expr.referent_box, *(r.box for r in matched)])
+        targets = box_array([expr.referent_box])
+        if matched:
+            targets = np.concatenate([targets, regions.boxes[matched]])
         targets.setflags(write=False)
         detections = detections_by_image.get(expr.image_id)
         if detections is None:
@@ -135,8 +138,16 @@ def build_eval_set(
     return examples
 
 
-def budget_label(budget) -> str:
-    return "real_case" if budget == "real_case" else str(int(budget))
+def parse_budget(budget) -> int | str:
+    """`budget` as `recall_curve` reads it: "real_case" for "real_case" or
+    "real", else a top-N size, an int >= 0 or its decimal text. Two budgets
+    are the same when they parse equal, as 5 and "05" do. Raises ValueError."""
+    if budget in ("real", "real_case"):
+        return "real_case"
+    size = int(budget)
+    if size < 0:
+        raise ValueError(f"top-N budget {size} is negative")
+    return size
 
 
 def recall_curve(
@@ -152,7 +163,8 @@ def recall_curve(
     """Aggregate referent and contextual recall per proposal budget.
 
     Budgets are integers (top-N selection) or the string "real_case"
-    (selection by score threshold `real_case_min_score`). Each expression's
+    (selection by score threshold `real_case_min_score`), each read by
+    `parse_budget`; a budget given twice raises ValueError. Each expression's
     keep list comes from `nms.keep_lists`: the model's relatedness for
     ref_nms, relatedness 1.0 for the baseline. NMS stops once the list is
     long enough for every budget (the largest top-N and the score floor
@@ -177,10 +189,15 @@ def recall_curve(
             if ex.token_indices is None:
                 raise ValueError(f"recall_curve: example {ex.expression_id} lacks token indices")
         relatedness = params
+    parsed: list = []
+    for budget in budgets:
+        if (value := parse_budget(budget)) in parsed:
+            raise ValueError(f"recall_curve: budget {budget!r} repeated in {list(budgets)}")
+        parsed.append(value)
     selectors = [
         ProposalBudget.threshold(real_case_min_score) if budget == "real_case"
-        else ProposalBudget.top_n(int(budget))
-        for budget in budgets
+        else ProposalBudget.top_n(budget)
+        for budget in parsed
     ]
     kept_lists = keep_lists(
         ((ex.detections, ex.token_indices) for ex in examples),
@@ -193,14 +210,14 @@ def recall_curve(
         first = first_hits(ex.detections.boxes[kept.rows], ex.targets).tolist()
         found_at.append((kept.scores, first[0], first[1:]))
     rows = {}
-    for budget, selector in zip(budgets, selectors):
+    for budget, selector in zip(parsed, selectors):
         ref_hits = ctx_matched = ctx_total = 0
         for scores, referent_at, pseudo_at in found_at:
             k = selector.count(scores)
             ref_hits += referent_at < k
             ctx_matched += sum(at < k for at in pseudo_at)
             ctx_total += len(pseudo_at)
-        rows[(split, method, budget_label(budget))] = RecallRow(
+        rows[(split, method, str(budget))] = RecallRow(
             ref_hits, len(examples), ctx_matched, ctx_total
         )
     return rows

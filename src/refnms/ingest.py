@@ -22,10 +22,15 @@ columns: ``boxes`` (n, 4), ``confidences`` (n,), ``category_ids`` (n,) and
 file order, and the rest of the program refers to detections by row index.
 A line's category name is required but not kept: the program refers to
 categories by id, and `write_detection_dump` takes the names by id. The
-dump is read in blocks of about `BLOCK_CHARS` characters of whole lines;
-each numeric column of a block is converted in one numpy call, with the
-values of Python's ``float()``. A block that fails any check is parsed
-again line by line, so an error names its ``file:line``.
+regions of an image are one `ImageRegions` of columns in the same way
+(``region_ids``, ``boxes`` (m, 4) and ``category_names``), and pseudo
+ground truths are its row indices. Each expression is one `ExpressionRecord`.
+
+All three files are read in blocks of about `BLOCK_CHARS` characters of
+whole lines (`_blocks`). Each numeric column of a dump or regions block is
+converted in one numpy call, with the values of Python's ``float()``, and an
+expressions block's boxes in one ``float()`` pass. A block that fails any
+check is parsed again line by line, so an error names its ``file:line``.
 
 A load of a dump leaves its parsed columns beside it, in a sidecar named
 after it with `SIDECAR_SUFFIX` (``dets.tsv.refnms-cache.npz``), and a later
@@ -58,6 +63,7 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -178,11 +184,35 @@ class ExpressionRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundTruthRegion:
-    region_id: str
+class ImageRegions:
+    """One image's ground-truth regions as columns; row i of each is region i.
+
+    ``region_ids`` and ``category_names`` are tuples of str, and ``boxes`` a
+    read-only (m, 4) float64 array of (x1, y1, x2, y2) rows. Sequences and
+    array-likes are converted.
+    """
+
     image_id: str
-    box: Box
-    category_name: str
+    region_ids: tuple[str, ...]
+    boxes: np.ndarray
+    category_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.image_id:
+            raise ValueError("image_id must be non-empty")
+        boxes = np.asarray(self.boxes, dtype=np.float64)
+        if boxes.flags.writeable:  # a read-only view; the caller's array stays as it was
+            boxes = boxes.view()
+            boxes.setflags(write=False)
+        for name, value in (("region_ids", tuple(self.region_ids)), ("boxes", boxes),
+                            ("category_names", tuple(self.category_names))):
+            object.__setattr__(self, name, value)
+        m = len(self.region_ids)
+        if self.boxes.shape != (m, 4) or len(self.category_names) != m:
+            raise ValueError(
+                f"image {self.image_id}: {m} region ids, boxes {self.boxes.shape}, "
+                f"{len(self.category_names)} category names"
+            )
 
 
 @dataclass(eq=False)
@@ -284,16 +314,32 @@ def _float_rows(fields: Sequence[str], width: int) -> np.ndarray:
     return rows
 
 
-def _values_valid(boxes: np.ndarray, confidences: np.ndarray, features: np.ndarray) -> bool:
-    """Whether every box and feature is finite, every confidence lies in
-    [0, 1] and every box has x2 >= x1 and y2 >= y1."""
+def _boxes_valid(boxes: np.ndarray) -> bool:
+    """Whether every box is finite with x2 >= x1 and y2 >= y1."""
     return bool(
         np.isfinite(boxes).all()
-        and np.isfinite(features).all()
-        and ((confidences >= 0.0) & (confidences <= 1.0)).all()
         and (boxes[:, 2] >= boxes[:, 0]).all()
         and (boxes[:, 3] >= boxes[:, 1]).all()
     )
+
+
+def _values_valid(boxes: np.ndarray, confidences: np.ndarray, features: np.ndarray) -> bool:
+    """Whether every box is valid (`_boxes_valid`), every feature is finite and
+    every confidence lies in [0, 1]."""
+    return bool(
+        _boxes_valid(boxes)
+        and np.isfinite(features).all()
+        and ((confidences >= 0.0) & (confidences <= 1.0)).all()
+    )
+
+
+def _new_ids(ids: Sequence[str], first_lineno: int, first_line: dict[str, int]) -> bool:
+    """Whether `ids`, those of consecutive lines from `first_lineno`, are
+    distinct and absent from `first_line`, which then maps each to its line."""
+    if len(set(ids)) != len(ids) or not first_line.keys().isdisjoint(ids):
+        return False
+    first_line.update(zip(ids, range(first_lineno, first_lineno + len(ids))))
+    return True
 
 
 def _parse_block(lines: Sequence[str], dim: int, path, first_lineno: int) -> tuple:
@@ -386,26 +432,42 @@ def _parse_dump(path: Path) -> _DumpColumns:
         if m is None:
             raise DataFormatError(f"{path}:1: bad dump header '{header}'")
         dim = int(m.group(1))
-        lineno = 2
-        while lines := fh.readlines(BLOCK_CHARS):
+        for lines, lineno in _blocks(fh, 2):
             for column, part in zip(parts, _parse_block(lines, dim, path, lineno)):
                 column.append(part)
-            lineno += len(lines)
     if not parts[0]:
         return _DumpColumns(dim, [], np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0),
                             np.zeros(0, dtype=np.int64), np.zeros((0, dim)))
-    image_ids = [x for part in parts[0] for x in part]
+    image_ids, order, counts = _grouped([x for part in parts[0] for x in part])
     boxes, category_ids, confidences, features = map(_stacked, parts[1:])
-    codes: dict[str, int] = {}
-    image_of_row = np.array([codes.setdefault(i, len(codes)) for i in image_ids])
-    if (np.diff(image_of_row) < 0).any():
-        # interleaved images: group the rows, in file order within an image
-        order = np.argsort(image_of_row, kind="stable")
+    if order is not None:
         boxes, category_ids, confidences, features = (
             column[order] for column in (boxes, category_ids, confidences, features)
         )
-    counts = np.bincount(image_of_row).astype(np.int64, copy=False)
-    return _DumpColumns(dim, list(codes), counts, boxes, confidences, category_ids, features)
+    return _DumpColumns(dim, image_ids, counts, boxes, confidences, category_ids, features)
+
+
+def _blocks(fh: TextIO, lineno: int) -> Iterator[tuple[list[str], int]]:
+    """The rest of `fh` in blocks of whole lines of about `BLOCK_CHARS`
+    characters, each with the number of its first line (`lineno` for the first)."""
+    while lines := fh.readlines(BLOCK_CHARS):
+        yield lines, lineno
+        lineno += len(lines)
+
+
+def _grouped(image_ids: Sequence[str]) -> tuple[list[str], np.ndarray | None, np.ndarray]:
+    """(the distinct `image_ids` in first-seen order, the row order that groups
+    the rows by image in file order within one, or None when they are grouped
+    already, and each image's row count as int64)."""
+    codes: dict[str, int] = {}
+    image_of_row = [codes.setdefault(i, len(codes)) for i in image_ids]
+    # numpy's first call of a function in a process costs tens of µs, which
+    # a file of a few lines notices: the check stays in Python
+    grouped = image_of_row == sorted(image_of_row)
+    image_of_row = np.array(image_of_row, dtype=np.int64)
+    order = None if grouped else np.argsort(image_of_row, kind="stable")
+    counts = np.bincount(image_of_row, minlength=len(codes)).astype(np.int64, copy=False)
+    return list(codes), order, counts
 
 
 def sidecar_path(path) -> Path:
@@ -558,44 +620,101 @@ def _format_box(box: Box) -> str:
     return _format_floats((box.x1, box.y1, box.x2, box.y2))
 
 
-def _empty_id(path, lineno: int, **ids: str) -> DataFormatError:
-    """The error for line `lineno` of `path`, naming the first of `ids` that is empty."""
-    name = next(name for name, value in ids.items() if not value)
-    return DataFormatError(f"{path}:{lineno}: empty {name}")
+def _line_fields(raw: str, path, lineno: int, counts: tuple[int, ...], id_name: str,
+                 first_line: dict[str, int]) -> list[str]:
+    """The tab-separated fields of line `lineno`, `raw`: `counts` of them, the
+    first (an `id_name`) and the second (an image_id) non-empty, and the first
+    on no earlier line (`first_line`, which then maps it to this one)."""
+    fields = raw.rstrip("\n").split("\t")
+    if len(fields) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise DataFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(fields)}")
+    if not (fields[0] and fields[1]):
+        raise DataFormatError(f"{path}:{lineno}: empty {id_name if not fields[0] else 'image_id'}")
+    if (first := first_line.setdefault(fields[0], lineno)) != lineno:
+        raise DataFormatError(
+            f"{path}:{lineno}: duplicate {id_name} '{fields[0]}' (first on line {first})"
+        )
+    return fields
 
 
 def load_expressions(path) -> list[ExpressionRecord]:
     """Parse an expressions file with unique expression ids and non-empty
-    expression and image ids; tokens are lowercased."""
+    expression and image ids; tokens are lowercased. The file is read in
+    blocks of whole lines (`BLOCK_CHARS`), as a detection dump is."""
     path = Path(path)
     out: list[ExpressionRecord] = []
     first_line: dict[str, int] = {}
     with open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.rstrip("\n").split("\t")
-            if len(fields) not in (5, 6):
-                raise DataFormatError(f"{path}:{lineno}: expected 5 or 6 fields, got {len(fields)}")
-            expr_id, image_id, split, box_field, tok_field = fields[:5]
-            if not (expr_id and image_id):
-                raise _empty_id(path, lineno, expression_id=expr_id, image_id=image_id)
-            if (first := first_line.setdefault(expr_id, lineno)) != lineno:
+        for lines, lineno in _blocks(fh, 1):
+            out += _expression_block(lines, path, lineno, first_line)
+    return out
+
+
+def _expression_block(lines: Sequence[str], path, first_lineno: int,
+                      first_line: dict[str, int]) -> list[ExpressionRecord]:
+    """The records of a block of expression lines, with the boxes converted in
+    one ``float()`` pass. `ExpressionRecord` and `Box` check the split, the tokens,
+    the POS tags and the box corners; a block that fails any check goes to
+    `_expression_lines`, which raises the error of its first bad line.
+    `first_line` maps each expression id of earlier blocks to its line."""
+    fields = [line.rstrip("\n").split("\t") for line in lines]
+    try:
+        if not set(map(len, fields)) <= {5, 6}:
+            raise ValueError("field count")
+        pos_fields = [f[5] if len(f) == 6 else "" for f in fields]
+        expression_ids, image_ids, splits, box_fields, token_fields = list(zip(*fields))[:5]
+        # the records hold Python floats: one float() pass gives them, as fast
+        # as numpy's reader at 4 numbers a line and without its first call in
+        # a process (about 45 µs, a fifth of a 10-line file's load)
+        coordinates = list(map(str.split, box_fields))
+        if set(map(len, coordinates)) != {4}:
+            raise ValueError("box coordinate count")
+        values = list(map(float, chain.from_iterable(coordinates)))
+        # the cyclic collector scans every list still alive while the records
+        # are made, so the per-line lists go first
+        del fields, coordinates
+        if not (all(expression_ids) and all(image_ids) and all(map(math.isfinite, values))):
+            raise ValueError("empty id or non-finite box")
+        records = [
+            ExpressionRecord(
+                expression_id, image_id, tuple(tokens.lower().split()),
+                tuple(pos.split()) if pos else None, Box(x1, y1, x2, y2), split,
+            )
+            for expression_id, image_id, split, tokens, pos, x1, y1, x2, y2 in zip(
+                expression_ids, image_ids, splits, token_fields, pos_fields,
+                values[0::4], values[1::4], values[2::4], values[3::4],
+            )
+        ]
+        valid = _new_ids(expression_ids, first_lineno, first_line)
+    except ValueError:
+        valid = False
+    if not valid:
+        return _expression_lines(lines, path, first_lineno, first_line)
+    return records
+
+
+def _expression_lines(lines: Sequence[str], path, first_lineno: int,
+                      first_line: dict[str, int]) -> list[ExpressionRecord]:
+    """The records of a block, one line at a time; raises at the first bad line."""
+    out: list[ExpressionRecord] = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        fields = _line_fields(raw, path, lineno, (5, 6), "expression_id", first_line)
+        expr_id, image_id, split, box_field, tok_field = fields[:5]
+        if split not in SPLITS:
+            raise DataFormatError(f"{path}:{lineno}: unknown split '{split}'")
+        tokens = tuple(t.lower() for t in tok_field.split())
+        if not tokens:
+            raise DataFormatError(f"{path}:{lineno}: empty token list")
+        pos_tags: tuple[str, ...] | None = None
+        if len(fields) == 6 and fields[5]:
+            pos_tags = tuple(fields[5].split())
+            if len(pos_tags) != len(tokens):
                 raise DataFormatError(
-                    f"{path}:{lineno}: duplicate expression_id '{expr_id}' (first on line {first})"
+                    f"{path}:{lineno}: {len(pos_tags)} POS tags for {len(tokens)} tokens"
                 )
-            if split not in SPLITS:
-                raise DataFormatError(f"{path}:{lineno}: unknown split '{split}'")
-            tokens = tuple(t.lower() for t in tok_field.split())
-            if not tokens:
-                raise DataFormatError(f"{path}:{lineno}: empty token list")
-            pos_tags: tuple[str, ...] | None = None
-            if len(fields) == 6 and fields[5]:
-                pos_tags = tuple(fields[5].split())
-                if len(pos_tags) != len(tokens):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: {len(pos_tags)} POS tags for {len(tokens)} tokens"
-                    )
-            box = _parse_box(box_field, path, lineno)
-            out.append(ExpressionRecord(expr_id, image_id, tokens, pos_tags, box, split))
+        box = _parse_box(box_field, path, lineno)
+        out.append(ExpressionRecord(expr_id, image_id, tokens, pos_tags, box, split))
     return out
 
 
@@ -615,32 +734,83 @@ def write_expressions(path, records: Sequence[ExpressionRecord]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_regions(path) -> list[GroundTruthRegion]:
-    """Parse a regions file with unique region ids and non-empty region and image ids."""
+def load_regions(path) -> dict[str, ImageRegions]:
+    """Parse a regions file with unique region ids, non-empty region and image
+    ids and category names of at least one word, into each image's regions,
+    images in first-seen order. An image's rows keep their file order, whether
+    or not its lines are contiguous. The file is read in blocks of whole lines
+    (`BLOCK_CHARS`), as a detection dump is."""
     path = Path(path)
-    out: list[GroundTruthRegion] = []
+    # per column, its part from each block
+    parts: tuple[list, ...] = ([], [], [], [])
     first_line: dict[str, int] = {}
     with open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            region_id, image_id, box_field, category = fields
-            if not (region_id and image_id):
-                raise _empty_id(path, lineno, region_id=region_id, image_id=image_id)
-            if (first := first_line.setdefault(region_id, lineno)) != lineno:
-                raise DataFormatError(
-                    f"{path}:{lineno}: duplicate region_id '{region_id}' (first on line {first})"
-                )
-            box = _parse_box(box_field, path, lineno)
-            out.append(GroundTruthRegion(region_id, image_id, box, category))
-    return out
+        for lines, lineno in _blocks(fh, 1):
+            for column, part in zip(parts, _region_block(lines, path, lineno, first_line)):
+                column.append(part)
+    if not parts[0]:
+        return {}
+    region_ids, image_ids, names = (tuple(chain.from_iterable(parts[k])) for k in (0, 1, 3))
+    image_ids, order, counts = _grouped(image_ids)
+    boxes = _stacked(parts[2])
+    if order is not None:
+        boxes = boxes[order]
+        region_ids, names = (tuple(map(column.__getitem__, order.tolist()))
+                             for column in (region_ids, names))
+    boxes.setflags(write=False)
+    bounds = np.cumsum(counts).tolist()
+    return {
+        image_id: ImageRegions(image_id, region_ids[start:stop], boxes[start:stop],
+                               names[start:stop])
+        for image_id, start, stop in zip(image_ids, [0, *bounds], bounds)
+    }
 
 
-def write_regions(path, regions: Sequence[GroundTruthRegion]) -> None:
+def _region_block(lines: Sequence[str], path, first_lineno: int,
+                  first_line: dict[str, int]) -> tuple:
+    """(region_ids, image_ids, boxes, category_names) of a block of region
+    lines, with the boxes converted in one numpy call. A block that fails any
+    check goes to `_region_lines`, which raises the error of its first bad
+    line. `first_line` maps each region id of earlier blocks to its line."""
+    fields = [line.rstrip("\n").split("\t") for line in lines]
+    try:
+        if set(map(len, fields)) != {4}:
+            raise ValueError("field count")
+        region_ids, image_ids, box_fields, names = zip(*fields)
+        boxes = _float_rows(box_fields, 4)
+        valid = (
+            all(region_ids) and all(image_ids) and all(map(str.split, names))
+            and _boxes_valid(boxes) and _new_ids(region_ids, first_lineno, first_line)
+        )
+    except ValueError:
+        valid = False
+    if not valid:
+        return _region_lines(lines, path, first_lineno, first_line)
+    return region_ids, image_ids, boxes, names
+
+
+def _region_lines(lines: Sequence[str], path, first_lineno: int,
+                  first_line: dict[str, int]) -> tuple:
+    """The columns of a block, one line at a time; raises at the first bad line."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        region_id, image_id, box_field, name = _line_fields(raw, path, lineno, (4,), "region_id",
+                                                            first_line)
+        box = _parse_box(box_field, path, lineno)
+        if not name.split():
+            raise DataFormatError(f"{path}:{lineno}: category name '{name}' has no word")
+        rows.append((region_id, image_id, (box.x1, box.y1, box.x2, box.y2), name))
+    region_ids, image_ids, boxes, names = zip(*rows)
+    return region_ids, image_ids, np.array(boxes, dtype=np.float64), names
+
+
+def write_regions(path, images: Iterable[ImageRegions]) -> None:
+    """Write each image's regions, in order, one line per region."""
     lines = [
-        "\t".join((r.region_id, r.image_id, _format_box(r.box), r.category_name))
-        for r in regions
+        "\t".join((region_id, image.image_id, _format_floats(box), name))
+        for image in images
+        for region_id, box, name in zip(image.region_ids, image.boxes.tolist(),
+                                         image.category_names)
     ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
@@ -738,10 +908,3 @@ def encode_tokens(tokens: Sequence[str], vocab: Vocabulary) -> list[int]:
 
 def group_detections(images: Iterable[ImageDetections]) -> dict[str, ImageDetections]:
     return {img.image_id: img for img in images}
-
-
-def group_regions(regions: Iterable[GroundTruthRegion]) -> dict[str, list[GroundTruthRegion]]:
-    grouped: dict[str, list[GroundTruthRegion]] = {}
-    for r in regions:
-        grouped.setdefault(r.image_id, []).append(r)
-    return grouped

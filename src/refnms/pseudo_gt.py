@@ -1,11 +1,12 @@
 """Pseudo ground truth for contextual objects.
 
 Nouns are pulled from the expression (POS tags when available, otherwise a
-function-word stoplist heuristic) and matched against region category names
-by cosine similarity of word embeddings. Regions scoring at or above the
-similarity threshold become pseudo ground truths, in region order. Training's
-foreground and the recall harness's targets are one array per expression,
-`evaluation.EvalExample.targets`: the referent box, then these regions' boxes.
+function-word stoplist heuristic) and matched against the category names of
+the expression's image's regions (`ingest.ImageRegions`) by cosine similarity
+of word embeddings. Regions scoring at or above the similarity threshold become
+pseudo ground truths, as row indices in region order. Training's foreground and
+the recall harness's targets are one array per expression,
+`evaluation.EvalExample.targets`: the referent box, then these rows' boxes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
+from .ingest import EmbeddingTable, ExpressionRecord, ImageRegions
 
 NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 
@@ -106,12 +107,13 @@ def memoized_similarity(table: EmbeddingTable) -> Callable[[str, str], float]:
 
 def generate_pseudo_gt(
     expr: ExpressionRecord,
-    regions: Sequence[GroundTruthRegion],
+    regions: ImageRegions | None,
     table: EmbeddingTable,
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
     similarity: Callable[[str, str], float] | None = None,
-) -> list[GroundTruthRegion]:
-    """The regions matched to the expression's nouns, in the order given.
+) -> list[int]:
+    """The rows of `regions`, the regions of the expression's image (None when
+    it has none), matched to the expression's nouns, in row order.
 
     A region is matched when the best cosine similarity over extracted nouns
     reaches `similarity_threshold` (inclusive at the boundary).
@@ -120,19 +122,14 @@ def generate_pseudo_gt(
     """
     if similarity is None:
         similarity = functools.partial(category_similarity, table=table)
-    for region in regions:
-        if region.image_id != expr.image_id:
-            raise ValueError(
-                f"region {region.region_id} belongs to image {region.image_id}, "
-                f"expression {expr.expression_id} to {expr.image_id}"
-            )
-    nouns = extract_nouns(expr.tokens, expr.pos_tags)
-    matched = []
-    for region in regions:
-        best = max(
-            (similarity(n, region.category_name) for n in nouns),
-            default=-1.0,
+    if regions is not None and regions.image_id != expr.image_id:
+        raise ValueError(
+            f"regions of image {regions.image_id} given for expression "
+            f"{expr.expression_id} of image {expr.image_id}"
         )
-        if best >= similarity_threshold:
-            matched.append(region)
-    return matched
+    nouns = extract_nouns(expr.tokens, expr.pos_tags)
+    names = () if regions is None else regions.category_names
+    return [
+        row for row, name in enumerate(names)
+        if max((similarity(n, name) for n in nouns), default=-1.0) >= similarity_threshold
+    ]

@@ -24,8 +24,8 @@ import numpy as np
 from .geometry import Box, box_array, iou
 from .ingest import (
     ExpressionRecord,
-    GroundTruthRegion,
     ImageDetections,
+    ImageRegions,
     write_detection_dump,
     write_expressions,
     write_regions,
@@ -120,7 +120,7 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> SynthPaths:
     n_train = round(cfg.n_images * (1.0 - cfg.val_fraction))
 
     images: list[ImageDetections] = []
-    regions: list[GroundTruthRegion] = []
+    regions: list[ImageRegions] = []
     expressions: list[ExpressionRecord] = []
     for i in range(cfg.n_images):
         image_id = f"img{i:04d}"
@@ -130,9 +130,11 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> SynthPaths:
         cats = rng.choice(cfg.n_categories, size=n_objects, replace=False)
         object_boxes: list[Box] = []
         for k in range(n_objects):
-            box = _sample_clear_box(rng, canvas, object_boxes, max_overlap=0.1)
-            object_boxes.append(box)
-            regions.append(GroundTruthRegion(f"{image_id}_r{k}", image_id, box, names[cats[k]]))
+            object_boxes.append(_sample_clear_box(rng, canvas, object_boxes, max_overlap=0.1))
+        regions.append(
+            ImageRegions(image_id, [f"{image_id}_r{k}" for k in range(n_objects)],
+                         box_array(object_boxes), [names[c] for c in cats])
+        )
 
         # (box, category, confidence, feature) per detection, drawn in this order
         detections: list[tuple[Box, int, float, np.ndarray]] = []

@@ -17,7 +17,14 @@ import numpy as np
 from refnms import autodiff as ad
 from refnms.evaluation import EvalExample
 from refnms.geometry import Box, box_array, iou
-from refnms.ingest import DUMP_HEADER_RE, DataFormatError, ImageDetections
+from refnms.ingest import (
+    DUMP_HEADER_RE,
+    SPLITS,
+    DataFormatError,
+    ExpressionRecord,
+    ImageDetections,
+    ImageRegions,
+)
 from refnms.model import DEFAULT_MIN_CONFIDENCE, ModelParameters, flat_views
 from refnms.nms import NmsConfig, per_class_nms
 
@@ -35,6 +42,38 @@ def image_of_rows(image_id, rows, feature_dim=0):
 def boxes_of(image):
     """The image's boxes as `Box` objects, in row order."""
     return [Box(*row) for row in image.boxes.tolist()]
+
+
+class Region(NamedTuple):
+    """One line of a regions file: the per-region form before `ImageRegions`."""
+
+    region_id: str
+    image_id: str
+    box: Box
+    category_name: str
+
+
+def regions_by_image(regions):
+    """`Region`s as `ImageRegions` per image, images in first-seen order and
+    each image's rows in the given order."""
+    grouped = {}
+    for r in regions:
+        grouped.setdefault(r.image_id, []).append(r)
+    return {
+        image_id: ImageRegions(image_id, [r.region_id for r in rows],
+                               box_array([r.box for r in rows]),
+                               [r.category_name for r in rows])
+        for image_id, rows in grouped.items()
+    }
+
+
+def regions_in(image):
+    """An `ImageRegions`' rows as `Region`s, in row order."""
+    return [
+        Region(region_id, image.image_id, Box(*box), name)
+        for region_id, box, name in zip(image.region_ids, image.boxes.tolist(),
+                                        image.category_names)
+    ]
 
 
 def eval_example(expression_id, split, detections, referent, pseudo_boxes=(), token_indices=None):
@@ -310,6 +349,11 @@ def _line_box(field, path, lineno):
         raise DataFormatError(f"{path}:{lineno}: bad box '{field}' ({exc})") from None
 
 
+def _empty_id_error(path, lineno, **ids):
+    name = next(name for name, value in ids.items() if not value)
+    return DataFormatError(f"{path}:{lineno}: empty {name}")
+
+
 def load_dump_by_line(path):
     """Parse a detection dump one line at a time into (image_id, records) pairs in
     first-seen image order, records as (box, category_id, name, confidence, feature).
@@ -360,3 +404,64 @@ def load_dump_by_line(path):
                 (box, category_id, cat_name, confidence, feature)
             )
     return list(grouped.items()), dim
+
+
+def load_expressions_by_line(path):
+    """Parse an expressions file one line at a time into `ExpressionRecord`s:
+    the per-line parser the block loader replaced."""
+    path = Path(path)
+    out = []
+    first_line = {}
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) not in (5, 6):
+                raise DataFormatError(f"{path}:{lineno}: expected 5 or 6 fields, got {len(fields)}")
+            expr_id, image_id, split, box_field, tok_field = fields[:5]
+            if not (expr_id and image_id):
+                raise _empty_id_error(path, lineno, expression_id=expr_id, image_id=image_id)
+            if (first := first_line.setdefault(expr_id, lineno)) != lineno:
+                raise DataFormatError(
+                    f"{path}:{lineno}: duplicate expression_id '{expr_id}' (first on line {first})"
+                )
+            if split not in SPLITS:
+                raise DataFormatError(f"{path}:{lineno}: unknown split '{split}'")
+            tokens = tuple(t.lower() for t in tok_field.split())
+            if not tokens:
+                raise DataFormatError(f"{path}:{lineno}: empty token list")
+            pos_tags = None
+            if len(fields) == 6 and fields[5]:
+                pos_tags = tuple(fields[5].split())
+                if len(pos_tags) != len(tokens):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: {len(pos_tags)} POS tags for {len(tokens)} tokens"
+                    )
+            box = _line_box(box_field, path, lineno)
+            out.append(ExpressionRecord(expr_id, image_id, tokens, pos_tags, box, split))
+    return out
+
+
+def load_regions_by_line(path):
+    """Parse a regions file one line at a time into `Region`s in file order:
+    the per-line parser the block loader replaced, plus the rule added with
+    it that a category name holds at least one word."""
+    path = Path(path)
+    out = []
+    first_line = {}
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            region_id, image_id, box_field, category = fields
+            if not (region_id and image_id):
+                raise _empty_id_error(path, lineno, region_id=region_id, image_id=image_id)
+            if (first := first_line.setdefault(region_id, lineno)) != lineno:
+                raise DataFormatError(
+                    f"{path}:{lineno}: duplicate region_id '{region_id}' (first on line {first})"
+                )
+            box = _line_box(box_field, path, lineno)
+            if not category.split():
+                raise DataFormatError(f"{path}:{lineno}: category name '{category}' has no word")
+            out.append(Region(region_id, image_id, box, category))
+    return out

@@ -21,7 +21,7 @@ from refnms.autodiff import Node
 from refnms.cli import EXIT_OK, main
 from refnms.evaluation import recall_curve
 from refnms.geometry import Box, box_array, iou
-from refnms.ingest import group_regions, load_embeddings, load_expressions, load_regions
+from refnms.ingest import load_embeddings, load_expressions, load_regions
 from refnms.model import ModelConfig, Window, init_parameters, relatedness_forward
 from refnms.nms import NmsConfig, ProposalBudget, proposal_pipeline
 from refnms.objectives import (
@@ -280,19 +280,27 @@ def test_criterion_7_pseudo_gt_monotonicity(synthetic_experiment):
     with criterion(7, "pseudo ground-truth monotonicity"):
         data = synthetic_experiment[0]["data"]
         table = load_embeddings(data / "embeddings.txt")
-        regions_by_image = group_regions(load_regions(data / "regions.tsv"))
+        regions_by_image = load_regions(data / "regions.tsv")
         expressions = load_expressions(data / "expressions.tsv")[:200]
         for expr in expressions:
             regions = regions_by_image[expr.image_id]
+
+            def matched(gamma):
+                rows = generate_pseudo_gt(expr, regions, table, gamma)
+                return {regions.region_ids[row] for row in rows}
+
             previous = None
             for gamma in (0.2, 0.4, 0.6, 0.8):
-                current = {r.region_id for r in generate_pseudo_gt(expr, regions, table, gamma)}
+                current = matched(gamma)
                 if previous is not None:
                     assert current <= previous, expr.expression_id
                 previous = current
             nouns = {t for t, tag in zip(expr.tokens, expr.pos_tags) if tag == "NOUN"}
-            expected = {r.region_id for r in regions if r.category_name in nouns}
-            at_default = {r.region_id for r in generate_pseudo_gt(expr, regions, table, 0.4)}
+            expected = {
+                region_id for region_id, name in zip(regions.region_ids, regions.category_names)
+                if name in nouns
+            }
+            at_default = matched(0.4)
             assert at_default == expected, expr.expression_id
 
 

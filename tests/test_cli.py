@@ -158,6 +158,27 @@ def test_pseudo_gt_default_output_is_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PSEUDO_GT_DEFAULT_SHA256
 
 
+# SHA-256 of `eval-recall --method baseline_conf --budgets 1,5,10,real_case`'s
+# CSV on that set, val split
+EVAL_RECALL_DEFAULT_SHA256 = "68b41fdd6cb79b8ca5e09d677765e9c147de1491764c6474164fba11e4d61d73"
+
+
+def test_eval_recall_default_output_is_pinned(tmp_path):
+    # recall counts targets, whatever the regions' order
+    assert main(["synth-data", "--out-dir", str(tmp_path)]) == EXIT_OK
+    regions = tmp_path / "regions.tsv"
+    reversed_regions = tmp_path / "reversed.tsv"
+    reversed_regions.write_text("".join(reversed(regions.read_text().splitlines(True))))
+    for regions_file in (regions, reversed_regions):
+        out = tmp_path / "recall.csv"
+        assert main(
+            ["eval-recall", *data_args(tmp_path), "--regions", str(regions_file),
+             "--split", "val", "--method", "baseline_conf", "--budgets", "1,5,10,real_case",
+             "--out", str(out)]
+        ) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_RECALL_DEFAULT_SHA256
+
+
 def test_pseudo_gt_command_emits_expression_lines(dataset, tmp_path):
     out = tmp_path / "pseudo.tsv"
     code = main(
@@ -463,6 +484,28 @@ def test_empty_id_in_regions_exits_with_data_error_naming_the_line(
     assert code == EXIT_DATA
     assert f"{regions}:3: empty {field}" in capsys.readouterr().err
     assert not (tmp_path / "recall.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["", "  "], ids=["empty", "whitespace"])
+def test_region_category_without_a_word_exits_with_data_error_naming_the_line(
+    dataset, tmp_path, capsys, name
+):
+    # such a region could never match a noun, so it would count in no target
+    lines = (dataset / "regions.tsv").read_text().splitlines(keepends=True)
+    fields = lines[2].split("\t")
+    fields[3] = name + "\n"
+    lines[2] = "\t".join(fields)
+    regions = tmp_path / "regions.tsv"
+    regions.write_text("".join(lines))
+    for argv in (
+        ["pseudo-gt", *data_args(dataset)[2:], "--regions", str(regions)],
+        ["eval-recall", *data_args(dataset), "--regions", str(regions), "--split", "val",
+         "--method", "baseline_conf"],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA, argv[0]
+        assert f"{regions}:3: category name '{name}' has no word" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_eval_recall_baseline_needs_no_checkpoint(dataset, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import eval_example, hits, image_of_rows, targets_of
+from oracles import Region, eval_example, hits, image_of_rows, regions_by_image, targets_of
 from refnms.evaluation import (
     EvalExample,
     RecallRow,
@@ -19,7 +19,7 @@ from refnms.evaluation import (
     write_report,
 )
 from refnms.geometry import Box, box_array
-from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion
+from refnms.ingest import EmbeddingTable, ExpressionRecord
 from refnms.model import ModelConfig, Window, init_parameters, survivors
 from refnms.nms import NmsConfig, proposal_pipeline
 
@@ -284,6 +284,26 @@ def test_recall_curve_rejects_empty_or_mixed_splits():
         recall_curve([a, b], "baseline_conf", [5])
 
 
+@pytest.mark.parametrize(
+    "budgets, repeated",
+    [([5, 5, "real_case", "real_case"], "5"), ([5, "05"], "'05'"), ([1, "real"], None),
+     (["real", 3, "real_case"], "'real_case'"), ([2, "2"], "'2'")],
+)
+def test_recall_curve_rejects_a_repeated_budget(budgets, repeated):
+    # the rule of `eval-recall --budgets`: "real" is "real_case", "05" is 5;
+    # one row per budget, so a repeat would give fewer rows than budgets
+    rng = np.random.default_rng(87)
+    box = random_box(rng)
+    ex = eval_example("e0", "val", image_of([record(box, 0.9)]), box)
+    if repeated is None:
+        assert [label for _, _, label in recall_curve([ex], "baseline_conf", budgets)] == [
+            "1", "real_case"
+        ]
+        return
+    with pytest.raises(ValueError, match=f"budget {repeated} repeated"):
+        recall_curve([ex], "baseline_conf", budgets)
+
+
 def test_recall_curve_real_case_uses_score_threshold():
     rng = np.random.default_rng(86)
     strong = random_box(rng)
@@ -301,12 +321,10 @@ def test_higher_similarity_threshold_shrinks_contextual_denominator():
         2, {"cat": np.array([1.0, 0.0]), "dog": np.array([0.8, 0.6]), "the": np.array([0.1, 0.1])}
     )
     expr = ExpressionRecord("e0", "img", ("the", "cat"), ("DET", "NOUN"), Box(0, 0, 10, 10), "val")
-    regions = {
-        "img": [
-            GroundTruthRegion("r1", "img", Box(0, 0, 10, 10), "cat"),
-            GroundTruthRegion("r2", "img", Box(20, 0, 30, 10), "dog"),  # cosine 0.8
-        ]
-    }
+    regions = regions_by_image([
+        Region("r1", "img", Box(0, 0, 10, 10), "cat"),
+        Region("r2", "img", Box(20, 0, 30, 10), "dog"),  # cosine 0.8
+    ])
     detections = {"img": image_of([record(Box(0, 0, 10, 10), 0.9)], "img")}
     loose = build_eval_set([expr], detections, regions, table, similarity_threshold=0.4)
     strict = build_eval_set([expr], detections, regions, table, similarity_threshold=0.9)

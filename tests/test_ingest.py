@@ -4,6 +4,7 @@ import collections
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,13 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boxes_of, image_of_rows, load_dump_by_line
+from oracles import (
+    Region,
+    boxes_of,
+    image_of_rows,
+    load_dump_by_line,
+    load_expressions_by_line,
+    load_regions_by_line,
+    regions_by_image,
+    regions_in,
+)
 from refnms import ingest
 from refnms.geometry import Box, box_array
 from refnms.ingest import (
     DataFormatError,
     ExpressionRecord,
-    GroundTruthRegion,
     ImageDetections,
     build_vocabulary,
     encode_tokens,
@@ -206,7 +215,7 @@ def numbers(draw, values, padded, spoil_number=False, spoil_count=False):
 
 
 @st.composite
-def dump_lines(draw, dim, padded, spoil=None):
+def box_fields(draw, padded, spoil=None):
     coord = st.floats(-1e4, 1e4, allow_nan=False)
     x1, y1 = draw(coord), draw(coord)
     w, h = draw(st.floats(0, 500)), draw(st.floats(0, 500))
@@ -215,11 +224,16 @@ def dump_lines(draw, dim, padded, spoil=None):
             w = -draw(st.floats(1e-3, 500))
         else:
             h = -draw(st.floats(1e-3, 500))
-    box = draw(
+    if spoil == "infinite box":  # not inverted, so only the finite check stops it
+        return draw(st.sampled_from(["-inf 0 1 1", "0 -inf 1 1", "0 0 inf 1", "0 0 1 inf"]))
+    return draw(
         numbers([x1, y1, x1 + w, y1 + h], padded, spoil == "box number", spoil == "box count")
     )
-    if spoil == "infinite box":  # not inverted, so only the finite check stops it
-        box = draw(st.sampled_from(["-inf 0 1 1", "0 -inf 1 1", "0 0 inf 1", "0 0 1 inf"]))
+
+
+@st.composite
+def dump_lines(draw, dim, padded, spoil=None):
+    box = draw(box_fields(padded, spoil))
     category = draw(st.sampled_from(["0", "3", "17", "-2", " 4", str(2**63 - 1)]))
     if spoil == "category":
         category = draw(st.sampled_from(["x", "1.0", str(2**63), ""]))
@@ -629,12 +643,40 @@ def test_expressions_reject_unknown_split(tmp_path):
 
 
 def test_regions_round_trip_with_multiword_category(tmp_path):
-    regions = [GroundTruthRegion("r1", "img1", Box(1, 2, 3, 4), "traffic light")]
+    regions = regions_by_image([Region("r1", "img1", Box(1, 2, 3, 4), "traffic light")])
     path = tmp_path / "r.tsv"
-    write_regions(path, regions)
-    loaded = load_regions(path)
-    assert loaded[0].category_name == "traffic light"
-    assert loaded[0].box == Box(1, 2, 3, 4)
+    write_regions(path, regions.values())
+    (loaded,) = regions_in(load_regions(path)["img1"])
+    assert loaded.category_name == "traffic light"
+    assert loaded.box == Box(1, 2, 3, 4)
+
+
+def test_regions_load_per_image_as_read_only_arrays(tmp_path):
+    # images in first-seen order, each image's rows in file order
+    path = tmp_path / "r.tsv"
+    path.write_text("r1\ta\t0 0 1 1\tcat\nr2\tb\t1 1 2 2\tdog\nr3\ta\t2 2 3 3\ttraffic light\n")
+    regions = load_regions(path)
+    assert list(regions) == ["a", "b"]
+    a, b = regions.values()
+    assert (a.image_id, a.region_ids, a.category_names) == ("a", ("r1", "r3"),
+                                                             ("cat", "traffic light"))
+    assert (b.region_ids, b.category_names, b.boxes.tolist()) == (("r2",), ("dog",),
+                                                                   [[1, 1, 2, 2]])
+    assert a.boxes.dtype == np.float64 and a.boxes.tolist() == [[0, 0, 1, 1], [2, 2, 3, 3]]
+    with pytest.raises(ValueError, match="read-only"):
+        a.boxes[0, 0] = 5.0
+    path.write_text("")
+    assert load_regions(path) == {}
+
+
+@pytest.mark.parametrize("name", ["", " ", "\x0c\u2028"], ids=["empty", "space", "other-space"])
+def test_region_category_name_without_a_word_is_rejected_with_its_line(tmp_path, name):
+    # such a region could never match a noun: its similarity is the -1 sentinel
+    path = tmp_path / "r.tsv"
+    path.write_text(f"r1\timg1\t0 0 5 5\tcat\nr2\timg1\t0 0 5 5\t{name}\n", encoding="utf-8")
+    message = f"{path}:2: category name '{name}' has no word"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_regions(path)
 
 
 NAMES = st.text("abcXYZ019_-.:", min_size=1, max_size=6)
@@ -682,14 +724,19 @@ def test_expressions_write_then_load_keep_every_field(records):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.builds(GroundTruthRegion, NAMES, NAMES, boxes(),
-                          st.text("ab Z-", min_size=1, max_size=8)),
+@given(st.lists(st.builds(Region, NAMES, NAMES, boxes(),
+                          st.text("ab Z-", min_size=1, max_size=8).filter(lambda name: name.split())),
                 max_size=4, unique_by=lambda region: region.region_id))
 def test_regions_write_then_load_keep_every_field(regions):
+    # the file holds each image's regions together, images in first-seen order
+    images = regions_by_image(regions)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "regions.tsv"
-        write_regions(path, regions)
+        write_regions(path, images.values())
         loaded = load_regions(path)
+    assert list(loaded) == list(images)
+    regions = [r for image in images.values() for r in regions_in(image)]
+    loaded = [r for image in loaded.values() for r in regions_in(image)]
     assert len(loaded) == len(regions)
     for orig, back in zip(regions, loaded):
         assert (back.region_id, back.image_id, back.category_name) == (
@@ -707,6 +754,150 @@ def test_expression_and_region_boxes_must_be_finite(tmp_path):
     path.write_text("r1\timg1\t0 0 inf 5\tcat\n")
     with pytest.raises(DataFormatError, match=r"r\.tsv:1: .*non-finite"):
         load_regions(path)
+
+
+# The block parsers of expressions and regions against the per-line oracles.
+# Lines are drawn from valid fields: ids and text of any characters but a tab
+# or a line end, boxes in the dump's spellings and spacings, the POS column
+# absent, empty or present, images interleaved. Most files also hold spoilt
+# lines with one bad field each; a duplicate id repeats an earlier line's,
+# often in another block. Blocks of many sizes make the fast path and the
+# fallback meet.
+
+ANY_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), max_size=8)
+TEXT_IDS = ANY_TEXT.filter(bool)
+WORDS = ANY_TEXT.filter(lambda text: text.split())  # at least one word
+IMAGE_CHOICES = st.sampled_from(["a", "b", "c"]) | TEXT_IDS
+NO_WORDS = st.sampled_from(["", " ", "\x0c", " \u2028 "])
+BOX_SPOILS = ("box number", "box count", "infinite box", "inverted")
+EXPRESSION_SPOILS = (*BOX_SPOILS, "id", "image id", "duplicate id", "split", "tokens",
+                     "pos count", "missing field", "extra field")
+REGION_SPOILS = (*BOX_SPOILS, "id", "image id", "duplicate id", "category", "missing field",
+                 "extra field")
+
+
+def spoil_field_count(draw, fields, spoil):
+    if spoil == "missing field":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    if spoil == "extra field":
+        fields.insert(draw(st.integers(0, len(fields))), draw(ANY_TEXT))
+    return fields
+
+
+@st.composite
+def expression_fields(draw, padded, spoil=None):
+    tokens = draw(NO_WORDS if spoil == "tokens" else WORDS)
+    split = draw(st.sampled_from(sorted(ingest.SPLITS)))
+    if spoil == "split":
+        split = draw(st.sampled_from(["dev", "", "Train", "val "]))
+    fields = ["" if spoil == "id" else draw(TEXT_IDS),
+              "" if spoil == "image id" else draw(IMAGE_CHOICES),
+              split, draw(box_fields(padded, spoil)), tokens]
+    pos = draw(st.sampled_from(["absent", "empty", "tags"]))
+    if pos == "empty":
+        fields.append("")
+    if pos == "tags" or spoil == "pos count":
+        n = len(tokens.split()) + (draw(st.sampled_from([-1, 1])) if spoil == "pos count" else 0)
+        tags = draw(st.lists(WORDS.map(lambda text: text.split()[0]), min_size=n, max_size=n))
+        fields.append(" ".join(tags) or " ")
+    return spoil_field_count(draw, fields, spoil)
+
+
+@st.composite
+def region_fields(draw, padded, spoil=None):
+    fields = ["" if spoil == "id" else draw(TEXT_IDS),
+              "" if spoil == "image id" else draw(IMAGE_CHOICES),
+              draw(box_fields(padded, spoil)),
+              draw(NO_WORDS if spoil == "category" else WORDS)]
+    return spoil_field_count(draw, fields, spoil)
+
+
+@st.composite
+def text_files(draw, line_fields, spoils):
+    """A file of valid lines with distinct ids, and with `spoils` most often
+    one or two spoilt lines."""
+    padded = draw(st.integers(0, 2)) == 0
+    lines = draw(st.lists(line_fields(padded), max_size=8, unique_by=lambda fields: fields[0]))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])) if spoils else 0):
+        spoil = draw(st.sampled_from(spoils))
+        spoilt = draw(line_fields(padded, spoil))
+        if spoil == "duplicate id" and lines:
+            spoilt[0] = draw(st.sampled_from(lines))[0]
+        lines.insert(draw(st.integers(0, len(lines))), spoilt)
+    return "".join("\t".join(fields) + "\n" for fields in lines)
+
+
+def expression_rows(records):
+    return [(r.expression_id, r.image_id, r.tokens, r.pos_tags, box_bits(r.referent_box), r.split)
+            for r in records]
+
+
+def region_rows(regions):
+    """(region_id, image_id, box bits, category_name) of `Region`s, grouped
+    by image in first-seen order, as `load_regions` returns them."""
+    by_image = {}
+    for r in regions:
+        by_image.setdefault(r.image_id, []).append(
+            (r.region_id, r.image_id, box_bits(r.box), r.category_name)
+        )
+    return [row for rows in by_image.values() for row in rows]
+
+
+def loaded_region_rows(by_image):
+    for image_id, image in by_image.items():
+        assert image.image_id == image_id
+        assert image.boxes.dtype == np.float64 and image.boxes.shape == (len(image.region_ids), 4)
+        assert not image.boxes.flags.writeable
+    return region_rows(r for image in by_image.values() for r in regions_in(image))
+
+
+# format: (file strategy's arguments, loader, oracle, rows of either result,
+# the loader's line parser)
+BLOCK_FORMATS = {
+    "expressions": ((expression_fields, EXPRESSION_SPOILS), load_expressions,
+                    load_expressions_by_line, expression_rows, expression_rows,
+                    "_expression_lines"),
+    "regions": ((region_fields, REGION_SPOILS), load_regions, load_regions_by_line,
+                loaded_region_rows, region_rows, "_region_lines"),
+}
+
+
+def load_both(fmt, text, block_chars, patch):
+    """(the oracle's outcome, the loader's) on `text`, each rows or an error
+    message, with blocks of `block_chars` characters."""
+    _, load, oracle, rows_of_loaded, rows_of_oracle, _ = BLOCK_FORMATS[fmt]
+    patch.setattr(ingest, "BLOCK_CHARS", block_chars)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{fmt}.tsv"
+        path.write_text(text, encoding="utf-8")
+        expected = outcome(lambda p: rows_of_oracle(oracle(p)), path)
+        got = outcome(lambda p: rows_of_loaded(load(p)), path)
+    return expected, got
+
+
+@pytest.mark.parametrize("fmt", sorted(BLOCK_FORMATS))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), block_chars=st.sampled_from([1, 60, 400, ingest.BLOCK_CHARS]))
+def test_block_parsers_match_the_line_oracles(fmt, data, block_chars):
+    # the same message, so the same file:line, or the same fields, boxes bit for bit
+    (strategy, spoils), *_ = BLOCK_FORMATS[fmt]
+    text = data.draw(text_files(strategy, spoils))
+    with pytest.MonkeyPatch.context() as patch:
+        expected, got = load_both(fmt, text, block_chars, patch)
+    assert got == expected
+
+
+@pytest.mark.parametrize("fmt", sorted(BLOCK_FORMATS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), block_chars=st.sampled_from([1, 60, 400, ingest.BLOCK_CHARS]))
+def test_valid_expressions_and_regions_never_reach_the_line_parser(fmt, data, block_chars):
+    (strategy, _), *_, line_parser = BLOCK_FORMATS[fmt]
+    text = data.draw(text_files(strategy, ()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, line_parser, lambda *args: pytest.fail("line parser used"))
+        expected, got = load_both(fmt, text, block_chars, patch)
+    assert not isinstance(expected, str)
+    assert got == expected
 
 
 # embeddings ---------------------------------------------------------------------

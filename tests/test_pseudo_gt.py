@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from refnms.evaluation import build_eval_set
 from refnms.geometry import Box, box_array
-from refnms.ingest import EmbeddingTable, ExpressionRecord, GroundTruthRegion, build_vocabulary
+from oracles import Region, regions_by_image, regions_in
+from refnms.ingest import EmbeddingTable, ExpressionRecord, build_vocabulary
 from refnms.pseudo_gt import (
     HEURISTIC_STOPLIST,
     category_similarity,
@@ -28,11 +29,17 @@ def expression(tokens, tags=None, image_id="img1", eid="e1"):
 
 
 def region(rid, category, image_id="img1"):
-    return GroundTruthRegion(rid, image_id, Box(0, 0, 5, 5), category)
+    return Region(rid, image_id, Box(0, 0, 5, 5), category)
 
 
-def ids(regions):
-    return {r.region_id for r in regions}
+def one_image(*regions):
+    """The `ImageRegions` of `regions`, all of one image."""
+    (image,) = regions_by_image(regions).values()
+    return image
+
+
+def ids(image, rows):
+    return {image.region_ids[row] for row in rows}
 
 
 # noun extraction ---------------------------------------------------------------
@@ -114,22 +121,21 @@ def test_similarity_zero_norm_is_sentinel():
 
 def test_no_nouns_gives_empty_set_but_referent_flag():
     table = table_of(cat=[1.0, 0.0])
-    out = generate_pseudo_gt(
-        expression(["red", "one"], tags=("ADJ", "NUM")), [region("r1", "cat")], table
-    )
-    assert ids(out) == set()
+    regions = one_image(region("r1", "cat"))
+    out = generate_pseudo_gt(expression(["red", "one"], tags=("ADJ", "NUM")), regions, table)
+    assert ids(regions, out) == set()
     # the referent stays the example's foreground
     (example,) = build_eval_set(
-        [expression(["red", "one"], tags=("ADJ", "NUM"))], {}, {"img1": [region("r1", "cat")]},
-        table,
+        [expression(["red", "one"], tags=("ADJ", "NUM"))], {}, {"img1": regions}, table,
     )
     assert example.targets.tolist() == [[0, 0, 10, 10]]
 
 
 def test_exact_category_match_is_included():
     table = table_of(cat=[1.0, 0.0])
-    out = generate_pseudo_gt(expression(["cat"], tags=("NOUN",)), [region("r1", "cat")], table)
-    assert ids(out) == {"r1"}
+    regions = one_image(region("r1", "cat"))
+    out = generate_pseudo_gt(expression(["cat"], tags=("NOUN",)), regions, table)
+    assert ids(regions, out) == {"r1"}
 
 
 def test_threshold_is_inclusive_and_separates_nearby_cosines():
@@ -141,18 +147,19 @@ def test_threshold_is_inclusive_and_separates_nearby_cosines():
     )
     assert category_similarity("noun", "cata", table) == pytest.approx(0.39)
     assert category_similarity("noun", "catb", table) == pytest.approx(0.41)
-    regions = [region("ra", "cata"), region("rb", "catb")]
+    regions = one_image(region("ra", "cata"), region("rb", "catb"))
     out = generate_pseudo_gt(
         expression(["noun"], tags=("NOUN",)), regions, table, similarity_threshold=0.4
     )
-    assert ids(out) == {"rb"}
+    assert ids(regions, out) == {"rb"}
     # boundary inclusivity: a cosine exactly at the threshold is kept
     at_edge = table_of(noun=[1.0, 0.0], cata=[0.4, float(np.sqrt(1 - 0.4**2))])
+    regions = one_image(region("ra", "cata"))
     out = generate_pseudo_gt(
-        expression(["noun"], tags=("NOUN",)), [region("ra", "cata")], at_edge,
+        expression(["noun"], tags=("NOUN",)), regions, at_edge,
         similarity_threshold=category_similarity("noun", "cata", at_edge),
     )
-    assert ids(out) == {"ra"}
+    assert ids(regions, out) == {"ra"}
 
 
 def test_rejects_regions_of_another_image():
@@ -160,7 +167,7 @@ def test_rejects_regions_of_another_image():
     with pytest.raises(ValueError, match="image"):
         generate_pseudo_gt(
             expression(["cat"], tags=("NOUN",)),
-            [region("r1", "cat", image_id="other")],
+            one_image(region("r1", "cat", image_id="other")),
             table,
         )
 
@@ -169,11 +176,11 @@ def test_monotone_in_threshold():
     rng = np.random.default_rng(17)
     words = [f"w{i}" for i in range(6)]
     table = table_of(**{w: rng.normal(size=4) for w in words})
-    regions = [region(f"r{i}", words[i]) for i in range(6)]
+    regions = one_image(*(region(f"r{i}", words[i]) for i in range(6)))
     expr = expression(words[:3], tags=("NOUN",) * 3)
     previous = None
     for threshold in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        current = ids(generate_pseudo_gt(expr, regions, table, threshold))
+        current = ids(regions, generate_pseudo_gt(expr, regions, table, threshold))
         if previous is not None:
             assert current <= previous
         previous = current
@@ -183,11 +190,11 @@ def test_adding_a_noun_never_removes_regions():
     rng = np.random.default_rng(18)
     words = [f"w{i}" for i in range(5)]
     table = table_of(**{w: rng.normal(size=3) for w in words})
-    regions = [region(f"r{i}", words[i]) for i in range(5)]
-    small = ids(generate_pseudo_gt(
+    regions = one_image(*(region(f"r{i}", words[i]) for i in range(5)))
+    small = ids(regions, generate_pseudo_gt(
         expression(words[:2], tags=("NOUN", "NOUN")), regions, table, 0.2
     ))
-    grown = ids(generate_pseudo_gt(
+    grown = ids(regions, generate_pseudo_gt(
         expression(words[:3], tags=("NOUN",) * 3), regions, table, 0.2
     ))
     assert small <= grown
@@ -199,8 +206,9 @@ def test_output_independent_of_region_order():
     table = table_of(**{w: rng.normal(size=3) for w in words})
     regions = [region(f"r{i}", words[i]) for i in range(5)]
     expr = expression(words[:2], tags=("NOUN", "NOUN"))
-    forward = ids(generate_pseudo_gt(expr, regions, table, 0.1))
-    backward = ids(generate_pseudo_gt(expr, list(reversed(regions)), table, 0.1))
+    given, reverse = one_image(*regions), one_image(*reversed(regions))
+    forward = ids(given, generate_pseudo_gt(expr, given, table, 0.1))
+    backward = ids(reverse, generate_pseudo_gt(expr, reverse, table, 0.1))
     assert forward == backward
 
 
@@ -209,7 +217,7 @@ def test_foreground_boxes_prepends_referent():
     table = table_of(cat=[1.0])
     regions = [region("r1", "cat")]
     expr = expression(["cat"], tags=("NOUN",))
-    (example,) = build_eval_set([expr], {}, {"img1": regions}, table)
+    (example,) = build_eval_set([expr], {}, {"img1": one_image(*regions)}, table)
     boxes = [Box(*row) for row in example.targets.tolist()]
     assert boxes[0] == expr.referent_box
     assert boxes[1] == regions[0].box
@@ -221,12 +229,12 @@ def test_targets_are_the_referent_then_the_matched_regions_in_region_order(order
     # regions' order, whichever it is, and the array cannot be written
     table = table_of(cat=[1.0, 0.0], kitten=[0.9, 0.1], dog=[0.0, 1.0])
     regions = [
-        GroundTruthRegion("r1", "img1", Box(1, 1, 4, 4), "kitten"),
-        GroundTruthRegion("r2", "img1", Box(2, 2, 6, 6), "dog"),
-        GroundTruthRegion("r3", "img1", Box(3, 3, 9, 9), "cat"),
+        Region("r1", "img1", Box(1, 1, 4, 4), "kitten"),
+        Region("r2", "img1", Box(2, 2, 6, 6), "dog"),
+        Region("r3", "img1", Box(3, 3, 9, 9), "cat"),
     ][::order]
     expr = expression(["cat"], tags=("NOUN",))
-    (example,) = build_eval_set([expr], {}, {"img1": regions}, table)
+    (example,) = build_eval_set([expr], {}, {"img1": one_image(*regions)}, table)
     matched = [r.box for r in regions if r.category_name != "dog"]
     assert example.targets.dtype == np.float64
     assert example.targets.tobytes() == box_array([expr.referent_box, *matched]).tobytes()
@@ -252,8 +260,8 @@ def pseudo_gt_inputs(draw):
     )
     word = st.sampled_from(WORDS)
     regions = [
-        GroundTruthRegion(f"r{k}", f"img{k % 2}", Box(k, 0, k + 5, 5),
-                          " ".join(draw(st.lists(word, min_size=1, max_size=2))))
+        Region(f"r{k}", f"img{k % 2}", Box(k, 0, k + 5, 5),
+               " ".join(draw(st.lists(word, min_size=1, max_size=2))))
         for k in range(draw(st.integers(0, 6)))
     ]
     expressions = [
@@ -273,22 +281,21 @@ def test_memoized_similarity_is_bit_equal_to_the_direct_one(inputs):
         for name in {r.category_name for r in regions}:
             direct = category_similarity(noun, name, table)
             assert memo(noun, name) == direct and memo(noun, name) == direct  # second call cached
-    by_image = {}
-    for r in regions:
-        by_image.setdefault(r.image_id, []).append(r)
+    by_image = regions_by_image(regions)
     direct = {
-        e.expression_id: generate_pseudo_gt(e, by_image.get(e.image_id, ()), table, threshold)
+        e.expression_id: generate_pseudo_gt(e, by_image.get(e.image_id), table, threshold)
         for e in expressions
     }
     for e in expressions:
-        shared = generate_pseudo_gt(e, by_image.get(e.image_id, ()), table, threshold, memo)
+        shared = generate_pseudo_gt(e, by_image.get(e.image_id), table, threshold, memo)
         assert shared == direct[e.expression_id]
     examples = build_eval_set(
         expressions, {}, by_image, table, threshold, build_vocabulary(expressions, 10)
     )
     for e, example in zip(expressions, examples):
-        regions_of = by_image.get(e.image_id, ())
-        expected = [r.box for r in regions_of if r in direct[e.expression_id]]
+        image = by_image.get(e.image_id)
+        rows = regions_in(image) if image is not None else []
+        expected = [rows[row].box for row in direct[e.expression_id]]
         referent, *pseudo = (Box(*row) for row in example.targets.tolist())
         assert referent == e.referent_box
         assert pseudo == expected

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import boxes_of, load_dump_by_line
+from oracles import boxes_of, load_dump_by_line, regions_in
 from refnms.geometry import iou
 from refnms.ingest import (
-    group_regions,
     load_detection_dump,
     load_embeddings,
     load_expressions,
@@ -68,7 +67,7 @@ def test_counts_and_splits(tmp_path):
 def test_every_referent_has_an_accurate_same_category_detection(tmp_path):
     paths = generate_dataset(small_config(n_images=20), tmp_path / "d")
     dump = {img.image_id: img for img in load_detection_dump(paths.detections)[0]}
-    regions = group_regions(load_regions(paths.regions))
+    regions = {k: regions_in(v) for k, v in load_regions(paths.regions).items()}
     for expr in load_expressions(paths.expressions):
         candidates = [
             box for box in boxes_of(dump[expr.image_id]) if iou(box, expr.referent_box) > 0.5
@@ -80,7 +79,7 @@ def test_every_referent_has_an_accurate_same_category_detection(tmp_path):
 
 def test_expressions_mention_only_present_categories(tmp_path):
     paths = generate_dataset(small_config(n_images=15), tmp_path / "d")
-    regions = group_regions(load_regions(paths.regions))
+    regions = {k: regions_in(v) for k, v in load_regions(paths.regions).items()}
     for expr in load_expressions(paths.expressions):
         present = {r.category_name for r in regions[expr.image_id]}
         nouns = [t for t, tag in zip(expr.tokens, expr.pos_tags) if tag == "NOUN"]
@@ -91,19 +90,19 @@ def test_expressions_mention_only_present_categories(tmp_path):
 def test_orthogonal_embeddings_make_pseudo_gt_exact(tmp_path):
     paths = generate_dataset(small_config(n_images=15), tmp_path / "d")
     table = load_embeddings(paths.embeddings)
-    regions = group_regions(load_regions(paths.regions))
+    regions = load_regions(paths.regions)
     for expr in load_expressions(paths.expressions):
         image_regions = regions[expr.image_id]
         matched = generate_pseudo_gt(expr, image_regions, table, 0.4)
         nouns = {t for t, tag in zip(expr.tokens, expr.pos_tags) if tag == "NOUN"}
-        expected = {r.region_id for r in image_regions if r.category_name in nouns}
-        assert {r.region_id for r in matched} == expected
+        expected = {r.region_id for r in regions_in(image_regions) if r.category_name in nouns}
+        assert {image_regions.region_ids[row] for row in matched} == expected
 
 
 def test_distractor_categories_are_absent_from_the_image(tmp_path):
     paths = generate_dataset(small_config(n_images=15, noise=0.0), tmp_path / "d")
     groups, _ = load_dump_by_line(paths.detections)  # the dump's lines with their names
-    regions = group_regions(load_regions(paths.regions))
+    regions = {k: regions_in(v) for k, v in load_regions(paths.regions).items()}
     for image_id, records in groups:
         present = {r.category_name for r in regions[image_id]}
         object_boxes = [r.box for r in regions[image_id]]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from oracles import eval_example, image_of_rows
+from oracles import Region, eval_example, image_of_rows, regions_by_image
 from refnms import autodiff as ad
 from refnms import model, trainer
 from refnms.autodiff import Node
@@ -22,7 +22,6 @@ from refnms.ingest import (
     DataFormatError,
     EmbeddingTable,
     ExpressionRecord,
-    GroundTruthRegion,
     PAD_TOKEN,
     UNK_TOKEN,
     ImageDetections,
@@ -784,12 +783,10 @@ def test_build_training_set_precomputes_foreground():
     expr = ExpressionRecord(
         "e1", "img1", ("the", "cat"), ("DET", "NOUN"), Box(0, 0, 10, 10), "train"
     )
-    regions = {
-        "img1": [
-            GroundTruthRegion("r1", "img1", Box(20, 20, 30, 30), "cat"),
-            GroundTruthRegion("r2", "img1", Box(40, 40, 50, 50), "dog"),
-        ]
-    }
+    regions = regions_by_image([
+        Region("r1", "img1", Box(20, 20, 30, 30), "cat"),
+        Region("r2", "img1", Box(40, 40, 50, 50), "dog"),
+    ])
     records = [
         (box, 0, 0.9, np.zeros(FEATURE_DIM))
         for box in (Box(0, 0, 10, 10), Box(20, 20, 30, 30), Box(40, 40, 50, 50))
